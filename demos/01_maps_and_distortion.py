@@ -19,7 +19,8 @@ poly = SeriesHarmonicMap([0.0, 1.0], [0.0, 0.3])
 affine = AffineHarmonicMap(0.0, 1.0, 0.5)
 
 # harmonic extension of the boundary correspondence e^{i phi(t)} with
-# phi(t) = t + 0.2 sin t, evaluated through the Poisson kernel
+# phi(t) = t + 0.2 sin t, evaluated as the power series of its boundary
+# Fourier coefficients
 poisson = PoissonHarmonicMap(1.0, lambda t: t + 0.2 * np.sin(t))
 
 z = np.array([0.3 + 0.1j, -0.5j, 0.7 + 0.2j])

@@ -19,8 +19,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, PointOutsideDisk,
                      QuadratureNonconvergence, ValidationError)
-from .maps import (SeriesHarmonicMap, derivs_banded, derivs_polar_grid,
-                   eval_circle_grid)
+from .maps import SeriesHarmonicMap, derivs_polar_grid, eval_circle_grid
 from .quadrature import adaptive_simpson, fixed_simpson, refine_grid_max
 
 TWO_PI = 2.0 * math.pi
@@ -291,12 +290,8 @@ class ArcSet:
 
 
 def _tangent_speed(m, z, unit_tangent_analytic):
-    """|f_z t + f_zb conj(t)| for tangent direction t (array-aligned).
-
-    Radius-banded so batches mixing interior and near-boundary points
-    (crosscut arcs) pay the fine kernel rule only where needed.
-    """
-    fz, fzb = derivs_banded(m, z)
+    """|f_z t + f_zb conj(t)| for tangent direction t (array-aligned)."""
+    fz, fzb = m.derivs_many(z)
     return np.abs(fz * unit_tangent_analytic
                   + fzb * np.conj(unit_tangent_analytic))
 
@@ -518,8 +513,7 @@ def _simpson_weights(panels):
 
 def _disk_area(m, r_eff, cfg, info):
     """Jacobian integral over the full disk |z| < r_eff on the polar
-    product grid (circle-grid fast paths apply); doubled-resolution
-    agreement check."""
+    product grid; doubled-resolution agreement check."""
 
     def value(n_t, n_rho):
         rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
@@ -554,8 +548,8 @@ def _lens_radial_profile(m, w, r, R, t, n_rho):
     s = np.linspace(0.0, 1.0, n_rho + 1)
     rho = rho_lo[:, None] + (rho_hi - rho_lo)[:, None] * s[None, :]
     z = rho * np.exp(1j * t)[:, None]
-    fz, fzb = derivs_banded(m, z.ravel())
-    jac = (np.abs(fz) ** 2 - np.abs(fzb) ** 2).reshape(z.shape)
+    fz, fzb = m.derivs_many(z)
+    jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
     h = (rho_hi - rho_lo) / n_rho
     wts = _simpson_weights(n_rho)
     return (h / 3.0) * (jac * rho * wts[None, :]).sum(axis=1)

@@ -70,6 +70,12 @@ class DilatationReport:
     grid_density: tuple[int, int]
 
 
+def _series_pair(z, h, g):
+    """(h(z), conj(g(z))) for power-series coefficients h, g (low degree
+    first); the shared evaluator of the series-backed maps."""
+    return npoly.polyval(z, h), np.conj(npoly.polyval(z, g))
+
+
 class HarmonicMap:
     """Common interface: vectorized evaluation and Wirtinger derivatives.
 
@@ -129,14 +135,11 @@ class SeriesHarmonicMap(HarmonicMap):
 
     def eval_many(self, z):
         z = np.asarray(z, dtype=complex)
-        return npoly.polyval(z, self.analytic_coeffs) + np.conj(
-            npoly.polyval(z, self._g))
+        h, gbar = _series_pair(z, self.analytic_coeffs, self._g)
+        return h + gbar
 
     def derivs_many(self, z):
-        z = np.asarray(z, dtype=complex)
-        fz = npoly.polyval(z, self._dh)
-        fzb = np.conj(npoly.polyval(z, self._dg))
-        return fz, fzb
+        return _series_pair(np.asarray(z, dtype=complex), self._dh, self._dg)
 
     def analytic_deriv_coeffs(self):
         """Coefficients of h' (low degree first)."""
@@ -174,28 +177,40 @@ class PoissonHarmonicMap(HarmonicMap):
     """Poisson integral of unimodular boundary data:
 
         f(z) = (scale / 2 pi) * int_0^{2 pi} P(z, t) exp(i phi(t)) dt,
-        P(z, t) = (1 - |z|^2) / |e^{it} - z|^2.
+        P(z, t) = (1 - |z|^2) / |e^{it} - z|^2 = sum_k r^|k| e^{ik(theta - t)}.
 
     ``phi`` must be nondecreasing on [0, 2 pi] with phi(2 pi) - phi(0)
-    = 2 pi (checked on a 2048-point spot grid).  Evaluation integrates
-    the kernel with composite Simpson on a uniform periodic grid whose
-    panel count doubles until two successive estimates agree to
-    ``kernel_tol`` (absolute), up to ``max_panels`` panels.
+    = 2 pi (checked on a 2048-point spot grid).
 
-    Derivatives differentiate the kernel analytically:
+    Expanding the kernel turns f into its boundary Fourier series
 
-        dP/dz  = (1 - conj(z) e^{it}) / ((e^{it} - z) |e^{it} - z|^2)
-        dP/dzb = conj(dP/dz)           (P is real-valued)
+        f(z) = scale * (sum_{k >= 0} c_k z^k + sum_{k >= 1} c_{-k} zbar^k),
 
-    The kernel peaks like 1/(1 - |z|) near the boundary, so evaluation
-    is refused beyond |z| = 0.999 and derivatives beyond |z| = 0.998;
-    past those radii the node budget cannot reach tolerance.
+    i.e. h and conj(g) are power series, and f_z = h', f_zb = conj(g')
+    follow termwise.  On n uniform nodes the c_k are the FFT of
+    exp(i phi(t_j)) weighted by periodic composite Simpson (2/3, 4/3),
+    kept for |k| < n/4, where the coarse half of the rule does not
+    alias.  Trailing coefficients are cut only below the transform's
+    round-off floor, and only while their dropped weight
+    |k| 0.998^(|k|-1) |c_k| sums to at most kernel_tol / 1000.
+
+    Convergence is tested pointwise: from n = 256, the n- and 2n-node
+    series are evaluated at the requested points, and the 2n result is
+    returned once they agree to ``kernel_tol`` (absolute) at every
+    point.  ``max_panels`` is the largest FFT size; QuadratureNonconvergence
+    is raised when 2n would exceed it.
+
+    The series converges like r^|k| near the boundary, so evaluation is
+    refused beyond |z| = 0.999 and derivatives beyond |z| = 0.998; past
+    those radii the node budget cannot reach tolerance.
     """
 
     EVAL_RADIUS = 0.999
     DERIV_RADIUS = 0.998
 
     max_radius = DERIV_RADIUS
+
+    _START_NODES = 256
 
     def __init__(self, scale, phi, *, kernel_tol=1e-10, max_panels=1 << 18):
         self.scale = float(scale)
@@ -204,8 +219,7 @@ class PoissonHarmonicMap(HarmonicMap):
         self.phi = phi
         self.kernel_tol = float(kernel_tol)
         self.max_panels = int(max_panels)
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._ffts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._levels: dict[int, tuple[np.ndarray, ...]] = {}
         self._spot_check_phase()
 
     def _spot_check_phase(self):
@@ -219,75 +233,57 @@ class PoissonHarmonicMap(HarmonicMap):
             raise MapSpecError(
                 "boundary phase must increase by exactly 2 pi over a period")
 
-    def _grid(self, n):
-        got = self._grids.get(n)
+    def _trimmed(self, c, floor):
+        # c[k] is the coefficient of order k (>= 0) or -k.  The dropped
+        # weight bounds the error this cut puts into h' (or g') up to the
+        # derivative radius; f_z sees only h' and f_zb only g', so each
+        # side gets the whole budget.
+        k = np.arange(c.size)
+        weight = k * self.DERIV_RADIUS ** np.maximum(k - 1, 0) * np.abs(c)
+        tail = np.cumsum(weight[::-1])[::-1]
+        small = np.logical_and.accumulate((np.abs(c) < floor)[::-1])[::-1]
+        cut = small & (tail <= self.kernel_tol / 1000.0)
+        keep = int(np.argmax(cut)) if cut.any() else c.size
+        return c[:max(keep, 1)]
+
+    def _level(self, n):
+        """(h, g, h', g') coefficient arrays of the n-node series."""
+        got = self._levels.get(n)
         if got is None:
             t = TWO_PI * np.arange(n) / n
             F = np.exp(1j * np.asarray(self.phi(t), dtype=float))
-            # periodic composite Simpson: endpoint node coincides with t=0
-            w = np.where(np.arange(n) % 2 == 0, 2.0, 4.0) * (TWO_PI / n / 3.0)
-            got = (t, F, w)
-            self._grids[n] = got
+            w = np.where(np.arange(n) % 2 == 0, 2.0 / 3.0, 4.0 / 3.0)
+            c = self.scale * np.fft.fft(F * w) / n
+            floor = np.finfo(float).eps * math.log2(n) * self.scale
+            K = n // 4
+            h = self._trimmed(c[:K], floor)
+            # conj(g(z)) = sum_{k >= 1} c_{-k} zbar^k
+            g = np.conj(self._trimmed(
+                np.concatenate([[0.0], c[:n - K:-1]]), floor))
+            got = (h, g, npoly.polyder(h), npoly.polyder(g))
+            self._levels[n] = got
         return got
 
-    def _start_panels(self, rmax):
-        # resolve the kernel peak (width ~ 1 - r) before convergence testing
-        base = 256
-        if rmax > 0.97:
-            base = 1 << max(8, math.ceil(math.log2(16.0 / (1.0 - rmax))))
-        return min(base, self.max_panels)
-
-    def _integrate(self, z, want_derivs):
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        r = np.abs(flat)
-        rmax = float(r.max()) if flat.size else 0.0
-        n = self._start_panels(rmax)
+    def _converged(self, z, series):
+        """series(z, level) of the first 2n-node level that agrees with
+        the n-node one to kernel_tol at every point."""
+        n = self._START_NODES
         prev = None
-        theta = np.angle(flat)
-        one_minus_r = 1.0 - r
-        while True:
-            t, F, w = self._grid(n)
-            out = self._sum_grid(flat, r, theta, one_minus_r, t, F, w,
-                                 want_derivs)
-            if prev is not None:
-                delta = max(float(np.abs(o - p).max()) if o.size else 0.0
-                            for o, p in zip(out, prev))
-                if delta <= self.kernel_tol:
-                    return tuple(o.reshape(z.shape) for o in out)
-            if n >= self.max_panels:
-                raise QuadratureNonconvergence(
-                    f"Poisson kernel quadrature did not reach |delta| <= "
-                    f"{self.kernel_tol} within {self.max_panels} panels "
-                    f"(max |z| = {rmax})")
+        while 2 * n <= self.max_panels:
+            if prev is None:
+                prev = series(z, self._level(n))
+            out = series(z, self._level(2 * n))
+            delta = max(float(np.abs(o - p).max()) if o.size else 0.0
+                        for o, p in zip(out, prev))
+            if delta <= self.kernel_tol:
+                return out
             prev = out
-            n = min(2 * n, self.max_panels)
-
-    def _sum_grid(self, flat, r, theta, one_minus_r, t, F, w, want_derivs):
-        # chunk so the (points x nodes) kernel matrix stays modest
-        budget = 1 << 22
-        step = max(1, budget // max(1, t.size))
-        outs = ([np.empty(flat.size, complex)] if not want_derivs else
-                [np.empty(flat.size, complex), np.empty(flat.size, complex)])
-        for i in range(0, flat.size, step):
-            sl = slice(i, min(i + step, flat.size))
-            zc = flat[sl, None]
-            th = theta[sl, None]
-            rr = r[sl, None]
-            # |e^{it} - z|^2 in cancellation-free form
-            D = one_minus_r[sl, None] ** 2 + 4.0 * rr * np.sin(
-                0.5 * (t[None, :] - th)) ** 2
-            if not want_derivs:
-                P = (one_minus_r[sl, None] * (1.0 + rr)) / D
-                outs[0][sl] = (P * F[None, :] * w[None, :]).sum(axis=1)
-            else:
-                E = np.exp(1j * t)[None, :]
-                Kz = (1.0 - np.conj(zc) * E) / ((E - zc) * D)
-                FW = F[None, :] * w[None, :]
-                outs[0][sl] = (Kz * FW).sum(axis=1)
-                outs[1][sl] = (np.conj(Kz) * FW).sum(axis=1)
-        scale = self.scale / TWO_PI
-        return tuple(scale * o for o in outs)
+            n *= 2
+        rmax = float(np.abs(z).max()) if z.size else 0.0
+        raise QuadratureNonconvergence(
+            f"Poisson boundary series did not reach |delta| <= "
+            f"{self.kernel_tol} within {self.max_panels} nodes "
+            f"(max |z| = {rmax})")
 
     # refusal slack: |r e^{it}| can exceed r by a rounding error
     _RADIUS_SLACK = 1e-12
@@ -298,8 +294,9 @@ class PoissonHarmonicMap(HarmonicMap):
                 + self._RADIUS_SLACK:
             raise QuadratureNonconvergence(
                 f"Poisson evaluation refused beyond |z| = {self.EVAL_RADIUS}: "
-                "kernel peak exceeds the node budget")
-        return self._integrate(z, want_derivs=False)[0]
+                "the boundary series exceeds the node budget")
+        return self._converged(
+            z, lambda z, lv: (np.add(*_series_pair(z, lv[0], lv[1])),))[0]
 
     def derivs_many(self, z):
         z = np.asarray(z, dtype=complex)
@@ -307,79 +304,17 @@ class PoissonHarmonicMap(HarmonicMap):
                 + self._RADIUS_SLACK:
             raise QuadratureNonconvergence(
                 f"Poisson derivatives refused beyond |z| = "
-                f"{self.DERIV_RADIUS}: kernel peak exceeds the node budget")
-        return self._integrate(z, want_derivs=True)
-
-    # -- uniform-circle fast path -------------------------------------
-    # On the grid theta_k = 2 pi k / n the kernel integrals are circular
-    # convolutions of the boundary data with a fixed radial kernel, so a
-    # whole circle costs O(N log N) instead of O(n N).  The node-doubling
-    # convergence test is the same as in _integrate.
-
-    def _boundary_fft(self, n):
-        got = self._ffts.get(n)
-        if got is None:
-            t = TWO_PI * np.arange(n) / n
-            F = np.exp(1j * np.asarray(self.phi(t), dtype=float))
-            got = (t, np.fft.fft(F))
-            self._ffts[n] = got
-        return got
-
-    def _circle_conv(self, r, n, want_derivs):
-        t, Fhat = self._boundary_fft(n)
-        one_minus_r = 1.0 - r
-        D = one_minus_r ** 2 + 4.0 * r * np.sin(0.5 * t) ** 2
-        scale = self.scale / n
-        if not want_derivs:
-            P = (one_minus_r * (1.0 + r)) / D
-            return (scale * np.fft.ifft(np.fft.fft(P) * Fhat),)
-        # kernel sampled at -t_m: reversal built into the sample points
-        c = np.exp(-1j * t)
-        km = (1.0 - r * c) / ((c - r) * D)
-        gz = scale * np.fft.ifft(np.fft.fft(km) * Fhat)
-        gzb = scale * np.fft.ifft(np.fft.fft(np.conj(km)) * Fhat)
-        return gz, gzb
-
-    def _circle_doubling(self, r, n_out, want_derivs):
-        r = float(r)
-        N = int(n_out)
-        start = self._start_panels(r)
-        while N < start:
-            N *= 2
-        prev = None
-        while True:
-            full = self._circle_conv(r, N, want_derivs)
-            out = tuple(np.ascontiguousarray(o[::N // n_out]) for o in full)
-            if prev is not None:
-                delta = max(float(np.abs(o - p).max())
-                            for o, p in zip(out, prev))
-                if delta <= self.kernel_tol:
-                    return out
-            if N >= self.max_panels:
-                raise QuadratureNonconvergence(
-                    f"Poisson kernel quadrature did not reach |delta| <= "
-                    f"{self.kernel_tol} within {self.max_panels} panels "
-                    f"(circle r = {r})")
-            prev = out
-            N *= 2
+                f"{self.DERIV_RADIUS}: the boundary series exceeds the node "
+                "budget")
+        return self._converged(z, lambda z, lv: _series_pair(z, lv[2], lv[3]))
 
     def eval_circle(self, r, n):
         """f on the uniform grid r exp(2 pi i k / n), k = 0..n-1."""
-        if not 0.0 <= r <= self.EVAL_RADIUS + self._RADIUS_SLACK:
-            raise QuadratureNonconvergence(
-                f"Poisson evaluation refused beyond |z| = "
-                f"{self.EVAL_RADIUS}: kernel peak exceeds the node budget")
-        return self._circle_doubling(r, n, want_derivs=False)[0]
+        return self.eval_many(_circle_points(float(r), int(n)))
 
     def derivs_circle(self, r, n):
         """(f_z, f_zb) on the uniform grid r exp(2 pi i k / n)."""
-        if not 0.0 <= r <= self.DERIV_RADIUS + self._RADIUS_SLACK:
-            raise QuadratureNonconvergence(
-                f"Poisson derivatives refused beyond |z| = "
-                f"{self.DERIV_RADIUS}: kernel peak exceeds the node budget")
-        gz, gzb = self._circle_doubling(r, n, want_derivs=True)
-        rot = np.exp(-2j * np.pi * np.arange(n) / n)
-        return gz * rot, gzb * np.conj(rot)
+        return self.derivs_many(_circle_points(float(r), int(n)))
 
 
 class RescaledHarmonicMap(HarmonicMap):
@@ -400,49 +335,17 @@ class RescaledHarmonicMap(HarmonicMap):
         return self.r0 * fz, self.r0 * fzb
 
 
-def derivs_banded(m, z, bands=(0.9, 0.97, 0.995)):
-    """Wirtinger derivatives over a mixed-radius batch, split into
-    radius bands.
-
-    Quadrature-backed maps size their kernel rule by the largest radius
-    in a batch; splitting keeps a few near-boundary points from forcing
-    the finest rule onto everything.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    r = np.abs(flat)
-    fz = np.empty(flat.shape, dtype=complex)
-    fzb = np.empty(flat.shape, dtype=complex)
-    edges = (-1.0,) + tuple(bands) + (float("inf"),)
-    for lo, hi in zip(edges, edges[1:]):
-        sel = (r > lo) & (r <= hi)
-        if np.any(sel):
-            a, b = m.derivs_many(flat[sel])
-            fz[sel] = a
-            fzb[sel] = b
-    return fz.reshape(z.shape), fzb.reshape(z.shape)
-
-
 def _circle_points(r, n):
     return r * np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def eval_circle_grid(m, r, n):
     """f on the uniform circle grid r exp(2 pi i k / n)."""
-    if isinstance(m, PoissonHarmonicMap):
-        return m.eval_circle(float(r), int(n))
-    if isinstance(m, RescaledHarmonicMap):
-        return eval_circle_grid(m.inner, m.r0 * float(r), n)
     return m.eval_many(_circle_points(float(r), int(n)))
 
 
 def derivs_circle_grid(m, r, n):
     """(f_z, f_zb) on the uniform circle grid r exp(2 pi i k / n)."""
-    if isinstance(m, PoissonHarmonicMap):
-        return m.derivs_circle(float(r), int(n))
-    if isinstance(m, RescaledHarmonicMap):
-        fz, fzb = derivs_circle_grid(m.inner, m.r0 * float(r), n)
-        return m.r0 * fz, m.r0 * fzb
     return m.derivs_many(_circle_points(float(r), int(n)))
 
 
@@ -451,15 +354,8 @@ def derivs_polar_grid(m, radii, n_theta):
     grid angles 2 pi k / n_theta (rows) x radii (columns)."""
     radii = np.asarray(radii, dtype=float)
     n_theta = int(n_theta)
-    if isinstance(m, (PoissonHarmonicMap, RescaledHarmonicMap)):
-        fz = np.empty((n_theta, radii.size), dtype=complex)
-        fzb = np.empty_like(fz)
-        for j, r in enumerate(radii):
-            fz[:, j], fzb[:, j] = derivs_circle_grid(m, r, n_theta)
-        return fz, fzb
     e = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
-    z = radii[None, :] * e[:, None]
-    return m.derivs_many(z)
+    return m.derivs_many(radii[None, :] * e[:, None])
 
 
 def evaluate(m, z):

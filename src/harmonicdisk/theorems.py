@@ -28,8 +28,8 @@ from .geometry import (boundary_image_length, boundary_polygon,
                        level_curve_length, point_polygon_distance,
                        polygonal_length, radial_length, shoelace_area,
                        sup_radial_length)
-from .maps import (derivs_banded, derivs_polar_grid, estimate_K,
-                   eval_circle_grid, rescale, sup_modulus)
+from .maps import (derivs_polar_grid, estimate_K, eval_circle_grid, rescale,
+                   sup_modulus)
 from .quadrature import adaptive_simpson, cumulative_simpson, refine_grid_max
 
 TWO_PI = 2.0 * math.pi
@@ -251,7 +251,7 @@ def thm3_hypothesis_fit(m, zeta, delta, r_grid=None, cfg=DEFAULT_CONFIG):
         r_grid = np.linspace(0.0, min(0.95, m.max_radius), 40)
     r = np.asarray(r_grid, dtype=float)
     zeta = zeta / abs(zeta)
-    fz, fzb = derivs_banded(m, r * zeta)
+    fz, fzb = m.derivs_many(r * zeta)
     D = np.abs(fz) + np.abs(fzb)
     if float(D.min()) < 1e-14:
         raise DivisionDegenerate("||D|| vanishes on the probe ray")

@@ -8,7 +8,7 @@ a_k = J_{k-1}(eps) for k >= 0 and anti-analytic coefficients
 b_j = J_{-j-1}(eps) for j >= 1.  Since J_n(0.2) decays like
 (0.1)^n / n!, truncating at |order| <= 34 is exact to double precision.
 
-This yields a closed-form twin of the kernel-quadrature map: the two
+This yields a closed-form twin of the FFT-built Poisson map: the two
 must agree everywhere in the disk to kernel tolerance.  The script
 prints the leading coefficients and spot values; the corresponding test
 rebuilds the series live from scipy.special.jv.

@@ -11,10 +11,9 @@ from harmonicdisk import (AffineHarmonicMap, MapSpecError, NotSensePreserving,
                           estimate_K, evaluate, gallery_map, sup_modulus,
                           wirtinger)
 from harmonicdisk.gallery import gallery_names, parse_map_spec
-from harmonicdisk.maps import (DerivativeFrame, derivs_banded,
-                               derivs_circle_grid, derivs_polar_grid,
-                               eval_circle_grid, rescale, rotate_domain,
-                               scale_range)
+from harmonicdisk.maps import (DerivativeFrame, derivs_circle_grid,
+                               derivs_polar_grid, eval_circle_grid, rescale,
+                               rotate_domain, scale_range)
 
 from oracles.poisson_bessel_series import bessel_series_coeffs
 
@@ -145,15 +144,6 @@ def test_polar_grid_shapes_and_agreement():
     np.testing.assert_array_equal(fzb, fzb_d)
 
 
-def test_derivs_banded_matches_plain():
-    m = gallery_map("poly:z+0.3*zbar^2")
-    z = np.array([0.05, 0.92 + 0.1j, 0.55j, 0.996, 0.3 - 0.4j])
-    fz_a, fzb_a = derivs_banded(m, z)
-    fz_b, fzb_b = m.derivs_many(z)
-    np.testing.assert_array_equal(fz_a, fz_b)
-    np.testing.assert_array_equal(fzb_a, fzb_b)
-
-
 def test_poisson_refusal_radii():
     m = PoissonHarmonicMap(1.0, lambda t: t)
     with pytest.raises(QuadratureNonconvergence):
@@ -166,6 +156,40 @@ def test_poisson_refusal_radii():
         m.eval_circle(0.9991, 8)
     with pytest.raises(QuadratureNonconvergence):
         m.derivs_circle(0.9981, 8)
+
+
+def test_poisson_kinked_phase():
+    """A boundary phase with derivative jumps at t = 0 and pi: the
+    coefficients decay only like k^-2, so near-boundary points need the
+    doubling to run deep, and at the kink itself it cannot finish."""
+    from scipy.integrate import quad
+
+    def phi(t):
+        return t + 0.1 * np.sqrt(np.sin(t) ** 2)
+
+    m = PoissonHarmonicMap(1.0, phi)
+
+    def poisson_integral(z):
+        def part(fn):
+            def kern(t):
+                return ((1.0 - abs(z) ** 2) / abs(np.exp(1j * t) - z) ** 2
+                        * fn(np.exp(1j * phi(t))))
+            return sum(quad(kern, a, b, epsabs=1e-13, epsrel=1e-13,
+                            limit=200)[0]
+                       for a, b in ((0.0, np.pi), (np.pi, 2.0 * np.pi)))
+        return (part(np.real) + 1j * part(np.imag)) / (2.0 * np.pi)
+
+    z = np.array([0.3 + 0.2j, -0.6j, 0.9, -0.5 + 0.7j])
+    want = np.array([poisson_integral(w) for w in z])
+    assert float(np.abs(m.eval_many(z) - want).max()) < 1e-10
+    for r in (0.5, 0.9, 0.97):
+        fz, fzb = m.derivs_many(r * np.exp(1j * np.array([0.0, 0.3, 2.0])))
+        assert np.all(np.isfinite(fz)) and np.all(np.isfinite(fzb))
+    with pytest.raises(QuadratureNonconvergence):
+        m.derivs_many(np.array([0.998]))
+    with pytest.raises(QuadratureNonconvergence):
+        PoissonHarmonicMap(1.0, phi, max_panels=256).derivs_many(
+            np.array([0.5]))
 
 
 def test_poisson_phase_validation():

@@ -17,7 +17,7 @@ from harmonicdisk import (ArcSet, DegenerateE, DivisionDegenerate,
                           gallery_map)
 from harmonicdisk.geometry import PolygonalCurve, circle_polygon, \
     square_polygon
-from harmonicdisk.theorems import (check_prop1, effective_K,
+from harmonicdisk.theorems import (REPORT_TOL, check_prop1, effective_K,
                                    isoperimetric_check, make_report,
                                    prop2_bound, schwarz_radial_check,
                                    selfmap_distortion_check, thm1_bound,
@@ -169,6 +169,16 @@ def test_thm2_default_lavrentiev_from_image_boundary():
     # inscribed-polygon chord-arc constant of a circle, slightly under pi/2
     assert got == pytest.approx(0.5 * math.pi, abs=1e-3)
     assert got <= 0.5 * math.pi
+
+
+def test_thm2_poisson_chain():
+    reports = thm2_bound(gallery_map("poisson:phi=t+0.2*sin(t)"), 1.0)
+    assert len(reports) == 6
+    assert holds_all(reports)
+    for rep in reports:
+        for key in ("lhs_node_check", "lhs_adaptive_vs_fixed",
+                    "area_node_check"):
+            assert rep.params[key] <= REPORT_TOL
 
 
 # -- thm3 --------------------------------------------------------------------
