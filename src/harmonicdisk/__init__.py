@@ -8,15 +8,15 @@ with explicit margins.
 """
 
 from .config import DEFAULT_CONFIG, QuadratureConfig
-from .errors import (DegenerateE, DegeneratePair, DivisionDegenerate,
-                     EmptyCrosscut, Error, MapSpecError, NormalizationViolation,
-                     NotSelfMap, NotSensePreserving, NumericalError,
-                     PathNotFound, PointOutsideDisk, QuadratureNonconvergence,
+from .errors import (DegenerateE, DivisionDegenerate, EmptyCrosscut, Error,
+                     MapSpecError, NormalizationViolation, NotSelfMap,
+                     NotSensePreserving, NumericalError, PathNotFound,
+                     PointOutsideDisk, QuadratureNonconvergence,
                      SelfIntersecting, ValidationError)
 from .maps import (AffineHarmonicMap, DerivativeFrame, DilatationReport,
-                   HarmonicMap, PoissonHarmonicMap, RescaledHarmonicMap,
-                   SeriesHarmonicMap, estimate_K, evaluate, rescale,
-                   rotate_domain, scale_range, sup_modulus, wirtinger)
+                   HarmonicMap, PoissonHarmonicMap, SeriesHarmonicMap,
+                   estimate_K, evaluate, rotate_domain, scale_range,
+                   sup_modulus, wirtinger)
 from .gallery import gallery_map, gallery_names, load_map_spec, parse_map_spec
 from .geometry import (ArcSet, PolygonalCurve, boundary_image_length,
                        boundary_polygon, circle_polygon, crosscut_integral,

@@ -13,6 +13,8 @@ error, 2 at least one inequality violated, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -64,20 +66,42 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _parse_float(text):
+    """A finite float; also the argparse type of every float option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_complex(text):
     s = str(text).strip()
-    if "," in s:
-        re_s, im_s = s.split(",", 1)
-        return complex(float(re_s), float(im_s))
     try:
-        return complex(s.replace(" ", ""))
+        if "," in s:
+            re_s, im_s = s.split(",", 1)
+            z = complex(float(re_s), float(im_s))
+        else:
+            z = complex(s.replace(" ", ""))
     except ValueError as exc:
         raise ValidationError(f"cannot parse complex number from {text!r}") \
             from exc
+    if not cmath.isfinite(z):
+        raise ValidationError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _parse_float_list(text):
-    return [float(tok) for tok in str(text).replace(",", " ").split()]
+    return [_parse_float(tok) for tok in str(text).replace(",", " ").split()]
+
+
+def _arg(args, key, default):
+    """args[key], or default when the option was not given; an explicit
+    0 is kept."""
+    value = args.get(key)
+    return default if value is None else value
 
 
 def resolve_map(spec):
@@ -150,8 +174,11 @@ def _arcs_from_args(run):
     if arcs:
         spans = []
         for spec in arcs:
-            a, b = str(spec).split(":", 1)
-            spans.append((float(a), float(b)))
+            a, sep, b = str(spec).partition(":")
+            if not sep:
+                raise ValidationError(f"arc must look like START:END, "
+                                      f"got {spec!r}")
+            spans.append((_parse_float(a), _parse_float(b)))
         return ArcSet(tuple(spans))
     return ArcSet.single(0.0, np.pi)
 
@@ -188,7 +215,7 @@ def cmd_length(run):
                      "param": fmt_float(E.total_measure),
                      "length": fmt_float(val), "nodes": str(info["nodes"])})
     elif which == "crosscut":
-        zeta0 = _parse_complex(run.args.get("zeta0") or "1")
+        zeta0 = _parse_complex(_arg(run.args, "zeta0", "1"))
         rhos = run.args.get("rho") or [1.0]
         for rho in rhos:
             info = {}
@@ -225,8 +252,8 @@ def cmd_area(run):
 def cmd_coeffs(run):
     m = resolve_map(run.map_spec)
     cfg = run.quadrature()
-    n_max = int(run.args.get("n_max") or 8)
-    rho = float(run.args.get("rho") or 0.5)
+    n_max = int(_arg(run.args, "n_max", 8))
+    rho = float(_arg(run.args, "rho", 0.5))
     a, b = extract_coefficients(m, n_max, rho, cfg)
     rows = [{"n": "0", "a_re": fmt_float(a[0].real),
              "a_im": fmt_float(a[0].imag), "b_re": fmt_float(0.0),
@@ -248,10 +275,10 @@ def cmd_constants(run):
     curve = PolygonalCurve.from_file(curve_file)
     report = curve_constants(
         curve,
-        pairs=int(run.args.get("pairs") or 20000),
-        centers=int(run.args.get("centers") or 129),
-        radii=int(run.args.get("radii") or 6),
-        point_pairs=int(run.args.get("point_pairs") or 16),
+        pairs=int(_arg(run.args, "pairs", 20000)),
+        centers=int(_arg(run.args, "centers", 129)),
+        radii=int(_arg(run.args, "radii", 6)),
+        point_pairs=int(_arg(run.args, "point_pairs", 16)),
         seed=run.seed)
     row = {
         "lavrentiev": fmt_float(report.lavrentiev_M),
@@ -273,15 +300,15 @@ def run_verify_check(theorem, m, run):
     K = args.get("K")
     K = float(K) if K is not None else None
     if theorem == "prop1":
-        radii = (_parse_float_list(args["radii"]) if args.get("radii")
-                 else theorems.DEFAULT_RADII)
+        radii = (_parse_float_list(args["radii"])
+                 if args.get("radii") is not None else theorems.DEFAULT_RADII)
         return theorems.check_prop1(m, K, radii, cfg)
     if theorem == "thm1":
         return [theorems.thm1_bound(m, _arcs_from_args(run), cfg)]
     if theorem == "thm2":
-        zeta0 = _parse_complex(args.get("zeta0") or "1")
-        r_list = (_parse_float_list(args["r_list"]) if args.get("r_list")
-                  else (0.5, 1.0, 2.0))
+        zeta0 = _parse_complex(_arg(args, "zeta0", "1"))
+        r_list = (_parse_float_list(args["r_list"])
+                  if args.get("r_list") is not None else (0.5, 1.0, 2.0))
         m_lav = args.get("m_lav")
         m_lav = float(m_lav) if m_lav is not None else None
         return theorems.thm2_bound(m, zeta0, K, m_lav, r_list, cfg)
@@ -289,25 +316,26 @@ def run_verify_check(theorem, m, run):
         _, reports = theorems.thm3_carleson(m, K, cfg=cfg)
         return reports
     if theorem == "prop2":
-        r0 = float(args.get("r0") or 0.5)
+        r0 = float(_arg(args, "r0", 0.5))
         return [theorems.prop2_bound(m, r0, cfg=cfg)]
     if theorem == "thm5":
-        n_max = int(args.get("n_max") or 8)
-        rho = float(args.get("rho") or 0.5)
+        n_max = int(_arg(args, "n_max", 8))
+        rho = float(_arg(args, "rho", 0.5))
         return theorems.thm5_bound(m, K, n_max, rho, cfg)
     if theorem == "thm4":
-        r_list = (_parse_float_list(args["r_list"]) if args.get("r_list")
+        r_list = (_parse_float_list(args["r_list"])
+                  if args.get("r_list") is not None
                   else (0.05, 0.1, 0.2, 0.4, 0.6))
-        thr = float(args.get("threshold") or 0.05)
-        bs = int(args.get("boundary_samples") or 2048)
+        thr = float(_arg(args, "threshold", 0.05))
+        bs = int(_arg(args, "boundary_samples", 2048))
         return theorems.thm4_ratio(m, K, r_list, bs, thr, cfg)
     if theorem == "schwarz":
         norm = args.get("normalization")
         norm = float(norm) if norm is not None else None
-        r_grid = int(args.get("r_grid") or 64)
+        r_grid = int(_arg(args, "r_grid", 64))
         return [theorems.schwarz_radial_check(m, norm, r_grid, cfg=cfg)]
     if theorem == "selfmap":
-        probes = int(args.get("probes") or 200)
+        probes = int(_arg(args, "probes", 200))
         return theorems.selfmap_distortion_check(m, K, probes, run.seed,
                                                  cfg)
     raise ValidationError(f"unknown theorem {theorem!r}; choose from "
@@ -348,10 +376,10 @@ def build_parser():
                         help="write payload here (plus .meta.json sidecar)")
     common.add_argument("--format", default="csv", choices=("csv", "json"))
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--abs-tol", type=float, default=1e-9)
-    common.add_argument("--rel-tol", type=float, default=1e-8)
+    common.add_argument("--abs-tol", type=_parse_float, default=1e-9)
+    common.add_argument("--rel-tol", type=_parse_float, default=1e-8)
     common.add_argument("--theta-grid", type=int, default=720)
-    common.add_argument("--rb", type=float, default=1.0 - 1e-6,
+    common.add_argument("--rb", type=_parse_float, default=1.0 - 1e-6,
                         help="boundary proxy radius r_b")
 
     parser = _Parser(prog="harmonicdisk",
@@ -367,21 +395,21 @@ def build_parser():
                        help="curve-length functionals")
     p.add_argument("--which", required=True,
                    choices=("level", "radial", "boundary", "crosscut"))
-    p.add_argument("--r", action="append", type=float)
-    p.add_argument("--theta", action="append", type=float)
+    p.add_argument("--r", action="append", type=_parse_float)
+    p.add_argument("--theta", action="append", type=_parse_float)
     p.add_argument("--arc", action="append", metavar="START:END")
-    p.add_argument("--measure", type=float)
+    p.add_argument("--measure", type=_parse_float)
     p.add_argument("--zeta0", metavar="RE,IM")
-    p.add_argument("--rho", action="append", type=float)
+    p.add_argument("--rho", action="append", type=_parse_float)
 
     p = sub.add_parser("area", parents=[common], help="image area")
-    p.add_argument("--r", action="append", type=float)
+    p.add_argument("--r", action="append", type=_parse_float)
     p.add_argument("--center", metavar="RE,IM")
 
     p = sub.add_parser("coeffs", parents=[common],
                        help="power-series coefficients")
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--rho", type=_parse_float, default=0.5)
 
     p = sub.add_parser("constants", parents=[common],
                        help="chord-arc constants of a polygonal curve")
@@ -395,19 +423,19 @@ def build_parser():
     p = sub.add_parser("verify", parents=[common],
                        help="run one inequality check")
     p.add_argument("theorem", choices=THEOREM_NAMES)
-    p.add_argument("--K", type=float)
+    p.add_argument("--K", type=_parse_float)
     p.add_argument("--radii", metavar="R1,R2,...")
     p.add_argument("--r-list", metavar="R1,R2,...")
     p.add_argument("--arc", action="append", metavar="START:END")
-    p.add_argument("--measure", type=float)
+    p.add_argument("--measure", type=_parse_float)
     p.add_argument("--zeta0", metavar="RE,IM")
-    p.add_argument("--m-lav", type=float)
-    p.add_argument("--r0", type=float)
+    p.add_argument("--m-lav", type=_parse_float)
+    p.add_argument("--r0", type=_parse_float)
     p.add_argument("--n-max", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--rho", type=_parse_float)
+    p.add_argument("--threshold", type=_parse_float)
     p.add_argument("--boundary-samples", type=int)
-    p.add_argument("--normalization", type=float)
+    p.add_argument("--normalization", type=_parse_float)
     p.add_argument("--r-grid", type=int)
     p.add_argument("--probes", type=int)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -22,14 +24,15 @@ class QuadratureConfig:
     boundary_radius: float = 1.0 - 1e-6
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions too small")
-        if self.theta_grid < 8:
-            raise ValueError("theta_grid too small")
+        # "not x > 0" also refuses NaN
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
+            raise ValidationError("tolerances must be positive")
+        if not self.max_subdivisions >= 8:
+            raise ValidationError("max_subdivisions too small")
+        if not self.theta_grid >= 8:
+            raise ValidationError("theta_grid too small")
         if not 0.0 < self.boundary_radius < 1.0:
-            raise ValueError("boundary_radius must lie in (0, 1)")
+            raise ValidationError("boundary_radius must lie in (0, 1)")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -301,6 +301,9 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
 def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
                     grid=512, seed=0):
     """All four constants in one report."""
+    if min(pairs, centers, radii, point_pairs, grid) < 1:
+        raise ValidationError("pairs, centers, radii, point_pairs and grid "
+                              "must be at least 1")
     counts = {}
     lav = lavrentiev_constant(curve, pairs, seed, counters=counts)
     qc = quasicircle_constant(curve, pairs, seed)

@@ -58,9 +58,5 @@ class EmptyCrosscut(NumericalError):
     """Circle-disk crosscut has empty or zero-length intersection."""
 
 
-class DegeneratePair(NumericalError):
-    """Probe pair with chord below cutoff (skipped and counted, not raised)."""
-
-
 class PathNotFound(NumericalError):
     """No grid path connects the sampled interior points at any diameter."""

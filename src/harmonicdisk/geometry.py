@@ -20,7 +20,8 @@ from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, PointOutsideDisk,
                      QuadratureNonconvergence, ValidationError)
 from .maps import SeriesHarmonicMap, derivs_polar_grid, eval_circle_grid
-from .quadrature import adaptive_simpson, fixed_simpson, refine_grid_max
+from .quadrature import (adaptive_simpson, fixed_simpson, refine_grid_max,
+                         simpson_weights)
 
 TWO_PI = 2.0 * math.pi
 # 2*pi beyond double precision.  The double value drifts the extraction
@@ -164,14 +165,19 @@ def points_in_polygon(points, curve):
         raise ValidationError("containment needs a closed curve")
     pts = np.asarray(points, dtype=complex).reshape(-1)
     p, q = curve.segments()
-    x, y = pts.real[:, None], pts.imag[:, None]
     x1, y1 = p.real[None, :], p.imag[None, :]
     x2, y2 = q.real[None, :], q.imag[None, :]
-    straddles = (y1 <= y) != (y2 <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    hits = straddles & (xs > x)
-    return (hits.sum(axis=1) % 2).astype(bool)
+    out = np.empty(pts.size, dtype=bool)
+    step = max(1, (1 << 21) // max(1, p.size))
+    for i0 in range(0, pts.size, step):
+        sl = slice(i0, min(i0 + step, pts.size))
+        x, y = pts.real[sl, None], pts.imag[sl, None]
+        straddles = (y1 <= y) != (y2 <= y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        hits = straddles & (xs > x)
+        out[sl] = hits.sum(axis=1) % 2 == 1
+    return out
 
 
 def point_polygon_distance(points, curve):
@@ -384,10 +390,7 @@ def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
     fz, fzb = derivs_polar_grid(m, rho, cfg.theta_grid)
     g = np.abs(fz * e[:, None] + np.conj(e)[:, None] * fzb)
     h = r / panels
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    grid_vals = (h / 3.0) * (g * w[None, :]).sum(axis=1)
+    grid_vals = (h / 3.0) * (g * simpson_weights(panels)[None, :]).sum(axis=1)
 
     def ray(th):
         return radial_length(m, th, r, cfg)
@@ -504,13 +507,6 @@ def crosscut_integral(m, zeta0, r, cfg=DEFAULT_CONFIG, info=None,
     return val
 
 
-def _simpson_weights(panels):
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def _disk_area(m, r_eff, cfg, info):
     """Jacobian integral over the full disk |z| < r_eff on the polar
     product grid; doubled-resolution agreement check."""
@@ -520,7 +516,7 @@ def _disk_area(m, r_eff, cfg, info):
         fz, fzb = derivs_polar_grid(m, rho, n_t)
         jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
         h = r_eff / n_rho
-        wts = _simpson_weights(n_rho)
+        wts = simpson_weights(n_rho)
         radial = (h / 3.0) * (jac * rho[None, :] * wts[None, :]).sum(axis=1)
         return (TWO_PI / n_t) * float(math.fsum(radial))
 
@@ -551,7 +547,7 @@ def _lens_radial_profile(m, w, r, R, t, n_rho):
     fz, fzb = m.derivs_many(z)
     jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
     h = (rho_hi - rho_lo) / n_rho
-    wts = _simpson_weights(n_rho)
+    wts = simpson_weights(n_rho)
     return (h / 3.0) * (jac * rho * wts[None, :]).sum(axis=1)
 
 
@@ -604,7 +600,7 @@ def image_area(m, r, cfg=DEFAULT_CONFIG, center=None, info=None):
                 m, w, r, R, np.linspace(a, b, ang_panels + 1), n_rho)
             h = (b - a) / ang_panels
             return (h / 3.0) * float(
-                math.fsum((vals * _simpson_weights(ang_panels)).tolist()))
+                math.fsum((vals * simpson_weights(ang_panels)).tolist()))
 
         if r > aw:
             # origin interior: full angular support, corner splits only
@@ -633,7 +629,7 @@ def image_area(m, r, cfg=DEFAULT_CONFIG, center=None, info=None):
             vals = vals * 2.0 * T * np.sin(2.0 * v)
             h = (v1 - v0) / ang_panels
             return (h / 3.0) * float(
-                math.fsum((vals * _simpson_weights(ang_panels)).tolist()))
+                math.fsum((vals * simpson_weights(ang_panels)).tolist()))
 
         return float(math.fsum(
             vpiece(a, b) for a, b in zip(splits, splits[1:])))

@@ -93,6 +93,10 @@ class HarmonicMap:
         raise NotImplementedError
 
 
+# (radii, angles) of the polar grid probed by ``sense_preserving=True``
+_SP_PROBE_GRID = (12, 128)
+
+
 class SeriesHarmonicMap(HarmonicMap):
     """f(z) = sum a_n z^n + sum conj(b_n) zbar^n, truncated at degree N.
 
@@ -116,13 +120,11 @@ class SeriesHarmonicMap(HarmonicMap):
         self._g = np.concatenate([[0.0 + 0.0j], b])
         self._dh = npoly.polyder(a) if a.size > 1 else np.zeros(1, complex)
         self._dg = npoly.polyder(self._g) if b.size else np.zeros(1, complex)
-        self.declared_sense_preserving = bool(sense_preserving)
-        self.sp_probe_grid = (12, 128)
         if sense_preserving:
             self._check_sense_preserving()
 
     def _check_sense_preserving(self):
-        nr, nt = self.sp_probe_grid
+        nr, nt = _SP_PROBE_GRID
         r = np.geomspace(0.05, 0.995, nr)
         t = np.linspace(0.0, TWO_PI, nt, endpoint=False)
         z = (r[:, None] * np.exp(1j * t)[None, :]).ravel()
@@ -157,6 +159,8 @@ class AffineHarmonicMap(HarmonicMap):
         self.c0 = complex(c0)
         self.a = complex(a)
         self.b = complex(b)
+        if not np.all(np.isfinite([self.c0, self.a, self.b])):
+            raise MapSpecError("affine coefficients must be finite")
         if not abs(self.b) < abs(self.a):
             raise NotSensePreserving(
                 f"affine map needs |b| < |a|, got |a| = {abs(self.a)}, "
@@ -214,10 +218,12 @@ class PoissonHarmonicMap(HarmonicMap):
 
     def __init__(self, scale, phi, *, kernel_tol=1e-10, max_panels=1 << 18):
         self.scale = float(scale)
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise MapSpecError("scale must be positive")
         self.phi = phi
         self.kernel_tol = float(kernel_tol)
+        if not self.kernel_tol > 0.0:
+            raise MapSpecError("kernel_tol must be positive")
         self.max_panels = int(max_panels)
         self._levels: dict[int, tuple[np.ndarray, ...]] = {}
         self._spot_check_phase()
@@ -308,32 +314,6 @@ class PoissonHarmonicMap(HarmonicMap):
                 "budget")
         return self._converged(z, lambda z, lv: _series_pair(z, lv[2], lv[3]))
 
-    def eval_circle(self, r, n):
-        """f on the uniform grid r exp(2 pi i k / n), k = 0..n-1."""
-        return self.eval_many(_circle_points(float(r), int(n)))
-
-    def derivs_circle(self, r, n):
-        """(f_z, f_zb) on the uniform grid r exp(2 pi i k / n)."""
-        return self.derivs_many(_circle_points(float(r), int(n)))
-
-
-class RescaledHarmonicMap(HarmonicMap):
-    """F(zeta) = f(r0 zeta) for representations without a closed form."""
-
-    def __init__(self, inner, r0):
-        if not 0.0 < r0 < 1.0:
-            raise MapSpecError("rescale radius must lie in (0, 1)")
-        self.inner = inner
-        self.r0 = float(r0)
-        self.max_radius = min(1.0, inner.max_radius / self.r0)
-
-    def eval_many(self, z):
-        return self.inner.eval_many(self.r0 * np.asarray(z, dtype=complex))
-
-    def derivs_many(self, z):
-        fz, fzb = self.inner.derivs_many(self.r0 * np.asarray(z, dtype=complex))
-        return self.r0 * fz, self.r0 * fzb
-
 
 def _circle_points(r, n):
     return r * np.exp(2j * np.pi * np.arange(n) / n)
@@ -342,11 +322,6 @@ def _circle_points(r, n):
 def eval_circle_grid(m, r, n):
     """f on the uniform circle grid r exp(2 pi i k / n)."""
     return m.eval_many(_circle_points(float(r), int(n)))
-
-
-def derivs_circle_grid(m, r, n):
-    """(f_z, f_zb) on the uniform circle grid r exp(2 pi i k / n)."""
-    return m.derivs_many(_circle_points(float(r), int(n)))
 
 
 def derivs_polar_grid(m, radii, n_theta):
@@ -419,20 +394,6 @@ def estimate_K(m, r_max=0.999, grid=720):
         raise NotSensePreserving(f"dilatation modulus {omega_sup} >= 1")
     K_lower = (1.0 + omega_sup) / (1.0 - omega_sup)
     return DilatationReport(omega_sup, K_lower, r_max, (n_r, grid))
-
-
-def rescale(m, r0):
-    """Map zeta -> f(r0 zeta); closed-form coefficient scaling when possible."""
-    if not 0.0 < r0 < 1.0:
-        raise MapSpecError("rescale radius must lie in (0, 1)")
-    if isinstance(m, SeriesHarmonicMap):
-        n_a = np.arange(m.analytic_coeffs.size)
-        n_b = np.arange(1, m.antianalytic_coeffs.size + 1)
-        return SeriesHarmonicMap(m.analytic_coeffs * r0 ** n_a,
-                                 m.antianalytic_coeffs * r0 ** n_b)
-    if isinstance(m, AffineHarmonicMap):
-        return AffineHarmonicMap(m.c0, m.a * r0, m.b * r0)
-    return RescaledHarmonicMap(m, r0)
 
 
 def sup_modulus(m, r_max):

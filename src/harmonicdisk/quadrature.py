@@ -100,6 +100,15 @@ def adaptive_simpson(f, a, b, *, abs_tol=1e-9, rel_tol=1e-8,
     return math.fsum(accepted), nodes
 
 
+def simpson_weights(panels):
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on panels + 1
+    nodes (panels even); multiply by h / 3 for the rule."""
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def fixed_simpson(f, a, b, panels):
     """Plain composite Simpson with a fixed even panel count.
 
@@ -110,10 +119,7 @@ def fixed_simpson(f, a, b, panels):
     x = np.linspace(a, b, panels + 1)
     y = np.asarray(f(x), dtype=float)
     h = (b - a) / panels
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (h / 3.0) * math.fsum((w * y).tolist())
+    return (h / 3.0) * math.fsum((simpson_weights(panels) * y).tolist())
 
 
 def cumulative_simpson(values, h):

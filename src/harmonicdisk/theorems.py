@@ -25,11 +25,10 @@ from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
                      NotSelfMap, SelfIntersecting, ValidationError)
 from .geometry import (boundary_image_length, boundary_polygon,
                        crosscut_integral, image_area, is_self_intersecting,
-                       level_curve_length, point_polygon_distance,
-                       polygonal_length, radial_length, shoelace_area,
-                       sup_radial_length)
-from .maps import (derivs_polar_grid, estimate_K, eval_circle_grid, rescale,
-                   sup_modulus)
+                       level_curve_length, op_norm_field,
+                       point_polygon_distance, polygonal_length, radial_length,
+                       shoelace_area, sup_radial_length)
+from .maps import derivs_polar_grid, estimate_K, eval_circle_grid, sup_modulus
 from .quadrature import adaptive_simpson, cumulative_simpson, refine_grid_max
 
 TWO_PI = 2.0 * math.pi
@@ -77,10 +76,10 @@ def effective_K(m, user_K=None, cfg=DEFAULT_CONFIG):
 
 def _opnorm_circle_integral(m, r, cfg):
     """int_0^{2pi} (|f_z| + |f_zb|)(r e^{it}) dt."""
+    opn = op_norm_field(m)
 
     def g(t):
-        fz, fzb = m.derivs_many(r * np.exp(1j * t))
-        return np.abs(fz) + np.abs(fzb)
+        return opn(r * np.exp(1j * t))
 
     val, _ = adaptive_simpson(g, 0.0, TWO_PI, abs_tol=cfg.abs_tol,
                               rel_tol=cfg.rel_tol,
@@ -207,6 +206,11 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
     """
     K_eff = effective_K(m, K, cfg)
     rb = effective_boundary_radius(cfg, m.max_radius)
+    opn = op_norm_field(m)
+
+    def g(t):
+        return opn(rb * np.exp(1j * t))
+
     ratios = []
     for z in z_probes:
         z = complex(z)
@@ -214,17 +218,11 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
             raise ValidationError(f"probe must be interior, got {z}")
         half = math.pi * (1.0 - abs(z))
         theta = math.atan2(z.imag, z.real)
-
-        def g(t):
-            fz, fzb = m.derivs_many(rb * np.exp(1j * t))
-            return np.abs(fz) + np.abs(fzb)
-
         arc_int, _ = adaptive_simpson(g, theta - half, theta + half,
                                       abs_tol=cfg.abs_tol,
                                       rel_tol=cfg.rel_tol,
                                       max_subdivisions=cfg.max_subdivisions)
-        fz, fzb = m.derivs_many(np.array([z]))
-        denom = float(np.abs(fz[0]) + np.abs(fzb[0]))
+        denom = float(opn(np.array([z]))[0])
         if denom < 1e-14:
             raise DivisionDegenerate(f"||D|| ~ 0 at probe {z}")
         ratios.append((arc_int / (2.0 * half)) / denom)
@@ -278,17 +276,17 @@ def prop2_bound(m, r0, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     if not 0.0 < r0 < 1.0:
         raise ValidationError(f"r0 must be in (0,1), got {r0}")
     s = sup_modulus(m, effective_boundary_radius(cfg, m.max_radius))
-    F = rescale(m, r0)
     log_term = math.log((1.0 + r0) / (1.0 - r0))
     M_derived = (2.0 / math.pi) * s * log_term
     M_displayed = r0 * M_derived
-    r_top = min(1.0, F.max_radius)
+    # F'(zeta) = r0 f'(r0 zeta); rays of F stop where f's derivatives do
+    r_top = min(1.0, m.max_radius / r0)
     thetas = np.linspace(0.0, TWO_PI, int(theta_grid), endpoint=False)
     panels = 2 * int(r_grid)
     rho = np.linspace(0.0, r_top, panels + 1)
     e = np.exp(1j * thetas)
-    fz, fzb = derivs_polar_grid(F, rho, int(theta_grid))
-    g = np.abs(fz * e[:, None] + np.conj(e)[:, None] * fzb)
+    fz, fzb = derivs_polar_grid(m, r0 * rho, int(theta_grid))
+    g = r0 * np.abs(fz * e[:, None] + np.conj(e)[:, None] * fzb)
     cum = cumulative_simpson(g, r_top / panels)
     # drop the leading zero column; column k then sits at radius rho[2k+2]
     r_vals = rho[2::2]
@@ -433,9 +431,11 @@ def selfmap_distortion_check(m, K=None, probes=200, seed=0,
                              cfg=DEFAULT_CONFIG):
     """Two-sided distortion bounds for harmonic self-maps of the disk:
     (1+K)/(2K) R <= |f_z| <= (K+1)/2 R with R = (1-|f|^2)/(1-|z|^2)."""
+    n = int(probes)
+    if n < 1:
+        raise ValidationError(f"need at least 1 probe, got {n}")
     K_eff = effective_K(m, K, cfg)
     rng = np.random.default_rng(seed)
-    n = int(probes)
     r = 0.9 * np.sqrt(rng.uniform(size=n))
     t = rng.uniform(0.0, TWO_PI, size=n)
     z = r * np.exp(1j * t)

@@ -218,3 +218,38 @@ def test_numerical_failure_exit_3(capsys):
                            "--which", "level", "--r", "0.999")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_explicit_zero_is_not_replaced_by_default(capsys):
+    code, _, err = run_cli(capsys, "verify", "selfmap", "--spec",
+                           "scaled:0.5", "--probes", "0")
+    assert code == 1
+    assert "probe" in err
+    code, _, err = run_cli(capsys, "verify", "prop2", "--spec", "identity",
+                           "--r0", "0")
+    assert code == 1
+    assert "r0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--spec", "identity", "--z", "nan,0"),
+    ("area", "--spec", "identity", "--center", "nan,0", "--r", "0.5"),
+    ("eval", "--spec", "affine:1,nan", "--z", "0,0"),
+    ("verify", "prop1", "--spec", "identity", "--radii", "0.5,nan"),
+    ("verify", "thm1", "--spec", "identity", "--K", "inf"),
+    ("verify", "thm1", "--spec", "identity", "--abs-tol", "nan"),
+])
+def test_non_finite_input_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--theta-grid", "0"),
+                                        ("--rb", "1.5")])
+def test_quadrature_config_error_exits_1(capsys, flag, value):
+    code, _, err = run_cli(capsys, "verify", "thm1", "--spec", "identity",
+                           flag, value)
+    assert code == 1
+    assert err.startswith("error:")

@@ -106,6 +106,18 @@ def test_points_in_polygon_square():
     np.testing.assert_array_equal(inside, [True, True, False, False, True])
 
 
+def test_points_in_polygon_spans_chunks():
+    # 2^21 / 512 = 4096 points per chunk; 10^4 points take three chunks
+    circle = circle_polygon(512)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.2, 1.2, 10_000) + 1j * rng.uniform(-1.2, 1.2, 10_000)
+    # keep clear of the chords, which sit up to 1 - cos(pi/512) inside
+    pts = pts[np.abs(np.abs(pts) - 1.0) > 1e-4]
+    assert pts.size > 2 * 4096
+    np.testing.assert_array_equal(points_in_polygon(pts, circle),
+                                  np.abs(pts) < 1.0)
+
+
 def test_point_polygon_distance_square():
     sq = square_polygon()
     d = point_polygon_distance(np.array([0.0, 3.0, 2.0 + 2.0j]), sq)

@@ -238,6 +238,14 @@ def test_prop2_identity_closed_form():
     assert rep.params["M_displayed"] < rep.lhs
 
 
+def test_prop2_clips_to_poisson_derivative_radius():
+    """poisson:phi=t is exactly f(z) = z, refused past |z| = 0.998.  At
+    r0 = 0.999 the rays of F(zeta) = f(r0 zeta) must stop at
+    0.998 / 0.999 instead of being refused; radial length over r is r0."""
+    rep = prop2_bound(gallery_map("poisson:phi=t"), 0.999)
+    assert abs(rep.lhs - 0.999) < 1e-9
+
+
 def test_prop2_validation():
     with pytest.raises(ValidationError):
         prop2_bound(gallery_map("identity"), 1.0)
