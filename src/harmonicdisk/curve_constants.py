@@ -13,6 +13,12 @@ Pair probes are exhaustive for small polygons; larger ones consume a
 fixed prefix sequence (antipodal lag first, then adjacent, then a
 seeded shuffle of the remaining lags), so growing the sample count
 never shrinks a constant.
+
+Arc lengths and arc diameters are exact for every probed pair, so the
+Lavrentiev and quasicircle constants are the exact maxima over the
+probe set.  The diameters come from one pass of a window recurrence:
+O(n * W_max) time and O(n) working memory for an n-gon, where W_max is
+the largest vertex count of a probed shorter arc.
 """
 
 from __future__ import annotations
@@ -21,14 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PathNotFound, ValidationError
 from .geometry import points_in_polygon
 
 _EXHAUSTIVE_LIMIT = 1024
 _CHORD_EPS = 1e-12
-_DIAM_SUBSAMPLE = 33
 
 
 @dataclass(frozen=True)
@@ -108,44 +112,64 @@ def lavrentiev_constant(curve, pairs=20000, seed=0, counters=None):
     return best
 
 
-def _window_diameter(v, starts, lag, forward):
-    """Diameter of the polygonal arc between each start and start+lag.
+def _arc_diameters(v, base, size):
+    """Exact diameter of each polygonal window v[base], ...,
+    v[base + size - 1] (indices mod n).
 
-    Exact for short windows; long windows are subsampled (endpoints
-    always included), which keeps the result a valid lower bound.
+    Runs D(s, L) = max(D(s, L-1), D(s+1, L-1), |v_s - v_{s+L-1}|) over
+    all n starts once, from L = 2 up to the largest requested size,
+    keeping only the current row of D, and reads off each window when L
+    reaches its size.  Every D is a max over the same |v_a - v_b| values
+    as a pairwise scan of the window, so the result is bitwise the same.
     """
     n = v.size
-    size = lag + 1 if forward else n - lag + 1
-    if size <= 128:
-        offs = np.arange(size)
-    else:
-        offs = np.unique(np.round(
-            np.linspace(0.0, size - 1, _DIAM_SUBSAMPLE)).astype(int))
-    base = starts if forward else (starts + lag)
-    idx = (base[:, None] + offs[None, :]) % n
-    pts = v[idx]
-    d = np.abs(pts[:, :, None] - pts[:, None, :])
-    return d.reshape(starts.size, -1).max(axis=1)
+    out = np.empty(base.size)
+    order = np.argsort(size, kind="stable")
+    w_max = int(size[order[-1]])
+    # order[first[L]:first[L + 1]] are the windows of size L
+    first = np.searchsorted(size[order], np.arange(w_max + 2))
+    ring = np.concatenate([v, v[:w_max]])
+    # one spare slot so that D(s+1, .) for s = n-1 is a plain slice
+    prev = np.zeros(n + 1)
+    cur = np.empty(n + 1)
+    diff = np.empty(n, dtype=complex)
+    dist = np.empty(n)
+    for L in range(2, w_max + 1):
+        np.subtract(ring[L - 1:L - 1 + n], v, out=diff)
+        np.abs(diff, out=dist)
+        np.maximum(prev[:n], prev[1:], out=cur[:n])
+        np.maximum(cur[:n], dist, out=cur[:n])
+        cur[n] = cur[0]
+        prev, cur = cur, prev
+        k = order[first[L]:first[L + 1]]
+        out[k] = prev[base[k]]
+    return out
 
 
 def quasicircle_constant(curve, pairs=20000, seed=0, counters=None):
     """Shorter-arc diameter over chord, same probe pairs as the
-    Lavrentiev constant."""
+    Lavrentiev constant.
+
+    The diameter of each shorter arc is exact (see _arc_diameters),
+    so the constant is the exact maximum over the probe set.  Time is
+    O(n * W_max) and working memory O(n) besides the per-pair arrays,
+    where W_max is the largest vertex count of a probed shorter arc.
+    """
     blocks, got = sample_vertex_pairs(curve, pairs, seed)
     v = curve.vertices
+    n = v.size
+    lags, i, j, _, chord, is_fwd = zip(*_arc_ratios(curve, blocks))
+    lag = np.concatenate([np.full(s.size, k) for k, s in zip(lags, i)])
+    i, j, chord, is_fwd = map(np.concatenate, (i, j, chord, is_fwd))
+    ok = chord >= _CHORD_EPS
+    skipped = int((~ok).sum())
     best = 1.0
-    skipped = 0
-    for lag, i, j, shorter, chord, is_fwd in _arc_ratios(curve, blocks):
-        ok = chord >= _CHORD_EPS
-        skipped += int((~ok).sum())
-        if not np.any(ok):
-            continue
-        diam = np.empty(i.size)
-        for forward in (True, False):
-            sel = is_fwd == forward
-            if np.any(sel):
-                diam[sel] = _window_diameter(v, i[sel], lag, forward)
-        best = max(best, float((diam[ok] / chord[ok]).max()))
+    if np.any(ok):
+        # forward arcs run i .. i+lag, backward arcs j .. j+n-lag
+        base = np.where(is_fwd, i, j)[ok]
+        size = np.where(is_fwd, lag + 1, n - lag + 1)[ok]
+        diam = _arc_diameters(v, base, size)
+        best = max(best, float((diam / chord[ok]).max()))
     if counters is not None:
         counters["pairs"] = got
         counters["degenerate_pairs"] = skipped
@@ -235,6 +259,8 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
     """
     if not boundary.closed:
         raise ValidationError("linear connectivity needs a closed boundary")
+    # imported here: scipy.ndimage is most of the package's import time
+    from scipy import ndimage
     cells, inside, cell = _raster(boundary, grid)
     if not np.any(inside):
         raise PathNotFound("raster grid found no interior cells")

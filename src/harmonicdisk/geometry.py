@@ -160,23 +160,47 @@ def is_self_intersecting(curve):
 
 
 def points_in_polygon(points, curve):
-    """Even-odd crossing test, vectorized over query points."""
+    """Even-odd crossing test.
+
+    A point (x, y) is inside when an odd number of segments straddle
+    the line of ordinate y and cross it at xs = x1 + (y - y1)(x2 - x1) /
+    (y2 - y1) > x.  The crossings depend only on y, so they are computed
+    once per distinct ordinate (a raster row shares one set); each point
+    then counts the crossings of its row to its right by one sort of
+    crossings and points together, with a crossing placed before a point
+    of equal abscissa so that ties do not count.  Work is chunked to
+    2^21 (ordinate, segment) cells.  Points with a NaN coordinate are
+    outside.
+    """
     if not curve.closed:
         raise ValidationError("containment needs a closed curve")
     pts = np.asarray(points, dtype=complex).reshape(-1)
     p, q = curve.segments()
-    x1, y1 = p.real[None, :], p.imag[None, :]
-    x2, y2 = q.real[None, :], q.imag[None, :]
+    x1, y1 = p.real, p.imag
+    x2, y2 = q.real, q.imag
+    levels, row = np.unique(pts.imag, return_inverse=True)
+    by_row = np.argsort(row, kind="stable")
+    row_sorted = row[by_row]
     out = np.empty(pts.size, dtype=bool)
     step = max(1, (1 << 21) // max(1, p.size))
-    for i0 in range(0, pts.size, step):
-        sl = slice(i0, min(i0 + step, pts.size))
-        x, y = pts.real[sl, None], pts.imag[sl, None]
-        straddles = (y1 <= y) != (y2 <= y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        hits = straddles & (xs > x)
-        out[sl] = hits.sum(axis=1) % 2 == 1
+    for r0 in range(0, levels.size, step):
+        y = levels[r0:r0 + step]
+        rr, ss = np.nonzero((y1 <= y[:, None]) != (y2 <= y[:, None]))
+        xs = x1[ss] + (y[rr] - y1[ss]) * (x2[ss] - x1[ss]) / (y2[ss] - y1[ss])
+        xs[np.isnan(xs)] = -np.inf  # never to the right of a point
+        lo, hi = np.searchsorted(row_sorted, [r0, r0 + y.size])
+        sel = by_row[lo:hi]
+        # one sort of crossings and points by (row, abscissa, kind),
+        # crossings first among equal abscissae
+        rows = np.concatenate([rr, row[sel] - r0])
+        is_pt = np.repeat([False, True], [rr.size, sel.size])
+        order = np.lexsort((is_pt, np.concatenate([xs, pts.real[sel]]),
+                            rows))
+        seen = np.cumsum(~is_pt[order])
+        row_end = np.cumsum(np.bincount(rr, minlength=y.size))
+        at = order >= rr.size
+        right = row_end[rows[order[at]]] - seen[at]
+        out[sel[order[at] - rr.size]] = right % 2 == 1
     return out
 
 
@@ -413,12 +437,18 @@ def _crosscut_window(zeta0, rho, r_clip):
     return beta + math.pi, half
 
 
+def _unimodular(zeta0):
+    """zeta0 as a complex, refused unless |zeta0| = 1 (NaN included)."""
+    zeta0 = complex(zeta0)
+    if not abs(abs(zeta0) - 1.0) <= 1e-9:
+        raise ValidationError(f"crosscut center must be unimodular: {zeta0}")
+    return zeta0
+
+
 def crosscut_length(m, zeta0, rho, cfg=DEFAULT_CONFIG, info=None):
     """Length of the image of the crosscut arc of radius rho about the
     boundary point zeta0."""
-    zeta0 = complex(zeta0)
-    if abs(abs(zeta0) - 1.0) > 1e-9:
-        raise ValidationError(f"crosscut center must be unimodular: {zeta0}")
+    zeta0 = _unimodular(zeta0)
     rho = float(rho)
     if not 0.0 < rho <= 2.0:
         raise ValidationError(f"crosscut radius must be in (0,2], got {rho}")
@@ -457,7 +487,7 @@ def crosscut_integral(m, zeta0, r, cfg=DEFAULT_CONFIG, info=None,
     ``panels``: integrate with a fixed composite Simpson rule of that
     many panels instead of adaptively (for doubled-node cross-checks).
     """
-    zeta0 = complex(zeta0)
+    zeta0 = _unimodular(zeta0)
     r = float(r)
     if not 0.0 < r <= 2.0:
         raise ValidationError(f"upper radius must be in (0,2], got {r}")

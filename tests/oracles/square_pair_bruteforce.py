@@ -1,4 +1,5 @@
-"""Exhaustive O(n^2) pair constants for the subdivided square.
+"""Exhaustive O(n^2) pair constants for the subdivided square and an
+ellipse with long windows.
 
 For every unordered vertex pair the shorter boundary arc is found from
 prefix sums; the chord-arc ratio (shorter arc length over chord) and
@@ -12,8 +13,16 @@ polygons this small).
 The chord-arc max is attained at opposite side midpoints: shorter arc
 half the perimeter (4), chord the side length (2), ratio exactly 2.
 
-Run:  python3 tests/oracles/square_pair_bruteforce.py
+The ellipse mode builds the 260-gon inscribed in the 3:1 ellipse the
+way ``ellipse_polygon(3, 1, 260)`` does.  Its shorter arcs hold up to
+131 vertices, so windows longer than 128 vertices are probed and every
+diameter is still a full pairwise scan (about 2 s).
+
+Run:  python3 tests/oracles/square_pair_bruteforce.py [square|ellipse]
 """
+
+import math
+import sys
 
 import numpy as np
 
@@ -25,6 +34,11 @@ def square_vertices(per_side=16):
     top = -s + 1j
     left = -1.0 - 1j * s
     return np.concatenate([bottom, right, top, left])
+
+
+def ellipse_vertices(a=3.0, b=1.0, n=260):
+    t = 2.0 * math.pi * np.arange(n) / n
+    return a * np.cos(t) + 1j * b * np.sin(t)
 
 
 def brute_force(v):
@@ -54,7 +68,10 @@ def brute_force(v):
 
 
 def main():
-    v = square_vertices()
+    mode = sys.argv[1] if len(sys.argv) > 1 else "square"
+    if mode not in ("square", "ellipse"):
+        sys.exit("usage: square_pair_bruteforce.py [square|ellipse]")
+    v = square_vertices() if mode == "square" else ellipse_vertices()
     arc, diam = brute_force(v)
     print(f"vertices        {v.size}")
     print(f"lavrentiev      {arc:.17g}")

@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import harmonicdisk
 from harmonicdisk.cli import main
 
 IDENT_CROSSCUT_LEN = 2.0943927929925036  # FROZEN, rho=1 about zeta0=1
@@ -253,3 +257,14 @@ def test_quadrature_config_error_exits_1(capsys, flag, value):
                            flag, value)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    # only the connectivity raster needs it; start-up should not pay
+    src = os.path.dirname(os.path.dirname(harmonicdisk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, harmonicdisk.cli; "
+         "print('scipy.ndimage' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

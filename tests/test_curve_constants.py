@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from harmonicdisk import (CurveConstantsReport, ValidationError,
-                          ahlfors_constant, curve_constants,
+                          ahlfors_constant, boundary_polygon, curve_constants,
+                          gallery_map,
                           lavrentiev_constant, lemma_c_consistent,
                           linear_connectivity_constant, quasicircle_constant)
 from harmonicdisk.curve_constants import sample_vertex_pairs
@@ -21,6 +22,9 @@ from oracles.square_pair_bruteforce import brute_force
 # 2 with 16 vertices per side
 SQUARE16_LAVRENTIEV = 2.0
 SQUARE16_QUASICIRCLE = 1.1440382552221602
+# FROZEN: python3 tests/oracles/square_pair_bruteforce.py ellipse (the
+# 260-gon in the 3:1 ellipse; shorter arcs of up to 131 vertices)
+ELLIPSE260_QUASICIRCLE = 1.6660329922159633
 
 
 def test_circle_lavrentiev_half_pi():
@@ -63,6 +67,37 @@ def test_square_matches_brute_force_exactly():
     assert quasicircle_constant(curve) == want_qc
     assert want_lav == SQUARE16_LAVRENTIEV
     assert want_qc == SQUARE16_QUASICIRCLE
+
+
+def test_quasicircle_matches_brute_force_on_long_windows():
+    """Windows longer than 128 vertices get their exact diameter too:
+    the exhaustive probe set reproduces the brute force bit for bit."""
+    curve = ellipse_polygon(3, 1, 260)
+    want = brute_force(curve.vertices)[1]
+    assert quasicircle_constant(curve) == want == ELLIPSE260_QUASICIRCLE
+
+
+def test_quasicircle_sampled_windows_are_exact():
+    # n > 1024 takes the sampled path; a budget of 24 pairs probes 24
+    # antipodal windows of 1025 vertices, each scanned pairwise here
+    curve = boundary_polygon(gallery_map("poly:z+0.3*zbar^2"), 2048)
+    v = curve.vertices
+    n = v.size
+    pre = curve.arc_prefix()
+    blocks, got = sample_vertex_pairs(curve, 24, seed=1)
+    assert got == 24 and blocks[0][0] == n // 2
+    want = 1.0
+    for lag, starts in blocks:
+        for i in starts:
+            j = (i + lag) % n
+            fwd = np.mod(pre[j] - pre[i], pre[-1])
+            if fwd <= pre[-1] - fwd:
+                window = v[np.arange(i, i + lag + 1) % n]
+            else:
+                window = v[np.arange(j, j + n - lag + 1) % n]
+            diam = np.abs(window[:, None] - window[None, :]).max()
+            want = max(want, diam / abs(v[j] - v[i]))
+    assert quasicircle_constant(curve, pairs=24, seed=1) == want
 
 
 def test_bare_square_vertex_pairs():

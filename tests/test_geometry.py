@@ -16,7 +16,7 @@ from harmonicdisk import (ArcSet, EmptyCrosscut, PolygonalCurve,
                           crosscut_integral, crosscut_length,
                           distance_to_boundary, extract_coefficients,
                           gallery_map, image_area, level_curve_length,
-                          radial_length, sup_radial_length)
+                          radial_length, sup_radial_length, thm2_bound)
 from harmonicdisk.config import QuadratureConfig
 from harmonicdisk.geometry import (circle_polygon, curve_diameter,
                                    ellipse_polygon, hardy_mean,
@@ -116,6 +116,58 @@ def test_points_in_polygon_spans_chunks():
     assert pts.size > 2 * 4096
     np.testing.assert_array_equal(points_in_polygon(pts, circle),
                                   np.abs(pts) < 1.0)
+
+
+def _crossing_parity(pts, curve):
+    """The even-odd rule written point by point over all segments."""
+    p, q = curve.segments()
+    x1, y1, x2, y2 = p.real, p.imag, q.real, q.imag
+    out = []
+    for chunk in np.array_split(pts, max(1, pts.size // 1000)):
+        x, y = chunk.real[:, None], chunk.imag[:, None]
+        straddles = (y1 <= y) != (y2 <= y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        out.append((straddles & (xs > x)).sum(axis=1) % 2 == 1)
+    return np.concatenate(out)
+
+
+def test_points_in_polygon_matches_per_point_rule():
+    """Grouping points by ordinate computes the same crossings: rows
+    through vertices, points exactly on a crossing (the strict > tie),
+    scattered points over several chunks, overflowing crossings and NaN
+    all agree."""
+    nan_pts = np.array([complex(np.nan, 0.0), complex(0.0, np.nan),
+                        complex(np.nan, np.nan)])
+    rng = np.random.default_rng(3)
+    scattered = (rng.uniform(-1.2, 1.2, 10_000)
+                 + 1j * rng.uniform(-1.2, 1.2, 10_000))
+    cases = [(circle_polygon(512), scattered)]
+    for curve in (u_polygon(), ellipse_polygon(2, 1, 256)):
+        v = curve.vertices
+        rows = np.concatenate([v.imag, np.linspace(v.imag.min(),
+                                                   v.imag.max(), 64)])
+        cols = np.linspace(v.real.min() - 0.1, v.real.max() + 0.1, 96)
+        raster = (cols[None, :] + 1j * rows[:, None]).ravel()
+        # on each slanted segment, the crossing at its mid ordinate
+        p, q = curve.segments()
+        p, q = p[p.imag != q.imag], q[p.imag != q.imag]
+        y = 0.5 * (p.imag + q.imag)
+        x = p.real + (y - p.imag) * (q.real - p.real) / (q.imag - p.imag)
+        cases.append((curve, np.concatenate([raster, v, x + 1j * y])))
+    # near the float range the formula overflows to NaN, never a crossing
+    with np.errstate(over="ignore"):
+        huge = PolygonalCurve(1e308 * np.array([-1 - 1j, 1 - 1j, 1 + 1j,
+                                                0.5 + 0.9j]))
+    cases.append((huge, 1e308 * scattered[:500]))
+    for curve, pts in cases:
+        pts = np.concatenate([pts, nan_pts])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = points_in_polygon(pts, curve)
+            want = _crossing_parity(pts, curve)
+        np.testing.assert_array_equal(got, want)
+        assert not got[-3:].any()
+        assert got.any() and not got.all()
 
 
 def test_point_polygon_distance_square():
@@ -262,6 +314,20 @@ def test_crosscut_length_validation():
     poisson = gallery_map("poisson:phi=t")
     with pytest.raises(EmptyCrosscut):
         crosscut_length(poisson, 1.0, 1e-3)  # clip radius 0.998
+
+
+def test_nan_crosscut_center_is_refused():
+    # abs(abs(nan) - 1) > tol is False, so NaN must fail a <= test
+    ident = gallery_map("identity")
+    nan = complex(np.nan, 0.0)
+    with pytest.raises(ValidationError):
+        crosscut_length(ident, nan, 1.0)
+    with pytest.raises(ValidationError):
+        crosscut_integral(ident, nan, 0.5)
+    with pytest.raises(ValidationError):
+        crosscut_integral(ident, nan, 1e-7)  # below the clip gap
+    with pytest.raises(ValidationError):
+        thm2_bound(ident, nan, K=1.0, M_lav=math.pi / 2, r_list=(0.5,))
 
 
 def test_crosscut_integral_identity_frozen():
