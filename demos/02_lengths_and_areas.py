@@ -42,7 +42,8 @@ print(f"\ncrosscut image length at rho = {rho}: "
 
 # for the identity, integrating crosscut lengths in rho recovers the
 # area of the lens {|z - 1| <= r} cut off by the disk; image_area
-# computes the same region by a direct Jacobian integral
+# integrates the Jacobian over the same region with the same polar
+# lens rule, so the two agree to rounding
 ident = gallery_map("identity")
 r = 0.8
 lhs = crosscut_integral(ident, 1.0, r)

@@ -113,6 +113,13 @@ class SeriesHarmonicMap(HarmonicMap):
             a = np.zeros(1, dtype=complex)
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
             raise MapSpecError("series coefficients must be finite")
+        # sum k |a_k| + sum k |b_k| bounds |f_z| + |f_zb| on the closed disk
+        with np.errstate(over="ignore"):
+            bound = (np.abs(a) @ np.arange(a.size)
+                     + np.abs(b) @ np.arange(1, b.size + 1))
+        if not np.isfinite(bound):
+            raise MapSpecError(
+                "series derivative bound sum k |a_k| + sum k |b_k| overflows")
         self.analytic_coeffs = a
         self.antianalytic_coeffs = b
         self.truncation = max(a.size - 1, b.size)

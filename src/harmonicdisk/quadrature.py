@@ -109,19 +109,6 @@ def simpson_weights(panels):
     return w
 
 
-def fixed_simpson(f, a, b, panels):
-    """Plain composite Simpson with a fixed even panel count.
-
-    Used for doubled-node cross checks; no error control.
-    """
-    if panels % 2:
-        raise ValueError("panel count must be even")
-    x = np.linspace(a, b, panels + 1)
-    y = np.asarray(f(x), dtype=float)
-    h = (b - a) / panels
-    return (h / 3.0) * math.fsum((simpson_weights(panels) * y).tolist())
-
-
 def cumulative_simpson(values, h):
     """Cumulative composite Simpson along the last axis.
 

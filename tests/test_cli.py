@@ -224,6 +224,46 @@ def test_numerical_failure_exit_3(capsys):
     assert "numerical failure" in err
 
 
+def _spec_file(tmp_path, spec):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("area", "--r", "0.9"),
+    ("area", "--r", "0.5", "--center", "1,0"),
+    ("verify", "thm2", "--r-list", "1"),
+])
+def test_overflowing_jacobian_exits_3(capsys, tmp_path, argv):
+    # |f_z|^2 = 1e320 overflows: the doubled-rule checks see NaN
+    spec = _spec_file(tmp_path, {"kind": "series", "analytic": [0, 1e160]})
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
+def test_coefficient_overflow_exits_3(capsys):
+    # rho^{1-n} overflows double at n = 128, rho = 0.001: the
+    # node-halving disagreement is NaN
+    code, out, err = run_cli(capsys, "coeffs", "--spec", "identity",
+                             "--n-max", "128", "--rho", "0.001")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
+def test_overflowing_series_spec_exits_1(capsys, tmp_path):
+    spec = _spec_file(tmp_path, {"kind": "series",
+                                 "analytic": [0, 1e308, 1e308]})
+    for argv in (("eval", "--z", "0.5,0"), ("coeffs",)):
+        code, out, err = run_cli(capsys, *argv, "--spec", spec)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+
 def test_explicit_zero_is_not_replaced_by_default(capsys):
     code, _, err = run_cli(capsys, "verify", "selfmap", "--spec",
                            "scaled:0.5", "--probes", "0")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from harmonicdisk import (ArcSet, EmptyCrosscut, PolygonalCurve,
+from harmonicdisk import (ArcSet, EmptyCrosscut, HarmonicMap, PolygonalCurve,
                           QuadratureNonconvergence, ValidationError,
                           boundary_image_length, boundary_polygon,
                           crosscut_integral, crosscut_length,
@@ -338,16 +338,48 @@ def test_crosscut_integral_identity_frozen():
 
 
 def test_crosscut_integral_fixed_panels_agree():
+    # the doubled Gauss rule and the fixed-panel Simpson rule on the same
+    # substituted domain agree with the returned value
     ident = gallery_map("identity")
-    adaptive = crosscut_integral(ident, 1.0, 0.5)
-    fixed = crosscut_integral(ident, 1.0, 0.5, panels=96)
-    assert fixed == pytest.approx(adaptive, abs=1e-7)
+    info = {}
+    crosscut_integral(ident, 1.0, 0.5, info=info)
+    assert info["node_check"] <= 1e-9
+    assert info["simpson_check"] <= 1e-9
+
+
+class _CountingMap(HarmonicMap):
+    """Delegates to a gallery map and counts derivs_many calls."""
+
+    def __init__(self, name):
+        self.inner = gallery_map(name)
+        self.max_radius = self.inner.max_radius
+        self.calls = 0
+
+    def eval_many(self, z):
+        return self.inner.eval_many(z)
+
+    def derivs_many(self, z):
+        self.calls += 1
+        return self.inner.derivs_many(z)
+
+
+@pytest.mark.parametrize("name", ["identity", "poly:z+0.3*zbar^2"])
+def test_lens_rule_is_vectorised(name):
+    # one derivs_many call per Gauss resolution, not one per node
+    m = _CountingMap(name)
+    crosscut_integral(m, 1.0, 1.0)
+    assert 1 <= m.calls <= 8
+    m = _CountingMap(name)
+    image_area(m, 0.8, center=1.0)
+    assert 1 <= m.calls <= 8
 
 
 def test_coarea_identity_crosscut_vs_lens():
-    """Two independent routes to one number: the radial integral of
-    crosscut lengths equals the area of the lens {|z - 1| <= r}
-    intersected with the clipped disk (identity map Jacobian is 1)."""
+    """Two routes to one number: the radial integral of crosscut
+    lengths equals the area of the lens {|z - 1| <= r} intersected with
+    the clipped disk (identity map Jacobian is 1).  Both share one polar
+    lens rule with different kernels (arc speed, Jacobian), so the
+    closed-form lens_area gates each route on its own."""
     ident = gallery_map("identity")
     for r in (0.5, 0.8):
         lhs = crosscut_integral(ident, 1.0, r)
@@ -389,6 +421,9 @@ def test_image_area_lens_against_closed_form():
     # origin interior to the region
     got = image_area(ident, 0.7, center=0.25)
     assert got == pytest.approx(lens_area(0.25, 0.7, R_CLIP), abs=1e-8)
+    # origin interior and the region crossing |z| = R
+    got = image_area(ident, 0.7, center=0.5)
+    assert got == pytest.approx(lens_area(0.5, 0.7, R_CLIP), abs=1e-8)
     # region entirely inside the disk: no clipping at all
     got = image_area(ident, 0.2, center=0.3 + 0.2j)
     assert got == pytest.approx(math.pi * 0.04, abs=1e-10)

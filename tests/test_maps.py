@@ -294,3 +294,10 @@ def test_series_truncation_and_finite_check():
         SeriesHarmonicMap([1.0, math.inf])
     with pytest.raises(MapSpecError):
         SeriesHarmonicMap([1.0], [math.nan])
+    # finite coefficients whose bound sum k |a_k| + sum k |b_k| on |Df|
+    # overflows; a large finite bound is accepted
+    with pytest.raises(MapSpecError):
+        SeriesHarmonicMap([0.0, 1e308, 1e308])
+    with pytest.raises(MapSpecError):
+        SeriesHarmonicMap([0.0, 1.0], [0.0, 1e308])
+    SeriesHarmonicMap([0.0, 1e160])

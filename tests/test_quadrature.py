@@ -8,8 +8,7 @@ from scipy import integrate
 
 from harmonicdisk import QuadratureNonconvergence
 from harmonicdisk.quadrature import (adaptive_simpson, cumulative_simpson,
-                                     fixed_simpson, golden_max,
-                                     refine_grid_max)
+                                     golden_max, refine_grid_max)
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -73,15 +72,6 @@ def test_adaptive_simpson_deterministic():
     a = adaptive_simpson(f, 0.0, 4.0)
     b = adaptive_simpson(f, 0.0, 4.0)
     assert a == b
-
-
-def test_fixed_simpson_matches_adaptive():
-    f = lambda x: np.cos(x) ** 4  # noqa: E731
-    got = fixed_simpson(f, 0.0, np.pi, 512)
-    want, _ = adaptive_simpson(f, 0.0, np.pi)
-    assert abs(got - want) < 1e-10
-    with pytest.raises(ValueError):
-        fixed_simpson(f, 0.0, 1.0, 7)
 
 
 def test_cumulative_simpson_against_scipy():

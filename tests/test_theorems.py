@@ -216,8 +216,9 @@ def test_thm3_hypothesis_fit():
     # any map: the diagonal forces fit >= 1
     got = thm3_hypothesis_fit(gallery_map("poly:z+0.3*zbar^2"), 1.0j, 0.3)
     assert got >= 1.0 - 1e-12
-    with pytest.raises(ValidationError):
-        thm3_hypothesis_fit(gallery_map("identity"), 0.5, 0.5)
+    for zeta in (0.5, complex(np.nan, 0.0)):
+        with pytest.raises(ValidationError):
+            thm3_hypothesis_fit(gallery_map("identity"), zeta, 0.5)
     with pytest.raises(ValidationError):
         thm3_hypothesis_fit(gallery_map("identity"), 1.0, 1.0)
 
