@@ -434,7 +434,9 @@ def build_parser():
     p.add_argument("--n-max", type=int)
     p.add_argument("--rho", type=_parse_float)
     p.add_argument("--threshold", type=_parse_float)
-    p.add_argument("--boundary-samples", type=int)
+    p.add_argument("--boundary-samples", type=int,
+                   help="vertices of the boundary polygon (thm4), 8 to "
+                        "2^20")
     p.add_argument("--normalization", type=_parse_float)
     p.add_argument("--r-grid", type=int)
     p.add_argument("--probes", type=int)
@@ -473,7 +475,9 @@ def main(argv=None):
     try:
         ns = parser.parse_args(argv)
         run = run_config_from_args(ns)
-        return _DISPATCH[run.command](run)
+        # overflow surfaces as a numerical failure, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _DISPATCH[run.command](run)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

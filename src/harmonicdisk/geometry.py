@@ -204,22 +204,72 @@ def points_in_polygon(points, curve):
     return out
 
 
+# consecutive segments per block of the pruned distance search
+_DIST_BLOCK = 16
+# below this vertex and point size, with |u|^2 > 0, every product in the
+# segment formula is finite, so a segment value is never NaN there
+_DIST_SAFE = 1e150
+
+
+def _segment_distance(w, u, uu):
+    """|w - s u| for the projection parameter s clipped to [0, 1]: the
+    distance from p + w to the segment [p, p + u], uu = |u|^2."""
+    s = (w * np.conj(u)).real / uu
+    np.clip(s, 0.0, 1.0, out=s)
+    return np.abs(w - s * u)
+
+
 def point_polygon_distance(points, curve):
     """Distance from each query point to the polyline (segments, not
-    just vertices)."""
+    just vertices).
+
+    A block of _DIST_BLOCK segments is at least |x - c| - rho from x (c
+    the mean of its vertices, rho the farthest one's distance).  Blocks
+    whose bound exceeds, beyond a rounding slack, the distance to the
+    nearest block's first segment are skipped; the rest go through the
+    same per-segment formula, so the minimum over a superset of the
+    argmin equals the full sweep's bit for bit.  NaN or infinite points
+    and curves beyond _DIST_SAFE keep every block.
+    """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     p, q = curve.segments()
     u = q - p
     uu = (u * np.conj(u)).real
+    nb = -(-p.size // _DIST_BLOCK)
+    # pad the last block with copies of the final segment
+    pad = np.minimum(np.arange(nb * _DIST_BLOCK), p.size - 1)
+    P, U, UU = (a[pad].reshape(nb, _DIST_BLOCK) for a in (p, u, uu))
+    vert = np.concatenate([P, q[pad[_DIST_BLOCK - 1::_DIST_BLOCK], None]],
+                          axis=1)
+    center = vert.mean(axis=1)
+    radius = np.abs(vert - center[:, None]).max(axis=1)
+    # contiguous copies, so that numpy runs the same loops on them as on
+    # the candidate arrays
+    P0, U0, UU0 = P[:, 0].copy(), U[:, 0].copy(), UU[:, 0].copy()
+    prune = bool(np.abs(curve.vertices).max() < _DIST_SAFE
+                 and uu.min() > 0.0)
     out = np.empty(pts.size)
-    step = max(1, (1 << 21) // max(1, p.size))
+    step = max(1, (1 << 21) // (nb * _DIST_BLOCK))
     for i0 in range(0, pts.size, step):
-        sl = slice(i0, min(i0 + step, pts.size))
-        w = pts[sl, None] - p[None, :]
-        s = (w * np.conj(u[None, :])).real / uu[None, :]
-        np.clip(s, 0.0, 1.0, out=s)
-        d = np.abs(w - s * u[None, :])
-        out[sl] = d.min(axis=1)
+        x = pts[i0:i0 + step]
+        ub = _segment_distance(x[:, None] - P0[None, :], U0[None, :],
+                               UU0[None, :]).min(axis=1)
+        if prune:
+            far = np.abs(x[:, None] - center[None, :])
+            keep = ~(far - radius > ub[:, None] + 1e-12 * (far + radius))
+        else:
+            keep = np.ones((x.size, nb), dtype=bool)
+        rows, blocks = np.nonzero(keep)
+        d = _segment_distance(x.take(rows)[:, None] - P.take(blocks, 0),
+                              U.take(blocks, 0), UU.take(blocks, 0))
+        # one reduction per point over its candidate rows of d; a point
+        # without candidates (none occur: the block giving ub passes its
+        # bound) keeps ub instead of shifting the later points' rows
+        counts = np.bincount(rows, minlength=x.size)
+        has = counts > 0
+        first = (np.cumsum(counts) - counts)[has] * _DIST_BLOCK
+        ub[has] = np.minimum.reduceat(d.reshape(-1), first)
+        out[i0:i0 + x.size] = ub
     return out
 
 
@@ -438,6 +488,14 @@ def _unimodular(zeta0, what="crosscut center"):
     return zeta0
 
 
+def _upper_radius(r):
+    """r as a float, refused unless 0 < r <= 2 (NaN included)."""
+    r = float(r)
+    if not 0.0 < r <= 2.0:
+        raise ValidationError(f"upper radius must be in (0,2], got {r}")
+    return r
+
+
 def crosscut_length(m, zeta0, rho, cfg=DEFAULT_CONFIG, info=None):
     """Length of the image of the crosscut arc of radius rho about the
     boundary point zeta0."""
@@ -550,9 +608,7 @@ def crosscut_integral(m, zeta0, r, cfg=DEFAULT_CONFIG, info=None):
     evaluation and is computed only when ``info`` is given.
     """
     zeta0 = _unimodular(zeta0)
-    r = float(r)
-    if not 0.0 < r <= 2.0:
-        raise ValidationError(f"upper radius must be in (0,2], got {r}")
+    r = _upper_radius(r)
     r_clip = effective_boundary_radius(cfg, m.max_radius)
     val, gap = _lens_integral(m, zeta0, r, r_clip, _crosscut_kernel, cfg)
     if info is not None:
@@ -744,12 +800,19 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     return np.concatenate([[complex(a0)], a]), b
 
 
+# the boundary polygon is evaluated in one piece, so its size is capped
+MAX_BOUNDARY_SAMPLES = 1 << 20
+
+
 def boundary_polygon(m, samples, cfg=DEFAULT_CONFIG, info=None):
     """Polygonal approximation of the image of the proxy boundary
     circle."""
     samples = int(samples)
     if samples < 8:
         raise ValidationError("boundary polygon needs at least 8 samples")
+    if samples > MAX_BOUNDARY_SAMPLES:
+        raise ValidationError(f"boundary polygon takes at most "
+                              f"{MAX_BOUNDARY_SAMPLES} samples, got {samples}")
     rb = effective_boundary_radius(cfg, m.max_radius)
     pts = eval_circle_grid(m, rb, samples)
     if info is not None:

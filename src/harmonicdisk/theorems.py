@@ -23,11 +23,12 @@ from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
                      NotSelfMap, SelfIntersecting, ValidationError)
-from .geometry import (_unimodular, boundary_image_length, boundary_polygon,
-                       crosscut_integral, image_area, is_self_intersecting,
-                       level_curve_length, op_norm_field,
-                       point_polygon_distance, polygonal_length, radial_length,
-                       shoelace_area, sup_radial_length)
+from .geometry import (_unimodular, _upper_radius, boundary_image_length,
+                       boundary_polygon, crosscut_integral, image_area,
+                       is_self_intersecting, level_curve_length,
+                       op_norm_field, point_polygon_distance,
+                       polygonal_length, radial_length, shoelace_area,
+                       sup_radial_length)
 from .maps import derivs_polar_grid, estimate_K, eval_circle_grid, sup_modulus
 from .quadrature import adaptive_simpson, cumulative_simpson, refine_grid_max
 
@@ -163,8 +164,9 @@ def thm2_bound(m, zeta0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     composite Simpson rule on the same domain, and area_node_check the
     doubled-grid gap of the area.
     """
+    zeta0 = _unimodular(zeta0)
+    r_list = [_upper_radius(r) for r in r_list]
     K_eff = effective_K(m, K, cfg)
-    zeta0 = complex(zeta0)
     area_info = {}
     A = image_area(m, 1.0, cfg, info=area_info)
     if M_lav is None:
@@ -175,7 +177,6 @@ def thm2_bound(m, zeta0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     front = math.sqrt(K_eff * math.pi * A / 3.0)
     reports = []
     for r in r_list:
-        r = float(r)
         lhs_info = {}
         lhs = crosscut_integral(m, zeta0, r, cfg, info=lhs_info)
         outer = front * r ** 1.5

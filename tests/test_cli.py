@@ -244,6 +244,21 @@ def test_overflowing_jacobian_exits_3(capsys, tmp_path, argv):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("area", "--r", "0.9"),
+    ("verify", "thm2", "--r-list", "1"),
+])
+def test_overflow_prints_only_the_failure_line(tmp_path, argv):
+    # numpy's overflow warnings (with library source lines) stay off
+    # stderr; out of process, as pytest would capture them
+    spec = _spec_file(tmp_path, {"kind": "series", "analytic": [0, 1e160]})
+    proc = _run_module(*argv, "--spec", spec)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+
 def test_coefficient_overflow_exits_3(capsys):
     # rho^{1-n} overflows double at n = 128, rho = 0.001: the
     # node-halving disagreement is NaN
@@ -299,12 +314,38 @@ def test_quadrature_config_error_exits_1(capsys, flag, value):
     assert err.startswith("error:")
 
 
-def test_cli_import_leaves_out_scipy_ndimage():
-    # only the connectivity raster needs it; start-up should not pay
+def _run_python(*argv):
     src = os.path.dirname(os.path.dirname(harmonicdisk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, harmonicdisk.cli; "
-         "print('scipy.ndimage' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def _run_module(*argv):
+    return _run_python("-m", "harmonicdisk.cli", *argv)
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    # only the connectivity raster needs it; start-up should not pay
+    out = _run_python("-c", "import sys, harmonicdisk.cli; "
+                      "print('scipy.ndimage' in sys.modules)").stdout
     assert out.strip() == "False"
+
+
+def test_thm4_leaves_out_scipy_spatial():
+    # the boundary distance is a numpy search; importing scipy.spatial
+    # would cost more than the search
+    out = _run_python(
+        "-c", "import sys; from harmonicdisk.cli import main; "
+        "main(['verify', 'thm4', '--spec', 'affine:1,0.5', '--r-list', "
+        "'0.2', '--boundary-samples', '64']); "
+        "print('scipy.spatial' in sys.modules)").stdout
+    assert out.strip().splitlines()[-1] == "False"
+
+
+def test_boundary_samples_cap_exits_1(capsys):
+    code, out, err = run_cli(capsys, "verify", "thm4", "--spec", "identity",
+                             "--boundary-samples", str(2 ** 20 + 1))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: boundary polygon takes at most 1048576")

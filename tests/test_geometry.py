@@ -6,6 +6,7 @@ closed forms) and pasted here verbatim.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,123 @@ def test_point_polygon_distance_square():
     assert d[0] == pytest.approx(1.0)
     assert d[1] == pytest.approx(2.0)
     assert d[2] == pytest.approx(math.sqrt(2.0))
+
+
+def _full_sweep_distance(pts, curve):
+    """Every point against every segment: the rule that
+    point_polygon_distance prunes, written out in chunks of 500 points."""
+    p, q = curve.segments()
+    u = q - p
+    uu = (u * np.conj(u)).real
+    out = []
+    for chunk in np.array_split(pts, max(1, pts.size // 500)):
+        w = chunk[:, None] - p[None, :]
+        s = (w * np.conj(u[None, :])).real / uu[None, :]
+        np.clip(s, 0.0, 1.0, out=s)
+        out.append(np.abs(w - s * u[None, :]).min(axis=1))
+    return np.concatenate(out)
+
+
+def _arc(n):
+    return PolygonalCurve(np.exp(1j * np.linspace(0.0, 2.0, n)), closed=False)
+
+
+@pytest.mark.parametrize("curve", [
+    circle_polygon(3), square_polygon(), u_polygon(),
+    rectangle_polygon(6.0, 1.0, per_side=5), ellipse_polygon(3.0, 1.0, 300),
+    circle_polygon(64), circle_polygon(2048), circle_polygon(4096),
+    _arc(2), _arc(37), _arc(60),
+], ids=lambda c: f"{'closed' if c.closed else 'open'}{c.vertices.size}")
+def test_point_polygon_distance_equals_full_sweep(curve):
+    rng = np.random.default_rng(curve.vertices.size)
+    v = curve.vertices
+    p, q = curve.segments()
+    scale = float(np.abs(v - v.mean()).max())
+
+    def box(n, half):
+        return v.mean() + half * (rng.uniform(-1, 1, n)
+                                  + 1j * rng.uniform(-1, 1, n))
+
+    pts = np.concatenate([
+        box(3000, 1.5 * scale), v, 0.5 * (p + q), box(200, 1e3 * scale),
+        # near the centre every segment is about equally far: most
+        # blocks stay candidates
+        box(200, 1e-3 * scale)])
+    np.testing.assert_array_equal(point_polygon_distance(pts, curve),
+                                  _full_sweep_distance(pts, curve))
+
+
+def test_point_polygon_distance_bound_rounding():
+    # Two blocks of 16 segments: a 2e4-long straight run whose far end
+    # B is the nearest point to x = B + gap along the run, and a first
+    # block starting 2e-13 farther from x.  The run's bound |x - c| - rho
+    # equals gap exactly and rounds by up to ~1e-12, so a block bound
+    # without a rounding slack (or with one relative to the distance
+    # only) can skip the block holding the minimum.
+    rng = np.random.default_rng(1)
+    for k in range(64):
+        gap = (1.0, 1e-6)[k % 2]
+        along = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        end = 3.0 * complex(rng.normal(), rng.normal())
+        start = end - 2e4 * along
+        x = end + gap * along
+        first = x + (gap + 2e-13) * 1j * along
+        turn = first + 100.0 * 1j * along
+        head = turn + (start - turn) * np.arange(15) / 15
+        run = start + (end - start) * np.arange(17) / 16
+        curve = PolygonalCurve(np.concatenate([[first], head, run]),
+                               closed=False)
+        np.testing.assert_array_equal(
+            point_polygon_distance(np.array([x]), curve),
+            _full_sweep_distance(np.array([x]), curve))
+
+
+def test_point_polygon_distance_non_finite_points():
+    sq = square_polygon()
+    bad = np.array([np.nan, np.inf, 1j * np.inf, np.nan + 1j])
+    # finite points between the non-finite ones keep their own rows
+    pts = np.concatenate([[0.5], bad[:2], [3.0], bad[2:], [1e300, 2j]])
+    with np.errstate(invalid="ignore"):
+        got = point_polygon_distance(pts, sq)
+        want = _full_sweep_distance(pts, sq)
+        strided = point_polygon_distance(pts[::2], sq)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(strided, want[::2])
+    assert np.isnan(got[[1, 2, 4, 5]]).all()
+    np.testing.assert_array_equal(got[[0, 3, 6, 7]], [0.5, 2.0, 1e300, 1.0])
+
+
+def test_point_polygon_distance_keeps_nan_segments():
+    # Each curve's second or third block lies far from the query points
+    # and gives them NaN (|u|^2 = inf over inf, or 0 over 0), which the
+    # full sweep returns; a pruned block would hide it.
+    arc = 0.5 * np.exp(1j * np.linspace(0.0, 1.0, 17))
+    rng = np.random.default_rng(0)
+    cluster = 1e160 * (1 + 1j + 0.5 * (rng.uniform(-1, 1, 17)
+                                       + 1j * rng.uniform(-1, 1, 17)))
+    cluster[1] = cluster[0] + 1e146  # a first segment without NaN
+    huge = PolygonalCurve(np.concatenate([arc, 10.0 + np.arange(15),
+                                          cluster]), closed=False)
+    # a vertical first segment, then horizontal ones 1e-170 long
+    tiny = PolygonalCurve(np.concatenate([
+        5j + 0.5 * np.exp(1j * np.linspace(0.0, 1.0, 16)), [1e-160j],
+        1e-170 * np.arange(16)]), closed=False)
+    for curve, pts in ((huge, np.array([0.0, 0.1j, -0.2])),
+                       (tiny, np.array([5j]))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = point_polygon_distance(pts, curve)
+            want = _full_sweep_distance(pts, curve)
+        np.testing.assert_array_equal(got, want)
+        assert np.isnan(got).all()
+
+
+def test_point_polygon_distance_spans_chunks():
+    # 2^21 / 512 = 4096 points per chunk; 10^4 points take three chunks
+    circle = circle_polygon(512)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.2, 1.2, 10_000) + 1j * rng.uniform(-1.2, 1.2, 10_000)
+    np.testing.assert_array_equal(point_polygon_distance(pts, circle),
+                                  _full_sweep_distance(pts, circle))
 
 
 def test_u_polygon_area_and_vertex_count():
@@ -541,7 +659,31 @@ def test_extract_coefficients_validation():
         extract_coefficients(m, 3, 1.0)
 
 
+@pytest.mark.parametrize("zeta0,r_list,message", [
+    (0.5, (1.0,), "crosscut center must be unimodular"),
+    (complex(math.nan, 0.0), (1.0,), "crosscut center must be unimodular"),
+    (1.0, (0.5, 3.0), "upper radius must be in (0,2]"),
+    (1.0, (math.nan,), "upper radius must be in (0,2]"),
+])
+def test_thm2_refuses_bad_input_before_evaluating(zeta0, r_list, message):
+    m = _CountingMap("identity")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        thm2_bound(m, zeta0, r_list=r_list)
+    assert m.calls == 0
+
+
 # -- boundary polygon and distances ------------------------------------------
+
+
+class _Evaluated(Exception):
+    pass
+
+
+class _RefusingMap(HarmonicMap):
+    """Raises on evaluation, reporting how many points it was given."""
+
+    def eval_many(self, z):
+        raise _Evaluated(np.size(z))
 
 
 def test_boundary_polygon_identity():
@@ -553,6 +695,15 @@ def test_boundary_polygon_identity():
                                                    rel=1e-4)
     with pytest.raises(ValidationError):
         boundary_polygon(gallery_map("identity"), 4)
+
+
+def test_boundary_polygon_sample_cap():
+    with pytest.raises(ValidationError, match="at most 1048576"):
+        boundary_polygon(_RefusingMap(), 2 ** 20 + 1)
+    # the cap itself passes validation; the map is asked and refuses
+    with pytest.raises(_Evaluated) as exc:
+        boundary_polygon(_RefusingMap(), 2 ** 20)
+    assert exc.value.args == (2 ** 20,)
 
 
 def test_distance_to_boundary_identity():
