@@ -418,7 +418,9 @@ def build_parser():
     p.add_argument("--pairs", type=int, default=20000)
     p.add_argument("--centers", type=int, default=129)
     p.add_argument("--radii", type=int, default=6)
-    p.add_argument("--point-pairs", type=int, default=16)
+    p.add_argument("--point-pairs", type=int, default=16,
+                   help="interior point pairs of the linear-connectivity "
+                        "constant, 1 to 4096")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one inequality check")

@@ -19,6 +19,12 @@ Lavrentiev and quasicircle constants are the exact maxima over the
 probe set.  The diameters come from one pass of a window recurrence:
 O(n * W_max) time and O(n) working memory for an n-gon, where W_max is
 the largest vertex count of a probed shorter arc.
+
+The connectivity bisection is exact for its raster: a step below the
+larger endpoint-cell distance L is infeasible and one at or above the
+largest distance U along a straight raster path is feasible, so only
+steps in [L, U) label a mask, cropped to the box of cells within the
+step of both endpoints.  Convex regions need almost no labels.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from .geometry import points_in_polygon
 
 _EXHAUSTIVE_LIMIT = 1024
 _CHORD_EPS = 1e-12
+# raster cells per containment call
+_RASTER_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -232,77 +240,120 @@ def _raster(curve, grid):
     span *= 1.0 + 4.0 / grid
     xs = x0 + (np.arange(grid) + 0.5) * span / grid
     ys = y0 + (np.arange(grid) + 0.5) * span / grid
-    X, Y = np.meshgrid(xs, ys)
-    cells = X + 1j * Y
-    inside = points_in_polygon(cells.ravel(), curve).reshape(grid, grid)
+    cells = xs + 1j * ys[:, None]
+    # in row blocks: the containment test holds ~75 bytes per point
+    inside = np.empty((grid, grid), dtype=bool)
+    step = max(1, _RASTER_BLOCK // grid)
+    for r0 in range(0, grid, step):
+        rows = cells[r0:r0 + step]
+        inside[r0:r0 + step] = points_in_polygon(rows.ravel(),
+                                                 curve).reshape(rows.shape)
     return cells, inside, span / grid
 
 
-def _cell_of(z, cells, grid):
-    col = int(np.argmin(np.abs(cells[0].real - z.real)))
-    row = int(np.argmin(np.abs(cells[:, 0].imag - z.imag)))
-    return row, col
+def _nearest(centres, t):
+    """Index of the first smallest |centres - t| for each t, as argmin
+    over the increasing centres would give it."""
+    i = np.searchsorted(centres, t)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i, centres.size - 1)
+    return np.where(np.abs(centres[lo] - t) <= np.abs(centres[hi] - t),
+                    lo, hi)
+
+
+def _cell_of(z, cells):
+    """Row and column of the raster cell nearest to each point of z."""
+    return _nearest(cells[:, 0].imag, z.imag), _nearest(cells[0].real, z.real)
+
+
+def _sample_interior(boundary, cells, inside, point_pairs, seed):
+    """2 * point_pairs seeded interior points (z, row, col), each inside
+    the boundary and on an inside cell, from at most 200 * point_pairs
+    uniform trials over the vertices' bounding box.
+
+    Trials are drawn in blocks of (x, y) rows: the same doubles, in the
+    same order, as drawing x then y per trial, so the sample is the one
+    a trial-by-trial loop accepts.
+    """
+    v = boundary.vertices
+    low = [v.real.min(), v.imag.min()]
+    high = [v.real.max(), v.imag.max()]
+    rng = np.random.default_rng(seed)
+    need, budget = 2 * point_pairs, 200 * point_pairs
+    pts = []
+    drawn = 0
+    while len(pts) < need and drawn < budget:
+        k = min(2 * need, budget - drawn)
+        drawn += k
+        z = rng.uniform(low, high, size=(k, 2)).view(complex).ravel()
+        rows, cols = _cell_of(z, cells)
+        ok = points_in_polygon(z, boundary) & inside[rows, cols]
+        pts += [(complex(z[i]), int(rows[i]), int(cols[i]))
+                for i in np.flatnonzero(ok)[:need - len(pts)]]
+    if len(pts) < need:
+        raise PathNotFound(
+            "could not sample enough interior points; grid too coarse "
+            "or region too thin")
+    return pts
+
+
+def _raster_line(ra, ca, rb, cb):
+    """Cells of a straight 8-connected raster path from (ra, ca) to
+    (rb, cb): the longer axis steps by one, the other by its rounded
+    share, in exact integer arithmetic."""
+    n = max(abs(rb - ra), abs(cb - ca))
+    t = np.arange(n + 1)
+    if n == 0:
+        return t + ra, t + ca
+    return (ra + ((rb - ra) * 2 * t + n) // (2 * n),
+            ca + ((cb - ca) * 2 * t + n) // (2 * n))
 
 
 _EIGHT = np.ones((3, 3), dtype=int)
 
 
-def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
-                                 counters=None):
-    """Empirical linear-connectivity constant of the enclosed region.
-
-    For each sampled interior pair (a, b), bisects the smallest D such
-    that a and b are raster-connected inside the region through cells
-    within distance D of both endpoints.  A path of diameter D stays in
-    that set, so the bisected D underestimates the true minimal path
-    diameter and the returned constant is a lower bound.
-    """
-    if not boundary.closed:
-        raise ValidationError("linear connectivity needs a closed boundary")
+def _pair_diameters(cells, inside, cell, pts, diag):
+    """(d, hi) for each pair (pts[2k], pts[2k+1]) at least 10 cells
+    apart: d = |za - zb| and hi the bisected smallest D for which a and
+    b are 8-connected through inside cells within D of both.  The
+    distance buffers are allocated once and reused across pairs."""
     # imported here: scipy.ndimage is most of the package's import time
     from scipy import ndimage
-    cells, inside, cell = _raster(boundary, grid)
-    if not np.any(inside):
-        raise PathNotFound("raster grid found no interior cells")
-    rng = np.random.default_rng(seed)
-    v = boundary.vertices
-    x0, x1 = v.real.min(), v.real.max()
-    y0, y1 = v.imag.min(), v.imag.max()
-    pts = []
-    trials = 0
-    while len(pts) < 2 * point_pairs and trials < 200 * point_pairs:
-        trials += 1
-        z = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if not points_in_polygon(np.array([z]), boundary)[0]:
-            continue
-        r, c = _cell_of(z, cells, grid)
-        if inside[r, c]:
-            pts.append((z, r, c))
-    if len(pts) < 2 * point_pairs:
-        raise PathNotFound(
-            "could not sample enough interior points; grid too coarse "
-            "or region too thin")
-
-    def connected(mask, rc_a, rc_b):
-        labels, _ = ndimage.label(mask, structure=_EIGHT)
-        la = labels[rc_a]
-        return la != 0 and la == labels[rc_b]
-
-    diag = math.hypot(x1 - x0, y1 - y0)
-    best = 1.0
-    used = 0
-    for k in range(point_pairs):
+    grid = inside.shape[0]
+    outside = ~inside
+    w = np.empty(inside.shape)
+    wb = np.empty(inside.shape)
+    diff = np.empty(inside.shape, dtype=complex)
+    out = []
+    for k in range(len(pts) // 2):
         (za, ra, ca), (zb, rb, cb) = pts[2 * k], pts[2 * k + 1]
         d = abs(za - zb)
         if d < 10.0 * cell:
             continue
-        used += 1
-        da = np.abs(cells - za)
-        db = np.abs(cells - zb)
+        # w: the farther endpoint's distance on inside cells, inf outside
+        np.abs(np.subtract(cells, za, out=diff), out=w)
+        np.abs(np.subtract(cells, zb, out=diff), out=wb)
+        np.maximum(w, wb, out=w)
+        np.copyto(w, np.inf, where=outside)
+        # both endpoint cells must be in the mask; the straight path
+        # connects once all of its cells are
+        lower = max(w[ra, ca], w[rb, cb])
+        upper = w[_raster_line(ra, ca, rb, cb)].max()
 
         def feasible(D):
-            return connected(inside & (da <= D) & (db <= D), (ra, ca),
-                             (rb, cb))
+            if D < lower:
+                return False
+            if D >= upper:
+                return True
+            # a cell within D of an endpoint lies at most D / cell + 1/2
+            # cells from the endpoint's cell: the margin of one cell
+            # covers that half cell and rounding
+            m = int(D / cell) + 1
+            r0, r1 = max(max(ra, rb) - m, 0), min(min(ra, rb) + m + 1, grid)
+            c0, c1 = max(max(ca, cb) - m, 0), min(min(ca, cb) + m + 1, grid)
+            labels, _ = ndimage.label(w[r0:r1, c0:c1] <= D,
+                                      structure=_EIGHT)
+            la = labels[ra - r0, ca - c0]
+            return la != 0 and la == labels[rb - r0, cb - c0]
 
         if not feasible(diag * 2.0):
             raise PathNotFound(
@@ -317,9 +368,59 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
                     hi = midv
                 else:
                     lo = midv
-        best = max(best, hi / d)
+        out.append((d, hi))
+    return out
+
+
+# the raster and the per-pair buffers hold about 50 bytes per cell,
+# 200 MiB at the cap
+MAX_GRID = 2048
+MAX_POINT_PAIRS = 4096
+
+
+def _connectivity_counts(point_pairs, grid):
+    point_pairs, grid = int(point_pairs), int(grid)
+    if not 1 <= grid <= MAX_GRID:
+        raise ValidationError(f"grid must be 1 to {MAX_GRID}, got {grid}")
+    if not 1 <= point_pairs <= MAX_POINT_PAIRS:
+        raise ValidationError(f"point_pairs must be 1 to {MAX_POINT_PAIRS}, "
+                              f"got {point_pairs}")
+    return point_pairs, grid
+
+
+def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
+                                 counters=None):
+    """Empirical linear-connectivity constant of the enclosed region.
+
+    For each sampled interior pair (a, b), bisects the smallest D such
+    that a and b are raster-connected inside the region through cells
+    within distance D of both endpoints.  A path of diameter D stays in
+    that set, so the bisected D underestimates the true minimal path
+    diameter and the returned constant is a lower bound.
+
+    Let w be the larger endpoint distance on inside cells and inf
+    outside.  A step D below L = max(w(a), w(b)) leaves an endpoint out,
+    and one at or above U, the max of w along a straight 8-connected
+    raster path from a to b, keeps that path in.  Only L <= D < U
+    labels the mask w <= D, cropped to a box that holds every cell
+    within D of both endpoints, so each step's answer is the one a
+    label of the whole raster gives.  grid is 1 to MAX_GRID and
+    point_pairs 1 to MAX_POINT_PAIRS.
+    """
+    point_pairs, grid = _connectivity_counts(point_pairs, grid)
+    if not boundary.closed:
+        raise ValidationError("linear connectivity needs a closed boundary")
+    cells, inside, cell = _raster(boundary, grid)
+    if not np.any(inside):
+        raise PathNotFound("raster grid found no interior cells")
+    pts = _sample_interior(boundary, cells, inside, point_pairs, seed)
+    v = boundary.vertices
+    diag = math.hypot(v.real.max() - v.real.min(),
+                      v.imag.max() - v.imag.min())
+    pairs = _pair_diameters(cells, inside, cell, pts, diag)
+    best = max([1.0] + [hi / d for d, hi in pairs])
     if counters is not None:
-        counters["conn_pairs"] = used
+        counters["conn_pairs"] = len(pairs)
         counters["grid"] = grid
     return best
 
@@ -327,9 +428,9 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
 def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
                     grid=512, seed=0):
     """All four constants in one report."""
-    if min(pairs, centers, radii, point_pairs, grid) < 1:
-        raise ValidationError("pairs, centers, radii, point_pairs and grid "
-                              "must be at least 1")
+    if min(pairs, centers, radii) < 1:
+        raise ValidationError("pairs, centers and radii must be at least 1")
+    point_pairs, grid = _connectivity_counts(point_pairs, grid)
     counts = {}
     lav = lavrentiev_constant(curve, pairs, seed, counters=counts)
     qc = quasicircle_constant(curve, pairs, seed)

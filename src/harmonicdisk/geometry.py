@@ -228,10 +228,15 @@ def point_polygon_distance(points, curve):
     whose bound exceeds, beyond a rounding slack, the distance to the
     nearest block's first segment are skipped; the rest go through the
     same per-segment formula, so the minimum over a superset of the
-    argmin equals the full sweep's bit for bit.  NaN or infinite points
-    and curves beyond _DIST_SAFE keep every block.
+    argmin equals the full sweep's bit for bit.  NaN points and curves
+    beyond _DIST_SAFE keep every block.  A point with an infinite and
+    no NaN coordinate is at distance inf.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
+    at_inf = np.isinf(pts) & ~np.isnan(pts)
+    if at_inf.any():
+        # the segment formula would give them inf * 0 = NaN
+        pts = np.where(at_inf, 0.0, pts)
     p, q = curve.segments()
     u = q - p
     uu = (u * np.conj(u)).real
@@ -270,6 +275,7 @@ def point_polygon_distance(points, curve):
         first = (np.cumsum(counts) - counts)[has] * _DIST_BLOCK
         ub[has] = np.minimum.reduceat(d.reshape(-1), first)
         out[i0:i0 + x.size] = ub
+    out[at_inf] = np.inf
     return out
 
 

@@ -139,6 +139,17 @@ def test_constants_square_file(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("pairs", ["0", "4097"])
+def test_constants_point_pairs_range_exits_1(capsys, tmp_path, pairs):
+    cf = tmp_path / "square.txt"
+    cf.write_text("1 1\n-1 1\n-1 -1\n1 -1\n")
+    code, out, err = run_cli(capsys, "constants", str(cf),
+                             "--point-pairs", pairs)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: point_pairs must be 1 to 4096, got {pairs}")
+
+
 def test_verify_prop1_identity(capsys):
     code, out, _ = run_cli(capsys, "verify", "prop1", "--spec", "identity",
                            "--radii", "0.2,0.5,0.8")

@@ -1,22 +1,31 @@
 """Empirical curve constants: closed forms, brute-force twins, and
 probe-set properties."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from harmonicdisk import (CurveConstantsReport, ValidationError,
+from harmonicdisk import (CurveConstantsReport, PathNotFound, ValidationError,
                           ahlfors_constant, boundary_polygon, curve_constants,
                           gallery_map,
                           lavrentiev_constant, lemma_c_consistent,
                           linear_connectivity_constant, quasicircle_constant)
-from harmonicdisk.curve_constants import sample_vertex_pairs
+from harmonicdisk.curve_constants import (MAX_GRID, MAX_POINT_PAIRS,
+                                          _cell_of, _pair_diameters, _raster,
+                                          _raster_line, _sample_interior,
+                                          sample_vertex_pairs)
 from harmonicdisk.geometry import (PolygonalCurve, circle_polygon,
-                                   ellipse_polygon, rectangle_polygon,
-                                   square_polygon, u_polygon)
+                                   ellipse_polygon, points_in_polygon,
+                                   rectangle_polygon, square_polygon,
+                                   u_polygon)
 
 from oracles.square_pair_bruteforce import brute_force
+
+# the package re-exports a function named curve_constants
+cc_module = importlib.import_module("harmonicdisk.curve_constants")
 
 # FROZEN: tests/oracles/square_pair_bruteforce.py on the square of side
 # 2 with 16 vertices per side
@@ -154,6 +163,230 @@ def test_connectivity_validation():
     open_curve = PolygonalCurve(np.array([0.0, 1.0, 1.0j]), closed=False)
     with pytest.raises(ValidationError):
         linear_connectivity_constant(open_curve)
+
+
+def test_connectivity_count_caps():
+    circle = circle_polygon(64)
+    for kw in ({"grid": 0}, {"grid": MAX_GRID + 1}, {"point_pairs": 0},
+               {"point_pairs": MAX_POINT_PAIRS + 1}):
+        with pytest.raises(ValidationError):
+            linear_connectivity_constant(circle, **kw)
+        with pytest.raises(ValidationError):
+            curve_constants(circle, **kw)
+    assert (MAX_GRID, MAX_POINT_PAIRS) == (2048, 4096)
+
+
+def test_connectivity_caps_admit_the_maxima(monkeypatch):
+    # the caps themselves pass validation; stop before the raster is built
+    class Reached(Exception):
+        pass
+
+    def stop(curve, grid):
+        raise Reached(grid)
+
+    monkeypatch.setattr(cc_module, "_raster", stop)
+    with pytest.raises(Reached):
+        linear_connectivity_constant(circle_polygon(64), grid=MAX_GRID,
+                                     point_pairs=MAX_POINT_PAIRS)
+
+
+def _star(points=5, inner=0.45):
+    t = math.pi * np.arange(2 * points) / points
+    radius = np.where(np.arange(2 * points) % 2 == 0, 1.0, inner)
+    return PolygonalCurve(radius * np.exp(1j * t))
+
+
+def _diag(curve):
+    v = curve.vertices
+    return math.hypot(v.real.max() - v.real.min(),
+                      v.imag.max() - v.imag.min())
+
+
+def _full_grid_pair_diameters(cells, inside, cell, pts, diag):
+    """The bisection labelling the whole raster at every step: the rule
+    that _pair_diameters answers from its L/U bracket and cropped
+    labels."""
+    eight = np.ones((3, 3), dtype=int)
+    out = []
+    for k in range(len(pts) // 2):
+        (za, ra, ca), (zb, rb, cb) = pts[2 * k], pts[2 * k + 1]
+        d = abs(za - zb)
+        if d < 10.0 * cell:
+            continue
+        da = np.abs(cells - za)
+        db = np.abs(cells - zb)
+
+        def feasible(D):
+            labels, _ = ndimage.label(inside & (da <= D) & (db <= D),
+                                      structure=eight)
+            la = labels[ra, ca]
+            return la != 0 and la == labels[rb, cb]
+
+        assert feasible(2.0 * diag)
+        lo, hi = d, 2.0 * diag
+        if feasible(lo):
+            hi = lo
+        else:
+            while hi - lo > max(1e-3 * d, 0.25 * cell):
+                midv = 0.5 * (lo + hi)
+                if feasible(midv):
+                    hi = midv
+                else:
+                    lo = midv
+        out.append((d, hi))
+    return out
+
+
+def _bits(pairs):
+    return [(float(d).hex(), float(hi).hex()) for d, hi in pairs]
+
+
+@pytest.mark.parametrize("curve", [
+    circle_polygon(128), ellipse_polygon(3.0, 1.0, 300), square_polygon(),
+    u_polygon(), _star()], ids=["circle", "ellipse", "square", "u", "star"])
+def test_pair_diameters_equal_full_grid_labelling(curve):
+    for grid in (64, 120, 200):
+        for seed in range(3):
+            cells, inside, cell = _raster(curve, grid)
+            pts = _sample_interior(curve, cells, inside, 8, seed)
+            args = (cells, inside, cell, pts, _diag(curve))
+            got = _pair_diameters(*args)
+            assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
+    assert linear_connectivity_constant(curve, 8, 200, 2) == max(
+        [1.0] + [hi / d for d, hi in got])
+
+
+def _unit_raster(grid=48):
+    xs = np.arange(float(grid))
+    return xs + 1j * xs[:, None], np.ones((grid, grid), dtype=bool), 1.0
+
+
+def test_pair_diameters_step_at_the_lower_bound():
+    # cell-centred endpoints on one row: d = L = U exactly, and
+    # feasible(L) must hold without a label call
+    cells, inside, cell = _unit_raster()
+    pts = [(cells[20, 5], 20, 5), (cells[20, 30], 20, 30)]
+    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    got = _pair_diameters(*args)
+    assert got == [(25.0, 25.0)]
+    assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
+
+
+def test_pair_diameters_crop_keeps_the_lens_edge():
+    # a wall between a (row 5, col 30) and b (row 5, col 44); the only
+    # way round runs along row 5 to col 10, through the connector cell
+    # (6, 9), back along row 7 and down through (6, 44).  The connector
+    # is 34.61 cells from zb, which sits 0.4 cell left of its cell
+    # centre, so it lies 35 cells from b's column: inside the crop only
+    # thanks to the one-cell margin.
+    cells, inside, cell = _unit_raster()
+    inside[:] = False
+    inside[5, 10:31] = True
+    inside[5, 44] = True
+    inside[6, 9] = True
+    inside[7, 10:45] = True
+    inside[6, 44] = True
+    pts = [(30.3 + 5j, 5, 30), (43.6 + 5j, 5, 44)]
+    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    got = _pair_diameters(*args)
+    assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
+    connector = abs(complex(9, 6) - pts[1][0])
+    assert connector <= got[0][1] < 35.0
+
+
+def test_pair_diameters_one_cell_wall():
+    # the straight path from a to b crosses a wall one cell thick, so
+    # the upper bound is inf and the detour round the wall's end counts
+    cells, inside, cell = _unit_raster()
+    inside[:41, 20] = False
+    pts = [(cells[10, 13], 10, 13), (cells[10, 26], 10, 26)]
+    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    got = _pair_diameters(*args)
+    assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
+    assert got[0][1] > 2.0 * got[0][0]
+
+
+def test_raster_line_is_eight_connected():
+    rng = np.random.default_rng(0)
+    ends = [(0, 0, 0, 0), (3, 4, 3, 4), (0, 0, 0, 7), (9, 1, 2, 1),
+            (0, 0, 5, 5), (7, 2, 0, 9)] + [
+        tuple(int(k) for k in rng.integers(0, 40, 4)) for _ in range(200)]
+    for ra, ca, rb, cb in ends:
+        rows, cols = _raster_line(ra, ca, rb, cb)
+        assert (rows[0], cols[0], rows[-1], cols[-1]) == (ra, ca, rb, cb)
+        steps = np.maximum(np.abs(np.diff(rows)), np.abs(np.diff(cols)))
+        assert (steps == 1).all()
+
+
+def test_circle_connectivity_needs_few_labels(monkeypatch):
+    calls = []
+    label = ndimage.label
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", counting)
+    got = linear_connectivity_constant(circle_polygon(512), grid=512)
+    assert 1.0 <= got < 1.01
+    # the full-grid bisection labels ~170 times here
+    assert len(calls) <= 16
+
+
+def _scalar_sample(boundary, cells, inside, point_pairs, seed):
+    """One trial at a time: x then y, a containment call per point and
+    the nearest cell by argmin."""
+    v = boundary.vertices
+    x0, x1 = v.real.min(), v.real.max()
+    y0, y1 = v.imag.min(), v.imag.max()
+    rng = np.random.default_rng(seed)
+    pts = []
+    trials = 0
+    while len(pts) < 2 * point_pairs and trials < 200 * point_pairs:
+        trials += 1
+        z = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
+        if not points_in_polygon(np.array([z]), boundary)[0]:
+            continue
+        c = int(np.argmin(np.abs(cells[0].real - z.real)))
+        r = int(np.argmin(np.abs(cells[:, 0].imag - z.imag)))
+        if inside[r, c]:
+            pts.append((z, r, c))
+    return pts if len(pts) == 2 * point_pairs else None
+
+
+@pytest.mark.parametrize("curve,grid", [
+    (circle_polygon(64), 64), (u_polygon(), 200), (_star(), 120),
+    (ellipse_polygon(3.0, 1.0, 300), 512),
+    # a diagonal strip: most trials miss it, so the sample takes many
+    # blocks, and at seed 2 one pair runs out of trials
+    (PolygonalCurve(np.array([0, 0.1, 4.1 + 4j, 4 + 4j])), 64)])
+def test_sampling_equals_trial_by_trial_loop(curve, grid):
+    cells, inside, _ = _raster(curve, grid)
+    for seed in range(3):
+        for pairs in (1, 5, 16):
+            want = _scalar_sample(curve, cells, inside, pairs, seed)
+            if want is None:
+                with pytest.raises(PathNotFound):
+                    _sample_interior(curve, cells, inside, pairs, seed)
+            else:
+                got = _sample_interior(curve, cells, inside, pairs, seed)
+                assert got == want
+
+
+def test_cell_of_matches_argmin():
+    cells, _, _ = _raster(u_polygon(), 37)
+    xs, ys = cells[0].real, cells[:, 0].imag
+    rng = np.random.default_rng(2)
+    # random points, cell centres, midpoints between them (ties go to
+    # the lower index) and points beyond the raster
+    x = np.concatenate([rng.uniform(-1, 4, 300), xs, 0.5 * (xs[1:] + xs[:-1]),
+                        [-1e9, 1e9]])
+    y = np.concatenate([rng.uniform(-1, 4, 300), ys, 0.5 * (ys[1:] + ys[:-1]),
+                        [1e9, -1e9]])
+    rows, cols = _cell_of(x + 1j * y, cells)
+    for k in range(x.size):
+        assert cols[k] == np.argmin(np.abs(xs - x[k]))
+        assert rows[k] == np.argmin(np.abs(ys - y[k]))
 
 
 def test_ahlfors_square_vertex_probe():

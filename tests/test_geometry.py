@@ -7,6 +7,7 @@ closed forms) and pasted here verbatim.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -257,10 +258,29 @@ def test_point_polygon_distance_non_finite_points():
         got = point_polygon_distance(pts, sq)
         want = _full_sweep_distance(pts, sq)
         strided = point_polygon_distance(pts[::2], sq)
+    # inf + 0j is at distance inf; the full sweep gives it inf * 0 = NaN
+    want[2] = np.inf
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(strided, want[::2])
-    assert np.isnan(got[[1, 2, 4, 5]]).all()
-    np.testing.assert_array_equal(got[[0, 3, 6, 7]], [0.5, 2.0, 1e300, 1.0])
+    # 1j * inf is nan + inf j
+    assert np.isnan(got[[1, 4, 5]]).all()
+    np.testing.assert_array_equal(got[[0, 2, 3, 6, 7]],
+                                  [0.5, np.inf, 2.0, 1e300, 1.0])
+
+
+@pytest.mark.parametrize("curve", [square_polygon(), u_polygon(),
+                                   circle_polygon(64)],
+                         ids=["square", "u", "circle64"])
+def test_point_polygon_distance_infinite_points(curve):
+    # axis-parallel segments used to give inf + 0j the distance NaN
+    inf = np.inf
+    pts = np.array([complex(inf, 0), complex(-inf, 2), complex(0, inf),
+                    complex(1, -inf), complex(inf, -inf), 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = point_polygon_distance(pts, curve)
+    np.testing.assert_array_equal(got[:5], np.inf)
+    assert got[5] == _full_sweep_distance(pts[5:], curve)[0]
 
 
 def test_point_polygon_distance_keeps_nan_segments():
