@@ -6,6 +6,10 @@ A map is declared either by a JSON spec file or by a gallery name
 identical invocations produce byte-identical CSV/JSON bodies, and run
 metadata (time, versions) lands in `<out>.meta.json` only.
 
+`verify` runs a check of the registry `CHECKS` with only the options
+given, parsed and named as the parameters they set, so every default
+is the one in the check's signature; other options are refused.
+
 Exit codes: 0 success / all inequalities hold, 1 validation or spec
 error, 2 at least one inequality violated, 3 numerical failure.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import sys
@@ -32,10 +37,6 @@ from .reporting import (csv_table, fmt_float, reports_to_json,
                         reports_to_rows, rows_to_json, write_meta_sidecar,
                         write_payload, REPORT_COLUMNS)
 from . import theorems
-
-THEOREM_NAMES = ("prop1", "thm1", "thm2", "thm3", "prop2", "thm5", "thm4",
-                 "schwarz", "selfmap")
-
 
 @dataclass
 class RunConfig:
@@ -97,13 +98,6 @@ def _parse_float_list(text):
     return [_parse_float(tok) for tok in str(text).replace(",", " ").split()]
 
 
-def _arg(args, key, default):
-    """args[key], or default when the option was not given; an explicit
-    0 is kept."""
-    value = args.get(key)
-    return default if value is None else value
-
-
 def resolve_map(spec):
     if not spec:
         raise ValidationError("a map spec is required (--spec NAME|PATH)")
@@ -112,12 +106,9 @@ def resolve_map(spec):
     return gallery_map(spec)
 
 
-def _emit(run, columns, rows, json_text=None):
-    if run.out_format == "csv":
-        text = csv_table(rows, columns)
-    else:
-        text = json_text if json_text is not None \
-            else rows_to_json(rows, columns)
+def _emit(run, columns, rows):
+    to_text = csv_table if run.out_format == "csv" else rows_to_json
+    text = to_text(rows, columns)
     sys.stdout.write(text)
     if run.out_path:
         write_payload(run.out_path, text)
@@ -126,7 +117,7 @@ def _emit(run, columns, rows, json_text=None):
 
 def cmd_eval(run):
     m = resolve_map(run.map_spec)
-    z_list = [ _parse_complex(tok) for tok in run.args.get("z") or [] ]
+    z_list = list(run.args.get("z") or [])
     z_file = run.args.get("z_file")
     if z_file:
         with open(z_file) as fh:
@@ -146,29 +137,23 @@ def cmd_eval(run):
     afz, afzb = np.abs(fz), np.abs(fzb)
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = np.where(afz > 0.0, afzb / afz, np.inf)
-    columns = ("z_re", "z_im", "f_re", "f_im", "fz_re", "fz_im",
-               "fzb_re", "fzb_im", "op_norm", "lam", "jacobian",
-               "omega_abs")
-    rows = []
-    for k in range(z.size):
-        rows.append({
-            "z_re": fmt_float(z[k].real), "z_im": fmt_float(z[k].imag),
-            "f_re": fmt_float(f[k].real), "f_im": fmt_float(f[k].imag),
-            "fz_re": fmt_float(fz[k].real), "fz_im": fmt_float(fz[k].imag),
-            "fzb_re": fmt_float(fzb[k].real),
-            "fzb_im": fmt_float(fzb[k].imag),
-            "op_norm": fmt_float(afz[k] + afzb[k]),
-            "lam": fmt_float(abs(afz[k] - afzb[k])),
-            "jacobian": fmt_float(afz[k] ** 2 - afzb[k] ** 2),
-            "omega_abs": fmt_float(omega[k]),
-        })
-    _emit(run, columns, rows)
+    rows = [{
+        "z_re": fmt_float(z[k].real), "z_im": fmt_float(z[k].imag),
+        "f_re": fmt_float(f[k].real), "f_im": fmt_float(f[k].imag),
+        "fz_re": fmt_float(fz[k].real), "fz_im": fmt_float(fz[k].imag),
+        "fzb_re": fmt_float(fzb[k].real), "fzb_im": fmt_float(fzb[k].imag),
+        "op_norm": fmt_float(afz[k] + afzb[k]),
+        "lam": fmt_float(abs(afz[k] - afzb[k])),
+        "jacobian": fmt_float(afz[k] ** 2 - afzb[k] ** 2),
+        "omega_abs": fmt_float(omega[k]),
+    } for k in range(z.size)]
+    _emit(run, tuple(rows[0]), rows)
     return 0
 
 
-def _arcs_from_args(run):
-    arcs = run.args.get("arc") or []
-    measure = run.args.get("measure")
+def _arc_set(arcs=None, measure=None):
+    """The arc set of --arc START:END (repeatable) or --measure; [0, pi]
+    when neither is given."""
     if measure is not None:
         return ArcSet.single(0.0, float(measure))
     if arcs:
@@ -189,8 +174,7 @@ def cmd_length(run):
     which = run.args["which"]
     rows = []
     if which == "level":
-        radii = run.args.get("r") or [0.5]
-        for r in radii:
+        for r in run.args.get("r") or [0.5]:
             info = {}
             val = level_curve_length(m, float(r), cfg, info=info)
             rows.append({"which": which, "r": fmt_float(r),
@@ -198,8 +182,7 @@ def cmd_length(run):
                          "nodes": str(info["nodes"])})
     elif which == "radial":
         radii = run.args.get("r") or [1.0]
-        thetas = run.args.get("theta") or [0.0]
-        for th in thetas:
+        for th in run.args.get("theta") or [0.0]:
             for r in radii:
                 info = {}
                 val = radial_length(m, float(th), float(r), cfg, info=info)
@@ -208,24 +191,21 @@ def cmd_length(run):
                              "length": fmt_float(val),
                              "nodes": str(info["nodes"])})
     elif which == "boundary":
-        E = _arcs_from_args(run)
+        E = _arc_set(run.args.get("arc"), run.args.get("measure"))
         info = {}
         val = boundary_image_length(m, E, cfg, info=info)
         rows.append({"which": which, "r": fmt_float(info["r_b"]),
                      "param": fmt_float(E.total_measure),
                      "length": fmt_float(val), "nodes": str(info["nodes"])})
-    elif which == "crosscut":
-        zeta0 = _parse_complex(_arg(run.args, "zeta0", "1"))
-        rhos = run.args.get("rho") or [1.0]
-        for rho in rhos:
+    else:  # crosscut
+        zeta0 = run.args["zeta0"]
+        for rho in run.args.get("rho") or [1.0]:
             info = {}
             val = crosscut_length(m, zeta0, float(rho), cfg, info=info)
             rows.append({"which": which, "r": fmt_float(rho),
                          "param": fmt_float(zeta0.real),
                          "length": fmt_float(val),
                          "nodes": str(info["nodes"])})
-    else:
-        raise ValidationError(f"unknown length kind {which!r}")
     _emit(run, ("which", "r", "param", "length", "nodes"), rows)
     return 0
 
@@ -234,7 +214,6 @@ def cmd_area(run):
     m = resolve_map(run.map_spec)
     cfg = run.quadrature()
     center = run.args.get("center")
-    center = _parse_complex(center) if center is not None else None
     rows = []
     for r in run.args.get("r") or [1.0]:
         info = {}
@@ -252,18 +231,12 @@ def cmd_area(run):
 def cmd_coeffs(run):
     m = resolve_map(run.map_spec)
     cfg = run.quadrature()
-    n_max = int(_arg(run.args, "n_max", 8))
-    rho = float(_arg(run.args, "rho", 0.5))
-    a, b = extract_coefficients(m, n_max, rho, cfg)
-    rows = [{"n": "0", "a_re": fmt_float(a[0].real),
-             "a_im": fmt_float(a[0].imag), "b_re": fmt_float(0.0),
-             "b_im": fmt_float(0.0)}]
-    for n in range(1, n_max + 1):
-        rows.append({"n": str(n),
-                     "a_re": fmt_float(a[n].real),
-                     "a_im": fmt_float(a[n].imag),
-                     "b_re": fmt_float(b[n - 1].real),
-                     "b_im": fmt_float(b[n - 1].imag)})
+    n_max = run.args["n_max"]
+    a, b = extract_coefficients(m, n_max, run.args["rho"], cfg)
+    b = np.concatenate(([0.0], b))  # b_0 = 0: its mode belongs to a_0
+    rows = [{"n": str(n), "a_re": fmt_float(a[n].real),
+             "a_im": fmt_float(a[n].imag), "b_re": fmt_float(b[n].real),
+             "b_im": fmt_float(b[n].imag)} for n in range(n_max + 1)]
     _emit(run, ("n", "a_re", "a_im", "b_re", "b_im"), rows)
     return 0
 
@@ -272,14 +245,11 @@ def cmd_constants(run):
     curve_file = run.args.get("curve")
     if not curve_file:
         raise ValidationError("constants needs a curve file (--curve PATH)")
-    curve = PolygonalCurve.from_file(curve_file)
-    report = curve_constants(
-        curve,
-        pairs=int(_arg(run.args, "pairs", 20000)),
-        centers=int(_arg(run.args, "centers", 129)),
-        radii=int(_arg(run.args, "radii", 6)),
-        point_pairs=int(_arg(run.args, "point_pairs", 16)),
-        seed=run.seed)
+    counts = {key: run.args[key]
+              for key in ("pairs", "centers", "radii", "point_pairs")
+              if run.args[key] is not None}
+    report = curve_constants(PolygonalCurve.from_file(curve_file),
+                             seed=run.seed, **counts)
     row = {
         "lavrentiev": fmt_float(report.lavrentiev_M),
         "quasicircle": fmt_float(report.quasicircle_M),
@@ -293,70 +263,78 @@ def cmd_constants(run):
     return 0
 
 
+def _thm1(m, cfg, arc=None, measure=None):
+    return [theorems.thm1_bound(m, _arc_set(arc, measure), cfg)]
+
+
+@functools.wraps(theorems.thm3_carleson, assigned=())
+def _thm3(m, **kw):
+    return theorems.thm3_carleson(m, **kw)[1]
+
+
+@functools.wraps(theorems.prop2_bound, assigned=())
+def _prop2(m, **kw):
+    return [theorems.prop2_bound(m, **kw)]
+
+
+@functools.wraps(theorems.schwarz_radial_check, assigned=())
+def _schwarz(m, **kw):
+    return [theorems.schwarz_radial_check(m, **kw)]
+
+
+# check -> (function returning a report list, the verify options it
+# takes; selfmap's seed is the global --seed).  An adapter reshapes one
+# function, and inspect.signature shows that function's parameters.
+CHECKS = {
+    "prop1": (theorems.check_prop1, ("K", "radii")),
+    "thm1": (_thm1, ("arc", "measure")),
+    "thm2": (theorems.thm2_bound,
+             ("zeta0", "K", "M_lav", "r_list", "boundary_samples")),
+    "thm3": (_thm3, ("K",)),
+    "prop2": (_prop2, ("r0",)),
+    "thm5": (theorems.thm5_bound, ("K", "n_max", "rho")),
+    "thm4": (theorems.thm4_ratio,
+             ("K", "r_list", "boundary_samples", "threshold")),
+    "schwarz": (_schwarz, ("normalization", "r_grid")),
+    "selfmap": (theorems.selfmap_distortion_check, ("K", "probes", "seed")),
+}
+THEOREM_NAMES = tuple(CHECKS)
+
+
+def _flag(dest):
+    """The command-line flag of an option: --K, --m-lav, --r-list."""
+    name = dest if len(dest) == 1 else dest.lower()
+    return "--" + name.replace("_", "-")
+
+
 def run_verify_check(theorem, m, run):
-    """Dispatch one named check; returns a list of InequalityReport."""
-    cfg = run.quadrature()
-    args = run.args
-    K = args.get("K")
-    K = float(K) if K is not None else None
-    if theorem == "prop1":
-        radii = (_parse_float_list(args["radii"])
-                 if args.get("radii") is not None else theorems.DEFAULT_RADII)
-        return theorems.check_prop1(m, K, radii, cfg)
-    if theorem == "thm1":
-        return [theorems.thm1_bound(m, _arcs_from_args(run), cfg)]
-    if theorem == "thm2":
-        zeta0 = _parse_complex(_arg(args, "zeta0", "1"))
-        r_list = (_parse_float_list(args["r_list"])
-                  if args.get("r_list") is not None else (0.5, 1.0, 2.0))
-        m_lav = args.get("m_lav")
-        m_lav = float(m_lav) if m_lav is not None else None
-        return theorems.thm2_bound(m, zeta0, K, m_lav, r_list, cfg)
-    if theorem == "thm3":
-        _, reports = theorems.thm3_carleson(m, K, cfg=cfg)
-        return reports
-    if theorem == "prop2":
-        r0 = float(_arg(args, "r0", 0.5))
-        return [theorems.prop2_bound(m, r0, cfg=cfg)]
-    if theorem == "thm5":
-        n_max = int(_arg(args, "n_max", 8))
-        rho = float(_arg(args, "rho", 0.5))
-        return theorems.thm5_bound(m, K, n_max, rho, cfg)
-    if theorem == "thm4":
-        r_list = (_parse_float_list(args["r_list"])
-                  if args.get("r_list") is not None
-                  else (0.05, 0.1, 0.2, 0.4, 0.6))
-        thr = float(_arg(args, "threshold", 0.05))
-        bs = int(_arg(args, "boundary_samples", 2048))
-        return theorems.thm4_ratio(m, K, r_list, bs, thr, cfg)
-    if theorem == "schwarz":
-        norm = args.get("normalization")
-        norm = float(norm) if norm is not None else None
-        r_grid = int(_arg(args, "r_grid", 64))
-        return [theorems.schwarz_radial_check(m, norm, r_grid, cfg=cfg)]
-    if theorem == "selfmap":
-        probes = int(_arg(args, "probes", 200))
-        return theorems.selfmap_distortion_check(m, K, probes, run.seed,
-                                                 cfg)
-    raise ValidationError(f"unknown theorem {theorem!r}; choose from "
-                          + ", ".join(THEOREM_NAMES))
+    """Run one check with the options given; returns its report list."""
+    fn, options = CHECKS[theorem]
+    given = {key: value for key, value in run.args.items()
+             if value is not None and key != "theorem"}
+    foreign = [key for key in given if key not in options]
+    if foreign:
+        raise ValidationError(
+            f"verify {theorem} does not take "
+            f"{', '.join(map(_flag, foreign))}; its options are "
+            f"{', '.join(map(_flag, options))}")
+    if "seed" in options:
+        given["seed"] = run.seed
+    # the module's current binding, which a profiler may have wrapped
+    fn = getattr(theorems, fn.__name__, fn)
+    return fn(m, cfg=run.quadrature(), **given)
 
 
 def cmd_verify(run):
     m = resolve_map(run.map_spec)
     reports = run_verify_check(run.args["theorem"], m, run)
-    rows = reports_to_rows(reports)
-    json_text = reports_to_json(reports)
-    if run.out_format == "csv":
-        sys.stdout.write(csv_table(rows, REPORT_COLUMNS))
-    else:
-        sys.stdout.write(json_text)
+    texts = {"csv": csv_table(reports_to_rows(reports), REPORT_COLUMNS),
+             "json": reports_to_json(reports)}
+    sys.stdout.write(texts[run.out_format])
     if run.out_path:
         base, ext = os.path.splitext(run.out_path)
-        csv_path = run.out_path if ext == ".csv" else base + ".csv"
-        json_path = run.out_path if ext == ".json" else base + ".json"
-        write_payload(csv_path, csv_table(rows, REPORT_COLUMNS))
-        write_payload(json_path, json_text)
+        for fmt, text in texts.items():
+            write_payload(f"{base}.{fmt}", text)
         write_meta_sidecar(base if ext in (".csv", ".json")
                            else run.out_path, "verify", sys.argv[1:])
     return 0 if all(rep.holds for rep in reports) else 2
@@ -388,7 +366,8 @@ def build_parser():
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate f and its derivatives at probes")
-    p.add_argument("--z", action="append", metavar="RE,IM")
+    p.add_argument("--z", action="append", type=_parse_complex,
+                   metavar="RE,IM")
     p.add_argument("--z-file", metavar="PATH")
 
     p = sub.add_parser("length", parents=[common],
@@ -399,12 +378,13 @@ def build_parser():
     p.add_argument("--theta", action="append", type=_parse_float)
     p.add_argument("--arc", action="append", metavar="START:END")
     p.add_argument("--measure", type=_parse_float)
-    p.add_argument("--zeta0", metavar="RE,IM")
+    p.add_argument("--zeta0", type=_parse_complex, default="1",
+                   metavar="RE,IM")
     p.add_argument("--rho", action="append", type=_parse_float)
 
     p = sub.add_parser("area", parents=[common], help="image area")
     p.add_argument("--r", action="append", type=_parse_float)
-    p.add_argument("--center", metavar="RE,IM")
+    p.add_argument("--center", type=_parse_complex, metavar="RE,IM")
 
     p = sub.add_parser("coeffs", parents=[common],
                        help="power-series coefficients")
@@ -415,10 +395,10 @@ def build_parser():
                        help="chord-arc constants of a polygonal curve")
     p.add_argument("curve", nargs="?", default="")
     p.add_argument("--curve", dest="curve_flag", default="", metavar="PATH")
-    p.add_argument("--pairs", type=int, default=20000)
-    p.add_argument("--centers", type=int, default=129)
-    p.add_argument("--radii", type=int, default=6)
-    p.add_argument("--point-pairs", type=int, default=16,
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--centers", type=int)
+    p.add_argument("--radii", type=int)
+    p.add_argument("--point-pairs", type=int,
                    help="interior point pairs of the linear-connectivity "
                         "constant, 1 to 4096")
 
@@ -426,19 +406,19 @@ def build_parser():
                        help="run one inequality check")
     p.add_argument("theorem", choices=THEOREM_NAMES)
     p.add_argument("--K", type=_parse_float)
-    p.add_argument("--radii", metavar="R1,R2,...")
-    p.add_argument("--r-list", metavar="R1,R2,...")
+    p.add_argument("--radii", type=_parse_float_list, metavar="R1,R2,...")
+    p.add_argument("--r-list", type=_parse_float_list, metavar="R1,R2,...")
     p.add_argument("--arc", action="append", metavar="START:END")
     p.add_argument("--measure", type=_parse_float)
-    p.add_argument("--zeta0", metavar="RE,IM")
-    p.add_argument("--m-lav", type=_parse_float)
+    p.add_argument("--zeta0", type=_parse_complex, metavar="RE,IM")
+    p.add_argument("--m-lav", dest="M_lav", type=_parse_float)
     p.add_argument("--r0", type=_parse_float)
     p.add_argument("--n-max", type=int)
     p.add_argument("--rho", type=_parse_float)
     p.add_argument("--threshold", type=_parse_float)
     p.add_argument("--boundary-samples", type=int,
-                   help="vertices of the boundary polygon (thm4), 8 to "
-                        "2^20")
+                   help="vertices of the boundary polygon (thm2, thm4), 8 "
+                        "to 2^20")
     p.add_argument("--normalization", type=_parse_float)
     p.add_argument("--r-grid", type=int)
     p.add_argument("--probes", type=int)

@@ -156,26 +156,41 @@ def golden_max(f, lo, hi, *, tol=1e-12, max_iter=200):
     return x2, f2
 
 
+TIE_RTOL = 1e-12
+
+
+def first_argmax(values, scale=None):
+    """Row-major index of the first value within TIE_RTOL * max |scale|
+    (default scale: the values) of the maximum, so that maxima tied to
+    within round-off land on one grid point whatever their last bits."""
+    values = np.asarray(values, dtype=float)
+    scale = np.abs(values if scale is None else np.asarray(scale)).max()
+    return int(np.argmax(values >= values.max() - TIE_RTOL * scale))
+
+
 def refine_grid_max(f, xs, values=None, *, wrap=None, tol=1e-12):
     """Maximize ``f`` starting from its argmax over the grid ``xs``.
 
     Golden-section search runs on the two grid cells adjacent to the
-    best sample.  ``wrap`` gives the period for cyclic grids (the
-    neighbours then wrap around).  Returns ``(x, f(x))``.
+    best sample, the first one by ``first_argmax``, and replaces it only
+    if it beats the sample by more than a relative TIE_RTOL.  ``wrap``
+    gives the period for cyclic grids (the neighbours then wrap around).
+    Returns ``(x, f(x))``.
     """
     xs = np.asarray(xs, dtype=float)
     if values is None:
         values = np.array([f(x) for x in xs])
-    i = int(np.argmax(values))
+    i = first_argmax(values)
+    best = float(values[i])
     if wrap is None:
         lo = xs[max(i - 1, 0)]
         hi = xs[min(i + 1, xs.size - 1)]
         if hi <= lo:
-            return float(xs[i]), float(values[i])
+            return float(xs[i]), best
     else:
         lo = xs[i - 1] if i > 0 else xs[-1] - wrap
         hi = xs[i + 1] if i + 1 < xs.size else xs[0] + wrap
     x, v = golden_max(f, lo, hi, tol=tol)
-    if v >= values[i]:
+    if v > best + TIE_RTOL * float(np.abs(values).max()):
         return float(x), float(v)
-    return float(xs[i]), float(values[i])
+    return float(xs[i]), best

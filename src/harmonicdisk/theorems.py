@@ -30,7 +30,8 @@ from .geometry import (_unimodular, _upper_radius, boundary_image_length,
                        polygonal_length, radial_length, shoelace_area,
                        sup_radial_length)
 from .maps import derivs_polar_grid, estimate_K, eval_circle_grid, sup_modulus
-from .quadrature import adaptive_simpson, cumulative_simpson, refine_grid_max
+from .quadrature import (adaptive_simpson, cumulative_simpson, first_argmax,
+                         refine_grid_max)
 
 TWO_PI = 2.0 * math.pi
 REPORT_TOL = 1e-7
@@ -150,7 +151,7 @@ def thm1_bound(m, E, cfg=DEFAULT_CONFIG):
     return make_report("thm1_lower_bound", lhs, rhs, "ge", params)
 
 
-def thm2_bound(m, zeta0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
+def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
                cfg=DEFAULT_CONFIG, boundary_samples=1024):
     """Crosscut length-integral chain.
 
@@ -262,7 +263,7 @@ def thm3_hypothesis_fit(m, zeta, delta, r_grid=None, cfg=DEFAULT_CONFIG):
     return float(np.max(np.where(mask, ratio, -np.inf)))
 
 
-def prop2_bound(m, r0, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
+def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     """Radial growth bound for the rescaled map F(zeta) = f(r0 zeta).
 
     The derivative bound ||D_f(z)|| <= (4/pi) sup|f| / (1 - |z|^2)
@@ -293,7 +294,7 @@ def prop2_bound(m, r0, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     r_vals = rho[2::2]
     ratios = cum[:, 1:] / r_vals[None, :]
     worst = float(ratios.max())
-    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    i, j = np.unravel_index(first_argmax(ratios), ratios.shape)
     return make_report(
         "prop2_radial_bound", worst, M_derived, "le",
         {"r0": r0, "sup_modulus": s, "M_derived": M_derived,
@@ -418,10 +419,11 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
     if np.any(A > 1.0 + 1e-9):
         raise NormalizationViolation(
             f"A(r) reaches {float(A.max())} > 1 with normalization {c}")
-    margins = radii - A
-    worst = int(np.argmin(margins))
+    excess = A - radii
+    # on the scale of the radii: the identity's excesses are round-off
+    worst = first_argmax(excess, scale=radii)
     return make_report(
-        "schwarz_radial", float(A[worst] - radii[worst]), 0.0, "le",
+        "schwarz_radial", float(excess.max()), 0.0, "le",
         {"normalization": float(c), "fitted": fitted, "r_top": r_top,
          "r_worst": float(radii[worst]), "grid_radii": r_grid,
          "theta_grid": n_theta},

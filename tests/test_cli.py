@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: payloads, determinism, exit codes."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -11,7 +12,10 @@ import sys
 import pytest
 
 import harmonicdisk
-from harmonicdisk.cli import main
+from harmonicdisk import ArcSet, theorems
+from harmonicdisk.cli import CHECKS, THEOREM_NAMES, _flag, build_parser, main
+from harmonicdisk.gallery import gallery_map
+from harmonicdisk.reporting import reports_to_json
 
 IDENT_CROSSCUT_LEN = 2.0943927929925036  # FROZEN, rho=1 about zeta0=1
 
@@ -360,3 +364,86 @@ def test_boundary_samples_cap_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: boundary polygon takes at most 1048576")
+
+
+@pytest.mark.parametrize("argv,options", [
+    (("prop1", "--r0", "0.3"), "--K, --radii"),
+    (("thm5", "--r-list", "0.1"), "--K, --n-max, --rho"),
+    (("prop2", "--K", "2"), "--r0"),
+])
+def test_verify_refuses_an_option_the_check_does_not_take(capsys, argv,
+                                                          options):
+    code, out, err = run_cli(capsys, "verify", *argv, "--spec", "identity")
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: verify {argv[0]} does not take {argv[1]}; "
+                   f"its options are {options}\n")
+
+
+def test_verify_thm2_takes_boundary_samples(capsys):
+    # the Lavrentiev polygon of thm2 has --boundary-samples vertices
+    code, _, err = run_cli(capsys, "verify", "thm2", "--spec", "identity",
+                           "--r-list", "0.5", "--boundary-samples", "7")
+    assert code == 1
+    assert err.startswith("error: boundary polygon needs at least 8")
+    m_lav = []
+    for extra in ((), ("--boundary-samples", "16")):
+        code, out, _ = run_cli(capsys, "verify", "thm2", "--spec",
+                               "identity", "--r-list", "0.5", "--format",
+                               "json", *extra)
+        assert code == 0
+        m_lav.append(json.loads(out)[0]["params"]["M_lav"])
+    assert m_lav[0] != m_lav[1]
+
+
+def test_argmax_fields_take_the_first_tied_grid_point(capsys):
+    # identity: every ray of prop2 ties to within round-off, and so does
+    # every radius of schwarz on affine:1,0.5
+    code, out, _ = run_cli(capsys, "verify", "prop2", "--spec", "identity",
+                           "--r0", "0.999", "--format", "json")
+    assert code == 0
+    params = json.loads(out)[0]["params"]
+    assert params["theta_star"] == 0.0
+    assert params["r_star"] == 1.0 / params["r_grid"]
+    code, out, _ = run_cli(capsys, "verify", "schwarz", "--spec",
+                           "affine:1,0.5", "--format", "json")
+    assert code == 0
+    params = json.loads(out)[0]["params"]
+    assert params["r_worst"] == pytest.approx(params["r_top"] / 64,
+                                              rel=1e-15)
+
+
+def test_check_registry_options_are_parameters(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    dests = vars(build_parser().parse_args(["verify", "prop1"]))
+    for name, (fn, options) in CHECKS.items():
+        params = inspect.signature(fn).parameters
+        for option in options:
+            assert option in params, (name, option)
+            assert option in dests, (name, option)
+            assert _flag(option) in help_text.split(), (name, option)
+
+
+# each check called with no keywords; thm1 on the CLI's default arc
+LIBRARY_DEFAULTS = {
+    "prop1": lambda m: theorems.check_prop1(m),
+    "thm1": lambda m: [theorems.thm1_bound(m, ArcSet.single(0.0, math.pi))],
+    "thm2": lambda m: theorems.thm2_bound(m),
+    "thm3": lambda m: theorems.thm3_carleson(m)[1],
+    "prop2": lambda m: [theorems.prop2_bound(m)],
+    "thm5": lambda m: theorems.thm5_bound(m),
+    "thm4": lambda m: theorems.thm4_ratio(m),
+    "schwarz": lambda m: [theorems.schwarz_radial_check(m)],
+    "selfmap": lambda m: theorems.selfmap_distortion_check(m),
+}
+
+
+@pytest.mark.parametrize("name", THEOREM_NAMES)
+def test_verify_defaults_are_the_signature_defaults(capsys, name):
+    code, out, _ = run_cli(capsys, "verify", name, "--spec", "identity",
+                           "--format", "json")
+    assert code == 0
+    assert out == reports_to_json(LIBRARY_DEFAULTS[name](
+        gallery_map("identity")))

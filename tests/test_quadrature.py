@@ -8,7 +8,8 @@ from scipy import integrate
 
 from harmonicdisk import QuadratureNonconvergence
 from harmonicdisk.quadrature import (adaptive_simpson, cumulative_simpson,
-                                     golden_max, refine_grid_max)
+                                     first_argmax, golden_max,
+                                     refine_grid_max)
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -122,3 +123,49 @@ def test_refine_grid_max_interior_no_wrap():
     xs = np.linspace(0.0, 5.0, 11)
     x, v = refine_grid_max(f, xs)
     assert abs(x - 2.5) < 1e-8
+
+
+def _nudged(values, rng, ulps=3):
+    """values, each moved by up to `ulps` ulps up or down at random."""
+    out = np.array(values, dtype=float)
+    for _ in range(ulps):
+        toward = rng.choice([-np.inf, np.inf], size=out.shape)
+        out = np.where(rng.random(out.shape) < 0.5,
+                       np.nextafter(out, toward), out)
+    return out
+
+
+def test_first_argmax_is_stable_under_ulp_perturbation():
+    # two maxima tied at 1.0 (indices 4 and 11), a runner-up 1e-9 below
+    values = np.full(16, 0.5)
+    values[[4, 11]] = 1.0
+    values[7] = 1.0 - 1e-9
+    # in 2-D the order is row-major: smallest row, then smallest column
+    grid = np.zeros((3, 5))
+    grid[2, 0] = grid[1, 3] = 2.0
+    rng = np.random.default_rng(0)
+    plain = set()
+    for _ in range(50):
+        nudged = _nudged(values, rng)
+        plain.add(int(np.argmax(nudged)))
+        assert first_argmax(nudged) == 4
+        flat = first_argmax(_nudged(grid, rng))
+        assert np.unravel_index(flat, grid.shape) == (1, 3)
+    # the perturbations do move a plain argmax between the tied maxima
+    assert plain == {4, 11}
+
+
+def test_first_argmax_scale():
+    # round-off-sized excesses tie only on the scale of the radii
+    excess = np.array([1e-17, -2e-17, 3e-17, 0.0])
+    radii = np.array([0.25, 0.5, 0.75, 1.0])
+    assert first_argmax(excess) == 2
+    assert first_argmax(excess, scale=radii) == 0
+
+
+def test_refine_grid_max_keeps_a_tied_grid_point():
+    # flat up to round-off: golden search cannot beat the first grid
+    # sample by more than the tie tolerance, so the sample is kept
+    xs = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    f = lambda t: 1.0 + 1e-16 * math.sin(7.0 * t)  # noqa: E731
+    assert refine_grid_max(f, xs, wrap=2.0 * np.pi) == (0.0, 1.0)
