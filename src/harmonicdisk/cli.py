@@ -332,11 +332,10 @@ def cmd_verify(run):
              "json": reports_to_json(reports)}
     sys.stdout.write(texts[run.out_format])
     if run.out_path:
-        base, ext = os.path.splitext(run.out_path)
+        base = os.path.splitext(run.out_path)[0]
         for fmt, text in texts.items():
             write_payload(f"{base}.{fmt}", text)
-        write_meta_sidecar(base if ext in (".csv", ".json")
-                           else run.out_path, "verify", sys.argv[1:])
+        write_meta_sidecar(base, "verify", sys.argv[1:])
     return 0 if all(rep.holds for rep in reports) else 2
 
 

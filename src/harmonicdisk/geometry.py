@@ -810,15 +810,22 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
 MAX_BOUNDARY_SAMPLES = 1 << 20
 
 
-def boundary_polygon(m, samples, cfg=DEFAULT_CONFIG, info=None):
-    """Polygonal approximation of the image of the proxy boundary
-    circle."""
+def boundary_sample_count(samples):
+    """The vertex count of a boundary polygon, refused outside
+    [8, MAX_BOUNDARY_SAMPLES]."""
     samples = int(samples)
     if samples < 8:
         raise ValidationError("boundary polygon needs at least 8 samples")
     if samples > MAX_BOUNDARY_SAMPLES:
         raise ValidationError(f"boundary polygon takes at most "
                               f"{MAX_BOUNDARY_SAMPLES} samples, got {samples}")
+    return samples
+
+
+def boundary_polygon(m, samples, cfg=DEFAULT_CONFIG, info=None):
+    """Polygonal approximation of the image of the proxy boundary
+    circle."""
+    samples = boundary_sample_count(samples)
     rb = effective_boundary_radius(cfg, m.max_radius)
     pts = eval_circle_grid(m, rb, samples)
     if info is not None:

@@ -35,6 +35,7 @@ from .errors import (MapSpecError, NotSensePreserving, PointOutsideDisk,
 from .quadrature import golden_max, refine_grid_max
 
 TWO_PI = 2.0 * math.pi
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -205,11 +206,23 @@ class PoissonHarmonicMap(HarmonicMap):
     round-off floor, and only while their dropped weight
     |k| 0.998^(|k|-1) |c_k| sums to at most kernel_tol / 1000.
 
-    Convergence is tested pointwise: from n = 256, the n- and 2n-node
-    series are evaluated at the requested points, and the 2n result is
-    returned once they agree to ``kernel_tol`` (absolute) at every
-    point.  ``max_panels`` is the largest FFT size; QuadratureNonconvergence
-    is raised when 2n would exceed it.
+    Convergence is tested on level pairs from n = 256 up: the 2n-node
+    series is returned at the first pair whose two series agree to
+    ``kernel_tol`` (absolute) at every requested point.  Each pair is
+    first tried by a certificate on its coefficients alone: with
+    rho = max |z|, the difference of the two truncations is at most
+    sum_k |c^{2n}_k - c^n_k| rho^k on the whole disk |z| <= rho
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8),
+    and each Horner evaluation adds at most gamma sum_k |c_k| rho^k of
+    round-off, gamma = (4 N + 4) u / (1 - (4 N + 4) u) for N coefficients
+    and unit round-off u.  When that sum stays within ``kernel_tol``
+    the pointwise comparison cannot fail, so only the 2n-node series is
+    evaluated.  Otherwise both series are evaluated at the points and
+    compared, as the certificate can be far from sharp (a kinked phase
+    near the boundary).  Either way the result is the one the
+    pointwise comparison alone gives, bit for bit.  ``max_panels`` is
+    the largest FFT size; QuadratureNonconvergence is raised when 2n
+    would exceed it.
 
     The series converges like r^|k| near the boundary, so evaluation is
     refused beyond |z| = 0.999 and derivatives beyond |z| = 0.998; past
@@ -233,6 +246,7 @@ class PoissonHarmonicMap(HarmonicMap):
             raise MapSpecError("kernel_tol must be positive")
         self.max_panels = int(max_panels)
         self._levels: dict[int, tuple[np.ndarray, ...]] = {}
+        self._weights: dict[tuple, np.ndarray] = {}
         self._spot_check_phase()
 
     def _spot_check_phase(self):
@@ -277,12 +291,47 @@ class PoissonHarmonicMap(HarmonicMap):
             self._levels[n] = got
         return got
 
-    def _converged(self, z, series):
+    def _certificate(self, n, outputs):
+        """Weights w, one row per output, such that sum_k w[j, k] rho^k
+        bounds the computed |delta| of output j between the n- and
+        2n-node series at every |z| <= rho.
+
+        ``outputs`` lists, per output, the indices into a level (h, g,
+        h', g') of the series the output sums.  The factor 1 + gamma
+        covers the rounding of delta itself and of the certificate's
+        own sum (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., ch. 3 and 5.1).
+        """
+        w = self._weights.get((n, outputs))
+        if w is None:
+            pair = (self._level(n), self._level(2 * n))
+            size = max(lv[i].size for lv in pair for group in outputs
+                       for i in group)
+            gamma = (4 * size + 4) * _UNIT_ROUNDOFF
+            gamma /= 1.0 - gamma
+            w = np.zeros((len(outputs), size))
+            for row, group in zip(w, outputs):
+                for i in group:
+                    lo, hi = (np.pad(lv[i], (0, size - lv[i].size))
+                              for lv in pair)
+                    row += np.abs(hi - lo) + gamma * (np.abs(lo) + np.abs(hi))
+            w *= 1.0 + gamma
+            self._weights[(n, outputs)] = w
+        return w
+
+    def _converged(self, z, rho, outputs, series):
         """series(z, level) of the first 2n-node level that agrees with
-        the n-node one to kernel_tol at every point."""
+        the n-node one to kernel_tol at every point; ``rho`` is max |z|
+        and ``outputs`` says which level arrays series reads (see
+        _certificate)."""
+        # |z| <= rho (1 + 4u) even where abs() rounded rho down
+        rho_up = rho * (1.0 + 4.0 * _UNIT_ROUNDOFF)
         n = self._START_NODES
         prev = None
         while 2 * n <= self.max_panels:
+            w = self._certificate(n, outputs)
+            if np.all(w @ rho_up ** np.arange(w.shape[1]) <= self.kernel_tol):
+                return series(z, self._level(2 * n))
             if prev is None:
                 prev = series(z, self._level(n))
             out = series(z, self._level(2 * n))
@@ -292,34 +341,37 @@ class PoissonHarmonicMap(HarmonicMap):
                 return out
             prev = out
             n *= 2
-        rmax = float(np.abs(z).max()) if z.size else 0.0
         raise QuadratureNonconvergence(
             f"Poisson boundary series did not reach |delta| <= "
             f"{self.kernel_tol} within {self.max_panels} nodes "
-            f"(max |z| = {rmax})")
+            f"(max |z| = {rho})")
 
     # refusal slack: |r e^{it}| can exceed r by a rounding error
     _RADIUS_SLACK = 1e-12
 
+    def _radius(self, z, limit, what):
+        """max |z|, refusing points beyond ``limit``."""
+        rho = float(np.abs(z).max()) if z.size else 0.0
+        if rho > limit + self._RADIUS_SLACK:
+            raise QuadratureNonconvergence(
+                f"Poisson {what} refused beyond |z| = {limit}: the boundary "
+                "series exceeds the node budget")
+        return rho
+
     def eval_many(self, z):
         z = np.asarray(z, dtype=complex)
-        if z.size and float(np.abs(z).max()) > self.EVAL_RADIUS \
-                + self._RADIUS_SLACK:
-            raise QuadratureNonconvergence(
-                f"Poisson evaluation refused beyond |z| = {self.EVAL_RADIUS}: "
-                "the boundary series exceeds the node budget")
+        rho = self._radius(z, self.EVAL_RADIUS, "evaluation")
+        # one output, h + conj(g)
         return self._converged(
-            z, lambda z, lv: (np.add(*_series_pair(z, lv[0], lv[1])),))[0]
+            z, rho, ((0, 1),),
+            lambda z, lv: (np.add(*_series_pair(z, lv[0], lv[1])),))[0]
 
     def derivs_many(self, z):
         z = np.asarray(z, dtype=complex)
-        if z.size and float(np.abs(z).max()) > self.DERIV_RADIUS \
-                + self._RADIUS_SLACK:
-            raise QuadratureNonconvergence(
-                f"Poisson derivatives refused beyond |z| = "
-                f"{self.DERIV_RADIUS}: the boundary series exceeds the node "
-                "budget")
-        return self._converged(z, lambda z, lv: _series_pair(z, lv[2], lv[3]))
+        rho = self._radius(z, self.DERIV_RADIUS, "derivatives")
+        # two outputs, h' and conj(g')
+        return self._converged(z, rho, ((2,), (3,)),
+                               lambda z, lv: _series_pair(z, lv[2], lv[3]))
 
 
 def _circle_points(r, n):

@@ -25,8 +25,9 @@ def adaptive_simpson(f, a, b, *, abs_tol=1e-9, rel_tol=1e-8,
     ``f`` takes an ndarray of abscissae and returns integrand values.
     An interval is accepted once the classic |S2 - S1| <= 15 tol test
     holds, with the tolerance apportioned by interval width; accepted
-    values carry the S2 + (S2 - S1)/15 extrapolation.  All active
-    intervals are evaluated in one batched call per sweep.
+    values carry the S2 + (S2 - S1)/15 extrapolation.  ``f`` is called
+    once for the 17 seed nodes and once per sweep for both quarter
+    points of every active interval.
 
     Returns ``(value, nodes)``.  Raises QuadratureNonconvergence when the
     panel budget is exhausted or an interval would be bisected below the
@@ -42,15 +43,14 @@ def adaptive_simpson(f, a, b, *, abs_tol=1e-9, rel_tol=1e-8,
     n0 = 8
     edges = a + span * np.arange(n0 + 1) / n0
     mids = 0.5 * (edges[:-1] + edges[1:])
-    fe = np.asarray(f(edges), dtype=float)
-    fm = np.asarray(f(mids), dtype=float)
-    nodes = edges.size + mids.size
+    fx = np.asarray(f(np.concatenate([edges, mids])), dtype=float)
+    nodes = fx.size
 
-    L = edges[:-1].copy()
+    L = edges[:-1]
     W = np.full(n0, span / n0)
-    FL = fe[:-1].copy()
-    FR = fe[1:].copy()
-    FM = fm
+    FL = fx[:n0]
+    FR = fx[1:n0 + 1]
+    FM = fx[n0 + 1:]
     S = (W / 6.0) * (FL + 4.0 * FM + FR)
 
     accepted: list[float] = []
@@ -65,11 +65,10 @@ def adaptive_simpson(f, a, b, *, abs_tol=1e-9, rel_tol=1e-8,
         if np.any(W < span * _MIN_WIDTH_FRACTION):
             raise QuadratureNonconvergence(
                 "interval width underflow in adaptive Simpson")
-        x1 = L + 0.25 * W
-        x2 = L + 0.75 * W
-        F1 = np.asarray(f(x1), dtype=float)
-        F2 = np.asarray(f(x2), dtype=float)
-        nodes += x1.size + x2.size
+        fx = np.asarray(f(np.concatenate([L + 0.25 * W, L + 0.75 * W])),
+                        dtype=float)
+        F1, F2 = fx[:L.size], fx[L.size:]
+        nodes += fx.size
         half = 0.5 * W
         Sl = (half / 6.0) * (FL + 4.0 * F1 + FM)
         Sr = (half / 6.0) * (FM + 4.0 * F2 + FR)

@@ -24,7 +24,8 @@ from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
                      NotSelfMap, SelfIntersecting, ValidationError)
 from .geometry import (_unimodular, _upper_radius, boundary_image_length,
-                       boundary_polygon, crosscut_integral, image_area,
+                       boundary_polygon, boundary_sample_count,
+                       crosscut_integral, image_area,
                        is_self_intersecting, level_curve_length,
                        op_norm_field, point_polygon_distance,
                        polygonal_length, radial_length, shoelace_area,
@@ -167,6 +168,8 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     """
     zeta0 = _unimodular(zeta0)
     r_list = [_upper_radius(r) for r in r_list]
+    # refused even when M_lav is given and the polygon is never built
+    boundary_samples = boundary_sample_count(boundary_samples)
     K_eff = effective_K(m, K, cfg)
     area_info = {}
     A = image_area(m, 1.0, cfg, info=area_info)

@@ -381,11 +381,17 @@ def test_verify_refuses_an_option_the_check_does_not_take(capsys, argv,
 
 
 def test_verify_thm2_takes_boundary_samples(capsys):
-    # the Lavrentiev polygon of thm2 has --boundary-samples vertices
-    code, _, err = run_cli(capsys, "verify", "thm2", "--spec", "identity",
-                           "--r-list", "0.5", "--boundary-samples", "7")
-    assert code == 1
-    assert err.startswith("error: boundary polygon needs at least 8")
+    # the Lavrentiev polygon of thm2 has --boundary-samples vertices; the
+    # count is refused even when --m-lav means no polygon is built
+    for m_lav in ((), ("--m-lav", "2")):
+        for samples, msg in (("7", "needs at least 8"),
+                             (str(2 ** 20 + 1), "takes at most 1048576")):
+            code, out, err = run_cli(capsys, "verify", "thm2", "--spec",
+                                     "identity", "--r-list", "0.5",
+                                     "--boundary-samples", samples, *m_lav)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: boundary polygon " + msg)
     m_lav = []
     for extra in ((), ("--boundary-samples", "16")):
         code, out, _ = run_cli(capsys, "verify", "thm2", "--spec",
@@ -394,6 +400,18 @@ def test_verify_thm2_takes_boundary_samples(capsys):
         assert code == 0
         m_lav.append(json.loads(out)[0]["params"]["M_lav"])
     assert m_lav[0] != m_lav[1]
+
+
+@pytest.mark.parametrize("out", ["a.txt", "a.csv", "a.json", "a"])
+def test_verify_out_files_share_one_base(capsys, tmp_path, out):
+    (tmp_path / "outq").mkdir()
+    code, text, _ = run_cli(capsys, "verify", "schwarz", "--spec",
+                            "identity", "--r-grid", "16",
+                            "--out", str(tmp_path / "outq" / out))
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "outq").iterdir()) == [
+        "a.csv", "a.json", "a.meta.json"]
+    assert (tmp_path / "outq" / "a.csv").read_text() == text
 
 
 def test_argmax_fields_take_the_first_tied_grid_point(capsys):

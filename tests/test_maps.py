@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from harmonicdisk import (AffineHarmonicMap, MapSpecError, NotSensePreserving,
                           PointOutsideDisk, PoissonHarmonicMap,
@@ -185,6 +186,80 @@ def test_poisson_kinked_phase():
     with pytest.raises(QuadratureNonconvergence):
         PoissonHarmonicMap(1.0, phi, max_panels=256).derivs_many(
             np.array([0.5]))
+
+
+def _pointwise_converged(m, z, series):
+    """The Poisson convergence rule without the coefficient certificate:
+    every level pair is compared at the points.  The certified rule
+    must return the same bits, or refuse where this refuses."""
+    n = m._START_NODES
+    prev = None
+    while 2 * n <= m.max_panels:
+        if prev is None:
+            prev = series(z, m._level(n))
+        out = series(z, m._level(2 * n))
+        delta = max(float(np.abs(o - p).max()) if o.size else 0.0
+                    for o, p in zip(out, prev))
+        if delta <= m.kernel_tol:
+            return out
+        prev = out
+        n *= 2
+    raise QuadratureNonconvergence("pointwise rule ran out of nodes")
+
+
+def _poisson_eval(z, lv):
+    return (npoly.polyval(z, lv[0]) + np.conj(npoly.polyval(z, lv[1])),)
+
+
+def _poisson_derivs(z, lv):
+    return npoly.polyval(z, lv[2]), np.conj(npoly.polyval(z, lv[3]))
+
+
+def _outcome(fn):
+    try:
+        return [np.asarray(part).view(float) for part in fn()]
+    except QuadratureNonconvergence:
+        return None
+
+
+@pytest.mark.parametrize("phase", [
+    "t+0.2*sin(t)", "t+0.99*sin(t)", "t+0.1*sqrt(sin(t)**2)"])
+def test_poisson_certificate_matches_pointwise_rule(phase):
+    m = gallery_map(f"poisson:phi={phase}")
+    radii = np.array([0.1, 0.5, 0.9, 0.97, 0.998])
+    e = np.exp(2j * np.pi * np.arange(8) / 8)
+    cases = [np.array([r * np.exp(0.3j)]) for r in radii]
+    cases += [radii[None, :k + 1] * e[:, None] for k in range(radii.size)]
+    for z in cases:
+        for method, series in (((lambda z: (m.eval_many(z),)), _poisson_eval),
+                               (m.derivs_many, _poisson_derivs)):
+            got = _outcome(lambda: method(z))
+            want = _outcome(lambda: _pointwise_converged(m, z, series))
+            assert (got is None) == (want is None), (phase, z.shape)
+            for a, b in zip(got or (), want or ()):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_poisson_derivs_evaluate_one_series_level(monkeypatch):
+    from harmonicdisk import maps
+
+    calls = []
+    plain = maps._series_pair
+
+    def counted(z, h, g):
+        calls.append(z.size)
+        return plain(z, h, g)
+
+    monkeypatch.setattr(maps, "_series_pair", counted)
+    m = gallery_map("poisson:phi=t+0.2*sin(t)")
+    for z in (np.array([0.998j]), np.array([0.3, -0.5j, 0.7 + 0.6j]),
+              0.998 * np.exp(2j * np.pi * np.arange(64) / 64)):
+        calls.clear()
+        m.derivs_many(z)
+        assert calls == [z.size]
+        calls.clear()
+        m.eval_many(z)
+        assert calls == [z.size]
 
 
 def test_poisson_phase_validation():

@@ -75,6 +75,88 @@ def test_adaptive_simpson_deterministic():
     assert a == b
 
 
+def _two_call_simpson(f, a, b, abs_tol=1e-9, rel_tol=1e-8,
+                      max_subdivisions=1 << 16):
+    """adaptive_simpson as it was with separate calls for edges and
+    midpoints and for the two quarter points of a sweep: the reference
+    that the one-call sweep must reproduce bit for bit."""
+    span = b - a
+    n0 = 8
+    edges = a + span * np.arange(n0 + 1) / n0
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    fe = np.asarray(f(edges), dtype=float)
+    FM = np.asarray(f(mids), dtype=float)
+    nodes = edges.size + mids.size
+    L, W, FL, FR = edges[:-1], np.full(n0, span / n0), fe[:-1], fe[1:]
+    S = (W / 6.0) * (FL + 4.0 * FM + FR)
+    accepted, accepted_panels, running = [], 0, float(np.sum(S))
+    while L.size:
+        if accepted_panels + 2 * L.size > max_subdivisions or np.any(
+                W < span * 2.0 ** -48):
+            raise QuadratureNonconvergence("reference")
+        F1 = np.asarray(f(L + 0.25 * W), dtype=float)
+        F2 = np.asarray(f(L + 0.75 * W), dtype=float)
+        nodes += F1.size + F2.size
+        half = 0.5 * W
+        Sl = (half / 6.0) * (FL + 4.0 * F1 + FM)
+        Sr = (half / 6.0) * (FM + 4.0 * F2 + FR)
+        S2 = Sl + Sr
+        ok = np.abs(S2 - S) <= 15.0 * (max(abs_tol, rel_tol * abs(running))
+                                       * (W / span))
+        accepted.extend((S2[ok] + (S2[ok] - S[ok]) / 15.0).tolist())
+        accepted_panels += 2 * int(np.count_nonzero(ok))
+        keep = ~ok
+        if not np.any(keep):
+            break
+        L = np.concatenate([L[keep], L[keep] + half[keep]])
+        W = np.concatenate([half[keep], half[keep]])
+        FL, FM, FR = (np.concatenate([FL[keep], FM[keep]]),
+                      np.concatenate([F1[keep], F2[keep]]),
+                      np.concatenate([FM[keep], FR[keep]]))
+        S = np.concatenate([Sl[keep], Sr[keep]])
+        running = math.fsum(accepted) + float(np.sum(S))
+    return math.fsum(accepted), nodes
+
+
+def test_adaptive_simpson_one_call_per_sweep_same_bits():
+    from harmonicdisk import gallery_map
+
+    m = gallery_map("poly:z+0.3*zbar^2")
+    cases = [
+        (lambda x: x ** 3 - 2.0 * x, 0.0, 2.0, 1e-9),
+        (lambda x: np.exp(-x) * np.sin(5.0 * x), 0.0, 3.0, 1e-10),
+        (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, 1e-10),
+        (lambda x: np.sqrt(np.abs(np.cos(x))), 0.0, 2.0 * np.pi, 1e-8),
+        (lambda x: np.sqrt(np.abs(np.cos(x))), 0.0, 2.0 * np.pi, 1e-13),
+        (np.sin, 0.0, 2.0 * np.pi, 1e-9),
+        (lambda x: np.sin(x) ** 2, 0.0, 2.0 * np.pi, 1e-9),
+        (lambda x: np.exp(np.sin(3.0 * x)), 0.0, 4.0, 1e-9),
+        (lambda t: np.abs(m.derivs_many(0.9 * np.exp(1j * t))[1]),
+         0.0, 2.0 * np.pi, 1e-12),
+    ]
+    for f, a, b, tol in cases:
+        calls = {"one": 0, "two": 0}
+
+        def counted(key):
+            def g(x):
+                calls[key] += 1
+                return f(x)
+            return g
+
+        try:
+            want = _two_call_simpson(counted("two"), a, b, tol, tol)
+        except QuadratureNonconvergence:
+            with pytest.raises(QuadratureNonconvergence):
+                adaptive_simpson(counted("one"), a, b, abs_tol=tol,
+                                 rel_tol=tol)
+            continue
+        got = adaptive_simpson(counted("one"), a, b, abs_tol=tol,
+                               rel_tol=tol)
+        assert got == want
+        # the seed and each sweep: one call each, where there were two
+        assert calls["two"] == 2 * calls["one"]
+
+
 def test_cumulative_simpson_against_scipy():
     h = 0.01
     x = h * np.arange(257)
