@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import QuadratureConfig
+from .config import DEFAULT_CONFIG, QuadratureConfig
 from .curve_constants import curve_constants
 from .errors import NumericalError, PointOutsideDisk, ValidationError
 from .gallery import gallery_map, gallery_names, load_map_spec
@@ -45,18 +45,10 @@ class RunConfig:
     command: str
     map_spec: str = ""
     args: dict = field(default_factory=dict)
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
-    theta_grid: int = 720
-    boundary_radius: float = 1.0 - 1e-6
+    quadrature: QuadratureConfig = DEFAULT_CONFIG
     seed: int = 0
     out_format: str = "csv"
     out_path: str = ""
-
-    def quadrature(self):
-        return QuadratureConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-                                theta_grid=self.theta_grid,
-                                boundary_radius=self.boundary_radius)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,7 +162,7 @@ def _arc_set(arcs=None, measure=None):
 
 def cmd_length(run):
     m = resolve_map(run.map_spec)
-    cfg = run.quadrature()
+    cfg = run.quadrature
     which = run.args["which"]
     rows = []
     if which == "level":
@@ -212,12 +204,12 @@ def cmd_length(run):
 
 def cmd_area(run):
     m = resolve_map(run.map_spec)
-    cfg = run.quadrature()
     center = run.args.get("center")
     rows = []
     for r in run.args.get("r") or [1.0]:
         info = {}
-        val = image_area(m, float(r), cfg, center=center, info=info)
+        val = image_area(m, float(r), run.quadrature, center=center,
+                         info=info)
         rows.append({
             "r": fmt_float(r),
             "center": "" if center is None else fmt_float(center.real),
@@ -230,9 +222,8 @@ def cmd_area(run):
 
 def cmd_coeffs(run):
     m = resolve_map(run.map_spec)
-    cfg = run.quadrature()
     n_max = run.args["n_max"]
-    a, b = extract_coefficients(m, n_max, run.args["rho"], cfg)
+    a, b = extract_coefficients(m, n_max, run.args["rho"], run.quadrature)
     b = np.concatenate(([0.0], b))  # b_0 = 0: its mode belongs to a_0
     rows = [{"n": str(n), "a_re": fmt_float(a[n].real),
              "a_im": fmt_float(a[n].imag), "b_re": fmt_float(b[n].real),
@@ -322,7 +313,7 @@ def run_verify_check(theorem, m, run):
         given["seed"] = run.seed
     # the module's current binding, which a profiler may have wrapped
     fn = getattr(theorems, fn.__name__, fn)
-    return fn(m, cfg=run.quadrature(), **given)
+    return fn(m, cfg=run.quadrature, **given)
 
 
 def cmd_verify(run):
@@ -353,10 +344,12 @@ def build_parser():
                         help="write payload here (plus .meta.json sidecar)")
     common.add_argument("--format", default="csv", choices=("csv", "json"))
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--abs-tol", type=_parse_float, default=1e-9)
-    common.add_argument("--rel-tol", type=_parse_float, default=1e-8)
-    common.add_argument("--theta-grid", type=int, default=720)
-    common.add_argument("--rb", type=_parse_float, default=1.0 - 1e-6,
+    cfg = DEFAULT_CONFIG
+    common.add_argument("--abs-tol", type=_parse_float, default=cfg.abs_tol)
+    common.add_argument("--rel-tol", type=_parse_float, default=cfg.rel_tol)
+    common.add_argument("--theta-grid", type=int, default=cfg.theta_grid)
+    common.add_argument("--rb", type=_parse_float,
+                        default=cfg.boundary_radius,
                         help="boundary proxy radius r_b")
 
     parser = _Parser(prog="harmonicdisk",
@@ -445,10 +438,12 @@ def run_config_from_args(ns):
     args = {k: v for k, v in vars(ns).items() if k not in _GLOBAL_KEYS}
     if "curve_flag" in args:
         args["curve"] = args.pop("curve_flag") or args.get("curve") or ""
+    # validated here, whichever command the options reach
+    cfg = QuadratureConfig(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
+                           theta_grid=ns.theta_grid, boundary_radius=ns.rb)
     return RunConfig(command=ns.command, map_spec=ns.spec, args=args,
-                     abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
-                     theta_grid=ns.theta_grid, boundary_radius=ns.rb,
-                     seed=ns.seed, out_format=ns.format, out_path=ns.out)
+                     quadrature=cfg, seed=ns.seed, out_format=ns.format,
+                     out_path=ns.out)
 
 
 def main(argv=None):

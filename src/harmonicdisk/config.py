@@ -19,7 +19,6 @@ class QuadratureConfig:
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
-    max_subdivisions: int = 1 << 16
     theta_grid: int = 720
     boundary_radius: float = 1.0 - 1e-6
 
@@ -27,8 +26,6 @@ class QuadratureConfig:
         # "not x > 0" also refuses NaN
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValidationError("tolerances must be positive")
-        if not self.max_subdivisions >= 8:
-            raise ValidationError("max_subdivisions too small")
         if not self.theta_grid >= 8:
             raise ValidationError("theta_grid too small")
         if not 0.0 < self.boundary_radius < 1.0:

@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, QuadratureNonconvergence,
                      ValidationError)
-from .maps import SeriesHarmonicMap, derivs_polar_grid, eval_circle_grid
+from .maps import derivs_polar_grid, eval_circle_grid
 from .quadrature import adaptive_simpson, refine_grid_max, simpson_weights
 
 TWO_PI = 2.0 * math.pi
@@ -394,8 +394,7 @@ def level_curve_length(m, r, cfg=DEFAULT_CONFIG, info=None):
         return _stretch(*m.derivs_many(z), 1j * z)
 
     val, nodes = adaptive_simpson(speed, 0.0, TWO_PI, abs_tol=cfg.abs_tol,
-                                  rel_tol=cfg.rel_tol,
-                                  max_subdivisions=cfg.max_subdivisions)
+                                  rel_tol=cfg.rel_tol)
     if info is not None:
         info["nodes"] = nodes
         info["r"] = r
@@ -415,8 +414,7 @@ def boundary_image_length(m, E, cfg=DEFAULT_CONFIG, info=None):
     nodes = 0
     for a, b in E.arcs:
         val, n = adaptive_simpson(speed, a, b, abs_tol=cfg.abs_tol,
-                                  rel_tol=cfg.rel_tol,
-                                  max_subdivisions=cfg.max_subdivisions)
+                                  rel_tol=cfg.rel_tol)
         total += val
         nodes += n
     if info is not None:
@@ -442,8 +440,7 @@ def radial_length(m, theta, r, cfg=DEFAULT_CONFIG, info=None):
         return _stretch(*m.derivs_many(rho * e), np.full(rho.shape, e))
 
     val, nodes = adaptive_simpson(speed, 0.0, r, abs_tol=cfg.abs_tol,
-                                  rel_tol=cfg.rel_tol,
-                                  max_subdivisions=cfg.max_subdivisions)
+                                  rel_tol=cfg.rel_tol)
     if info is not None:
         info["nodes"] = nodes
     return val
@@ -522,8 +519,7 @@ def crosscut_length(m, zeta0, rho, cfg=DEFAULT_CONFIG, info=None):
         return rho * _stretch(*m.derivs_many(zeta0 + rho * et), 1j * et)
 
     val, nodes = adaptive_simpson(speed, center - half, center + half,
-                                  abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-                                  max_subdivisions=cfg.max_subdivisions)
+                                  abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
     if info is not None:
         info["nodes"] = nodes
         info["half_width"] = half
@@ -566,7 +562,10 @@ def _lens_quad(m, w, r, R, kernel, rule_rho, rule_t):
     e = np.exp(1j * (beta + half[:, None] * x[None, :]))
     fz, fzb = m.derivs_many(w + rho[:, None] * e)
     vals = kernel(e, fz, fzb) * ((drho * half * rho)[:, None] * wx[None, :])
-    return math.fsum(vals.ravel().tolist())
+    try:
+        return math.fsum(vals.ravel().tolist())
+    except OverflowError:  # finite terms whose exact sum overflows
+        return float(vals.sum())
 
 
 def _lens_integral(m, w, r, R, kernel, cfg):
@@ -714,8 +713,7 @@ def hardy_mean(field, p, r, cfg=DEFAULT_CONFIG):
         return np.abs(field(r * np.exp(1j * t))) ** p
 
     val, _ = adaptive_simpson(g, 0.0, TWO_PI, abs_tol=cfg.abs_tol,
-                              rel_tol=cfg.rel_tol,
-                              max_subdivisions=cfg.max_subdivisions)
+                              rel_tol=cfg.rel_tol)
     return (val / TWO_PI) ** (1.0 / p)
 
 
@@ -743,15 +741,6 @@ def _mode_matrix(n_max):
     return _MODE_CACHE["W"][:n_max]
 
 
-def _polyval_ld(coeffs, z):
-    """Horner evaluation in extended precision."""
-    c = np.asarray(coeffs, dtype=np.clongdouble)
-    out = np.full(z.shape, c[-1], dtype=np.clongdouble)
-    for k in range(c.size - 2, -1, -1):
-        out = out * z + c[k]
-    return out
-
-
 def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     """Series coefficients a_0..a_n_max and b_1..b_n_max from circle
     integrals of the Wirtinger derivatives.
@@ -763,9 +752,10 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
 
     High modes are attenuated by rho^{n-1}; recovering mode n divides by
     that tiny factor, which would amplify double-precision summation
-    noise past useful accuracy.  The mode sums therefore run in extended
-    precision, and series maps also evaluate their derivative
-    polynomials in extended precision.
+    noise past useful accuracy.  The circle nodes and the mode sums are
+    therefore extended precision, and every map gets those nodes through
+    ``derivs_many``: series maps evaluate on them in extended precision,
+    the others round them to double.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -775,16 +765,10 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
         raise ValidationError(f"extraction radius must be in (0,1), got {rho}")
     N = _EXTRACT_NODES
     W = _mode_matrix(n_max)
-    if isinstance(m, SeriesHarmonicMap):
-        tt = (TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
-        z = np.longdouble(rho) * (np.cos(tt) + 1j * np.sin(tt))
-        fz = _polyval_ld(m.analytic_deriv_coeffs(), z)
-        gp = _polyval_ld(m.coanalytic_deriv_coeffs(), z)
-    else:
-        t = TWO_PI * np.arange(N) / N
-        fz, fzb = m.derivs_many(rho * np.exp(1j * t))
-        fz = fz.astype(np.clongdouble)
-        gp = np.conj(fzb).astype(np.clongdouble)
+    tt = (TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
+    z = np.longdouble(rho) * (np.cos(tt) + 1j * np.sin(tt))
+    fz, fzb = m.derivs_many(z)
+    fz, gp = fz.astype(np.clongdouble), np.conj(fzb).astype(np.clongdouble)
 
     n = np.arange(1, n_max + 1, dtype=np.longdouble)
     scale = np.longdouble(rho) ** (np.longdouble(1.0) - n) / n

@@ -24,6 +24,7 @@ precondition.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -77,8 +78,20 @@ def _series_pair(z, h, g):
     return npoly.polyval(z, h), np.conj(npoly.polyval(z, g))
 
 
+def _refuse_overflow(kind, size, stretch):
+    """Refuse a map whose bound ``size`` on |f| overflows, or the square
+    of its bound ``stretch`` on |f_z| + |f_zb|, which bounds the jacobian."""
+    size, stretch = float(size), float(stretch)
+    if not (math.isfinite(size) and math.isfinite(stretch * stretch)):
+        raise MapSpecError(
+            f"{kind} map overflows: bound {size:.3e} on |f|, {stretch:.3e} "
+            f"on |f_z| + |f_zb|, whose square bounds the jacobian")
+
+
 class HarmonicMap:
-    """Common interface: vectorized evaluation and Wirtinger derivatives.
+    """Common interface: vectorized evaluation and Wirtinger derivatives,
+    and the maps ``scaled(c)``: z -> c f(z) for a nonzero complex c and
+    ``rotated(alpha)``: z -> f(e^{i alpha} z) of the same kind.
 
     ``max_radius`` is the largest |z| at which derivatives are computable
     within tolerance; geometry routines clamp their boundary proxies to
@@ -91,6 +104,12 @@ class HarmonicMap:
         raise NotImplementedError
 
     def derivs_many(self, z):
+        raise NotImplementedError
+
+    def scaled(self, c):
+        raise NotImplementedError
+
+    def rotated(self, alpha):
         raise NotImplementedError
 
 
@@ -114,13 +133,12 @@ class SeriesHarmonicMap(HarmonicMap):
             a = np.zeros(1, dtype=complex)
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
             raise MapSpecError("series coefficients must be finite")
-        # sum k |a_k| + sum k |b_k| bounds |f_z| + |f_zb| on the closed disk
+        # on the closed disk sum |a_k| + sum |b_k| bounds |f| and
+        # sum k |a_k| + sum k |b_k| bounds |f_z| + |f_zb|
         with np.errstate(over="ignore"):
-            bound = (np.abs(a) @ np.arange(a.size)
-                     + np.abs(b) @ np.arange(1, b.size + 1))
-        if not np.isfinite(bound):
-            raise MapSpecError(
-                "series derivative bound sum k |a_k| + sum k |b_k| overflows")
+            _refuse_overflow("series", np.abs(a).sum() + np.abs(b).sum(),
+                             np.abs(a) @ np.arange(a.size)
+                             + np.abs(b) @ np.arange(1, b.size + 1))
         self.analytic_coeffs = a
         self.antianalytic_coeffs = b
         self.truncation = max(a.size - 1, b.size)
@@ -149,15 +167,20 @@ class SeriesHarmonicMap(HarmonicMap):
         return h + gbar
 
     def derivs_many(self, z):
-        return _series_pair(np.asarray(z, dtype=complex), self._dh, self._dg)
+        # extended-precision points stay extended (extract_coefficients)
+        z = np.asarray(z)
+        return _series_pair(z.astype(np.result_type(z, complex), copy=False),
+                            self._dh, self._dg)
 
-    def analytic_deriv_coeffs(self):
-        """Coefficients of h' (low degree first)."""
-        return self._dh.copy()
+    def scaled(self, c):
+        return SeriesHarmonicMap(c * self.analytic_coeffs,
+                                 np.conj(c) * self.antianalytic_coeffs)
 
-    def coanalytic_deriv_coeffs(self):
-        """Coefficients of g' (low degree first); f_zb = conj(g'(z))."""
-        return self._dg.copy()
+    def rotated(self, alpha):
+        w = np.exp(1j * alpha)
+        a, b = self.analytic_coeffs, self.antianalytic_coeffs
+        return SeriesHarmonicMap(a * w ** np.arange(a.size),
+                                 b * w ** np.arange(1, b.size + 1))
 
 
 class AffineHarmonicMap(HarmonicMap):
@@ -169,6 +192,9 @@ class AffineHarmonicMap(HarmonicMap):
         self.b = complex(b)
         if not np.all(np.isfinite([self.c0, self.a, self.b])):
             raise MapSpecError("affine coefficients must be finite")
+        with np.errstate(over="ignore"):
+            size = np.abs([self.c0, self.a, self.b])
+            _refuse_overflow("affine", size.sum(), size[1:].sum())
         if not abs(self.b) < abs(self.a):
             raise NotSensePreserving(
                 f"affine map needs |b| < |a|, got |a| = {abs(self.a)}, "
@@ -184,6 +210,13 @@ class AffineHarmonicMap(HarmonicMap):
         fzb = np.full(z.shape, self.b)
         return fz, fzb
 
+    def scaled(self, c):
+        return AffineHarmonicMap(c * self.c0, c * self.a, c * self.b)
+
+    def rotated(self, alpha):
+        w = np.exp(1j * alpha)
+        return AffineHarmonicMap(self.c0, self.a * w, self.b * np.conj(w))
+
 
 class PoissonHarmonicMap(HarmonicMap):
     """Poisson integral of unimodular boundary data:
@@ -192,7 +225,10 @@ class PoissonHarmonicMap(HarmonicMap):
         P(z, t) = (1 - |z|^2) / |e^{it} - z|^2 = sum_k r^|k| e^{ik(theta - t)}.
 
     ``phi`` must be nondecreasing on [0, 2 pi] with phi(2 pi) - phi(0)
-    = 2 pi (checked on a 2048-point spot grid).
+    = 2 pi (checked on a 2048-point spot grid).  ``kernel_tol`` is
+    relative to ``scale``: every cut and test below holds to tol =
+    kernel_tol * scale.  The map is refused when scale, or the square of
+    Colonna's bound (4/pi) scale / (1 - 0.998^2) on |Df|, overflows.
 
     Expanding the kernel turns f into its boundary Fourier series
 
@@ -204,19 +240,19 @@ class PoissonHarmonicMap(HarmonicMap):
     kept for |k| < n/4, where the coarse half of the rule does not
     alias.  Trailing coefficients are cut only below the transform's
     round-off floor, and only while their dropped weight
-    |k| 0.998^(|k|-1) |c_k| sums to at most kernel_tol / 1000.
+    |k| 0.998^(|k|-1) |c_k| sums to at most tol / 1000.
 
     Convergence is tested on level pairs from n = 256 up: the 2n-node
     series is returned at the first pair whose two series agree to
-    ``kernel_tol`` (absolute) at every requested point.  Each pair is
-    first tried by a certificate on its coefficients alone: with
+    tol at every requested point.  Each pair is first tried by a
+    certificate on its coefficients alone: with
     rho = max |z|, the difference of the two truncations is at most
     sum_k |c^{2n}_k - c^n_k| rho^k on the whole disk |z| <= rho
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8),
     and each Horner evaluation adds at most gamma sum_k |c_k| rho^k of
     round-off, gamma = (4 N + 4) u / (1 - (4 N + 4) u) for N coefficients
-    and unit round-off u.  When that sum stays within ``kernel_tol``
-    the pointwise comparison cannot fail, so only the 2n-node series is
+    and unit round-off u.  When that sum stays within tol the
+    pointwise comparison cannot fail, so only the 2n-node series is
     evaluated.  Otherwise both series are evaluated at the points and
     compared, as the certificate can be far from sharp (a kinked phase
     near the boundary).  Either way the result is the one the
@@ -240,10 +276,12 @@ class PoissonHarmonicMap(HarmonicMap):
         self.scale = float(scale)
         if not self.scale > 0.0:
             raise MapSpecError("scale must be positive")
+        _refuse_overflow("Poisson", self.scale, 4.0 / math.pi * self.scale
+                         / (1.0 - self.DERIV_RADIUS ** 2))
         self.phi = phi
         self.kernel_tol = float(kernel_tol)
-        if not self.kernel_tol > 0.0:
-            raise MapSpecError("kernel_tol must be positive")
+        if not 0.0 < self.kernel_tol < math.inf:
+            raise MapSpecError("kernel_tol must be positive and finite")
         self.max_panels = int(max_panels)
         self._levels: dict[int, tuple[np.ndarray, ...]] = {}
         self._weights: dict[tuple, np.ndarray] = {}
@@ -269,7 +307,7 @@ class PoissonHarmonicMap(HarmonicMap):
         weight = k * self.DERIV_RADIUS ** np.maximum(k - 1, 0) * np.abs(c)
         tail = np.cumsum(weight[::-1])[::-1]
         small = np.logical_and.accumulate((np.abs(c) < floor)[::-1])[::-1]
-        cut = small & (tail <= self.kernel_tol / 1000.0)
+        cut = small & (tail <= self.kernel_tol * self.scale / 1000.0)
         keep = int(np.argmax(cut)) if cut.any() else c.size
         return c[:max(keep, 1)]
 
@@ -321,29 +359,30 @@ class PoissonHarmonicMap(HarmonicMap):
 
     def _converged(self, z, rho, outputs, series):
         """series(z, level) of the first 2n-node level that agrees with
-        the n-node one to kernel_tol at every point; ``rho`` is max |z|
-        and ``outputs`` says which level arrays series reads (see
+        the n-node one to kernel_tol * scale at every point; ``rho`` is
+        max |z| and ``outputs`` says which level arrays series reads (see
         _certificate)."""
+        tol = self.kernel_tol * self.scale
         # |z| <= rho (1 + 4u) even where abs() rounded rho down
         rho_up = rho * (1.0 + 4.0 * _UNIT_ROUNDOFF)
         n = self._START_NODES
         prev = None
         while 2 * n <= self.max_panels:
             w = self._certificate(n, outputs)
-            if np.all(w @ rho_up ** np.arange(w.shape[1]) <= self.kernel_tol):
+            if np.all(w @ rho_up ** np.arange(w.shape[1]) <= tol):
                 return series(z, self._level(2 * n))
             if prev is None:
                 prev = series(z, self._level(n))
             out = series(z, self._level(2 * n))
             delta = max(float(np.abs(o - p).max()) if o.size else 0.0
                         for o, p in zip(out, prev))
-            if delta <= self.kernel_tol:
+            if delta <= tol:
                 return out
             prev = out
             n *= 2
         raise QuadratureNonconvergence(
             f"Poisson boundary series did not reach |delta| <= "
-            f"{self.kernel_tol} within {self.max_panels} nodes "
+            f"{tol} within {self.max_panels} nodes "
             f"(max |z| = {rho})")
 
     # refusal slack: |r e^{it}| can exceed r by a rounding error
@@ -373,14 +412,25 @@ class PoissonHarmonicMap(HarmonicMap):
         return self._converged(z, rho, ((2,), (3,)),
                                lambda z, lv: _series_pair(z, lv[2], lv[3]))
 
+    def _with(self, scale, phi):
+        return PoissonHarmonicMap(scale, phi, kernel_tol=self.kernel_tol,
+                                  max_panels=self.max_panels)
 
-def _circle_points(r, n):
-    return r * np.exp(2j * np.pi * np.arange(n) / n)
+    def scaled(self, c):
+        # c P[e^{i phi}] = |c| P[e^{i (phi + arg c)}]
+        turn, phi = cmath.phase(c), self.phi
+        return self._with(abs(c) * self.scale, lambda t: phi(t) + turn)
+
+    def rotated(self, alpha):
+        # P(e^{i alpha} z, t) = P(z, t - alpha); substitute s = t - alpha
+        phi = self.phi
+        return self._with(self.scale, lambda t: phi(t + alpha))
 
 
 def eval_circle_grid(m, r, n):
     """f on the uniform circle grid r exp(2 pi i k / n)."""
-    return m.eval_many(_circle_points(float(r), int(n)))
+    n = int(n)
+    return m.eval_many(float(r) * np.exp(2j * np.pi * np.arange(n) / n))
 
 
 def derivs_polar_grid(m, radii, n_theta):
@@ -477,36 +527,11 @@ def sup_modulus(m, r_max):
 
 def scale_range(m, c):
     """The map z -> c * f(z) for a nonzero complex factor c."""
-    c = complex(c)
-    if c == 0:
+    if complex(c) == 0:
         raise MapSpecError("range scale factor must be nonzero")
-    if isinstance(m, SeriesHarmonicMap):
-        return SeriesHarmonicMap(c * m.analytic_coeffs,
-                                 np.conj(c) * m.antianalytic_coeffs)
-    if isinstance(m, AffineHarmonicMap):
-        return AffineHarmonicMap(c * m.c0, c * m.a, c * m.b)
-    if isinstance(m, PoissonHarmonicMap) and c.imag == 0.0 and c.real > 0.0:
-        return PoissonHarmonicMap(c.real * m.scale, m.phi,
-                                  kernel_tol=m.kernel_tol,
-                                  max_panels=m.max_panels)
-    raise MapSpecError(f"cannot scale range of {type(m).__name__} by {c}")
+    return m.scaled(complex(c))
 
 
 def rotate_domain(m, alpha):
     """The map z -> f(e^{i alpha} z)."""
-    alpha = float(alpha)
-    w = np.exp(1j * alpha)
-    if isinstance(m, SeriesHarmonicMap):
-        n_a = np.arange(m.analytic_coeffs.size)
-        n_b = np.arange(1, m.antianalytic_coeffs.size + 1)
-        return SeriesHarmonicMap(m.analytic_coeffs * w ** n_a,
-                                 m.antianalytic_coeffs * w ** n_b)
-    if isinstance(m, AffineHarmonicMap):
-        return AffineHarmonicMap(m.c0, m.a * w, m.b * np.conj(w))
-    if isinstance(m, PoissonHarmonicMap):
-        # P(e^{i alpha} z, t) = P(z, t - alpha); substitute s = t - alpha
-        phi = m.phi
-        return PoissonHarmonicMap(m.scale, lambda t: phi(t + alpha),
-                                  kernel_tol=m.kernel_tol,
-                                  max_panels=m.max_panels)
-    raise MapSpecError(f"cannot rotate domain of {type(m).__name__}")
+    return m.rotated(float(alpha))

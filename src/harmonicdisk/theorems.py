@@ -85,8 +85,7 @@ def _opnorm_circle_integral(m, r, cfg):
         return opn(r * np.exp(1j * t))
 
     val, _ = adaptive_simpson(g, 0.0, TWO_PI, abs_tol=cfg.abs_tol,
-                              rel_tol=cfg.rel_tol,
-                              max_subdivisions=cfg.max_subdivisions)
+                              rel_tol=cfg.rel_tol)
     return val
 
 
@@ -226,9 +225,7 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
         half = math.pi * (1.0 - abs(z))
         theta = math.atan2(z.imag, z.real)
         arc_int, _ = adaptive_simpson(g, theta - half, theta + half,
-                                      abs_tol=cfg.abs_tol,
-                                      rel_tol=cfg.rel_tol,
-                                      max_subdivisions=cfg.max_subdivisions)
+                                      abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
         denom = float(opn(np.array([z]))[0])
         if denom < 1e-14:
             raise DivisionDegenerate(f"||D|| ~ 0 at probe {z}")

@@ -13,13 +13,16 @@ import time
 import numpy as np
 
 from harmonicdisk.cli import main
+from harmonicdisk.config import QuadratureConfig
 from harmonicdisk.curve_constants import (ahlfors_constant,
                                           lavrentiev_constant,
                                           quasicircle_constant)
 from harmonicdisk.gallery import gallery_map, gallery_names
 from harmonicdisk.geometry import (ArcSet, circle_polygon, extract_coefficients,
-                                   level_curve_length, rectangle_polygon)
-from harmonicdisk.maps import SeriesHarmonicMap, rotate_domain, scale_range
+                                   image_area, level_curve_length,
+                                   radial_length, rectangle_polygon)
+from harmonicdisk.maps import (SeriesHarmonicMap, estimate_K, rotate_domain,
+                               scale_range)
 from harmonicdisk.theorems import (check_prop1, schwarz_radial_check,
                                    thm1_bound, thm2_bound, thm4_ratio,
                                    thm5_bound, prop2_bound)
@@ -264,6 +267,39 @@ def test_criterion_09_scale_rotation_invariance():
     ok = all_pass and all_invariant
     _criterion(9, "verdicts invariant under range scaling and rotation", ok,
                f"pass={all_pass}, invariant={all_invariant}")
+
+
+def _poisson_invariants(m, c=1.0):
+    """(verdicts, lengths, areas, ratios) of m, with the quadrature's
+    absolute tolerance scaled like the quantity it bounds."""
+    cfg = QuadratureConfig(abs_tol=1e-9 * abs(c))
+    reports = [*check_prop1(m, radii=(0.3, 0.6, 0.9), cfg=cfg),
+               *thm5_bound(m, n_max=4, cfg=cfg), prop2_bound(m, 0.5, cfg=cfg),
+               schwarz_radial_check(m, r_grid=16, cfg=cfg)]
+    lengths = [level_curve_length(m, r, cfg) for r in (0.3, 0.9)]
+    lengths.append(radial_length(m, 0.7, 0.9, cfg))
+    area_cfg = QuadratureConfig(abs_tol=1e-9 * abs(c) ** 2)
+    areas = [image_area(m, r, area_cfg) for r in (0.5, 0.9)]
+    ratios = [rep.lhs / rep.rhs for rep in reports if rep.rhs != 0.0]
+    ratios.append(estimate_K(m, r_max=0.99).K_lower)
+    return (tuple(rep.holds for rep in reports), np.array(lengths),
+            np.array(areas), np.array(ratios))
+
+
+def test_poisson_scale_rotation_invariance():
+    """Criterion 09 on the gallery Poisson map, whose kernel tolerance
+    is relative to its scale: verdicts as at c = 1, lengths times |c|,
+    areas times |c|^2, ratios unchanged."""
+    p = gallery_map("poisson:phi=t+0.2*sin(t)")
+    verdicts, lengths, areas, ratios = _poisson_invariants(p)
+    assert all(verdicts)
+    for c in (1e-7, 0.8 * np.exp(0.9j), 1e7):
+        got = _poisson_invariants(scale_range(p, c), c)
+        assert got[0] == verdicts, c
+        np.testing.assert_allclose(got[1], abs(c) * lengths, rtol=1e-9)
+        np.testing.assert_allclose(got[2], abs(c) ** 2 * areas, rtol=1e-9)
+        np.testing.assert_allclose(got[3], ratios, rtol=1e-9)
+    assert _poisson_invariants(rotate_domain(p, TWO_PI / 7))[0] == verdicts
 
 
 def test_criterion_10_radial_majorant():

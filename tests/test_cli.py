@@ -245,14 +245,20 @@ def _spec_file(tmp_path, spec):
     return str(path)
 
 
+# near the largest series map accepted: J = |f_z|^2 = 1.69e308 is
+# finite, but its integral over a region of area > 1.07 overflows (the
+# disk r = 0.9 and the lens r = 1 about 1 are larger)
+OVERFLOWING_AREA_SPEC = {"kind": "series", "analytic": [0, 1.3e154]}
+
+
 @pytest.mark.parametrize("argv", [
     ("area", "--r", "0.9"),
-    ("area", "--r", "0.5", "--center", "1,0"),
+    ("area", "--r", "1", "--center", "1,0"),
     ("verify", "thm2", "--r-list", "1"),
 ])
 def test_overflowing_jacobian_exits_3(capsys, tmp_path, argv):
-    # |f_z|^2 = 1e320 overflows: the doubled-rule checks see NaN
-    spec = _spec_file(tmp_path, {"kind": "series", "analytic": [0, 1e160]})
+    # the doubled-rule checks see inf or NaN
+    spec = _spec_file(tmp_path, OVERFLOWING_AREA_SPEC)
     code, out, err = run_cli(capsys, *argv, "--spec", spec)
     assert code == 3
     assert out == ""
@@ -266,7 +272,7 @@ def test_overflowing_jacobian_exits_3(capsys, tmp_path, argv):
 def test_overflow_prints_only_the_failure_line(tmp_path, argv):
     # numpy's overflow warnings (with library source lines) stay off
     # stderr; out of process, as pytest would capture them
-    spec = _spec_file(tmp_path, {"kind": "series", "analytic": [0, 1e160]})
+    spec = _spec_file(tmp_path, OVERFLOWING_AREA_SPEC)
     proc = _run_module(*argv, "--spec", spec)
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -323,9 +329,28 @@ def test_non_finite_input_exits_1(capsys, argv):
 @pytest.mark.parametrize("flag,value", [("--theta-grid", "0"),
                                         ("--rb", "1.5")])
 def test_quadrature_config_error_exits_1(capsys, flag, value):
-    code, _, err = run_cli(capsys, "verify", "thm1", "--spec", "identity",
-                           flag, value)
+    # refused where the options enter, also by commands that ignore them
+    for argv in (("verify", "thm1", "--spec", "identity"),
+                 ("eval", "--spec", "identity", "--z", "0.1,0"),
+                 ("gallery",)):
+        code, _, err = run_cli(capsys, *argv, flag, value)
+        assert code == 1, argv
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "affine", "a": [1e308, 0], "b": [1e307, 0]},
+    {"kind": "series", "analytic": [0, 1e200]},
+    {"kind": "poisson", "phi": "t", "scale": 1e200},
+    {"kind": "poisson", "phi": "t", "kernel_tol": math.inf},
+], ids=["affine-jacobian", "series-jacobian", "poisson-scale",
+        "poisson-kernel-tol"])
+def test_overflowing_map_spec_exits_1(capsys, tmp_path, spec):
+    # refused when built, rather than printing inf or nan or failing later
+    code, out, err = run_cli(capsys, "eval", "--spec",
+                             _spec_file(tmp_path, spec), "--z", "0.1,0")
     assert code == 1
+    assert out == ""
     assert err.startswith("error:")
 
 

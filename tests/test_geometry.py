@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from harmonicdisk import (ArcSet, EmptyCrosscut, HarmonicMap, PolygonalCurve,
                           QuadratureNonconvergence, ValidationError,
@@ -19,6 +20,7 @@ from harmonicdisk import (ArcSet, EmptyCrosscut, HarmonicMap, PolygonalCurve,
                           distance_to_boundary, extract_coefficients,
                           gallery_map, image_area, level_curve_length,
                           radial_length, sup_radial_length, thm2_bound)
+from harmonicdisk import geometry
 from harmonicdisk.config import QuadratureConfig
 from harmonicdisk.geometry import (circle_polygon, curve_diameter,
                                    ellipse_polygon, hardy_mean,
@@ -26,6 +28,7 @@ from harmonicdisk.geometry import (circle_polygon, curve_diameter,
                                    point_polygon_distance, points_in_polygon,
                                    polygonal_length, rectangle_polygon,
                                    shoelace_area, square_polygon, u_polygon)
+from harmonicdisk.maps import SeriesHarmonicMap, rotate_domain, scale_range
 
 from oracles.area_closed_forms import lens_area, poly_area
 from oracles.poisson_bessel_series import bessel_series_coeffs
@@ -660,6 +663,45 @@ def test_extract_coefficients_high_mode_attenuation():
     a, b = extract_coefficients(m, 12, 0.35)
     np.testing.assert_allclose(a, coeffs, atol=1e-9)
     np.testing.assert_allclose(b, [0.0, 0.1] + [0.0] * 10, atol=1e-9)
+
+
+def _extract_series_by_horner(m, n_max, rho):
+    """(a_1..a_n_max, b_1..b_n_max) of a series map with h' and g'
+    evaluated by explicit extended-precision Horner steps on
+    extract_coefficients' nodes, then the same mode sums."""
+    N = geometry._EXTRACT_NODES
+    tt = (geometry.TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
+    z = np.longdouble(rho) * (np.cos(tt) + 1j * np.sin(tt))
+
+    def horner(coeffs):
+        c = np.asarray(coeffs, dtype=np.clongdouble)
+        out = np.full(z.shape, c[-1], dtype=np.clongdouble)
+        for k in range(c.size - 2, -1, -1):
+            out = out * z + c[k]
+        return out
+
+    n = np.arange(1, n_max + 1, dtype=np.longdouble)
+    scale = np.longdouble(rho) ** (np.longdouble(1.0) - n) / n
+    g = np.concatenate([[0.0], m.antianalytic_coeffs])
+    return [((geometry._mode_matrix(n_max) @ horner(npoly.polyder(c)))
+             / np.clongdouble(N) * scale).astype(complex)
+            for c in (m.analytic_coeffs, g)]
+
+
+def test_extract_coefficients_series_bitwise_extended_horner():
+    # series maps go through derivs_many like every map, and keep the
+    # extended-precision nodes to the last bit
+    poly = gallery_map("poly:z+0.3*zbar^2")
+    maps = [poly, scale_range(poly, 0.8 * np.exp(0.9j)),
+            rotate_domain(poly, 0.4),
+            SeriesHarmonicMap([0.1 + 0.2j, 1.0, 0.0, -0.05j],
+                              [0.3, 0.0, 0.1])]
+    for m in maps:
+        for n_max, rho in ((3, 0.5), (12, 0.35)):
+            a, b = extract_coefficients(m, n_max, rho)
+            want_a, want_b = _extract_series_by_horner(m, n_max, rho)
+            assert a[1:].tobytes() == want_a.tobytes()
+            assert b.tobytes() == want_b.tobytes()
 
 
 def test_extract_coefficients_poisson_matches_bessel():

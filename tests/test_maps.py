@@ -200,7 +200,7 @@ def _pointwise_converged(m, z, series):
         out = series(z, m._level(2 * n))
         delta = max(float(np.abs(o - p).max()) if o.size else 0.0
                     for o, p in zip(out, prev))
-        if delta <= m.kernel_tol:
+        if delta <= m.kernel_tol * m.scale:
             return out
         prev = out
         n *= 2
@@ -302,8 +302,21 @@ def test_scale_range_and_rotate_domain():
     p2 = scale_range(p, 3.0)
     assert isinstance(p2, PoissonHarmonicMap)
     assert abs(p2.eval_many(np.array([0.5]))[0] - 1.5) < 1e-9
-    with pytest.raises(MapSpecError):
-        scale_range(p, 1.0j)
+    # so does complex scaling: c P[e^{i phi}] = |c| P[e^{i (phi + arg c)}]
+    np.testing.assert_allclose(scale_range(p, 1j).eval_many(Z_PROBES),
+                               1j * p.eval_many(Z_PROBES), atol=1e-14)
+
+
+@pytest.mark.parametrize("c", [1e-7, 0.8 * np.exp(0.9j), 1e7])
+def test_poisson_scaling_keeps_relative_accuracy(c):
+    # kernel_tol is relative to scale, so the kinked phase's derivatives
+    # at a tiny or huge scale are those at scale 1, times c
+    phi = "t+0.3*sqrt(sin(t)**2)**3"
+    m = gallery_map(f"poisson:phi={phi}")
+    z = np.array([0.5, 0.99, 0.998]) * np.exp(0.3j)
+    for got, want in zip(scale_range(m, c).derivs_many(z),
+                         m.derivs_many(z)):
+        np.testing.assert_allclose(got / c, want, rtol=1e-12, atol=0.0)
 
 
 def test_rotate_domain_poisson():
@@ -375,4 +388,7 @@ def test_series_truncation_and_finite_check():
         SeriesHarmonicMap([0.0, 1e308, 1e308])
     with pytest.raises(MapSpecError):
         SeriesHarmonicMap([0.0, 1.0], [0.0, 1e308])
-    SeriesHarmonicMap([0.0, 1e160])
+    # the square of that bound bounds the jacobian and must not overflow
+    with pytest.raises(MapSpecError):
+        SeriesHarmonicMap([0.0, 1e160])
+    SeriesHarmonicMap([0.0, 1.3e154])
