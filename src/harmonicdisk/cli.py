@@ -387,9 +387,14 @@ def build_parser():
                        help="chord-arc constants of a polygonal curve")
     p.add_argument("curve", nargs="?", default="")
     p.add_argument("--curve", dest="curve_flag", default="", metavar="PATH")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--centers", type=int)
-    p.add_argument("--radii", type=int)
+    p.add_argument("--pairs", type=int,
+                   help="vertex pairs of the Lavrentiev and quasicircle "
+                        "constants, 1 to 2096128 (curves of up to 1024 "
+                        "vertices take all pairs)")
+    p.add_argument("--centers", type=int,
+                   help="centers of the Ahlfors constant, 1 to 4097")
+    p.add_argument("--radii", type=int,
+                   help="radius fractions of the Ahlfors constant, 1 to 14")
     p.add_argument("--point-pairs", type=int,
                    help="interior point pairs of the linear-connectivity "
                         "constant, 1 to 4096")

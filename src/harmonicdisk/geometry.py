@@ -28,6 +28,8 @@ TWO_PI = 2.0 * math.pi
 # grid phase by ~2.4e-16 per turn, and the rho^{1-n} amplification in
 # coefficient recovery turns that drift into ~5e-9 noise on mode 32.
 TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900576839")
+# array cells per block of the chunked kernels
+BLOCK_CELLS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,7 @@ def curve_diameter(curve):
     """Max pairwise vertex distance (chunked O(n^2) scan)."""
     v = curve.vertices
     best = 0.0
-    step = max(1, (1 << 21) // max(1, v.size))
+    step = max(1, BLOCK_CELLS // max(1, v.size))
     for i in range(0, v.size, step):
         d = np.abs(v[i:i + step, None] - v[None, :])
         best = max(best, float(d.max()))
@@ -159,6 +161,23 @@ def is_self_intersecting(curve):
     return False
 
 
+def _row_crossings(y, p, q):
+    """(line, abscissa) of every crossing of the segments p -> q with
+    the horizontal lines of ordinates y.
+
+    A segment crosses a line when exactly one of its ends lies at or
+    below it, at x1 + (y - y1)(x2 - x1) / (y2 - y1); a NaN abscissa
+    becomes -inf, never to the right of a point.  The one copy of the
+    crossing rule, shared by every even-odd containment test.
+    """
+    x1, y1 = p.real, p.imag
+    rr, ss = np.nonzero((y1 <= y[:, None]) != (q.imag <= y[:, None]))
+    xs = x1[ss] + (y[rr] - y1[ss]) * (q.real[ss] - x1[ss]) / (
+        q.imag[ss] - y1[ss])
+    xs[np.isnan(xs)] = -np.inf
+    return rr, xs
+
+
 def points_in_polygon(points, curve):
     """Even-odd crossing test.
 
@@ -176,18 +195,14 @@ def points_in_polygon(points, curve):
         raise ValidationError("containment needs a closed curve")
     pts = np.asarray(points, dtype=complex).reshape(-1)
     p, q = curve.segments()
-    x1, y1 = p.real, p.imag
-    x2, y2 = q.real, q.imag
     levels, row = np.unique(pts.imag, return_inverse=True)
     by_row = np.argsort(row, kind="stable")
     row_sorted = row[by_row]
     out = np.empty(pts.size, dtype=bool)
-    step = max(1, (1 << 21) // max(1, p.size))
+    step = max(1, BLOCK_CELLS // max(1, p.size))
     for r0 in range(0, levels.size, step):
         y = levels[r0:r0 + step]
-        rr, ss = np.nonzero((y1 <= y[:, None]) != (y2 <= y[:, None]))
-        xs = x1[ss] + (y[rr] - y1[ss]) * (x2[ss] - x1[ss]) / (y2[ss] - y1[ss])
-        xs[np.isnan(xs)] = -np.inf  # never to the right of a point
+        rr, xs = _row_crossings(y, p, q)
         lo, hi = np.searchsorted(row_sorted, [r0, r0 + y.size])
         sel = by_row[lo:hi]
         # one sort of crossings and points by (row, abscissa, kind),
@@ -254,7 +269,7 @@ def point_polygon_distance(points, curve):
     prune = bool(np.abs(curve.vertices).max() < _DIST_SAFE
                  and uu.min() > 0.0)
     out = np.empty(pts.size)
-    step = max(1, (1 << 21) // (nb * _DIST_BLOCK))
+    step = max(1, BLOCK_CELLS // (nb * _DIST_BLOCK))
     for i0 in range(0, pts.size, step):
         x = pts[i0:i0 + step]
         ub = _segment_distance(x[:, None] - P0[None, :], U0[None, :],

@@ -154,6 +154,21 @@ def test_constants_point_pairs_range_exits_1(capsys, tmp_path, pairs):
     assert err.startswith(f"error: point_pairs must be 1 to 4096, got {pairs}")
 
 
+@pytest.mark.parametrize("option,value,cap", [
+    ("pairs", "0", 2096128), ("pairs", "2096129", 2096128),
+    ("centers", "0", 4097), ("centers", "4098", 4097),
+    ("radii", "0", 14), ("radii", "15", 14)])
+def test_constants_probe_counts_range_exits_1(capsys, tmp_path, option,
+                                              value, cap):
+    cf = tmp_path / "square.txt"
+    cf.write_text("1 1\n-1 1\n-1 -1\n1 -1\n")
+    code, out, err = run_cli(capsys, "constants", str(cf), f"--{option}",
+                             value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {option} must be 1 to {cap}, got {value}\n"
+
+
 def test_verify_prop1_identity(capsys):
     code, out, _ = run_cli(capsys, "verify", "prop1", "--spec", "identity",
                            "--radii", "0.2,0.5,0.8")

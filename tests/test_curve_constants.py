@@ -13,8 +13,10 @@ from harmonicdisk import (CurveConstantsReport, PathNotFound, ValidationError,
                           gallery_map,
                           lavrentiev_constant, lemma_c_consistent,
                           linear_connectivity_constant, quasicircle_constant)
-from harmonicdisk.curve_constants import (MAX_GRID, MAX_POINT_PAIRS,
-                                          _cell_of, _pair_diameters, _raster,
+from harmonicdisk.curve_constants import (MAX_CENTERS, MAX_GRID, MAX_PAIRS,
+                                          MAX_POINT_PAIRS, MAX_RADII,
+                                          _arc_diameters, _cell_of,
+                                          _pair_diameters, _raster,
                                           _raster_line, _sample_interior,
                                           sample_vertex_pairs)
 from harmonicdisk.geometry import (PolygonalCurve, circle_polygon,
@@ -196,6 +198,29 @@ def _star(points=5, inner=0.45):
     return PolygonalCurve(radius * np.exp(1j * t))
 
 
+def _strip():
+    # a thin diagonal strip: most of its bounding box is outside
+    return PolygonalCurve(np.array([0, 0.1, 4.1 + 4j, 4 + 4j]))
+
+
+def _staircase(grid):
+    """A unit square with a notch from the right and a step cut from
+    the top-left.  Its horizontal edges lie on row ordinates and its
+    vertical edges on column abscissae of its own raster, wherever four
+    or more of them fall inside the square."""
+    unit = _raster(PolygonalCurve(np.array([0, 1, 1 + 1j, 1j])), grid)[0]
+
+    def at(t, values):
+        inner = values[(values > 0) & (values < 1)]
+        return inner[int(t * inner.size)] if inner.size >= 4 else t
+
+    ya, yb, yc = (at(t, unit[:, 0].imag) for t in (0.25, 0.5, 0.75))
+    xa, xb = (at(t, unit[0].real) for t in (0.25, 0.75))
+    return PolygonalCurve(np.array([
+        0, 1, 1 + 1j * ya, xb + 1j * ya, xb + 1j * yb, 1 + 1j * yb, 1 + 1j,
+        xa + 1j, xa + 1j * yc, 1j * yc]))
+
+
 def _diag(curve):
     v = curve.vertices
     return math.hypot(v.real.max() - v.real.min(),
@@ -359,7 +384,7 @@ def _scalar_sample(boundary, cells, inside, point_pairs, seed):
     (ellipse_polygon(3.0, 1.0, 300), 512),
     # a diagonal strip: most trials miss it, so the sample takes many
     # blocks, and at seed 2 one pair runs out of trials
-    (PolygonalCurve(np.array([0, 0.1, 4.1 + 4j, 4 + 4j])), 64)])
+    (_strip(), 64)])
 def test_sampling_equals_trial_by_trial_loop(curve, grid):
     cells, inside, _ = _raster(curve, grid)
     for seed in range(3):
@@ -414,3 +439,166 @@ def test_counters_and_report():
 def test_lemma_c_consistency_family():
     fam = [circle_polygon(64), rectangle_polygon(2.0, 2.0, 8), u_polygon(4)]
     assert lemma_c_consistent(fam)
+
+
+@pytest.mark.parametrize("grid", [1, 2, 37, 64, 512])
+def test_raster_rows_equal_points_in_polygon(grid):
+    """Row-parity containment gives, cell for cell, what the even-odd
+    test of the cell centres gives, ties and horizontal edges
+    included."""
+    stairs = _staircase(grid)
+    for curve in (circle_polygon(128), ellipse_polygon(3.0, 1.0, 300),
+                  square_polygon(), u_polygon(), _star(), _strip(), stairs):
+        cells, inside, _ = _raster(curve, grid)
+        want = points_in_polygon(cells.ravel(), curve).reshape(cells.shape)
+        assert np.array_equal(inside, want)
+    if grid >= 37:
+        cells = _raster(stairs, grid)[0]
+        v = stairs.vertices
+        # all but the four on the square's edges
+        assert np.isin(v.imag, cells[:, 0].imag).sum() == 6
+        assert np.isin(v.real, cells[0].real).sum() == 4
+
+
+def _ahlfors_per_radius(curve, centers, radii):
+    """One radius at a time over 1-d segment arrays: the rule that
+    ahlfors_constant evaluates as (radii, segments) blocks."""
+    p, q = curve.segments()
+    u = q - p
+    seglen = np.abs(u)
+    fracs = cc_module._RADIUS_FRACTIONS[:radii]
+    best = 0.0
+    for w in cc_module._ahlfors_centers(curve, centers):
+        maxdist = float(np.abs(curve.vertices - w).max())
+        if maxdist < 1e-12:
+            continue
+        dp = p - w
+        a = (u * np.conj(u)).real
+        bq = 2.0 * (dp * np.conj(u)).real
+        c0 = (dp * np.conj(dp)).real
+        for frac in fracs:
+            r = frac * maxdist
+            disc = bq * bq - 4.0 * a * (c0 - r * r)
+            root = np.sqrt(np.maximum(disc, 0.0))
+            s0 = np.clip((-bq - root) / (2.0 * a), 0.0, 1.0)
+            s1 = np.clip((-bq + root) / (2.0 * a), 0.0, 1.0)
+            inside = np.where(disc > 0.0, (s1 - s0) * seglen, 0.0)
+            best = max(best, float(inside.sum()) / r)
+    return best
+
+
+def test_ahlfors_blocks_equal_per_radius_loop(monkeypatch):
+    poly = boundary_polygon(gallery_map("poly:z+0.3*zbar^2"), 2048)
+    # every center of the star and the U-shape at (300, 3)
+    probes = [(1, 1), (7, 14), (300, 3), (129, 6)]
+    for curve in (circle_polygon(512), u_polygon(), _star(), poly):
+        want = {cr: _ahlfors_per_radius(curve, *cr) for cr in probes}
+        for cr in probes:
+            assert ahlfors_constant(curve, *cr) == want[cr]
+        # blocks of one, two and five radii
+        for rows in (1, 2, 5):
+            monkeypatch.setattr(cc_module, "BLOCK_CELLS",
+                                rows * curve.vertices.size)
+            for cr in probes:
+                assert ahlfors_constant(curve, *cr) == want[cr]
+        monkeypatch.undo()
+
+
+def test_ahlfors_block_split_at_full_size():
+    # 14 radii of this many segments exceed 2^21 cells: two blocks
+    curve = circle_polygon((1 << 21) // MAX_RADII + 1)
+    assert cc_module.BLOCK_CELLS == 1 << 21
+    assert ahlfors_constant(curve, 2, MAX_RADII) == _ahlfors_per_radius(
+        curve, 2, MAX_RADII)
+
+
+def _gather_pair_constants(curve, pairs, seed):
+    """Lavrentiev and quasicircle constants from per-block index
+    gathers v[j], pre[j] with j = (i + lag) % n: the rule that the
+    library reads from ring slices."""
+    v = curve.vertices
+    n = v.size
+    pre = curve.arc_prefix()
+    total = pre[-1]
+    blocks, _ = sample_vertex_pairs(curve, pairs, seed)
+    lav = 1.0
+    bases, sizes, chords = [], [], []
+    for lag, starts in blocks:
+        i = starts
+        j = (starts + lag) % n
+        arc_f = np.mod(pre[j] - pre[i], total)
+        arc_b = total - arc_f
+        chord = np.abs(v[j] - v[i])
+        fwd = arc_f <= arc_b
+        shorter = np.where(fwd, arc_f, arc_b)
+        ok = chord >= 1e-12
+        if np.any(ok):
+            lav = max(lav, float((shorter[ok] / chord[ok]).max()))
+        bases.append(np.where(fwd, i, j)[ok])
+        sizes.append(np.where(fwd, lag + 1, n - lag + 1)[ok])
+        chords.append(chord[ok])
+    diam = _arc_diameters(v, np.concatenate(bases), np.concatenate(sizes))
+    return lav, max(1.0, float((diam / np.concatenate(chords)).max()))
+
+
+@pytest.mark.parametrize("n", [300, 1024, 1025, 2048])
+def test_pair_constants_equal_gather_version(n):
+    curve = boundary_polygon(gallery_map("poly:z+0.3*zbar^2"), n)
+    for seed in range(3):
+        for pairs in (20000, 3000):
+            lav, qc = _gather_pair_constants(curve, pairs, seed)
+            assert lavrentiev_constant(curve, pairs, seed) == lav
+            assert quasicircle_constant(curve, pairs, seed) == qc
+
+
+def test_report_shares_one_pair_sample():
+    curve = boundary_polygon(gallery_map("poly:z+0.3*zbar^2"), 1500)
+    counts = {}
+    lav = lavrentiev_constant(curve, 5000, 2, counters=counts)
+    rep = curve_constants(curve, pairs=5000, point_pairs=2, grid=64, seed=2)
+    assert rep.lavrentiev_M == lav
+    assert rep.quasicircle_M == quasicircle_constant(curve, 5000, 2)
+    assert rep.ahlfors_M == ahlfors_constant(curve)
+    assert {k: rep.sample_counts[k] for k in counts} == counts
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"pairs": 0}, "pairs must be 1 to 2096128, got 0"),
+    ({"pairs": MAX_PAIRS + 1}, "pairs must be 1 to 2096128, got 2096129"),
+    ({"centers": 0}, "centers must be 1 to 4097, got 0"),
+    ({"centers": MAX_CENTERS + 1}, "centers must be 1 to 4097, got 4098"),
+    ({"radii": 0}, "radii must be 1 to 14, got 0"),
+    ({"radii": MAX_RADII + 1}, "radii must be 1 to 14, got 15")])
+def test_probe_count_caps(kw, message):
+    circle = circle_polygon(64)
+    funcs = [curve_constants]
+    funcs += ([lavrentiev_constant, quasicircle_constant,
+               lambda c, **k: lemma_c_consistent([c], **k)]
+              if "pairs" in kw else [ahlfors_constant])
+    for fn in funcs:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fn(circle, **kw)
+    assert (MAX_PAIRS, MAX_CENTERS, MAX_RADII) == (2048 * 2047 // 2,
+                                                   4097, 14)
+
+
+def test_probe_count_caps_admit_the_maxima(monkeypatch):
+    # the caps themselves pass validation; stop before any work
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached
+
+    circle = circle_polygon(64)
+    monkeypatch.setattr(cc_module, "sample_vertex_pairs", stop)
+    monkeypatch.setattr(cc_module, "_ahlfors_centers", stop)
+    for call in (
+            lambda: lavrentiev_constant(circle, pairs=MAX_PAIRS),
+            lambda: quasicircle_constant(circle, pairs=MAX_PAIRS),
+            lambda: lemma_c_consistent([circle], pairs=MAX_PAIRS),
+            lambda: ahlfors_constant(circle, MAX_CENTERS, MAX_RADII),
+            lambda: curve_constants(circle, MAX_PAIRS, MAX_CENTERS,
+                                    MAX_RADII, MAX_POINT_PAIRS, MAX_GRID)):
+        with pytest.raises(Reached):
+            call()
