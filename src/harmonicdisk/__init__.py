@@ -23,7 +23,7 @@ from .geometry import (ArcSet, PolygonalCurve, boundary_image_length,
                        crosscut_length, curve_diameter, distance_to_boundary,
                        ellipse_polygon, extract_coefficients, hardy_mean,
                        image_area, is_self_intersecting, level_curve_length,
-                       op_norm_field, point_polygon_distance, points_in_polygon,
+                       point_polygon_distance, points_in_polygon,
                        polygonal_length, radial_length, rectangle_polygon,
                        shoelace_area, square_polygon, sup_radial_length,
                        u_polygon)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, QuadratureConfig
+from .config import (DEFAULT_CONFIG, MAX_THETA_GRID, QuadratureConfig,
+                     effective_boundary_radius)
 from .curve_constants import curve_constants
 from .errors import NumericalError, PointOutsideDisk, ValidationError
 from .gallery import gallery_map, gallery_names, load_map_spec
@@ -36,6 +37,7 @@ from .geometry import (ArcSet, PolygonalCurve, boundary_image_length,
 from .reporting import (csv_table, fmt_float, reports_to_json,
                         reports_to_rows, rows_to_json, write_meta_sidecar,
                         write_payload, REPORT_COLUMNS)
+from .maps import jacobian, op_norm
 from . import theorems
 
 @dataclass
@@ -127,6 +129,7 @@ def cmd_eval(run):
     f = m.eval_many(z)
     fz, fzb = m.derivs_many(z)
     afz, afzb = np.abs(fz), np.abs(fzb)
+    opn, jac = op_norm(fz, fzb), jacobian(fz, fzb)
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = np.where(afz > 0.0, afzb / afz, np.inf)
     rows = [{
@@ -134,9 +137,9 @@ def cmd_eval(run):
         "f_re": fmt_float(f[k].real), "f_im": fmt_float(f[k].imag),
         "fz_re": fmt_float(fz[k].real), "fz_im": fmt_float(fz[k].imag),
         "fzb_re": fmt_float(fzb[k].real), "fzb_im": fmt_float(fzb[k].imag),
-        "op_norm": fmt_float(afz[k] + afzb[k]),
+        "op_norm": fmt_float(opn[k]),
         "lam": fmt_float(abs(afz[k] - afzb[k])),
-        "jacobian": fmt_float(afz[k] ** 2 - afzb[k] ** 2),
+        "jacobian": fmt_float(jac[k]),
         "omega_abs": fmt_float(omega[k]),
     } for k in range(z.size)]
     _emit(run, tuple(rows[0]), rows)
@@ -167,37 +170,33 @@ def cmd_length(run):
     rows = []
     if which == "level":
         for r in run.args.get("r") or [0.5]:
-            info = {}
-            val = level_curve_length(m, float(r), cfg, info=info)
+            val, nodes = level_curve_length(m, float(r), cfg)
             rows.append({"which": which, "r": fmt_float(r),
                          "param": "", "length": fmt_float(val),
-                         "nodes": str(info["nodes"])})
+                         "nodes": str(nodes)})
     elif which == "radial":
         radii = run.args.get("r") or [1.0]
         for th in run.args.get("theta") or [0.0]:
             for r in radii:
-                info = {}
-                val = radial_length(m, float(th), float(r), cfg, info=info)
+                val, nodes = radial_length(m, float(th), float(r), cfg)
                 rows.append({"which": which, "r": fmt_float(r),
                              "param": fmt_float(th),
                              "length": fmt_float(val),
-                             "nodes": str(info["nodes"])})
+                             "nodes": str(nodes)})
     elif which == "boundary":
         E = _arc_set(run.args.get("arc"), run.args.get("measure"))
-        info = {}
-        val = boundary_image_length(m, E, cfg, info=info)
-        rows.append({"which": which, "r": fmt_float(info["r_b"]),
+        val, nodes = boundary_image_length(m, E, cfg)
+        rb = effective_boundary_radius(cfg, m.max_radius)
+        rows.append({"which": which, "r": fmt_float(rb),
                      "param": fmt_float(E.total_measure),
-                     "length": fmt_float(val), "nodes": str(info["nodes"])})
+                     "length": fmt_float(val), "nodes": str(nodes)})
     else:  # crosscut
         zeta0 = run.args["zeta0"]
         for rho in run.args.get("rho") or [1.0]:
-            info = {}
-            val = crosscut_length(m, zeta0, float(rho), cfg, info=info)
+            val, nodes = crosscut_length(m, zeta0, float(rho), cfg)
             rows.append({"which": which, "r": fmt_float(rho),
                          "param": fmt_float(zeta0.real),
-                         "length": fmt_float(val),
-                         "nodes": str(info["nodes"])})
+                         "length": fmt_float(val), "nodes": str(nodes)})
     _emit(run, ("which", "r", "param", "length", "nodes"), rows)
     return 0
 
@@ -207,14 +206,13 @@ def cmd_area(run):
     center = run.args.get("center")
     rows = []
     for r in run.args.get("r") or [1.0]:
-        info = {}
-        val = image_area(m, float(r), run.quadrature, center=center,
-                         info=info)
+        val, agreement = image_area(m, float(r), run.quadrature,
+                                    center=center)
         rows.append({
             "r": fmt_float(r),
             "center": "" if center is None else fmt_float(center.real),
             "area": fmt_float(val),
-            "agreement": fmt_float(info["agreement"]),
+            "agreement": fmt_float(agreement),
         })
     _emit(run, ("r", "center", "area", "agreement"), rows)
     return 0
@@ -347,7 +345,8 @@ def build_parser():
     cfg = DEFAULT_CONFIG
     common.add_argument("--abs-tol", type=_parse_float, default=cfg.abs_tol)
     common.add_argument("--rel-tol", type=_parse_float, default=cfg.rel_tol)
-    common.add_argument("--theta-grid", type=int, default=cfg.theta_grid)
+    common.add_argument("--theta-grid", type=int, default=cfg.theta_grid,
+                        help=f"angular quadrature grid, 8 to {MAX_THETA_GRID}")
     common.add_argument("--rb", type=_parse_float,
                         default=cfg.boundary_radius,
                         help="boundary proxy radius r_b")
@@ -417,8 +416,10 @@ def build_parser():
                    help="vertices of the boundary polygon (thm2, thm4), 8 "
                         "to 2^20")
     p.add_argument("--normalization", type=_parse_float)
-    p.add_argument("--r-grid", type=int)
-    p.add_argument("--probes", type=int)
+    p.add_argument("--r-grid", type=int,
+                   help=f"grid radii of schwarz, 2 to {theorems.MAX_R_GRID}")
+    p.add_argument("--probes", type=int,
+                   help=f"probe points of selfmap, 1 to {theorems.MAX_PROBES}")
 
     sub.add_parser("gallery", parents=[common],
                    help="list built-in map names")

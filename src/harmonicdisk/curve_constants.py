@@ -534,7 +534,8 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
     one a label of the whole raster gives.  Per pair, w is computed on
     the path and on one crop box, that of the largest such step, and
     every step slices its own crop from it.  grid is 1 to MAX_GRID and
-    point_pairs 1 to MAX_POINT_PAIRS.
+    point_pairs 1 to MAX_POINT_PAIRS.  PathNotFound when no sampled pair
+    is at least 10 cells apart, as no pair was then measured.
     """
     point_pairs, grid = _connectivity_counts(point_pairs, grid)
     if not boundary.closed:
@@ -547,6 +548,9 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
     diag = math.hypot(v.real.max() - v.real.min(),
                       v.imag.max() - v.imag.min())
     pairs = _pair_diameters(cells, inside, cell, pts, diag)
+    if not pairs:
+        raise PathNotFound(f"no sampled pair is at least 10 cells apart "
+                           f"at grid {grid}; nothing was measured")
     best = max([1.0] + [hi / d for d, hi in pairs])
     if counters is not None:
         counters["conn_pairs"] = len(pairs)

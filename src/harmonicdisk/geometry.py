@@ -1,16 +1,21 @@
 """Length, area, Hardy-mean, and boundary-distance functionals.
 
 Everything here is a plain function over a harmonic map or an explicit
-polygonal curve.  Curve integrals reduce to 1-d quadrature of
-|d/dt f(c(t))| = |f_z(c) c'(t) + f_zb(c) conj(c'(t))|; area integrals
-integrate the Jacobian in polar coordinates.  Boundary objects are
-always evaluated at a proxy radius r_b < 1 (the config's
-boundary_radius clamped to the map's max_radius) and the radius used is
-reported back through the optional ``info`` dict.
+polygonal curve.  Curve lengths are one adaptive Simpson rule over
+|d/dt f(c(t))| = |f_z(c) c'(t) + f_zb(c) conj(c'(t))| (_path_length);
+radial integrals over many directions share one polar ray table
+(ray_table); area integrals integrate the Jacobian in polar
+coordinates.  Boundary objects are always evaluated at the proxy radius
+r_b = effective_boundary_radius(cfg, m.max_radius) < 1.
+
+A functional returns the evidence its value rests on together with it:
+the length functionals (length, nodes), image_area (area, agreement)
+and crosscut_integral (value, node_check, simpson_check).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,8 +25,9 @@ from numpy.polynomial.legendre import leggauss
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, QuadratureNonconvergence,
                      ValidationError)
-from .maps import derivs_polar_grid, eval_circle_grid
-from .quadrature import adaptive_simpson, refine_grid_max, simpson_weights
+from .maps import derivs_polar_grid, eval_circle_grid, jacobian, op_norm
+from .quadrature import (adaptive_simpson, cumulative_simpson,
+                         refine_grid_max, simpson_weights)
 
 TWO_PI = 2.0 * math.pi
 # 2*pi beyond double precision.  The double value drifts the extraction
@@ -390,104 +396,134 @@ class ArcSet:
 # curve-length functionals of a map
 
 
-def _stretch(fz, fzb, t):
-    """|f_z t + f_zb conj(t)|: the speed of f along the tangent t."""
+def _stretch(t, fz, fzb):
+    """|f_z t + f_zb conj(t)|: the speed of f along the tangent t, and
+    so the ray-table kernel of radial lengths."""
     return np.abs(fz * t + fzb * np.conj(t))
 
 
-def level_curve_length(m, r, cfg=DEFAULT_CONFIG, info=None):
-    """Length of the image of the circle |z| = r."""
+def _refuse_beyond(m, radius):
+    """Refuse a path that leaves the map's derivative radius."""
+    if radius > m.max_radius:
+        raise QuadratureNonconvergence(
+            f"radius {radius} exceeds the map's derivative radius "
+            f"{m.max_radius}")
+
+
+def _path_length(m, path, a, b, cfg, radius):
+    """(length, nodes) of the image of the path z(t), t in [a, b], by
+    adaptive Simpson of |f_z z' + f_zb conj(z')|; path(t) returns
+    (z(t), z'(t)).  The path stays within |z| <= radius."""
+    _refuse_beyond(m, radius)
+
+    def speed(t):
+        z, dz = path(t)
+        return _stretch(dz, *m.derivs_many(z))
+
+    return adaptive_simpson(speed, a, b, abs_tol=cfg.abs_tol,
+                            rel_tol=cfg.rel_tol)
+
+
+def _circle(r):
+    """The path t -> r e^{it} and its derivative i r e^{it}."""
+
+    def path(t):
+        z = r * np.exp(1j * t)
+        return z, 1j * z
+
+    return path
+
+
+def level_curve_length(m, r, cfg=DEFAULT_CONFIG):
+    """(length, nodes) of the image of the circle |z| = r."""
     r = float(r)
     if not 0.0 < r < 1.0:
         raise ValidationError(f"level-curve radius must be in (0,1), got {r}")
-    if r > m.max_radius:
-        raise QuadratureNonconvergence(
-            f"radius {r} exceeds the map's derivative radius {m.max_radius}")
-
-    def speed(t):
-        z = r * np.exp(1j * t)
-        return _stretch(*m.derivs_many(z), 1j * z)
-
-    val, nodes = adaptive_simpson(speed, 0.0, TWO_PI, abs_tol=cfg.abs_tol,
-                                  rel_tol=cfg.rel_tol)
-    if info is not None:
-        info["nodes"] = nodes
-        info["r"] = r
-    return val
+    return _path_length(m, _circle(r), 0.0, TWO_PI, cfg, r)
 
 
-def boundary_image_length(m, E, cfg=DEFAULT_CONFIG, info=None):
-    """Length (with multiplicity) of f over the arc set E, evaluated at
-    the boundary proxy radius."""
+def boundary_image_length(m, E, cfg=DEFAULT_CONFIG):
+    """(length, nodes): the length (with multiplicity) of f over the arc
+    set E, evaluated at the boundary proxy radius
+    effective_boundary_radius(cfg, m.max_radius); nodes over all arcs."""
     rb = effective_boundary_radius(cfg, m.max_radius)
-
-    def speed(t):
-        z = rb * np.exp(1j * t)
-        return _stretch(*m.derivs_many(z), 1j * z)
-
-    total = 0.0
-    nodes = 0
+    total, nodes = 0.0, 0
     for a, b in E.arcs:
-        val, n = adaptive_simpson(speed, a, b, abs_tol=cfg.abs_tol,
-                                  rel_tol=cfg.rel_tol)
+        val, n = _path_length(m, _circle(rb), a, b, cfg, rb)
         total += val
         nodes += n
-    if info is not None:
-        info["r_b"] = rb
-        info["nodes"] = nodes
-    return total
+    return total, nodes
 
 
-def radial_length(m, theta, r, cfg=DEFAULT_CONFIG, info=None):
-    """Length of the image of the segment [0, r e^{i theta}] with
-    multiplicity.  r may reach 1 for maps whose derivatives extend to
-    the closed disk (series, affine)."""
+def _radial_extent(r):
+    """r as a float, refused unless 0 < r <= 1 (NaN included)."""
     r = float(r)
-    theta = float(theta)
     if not 0.0 < r <= 1.0:
         raise ValidationError(f"radial extent must be in (0,1], got {r}")
-    if r > m.max_radius:
-        raise QuadratureNonconvergence(
-            f"radius {r} exceeds the map's derivative radius {m.max_radius}")
-    e = np.exp(1j * theta)
+    return r
 
-    def speed(rho):
-        return _stretch(*m.derivs_many(rho * e), np.full(rho.shape, e))
 
-    val, nodes = adaptive_simpson(speed, 0.0, r, abs_tol=cfg.abs_tol,
-                                  rel_tol=cfg.rel_tol)
-    if info is not None:
-        info["nodes"] = nodes
-    return val
+def radial_length(m, theta, r, cfg=DEFAULT_CONFIG):
+    """(length, nodes) of the image of the segment [0, r e^{i theta}]
+    with multiplicity.  r may reach 1 for maps whose derivatives extend
+    to the closed disk (series, affine)."""
+    r = _radial_extent(r)
+    e = np.exp(1j * float(theta))
+
+    def path(rho):
+        return rho * e, e
+
+    return _path_length(m, path, 0.0, r, cfg, r)
+
+
+# cells (rays x nodes) of one ray table; see ray_table
+MAX_RAY_CELLS = 1 << 21
+
+
+def ray_table(m, r, panels, n_theta, kernel, scale=1.0):
+    """(thetas, rho, cum): cum[k, i] integrates kernel(e, f_z, f_zb)
+    over [0, rho[2 i]] along the ray at thetas[k] = 2 pi k / n_theta,
+    e = e^{i thetas} as a column, by cumulative_simpson on the nodes
+    rho = j r / panels, j = 0..panels (panels even).  f's derivatives
+    come from one derivs_polar_grid call at scale * rho, so a kernel for
+    z -> f(scale z) supplies the factor scale itself.
+
+    Memory budget: 256 MiB.  tracemalloc peaks were 48-80 bytes a cell
+    (point, derivative pair, kernel temporaries) on the gallery maps and
+    120 on a kinked Poisson phase, whose failed certificate keeps a
+    second level; at 128 bytes a cell that admits MAX_RAY_CELLS = 2^21
+    cells n_theta (panels + 1), and a larger table is refused before
+    any evaluation.
+    """
+    n_theta, panels = int(n_theta), int(panels)
+    if n_theta * (panels + 1) > MAX_RAY_CELLS:
+        raise ValidationError(
+            f"ray table of {n_theta} rays x {panels + 1} nodes exceeds "
+            f"{MAX_RAY_CELLS} cells")
+    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    rho = np.linspace(0.0, r, panels + 1)
+    fz, fzb = derivs_polar_grid(m, scale * rho, n_theta)
+    vals = kernel(np.exp(1j * thetas)[:, None], fz, fzb)
+    return thetas, rho, cumulative_simpson(vals, r / panels)
 
 
 def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
     """(theta*, sup value) of the radial length over directions.
 
-    A theta grid with per-ray composite Simpson locates the maximizer;
-    golden-section refinement with the adaptive integral sharpens it.
+    The ray table's lengths on cfg.theta_grid rays of 128 panels locate
+    the maximizer; golden-section refinement with the adaptive integral
+    sharpens it.
     """
-    r = float(r)
-    if not 0.0 < r <= 1.0:
-        raise ValidationError(f"radial extent must be in (0,1], got {r}")
-    if r > m.max_radius:
-        raise QuadratureNonconvergence(
-            f"radius {r} exceeds the map's derivative radius {m.max_radius}")
-    thetas = np.linspace(0.0, TWO_PI, cfg.theta_grid, endpoint=False)
-    panels = 128
-    rho = np.linspace(0.0, r, panels + 1)
-    e = np.exp(1j * thetas)
-    fz, fzb = derivs_polar_grid(m, rho, cfg.theta_grid)
-    g = _stretch(fz, fzb, e[:, None])
-    h = r / panels
-    grid_vals = (h / 3.0) * (g * simpson_weights(panels)[None, :]).sum(axis=1)
+    r = _radial_extent(r)
+    _refuse_beyond(m, r)
+    thetas, _, cum = ray_table(m, r, 128, cfg.theta_grid, _stretch)
 
     def ray(th):
-        return radial_length(m, th, r, cfg)
+        return radial_length(m, th, r, cfg)[0]
 
-    theta_star, _ = refine_grid_max(ray, thetas, grid_vals, wrap=TWO_PI)
+    theta_star, _ = refine_grid_max(ray, thetas, cum[:, -1], wrap=TWO_PI)
     # re-evaluate adaptively so grid and refined values share one rule
-    return float(theta_star), radial_length(m, theta_star, r, cfg)
+    return float(theta_star), ray(theta_star)
 
 
 def _window_cos(aw, rho, R):
@@ -514,9 +550,10 @@ def _upper_radius(r):
     return r
 
 
-def crosscut_length(m, zeta0, rho, cfg=DEFAULT_CONFIG, info=None):
-    """Length of the image of the crosscut arc of radius rho about the
-    boundary point zeta0."""
+def crosscut_length(m, zeta0, rho, cfg=DEFAULT_CONFIG):
+    """(length, nodes) of the image of the crosscut arc of radius rho
+    about the boundary point zeta0, clipped to the boundary proxy
+    radius."""
     zeta0 = _unimodular(zeta0)
     rho = float(rho)
     if not 0.0 < rho <= 2.0:
@@ -529,17 +566,11 @@ def crosscut_length(m, zeta0, rho, cfg=DEFAULT_CONFIG, info=None):
     half = math.pi - math.acos(min(c, 1.0))
     center = math.atan2(zeta0.imag, zeta0.real) + math.pi
 
-    def speed(t):
-        et = np.exp(1j * t)
-        return rho * _stretch(*m.derivs_many(zeta0 + rho * et), 1j * et)
+    def path(t):
+        w = rho * np.exp(1j * t)
+        return zeta0 + w, 1j * w
 
-    val, nodes = adaptive_simpson(speed, center - half, center + half,
-                                  abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
-    if info is not None:
-        info["nodes"] = nodes
-        info["half_width"] = half
-        info["r_clip"] = r_clip
-    return val
+    return _path_length(m, path, center - half, center + half, cfg, r_clip)
 
 
 # radial Gauss-Legendre order of the lens rule, first and largest; the
@@ -606,51 +637,45 @@ def _lens_integral(m, w, r, R, kernel, cfg):
 
 
 def _crosscut_kernel(e, fz, fzb):
-    return _stretch(fz, fzb, 1j * e)
+    return _stretch(1j * e, fz, fzb)
 
 
 def _jacobian_kernel(e, fz, fzb):
-    return np.abs(fz) ** 2 - np.abs(fzb) ** 2
+    return jacobian(fz, fzb)
 
 
-def crosscut_integral(m, zeta0, r, cfg=DEFAULT_CONFIG, info=None):
-    """Integral over rho in (0, r] of the crosscut image length.
+def crosscut_integral(m, zeta0, r, cfg=DEFAULT_CONFIG):
+    """(value, node_check, simpson_check): the integral over rho in
+    (0, r] of the crosscut image length, and its two cross-checks.
 
     This is the integral of |d/dt f(zeta0 + rho e^{it})| over the lens
     {|z - zeta0| <= r} and |z| <= r_clip in polar coordinates about
     zeta0 (see _lens_quad), by the doubled Gauss-Legendre rule.
     Crosscuts with rho < 1 - r_clip lie outside the clipped disk and
-    contribute zero.
-
-    ``info`` receives the doubled-rule gap ("node_check") and the
-    distance to a composite Simpson rule of 256 x 128 panels on the same
-    substituted domain ("simpson_check"); the latter costs one more
-    evaluation and is computed only when ``info`` is given.
+    contribute zero.  node_check is the doubled-rule gap, simpson_check
+    the distance to a composite Simpson rule of 256 x 128 panels on the
+    same substituted domain.
     """
     zeta0 = _unimodular(zeta0)
     r = _upper_radius(r)
     r_clip = effective_boundary_radius(cfg, m.max_radius)
     val, gap = _lens_integral(m, zeta0, r, r_clip, _crosscut_kernel, cfg)
-    if info is not None:
-        rules = [(np.linspace(-1.0, 1.0, n + 1),
-                  simpson_weights(n) * (2.0 / (3.0 * n))) for n in (256, 128)]
-        simpson = _lens_quad(m, zeta0, r, r_clip, _crosscut_kernel, *rules)
-        info["node_check"] = gap
-        info["simpson_check"] = abs(val - simpson)
-    return val
+    rules = [(np.linspace(-1.0, 1.0, n + 1),
+              simpson_weights(n) * (2.0 / (3.0 * n))) for n in (256, 128)]
+    simpson = _lens_quad(m, zeta0, r, r_clip, _crosscut_kernel, *rules)
+    return val, gap, abs(val - simpson)
 
 
-def _disk_area(m, r_eff, cfg, info):
-    """Jacobian integral over the full disk |z| < r_eff on the polar
-    product grid; doubled-resolution agreement check."""
+def _disk_area(m, r_eff, cfg):
+    """(area, agreement): the Jacobian integral over the full disk
+    |z| < r_eff on the polar product grid, and its gap to the grid of
+    half the resolution."""
 
     def value(n_t, n_rho):
         rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
-        fz, fzb = derivs_polar_grid(m, rho, n_t)
-        jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
-        h = r_eff / n_rho
+        jac = jacobian(*derivs_polar_grid(m, rho, n_t))
         wts = simpson_weights(n_rho)
-        radial = (h / 3.0) * (jac * rho[None, :] * wts[None, :]).sum(axis=1)
+        radial = (r_eff / n_rho / 3.0) * (jac * rho * wts).sum(axis=1)
         return (TWO_PI / n_t) * float(math.fsum(radial))
 
     a1 = value(512, 256)
@@ -658,14 +683,13 @@ def _disk_area(m, r_eff, cfg, info):
     if not abs(a2 - a1) <= max(cfg.abs_tol * 10.0, cfg.rel_tol * abs(a2)):
         raise QuadratureNonconvergence(
             f"area rule did not stabilize: {a1} vs {a2}")
-    if info is not None:
-        info["r_eff"] = r_eff
-        info["agreement"] = abs(a2 - a1)
-    return a2
+    return a2, abs(a2 - a1)
 
 
-def image_area(m, r, cfg=DEFAULT_CONFIG, center=None, info=None):
-    """Jacobian area (with multiplicity) of f over a region of the disk.
+def image_area(m, r, cfg=DEFAULT_CONFIG, center=None):
+    """(area, agreement): the Jacobian area (with multiplicity) of f
+    over a region of the disk, and the gap between the rule and its
+    doubled resolution.
 
     center None: the full disk |z| < r (r = 1 clips to the boundary
     proxy radius).  center given: the region {|z - center| <= r}
@@ -673,8 +697,7 @@ def image_area(m, r, cfg=DEFAULT_CONFIG, center=None, info=None):
 
     The lens-type region is integrated in polar coordinates about the
     center by the same doubled Gauss-Legendre rule as crosscut_integral
-    (see _lens_quad), with the Jacobian |f_z|^2 - |f_zb|^2 as kernel;
-    ``info["agreement"]`` is the doubled-rule gap.
+    (see _lens_quad), with the Jacobian |f_z|^2 - |f_zb|^2 as kernel.
     """
     r = float(r)
     if center is None and not 0.0 < r <= 1.0:
@@ -682,41 +705,22 @@ def image_area(m, r, cfg=DEFAULT_CONFIG, center=None, info=None):
     if center is not None and not 0.0 < r <= 2.0:
         raise ValidationError(f"region radius must be in (0,2], got {r}")
     R = effective_boundary_radius(cfg, m.max_radius)
-    if center is None:
-        return _disk_area(m, min(r, R), cfg, info)
-    w = complex(center)
+    w = 0.0 if center is None else complex(center)
     aw = abs(w)
     if aw < 1e-12:
-        return _disk_area(m, min(r, R), cfg, info)
+        return _disk_area(m, min(r, R), cfg)
     if aw - r >= R:
         # the region misses the clipped disk entirely
-        if info is not None:
-            info["r_eff"] = R
-            info["agreement"] = 0.0
-        return 0.0
+        return 0.0, 0.0
     if r - aw >= R:
         # the region contains the clipped disk
-        return _disk_area(m, R, cfg, info)
-
-    val, gap = _lens_integral(m, w, r, R, _jacobian_kernel, cfg)
-    if info is not None:
-        info["r_eff"] = R
-        info["agreement"] = gap
-    return val
+        return _disk_area(m, R, cfg)
+    return _lens_integral(m, w, r, R, _jacobian_kernel, cfg)
 
 
-def op_norm_field(m):
-    """The scalar field z -> |f_z| + |f_zb| for Hardy means."""
-
-    def field(z):
-        fz, fzb = m.derivs_many(z)
-        return np.abs(fz) + np.abs(fzb)
-
-    return field
-
-
-def hardy_mean(field, p, r, cfg=DEFAULT_CONFIG):
-    """Integral mean [(1/2pi) int |field(r e^{i t})|^p dt]^{1/p}."""
+def hardy_mean(m, p, r, cfg=DEFAULT_CONFIG):
+    """Integral mean M_p(r, ||Df||) = [(1/2pi) int ||Df(r e^{it})||^p
+    dt]^{1/p} of the operator norm |f_z| + |f_zb|."""
     p = float(p)
     r = float(r)
     if p <= 0.0:
@@ -725,7 +729,7 @@ def hardy_mean(field, p, r, cfg=DEFAULT_CONFIG):
         raise ValidationError(f"Hardy radius must be in (0,1), got {r}")
 
     def g(t):
-        return np.abs(field(r * np.exp(1j * t))) ** p
+        return op_norm(*m.derivs_many(r * np.exp(1j * t))) ** p
 
     val, _ = adaptive_simpson(g, 0.0, TWO_PI, abs_tol=cfg.abs_tol,
                               rel_tol=cfg.rel_tol)
@@ -733,27 +737,27 @@ def hardy_mean(field, p, r, cfg=DEFAULT_CONFIG):
 
 
 _EXTRACT_NODES = 1 << 13
-_MODE_CACHE = {}
+
+
+@functools.cache
+def _roots_of_unity():
+    """e^{-2 pi i j / N}, j < N = _EXTRACT_NODES, in extended precision
+    (256 KiB), computed once."""
+    N = _EXTRACT_NODES
+    mm = (TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
+    return np.cos(mm) - 1j * np.sin(mm)
 
 
 def _mode_matrix(n_max):
     """Rows e^{-i k t_j}, k < n_max, on the 2^13-node grid, extended
-    precision, grown on demand and cached.
-
-    Entries come from the table of N-th roots of unity indexed by
-    k*j mod N, so no trig argument exceeds one turn.  Rounding the
+    precision, gathered from the table of N-th roots of unity at
+    k*j mod N, so that no trig argument exceeds one turn.  Rounding the
     products k*t_j directly leaves a smooth phase error whose high
     modes survive the rho^{1-n} amplification in the caller."""
     N = _EXTRACT_NODES
-    have = _MODE_CACHE.get("rows", 0)
-    if n_max > have:
-        rows = max(n_max, 64)
-        mm = (TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
-        root = np.cos(mm) - 1j * np.sin(mm)
-        idx = (np.arange(rows)[:, None] * np.arange(N)[None, :]) % N
-        _MODE_CACHE["W"] = root[idx]
-        _MODE_CACHE["rows"] = rows
-    return _MODE_CACHE["W"][:n_max]
+    idx = np.multiply.outer(np.arange(n_max), np.arange(N))
+    idx %= N
+    return _roots_of_unity()[idx]
 
 
 def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
@@ -821,19 +825,15 @@ def boundary_sample_count(samples):
     return samples
 
 
-def boundary_polygon(m, samples, cfg=DEFAULT_CONFIG, info=None):
+def boundary_polygon(m, samples, cfg=DEFAULT_CONFIG):
     """Polygonal approximation of the image of the proxy boundary
-    circle."""
+    circle |z| = effective_boundary_radius(cfg, m.max_radius)."""
     samples = boundary_sample_count(samples)
     rb = effective_boundary_radius(cfg, m.max_radius)
-    pts = eval_circle_grid(m, rb, samples)
-    if info is not None:
-        info["r_b"] = rb
-    return PolygonalCurve(pts)
+    return PolygonalCurve(eval_circle_grid(m, rb, samples))
 
 
-def distance_to_boundary(m, w, boundary_samples=2048, cfg=DEFAULT_CONFIG,
-                         info=None):
+def distance_to_boundary(m, w, boundary_samples=2048, cfg=DEFAULT_CONFIG):
     """Distance from w to the polygonal image of the proxy boundary."""
-    poly = boundary_polygon(m, boundary_samples, cfg, info=info)
+    poly = boundary_polygon(m, boundary_samples, cfg)
     return float(point_polygon_distance(np.array([complex(w)]), poly)[0])

@@ -51,10 +51,18 @@ class DerivativeFrame:
 
     @classmethod
     def from_pair(cls, fz, fzb):
-        m1 = abs(fz)
-        m2 = abs(fzb)
-        return cls(complex(fz), complex(fzb), m1 + m2, abs(m1 - m2),
-                   m1 * m1 - m2 * m2)
+        return cls(complex(fz), complex(fzb), float(op_norm(fz, fzb)),
+                   abs(abs(fz) - abs(fzb)), float(jacobian(fz, fzb)))
+
+
+def op_norm(fz, fzb):
+    """|f_z| + |f_zb|, the operator norm ||Df||."""
+    return np.abs(fz) + np.abs(fzb)
+
+
+def jacobian(fz, fzb):
+    """|f_z|^2 - |f_zb|^2, the Jacobian determinant of f."""
+    return np.abs(fz) ** 2 - np.abs(fzb) ** 2
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class HarmonicMap:
 
     ``max_radius`` is the largest |z| at which derivatives are computable
     within tolerance; geometry routines clamp their boundary proxies to
-    it and report the radius they actually used.
+    it (config.effective_boundary_radius).
     """
 
     max_radius = 1.0
@@ -154,8 +162,7 @@ class SeriesHarmonicMap(HarmonicMap):
         r = np.geomspace(0.05, 0.995, nr)
         t = np.linspace(0.0, TWO_PI, nt, endpoint=False)
         z = (r[:, None] * np.exp(1j * t)[None, :]).ravel()
-        fz, fzb = self.derivs_many(z)
-        jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
+        jac = jacobian(*self.derivs_many(z))
         if np.any(jac <= 0.0):
             k = int(np.argmin(jac))
             raise NotSensePreserving(
@@ -475,7 +482,7 @@ def estimate_K(m, r_max=0.999, grid=720):
     radii = np.geomspace(lo, r_max, n_r)
     angles = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     fz, fzb = derivs_polar_grid(m, radii, grid)  # (grid, n_r)
-    jac = (np.abs(fz) ** 2 - np.abs(fzb) ** 2).T
+    jac = jacobian(fz, fzb).T
     if np.any(jac <= 0.0):
         k = int(np.argmin(jac))
         i_bad, j_bad = np.unravel_index(k, jac.shape)

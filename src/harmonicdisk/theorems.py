@@ -23,19 +23,23 @@ from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
                      NotSelfMap, SelfIntersecting, ValidationError)
-from .geometry import (_unimodular, _upper_radius, boundary_image_length,
-                       boundary_polygon, boundary_sample_count,
-                       crosscut_integral, image_area,
+from .geometry import (_stretch, _unimodular, _upper_radius,
+                       boundary_image_length, boundary_polygon,
+                       boundary_sample_count, crosscut_integral,
+                       extract_coefficients, hardy_mean, image_area,
                        is_self_intersecting, level_curve_length,
-                       op_norm_field, point_polygon_distance,
-                       polygonal_length, radial_length, shoelace_area,
+                       point_polygon_distance, polygonal_length,
+                       radial_length, ray_table, shoelace_area,
                        sup_radial_length)
-from .maps import derivs_polar_grid, estimate_K, eval_circle_grid, sup_modulus
-from .quadrature import (adaptive_simpson, cumulative_simpson, first_argmax,
-                         refine_grid_max)
+from .maps import estimate_K, eval_circle_grid, op_norm, sup_modulus
+from .quadrature import adaptive_simpson, first_argmax, refine_grid_max
 
 TWO_PI = 2.0 * math.pi
 REPORT_TOL = 1e-7
+# schwarz grid radii: 8 r_grid + 1 nodes per ray of the ray table
+MAX_R_GRID = 1 << 12
+# selfmap probes: each holds a few complex arrays, ~150 MiB at the cap
+MAX_PROBES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,18 +81,6 @@ def effective_K(m, user_K=None, cfg=DEFAULT_CONFIG):
     return max(float(user_K), K_lower)
 
 
-def _opnorm_circle_integral(m, r, cfg):
-    """int_0^{2pi} (|f_z| + |f_zb|)(r e^{it}) dt."""
-    opn = op_norm_field(m)
-
-    def g(t):
-        return opn(r * np.exp(1j * t))
-
-    val, _ = adaptive_simpson(g, 0.0, TWO_PI, abs_tol=cfg.abs_tol,
-                              rel_tol=cfg.rel_tol)
-    return val
-
-
 DEFAULT_RADII = tuple(np.round(np.arange(1, 10) * 0.1, 1))
 
 
@@ -96,7 +88,8 @@ def check_prop1(m, K=None, radii=DEFAULT_RADII, cfg=DEFAULT_CONFIG):
     """Level-curve length sandwich and monotonicity.
 
     For each radius: (r/K) int ||D|| dt <= len(gamma_r) <= r int ||D|| dt,
-    plus nondecreasing lengths along the radius grid.  Params carry the
+    with int ||D|| dt = 2 pi M_1(r, ||D||) (hardy_mean), plus
+    nondecreasing lengths along the radius grid.  Params carry the
     integral-mean proxy sup_r M_1(r, ||D||) and the perimeter proxy.
     """
     K_eff = effective_K(m, K, cfg)
@@ -107,16 +100,17 @@ def check_prop1(m, K=None, radii=DEFAULT_RADII, cfg=DEFAULT_CONFIG):
     lengths = []
     h1_proxy = 0.0
     for r in radii:
-        opint = _opnorm_circle_integral(m, r, cfg)
-        ell = level_curve_length(m, r, cfg)
+        m1 = hardy_mean(m, 1.0, r, cfg)
+        opint = TWO_PI * m1
+        ell, _ = level_curve_length(m, r, cfg)
         lengths.append(ell)
-        h1_proxy = max(h1_proxy, opint / TWO_PI)
+        h1_proxy = max(h1_proxy, m1)
         base = {"r": r, "K": K_eff}
         reports.append(make_report("prop1_lower", (r / K_eff) * opint, ell,
                                    "le", base))
         reports.append(make_report("prop1_upper", ell, r * opint, "le", base))
     rb = effective_boundary_radius(cfg, m.max_radius)
-    perimeter = level_curve_length(m, rb, cfg)
+    perimeter, _ = level_curve_length(m, rb, cfg)
     diffs = np.diff(lengths)
     reports.append(make_report(
         "prop1_monotone", -(float(diffs.min()) if diffs.size else 0.0), 0.0,
@@ -135,12 +129,10 @@ def thm1_bound(m, E, cfg=DEFAULT_CONFIG):
         raise DegenerateE(f"arc measure must be in (0, 2 pi), got {measure}")
     fz0, fzb0 = m.derivs_many(np.array([0.0 + 0.0j]))
     d0 = float(np.abs(fz0[0]) - np.abs(fzb0[0]))
-    info = {}
-    L = level_curve_length(m, effective_boundary_radius(cfg, m.max_radius),
-                           cfg)
-    lhs = boundary_image_length(m, E, cfg, info=info)
-    params = {"measure": measure, "d0": d0, "perimeter": L,
-              "r_b": info["r_b"]}
+    rb = effective_boundary_radius(cfg, m.max_radius)
+    L, _ = level_curve_length(m, rb, cfg)
+    lhs, _ = boundary_image_length(m, E, cfg)
+    params = {"measure": measure, "d0": d0, "perimeter": L, "r_b": rb}
     if measure > TWO_PI - 1e-6:
         rhs = TWO_PI * d0
         params["limit_path"] = True
@@ -170,8 +162,7 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     # refused even when M_lav is given and the polygon is never built
     boundary_samples = boundary_sample_count(boundary_samples)
     K_eff = effective_K(m, K, cfg)
-    area_info = {}
-    A = image_area(m, 1.0, cfg, info=area_info)
+    A, area_check = image_area(m, 1.0, cfg)
     if M_lav is None:
         M_lav = lavrentiev_constant(boundary_polygon(m, boundary_samples,
                                                      cfg))
@@ -180,15 +171,14 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     front = math.sqrt(K_eff * math.pi * A / 3.0)
     reports = []
     for r in r_list:
-        lhs_info = {}
-        lhs = crosscut_integral(m, zeta0, r, cfg, info=lhs_info)
+        lhs, node_check, simpson_check = crosscut_integral(m, zeta0, r, cfg)
         outer = front * r ** 1.5
         mid = outer * math.exp(-(alpha / 2.0) * (1.0 / r - 0.5))
         params = {"r": r, "K": K_eff, "M_lav": M_lav, "alpha": alpha,
                   "area": A, "zeta0": zeta0,
-                  "lhs_node_check": lhs_info["node_check"],
-                  "lhs_adaptive_vs_fixed": lhs_info["simpson_check"],
-                  "area_node_check": area_info["agreement"]}
+                  "lhs_node_check": node_check,
+                  "lhs_adaptive_vs_fixed": simpson_check,
+                  "area_node_check": area_check}
         reports.append(make_report("thm2_chain_damped", lhs, mid, "le",
                                    params))
         reports.append(make_report("thm2_chain_outer", mid, outer, "le",
@@ -212,10 +202,9 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
     """
     K_eff = effective_K(m, K, cfg)
     rb = effective_boundary_radius(cfg, m.max_radius)
-    opn = op_norm_field(m)
 
     def g(t):
-        return opn(rb * np.exp(1j * t))
+        return op_norm(*m.derivs_many(rb * np.exp(1j * t)))
 
     ratios = []
     for z in z_probes:
@@ -226,7 +215,7 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
         theta = math.atan2(z.imag, z.real)
         arc_int, _ = adaptive_simpson(g, theta - half, theta + half,
                                       abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
-        denom = float(opn(np.array([z]))[0])
+        denom = float(op_norm(*m.derivs_many(np.array([z])))[0])
         if denom < 1e-14:
             raise DivisionDegenerate(f"||D|| ~ 0 at probe {z}")
         ratios.append((arc_int / (2.0 * half)) / denom)
@@ -251,8 +240,7 @@ def thm3_hypothesis_fit(m, zeta, delta, r_grid=None, cfg=DEFAULT_CONFIG):
         r_grid = np.linspace(0.0, min(0.95, m.max_radius), 40)
     r = np.asarray(r_grid, dtype=float)
     zeta = zeta / abs(zeta)
-    fz, fzb = m.derivs_many(r * zeta)
-    D = np.abs(fz) + np.abs(fzb)
+    D = op_norm(*m.derivs_many(r * zeta))
     if float(D.min()) < 1e-14:
         raise DivisionDegenerate("||D|| vanishes on the probe ray")
     # rows r, cols rho, upper triangle has r <= rho
@@ -283,13 +271,9 @@ def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     M_displayed = r0 * M_derived
     # F'(zeta) = r0 f'(r0 zeta); rays of F stop where f's derivatives do
     r_top = min(1.0, m.max_radius / r0)
-    thetas = np.linspace(0.0, TWO_PI, int(theta_grid), endpoint=False)
-    panels = 2 * int(r_grid)
-    rho = np.linspace(0.0, r_top, panels + 1)
-    e = np.exp(1j * thetas)
-    fz, fzb = derivs_polar_grid(m, r0 * rho, int(theta_grid))
-    g = r0 * np.abs(fz * e[:, None] + np.conj(e)[:, None] * fzb)
-    cum = cumulative_simpson(g, r_top / panels)
+    thetas, rho, cum = ray_table(
+        m, r_top, 2 * int(r_grid), theta_grid,
+        lambda e, fz, fzb: r0 * _stretch(e, fz, fzb), scale=r0)
     # drop the leading zero column; column k then sits at radius rho[2k+2]
     r_vals = rho[2::2]
     ratios = cum[:, 1:] / r_vals[None, :]
@@ -310,7 +294,6 @@ def thm5_bound(m, K=None, n_max=8, rho=0.5, cfg=DEFAULT_CONFIG):
     K_eff = effective_K(m, K, cfg)
     r_up = min(1.0, m.max_radius)
     theta_star, M_rad = sup_radial_length(m, r_up, cfg)
-    from .geometry import extract_coefficients
     a, b = extract_coefficients(m, int(n_max), float(rho), cfg)
     reports = []
     for n in range(1, int(n_max) + 1):
@@ -342,7 +325,7 @@ def thm4_ratio(m, K=None, r_list=(0.05, 0.1, 0.2, 0.4, 0.6),
     r_sorted = sorted(float(r) for r in r_list)
     for r in r_sorted:
         theta_star, rad = sup_radial_length(m, r, cfg)
-        ell = level_curve_length(m, r, cfg)
+        ell, _ = level_curve_length(m, r, cfg)
         lhs = rad / ell
         pts = eval_circle_grid(m, r, n_t)
         dint = TWO_PI * float(point_polygon_distance(pts, poly).mean())
@@ -383,18 +366,17 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
     normalization supplied, c is fitted as A_raw(r_top)/r_top at the top
     grid radius (the equality scaling of the subordination claim): the
     identity map then gets c = 1 and exact equality at every radius.
+    r_grid is 2 to MAX_R_GRID, and the ray table bounds theta_grid
+    (8 r_grid + 1).
     """
     r_grid = int(r_grid)
-    if r_grid < 2:
-        raise ValidationError("need at least 2 grid radii")
+    if not 2 <= r_grid <= MAX_R_GRID:
+        raise ValidationError(
+            f"r_grid must be 2 to {MAX_R_GRID}, got {r_grid}")
     n_theta = int(theta_grid) if theta_grid is not None else cfg.theta_grid
     r_top = effective_boundary_radius(cfg, m.max_radius)
-    panels = 8 * r_grid
-    rho = np.linspace(0.0, r_top, panels + 1)
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    fz, fzb = derivs_polar_grid(m, rho, n_theta)
-    opn = np.abs(fz) + np.abs(fzb)
-    cum = cumulative_simpson(opn, r_top / panels)
+    thetas, rho, cum = ray_table(m, r_top, 8 * r_grid, n_theta,
+                                 lambda e, fz, fzb: op_norm(fz, fzb))
     # cum column k is the integral to rho[2k]; report every 4th column,
     # landing exactly on r_top at the last one
     pos = np.arange(4, cum.shape[1], 4)
@@ -402,7 +384,7 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
     raw = cum[:, pos].max(axis=0)
 
     def ray_total(th):
-        return radial_length(m, th, r_top, cfg)
+        return radial_length(m, th, r_top, cfg)[0]
 
     _, refined_top = refine_grid_max(ray_total, thetas, cum[:, -1],
                                      wrap=TWO_PI)
@@ -433,10 +415,11 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
 def selfmap_distortion_check(m, K=None, probes=200, seed=0,
                              cfg=DEFAULT_CONFIG):
     """Two-sided distortion bounds for harmonic self-maps of the disk:
-    (1+K)/(2K) R <= |f_z| <= (K+1)/2 R with R = (1-|f|^2)/(1-|z|^2)."""
+    (1+K)/(2K) R <= |f_z| <= (K+1)/2 R with R = (1-|f|^2)/(1-|z|^2).
+    probes is 1 to MAX_PROBES."""
     n = int(probes)
-    if n < 1:
-        raise ValidationError(f"need at least 1 probe, got {n}")
+    if not 1 <= n <= MAX_PROBES:
+        raise ValidationError(f"probes must be 1 to {MAX_PROBES}, got {n}")
     K_eff = effective_K(m, K, cfg)
     rng = np.random.default_rng(seed)
     r = 0.9 * np.sqrt(rng.uniform(size=n))

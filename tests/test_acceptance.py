@@ -73,7 +73,7 @@ def test_criterion_01_level_curve_lengths():
     ident = gallery_map("identity")
     aff = gallery_map("affine:1,0.5")
 
-    worst_ident = max(abs(level_curve_length(ident, r) - TWO_PI * r)
+    worst_ident = max(abs(level_curve_length(ident, r)[0] - TWO_PI * r)
                       for r in NINE_RADII)
 
     n = 1 << 16
@@ -82,7 +82,7 @@ def test_criterion_01_level_curve_lengths():
     for r in NINE_RADII:
         w = aff.eval_many(r * np.exp(1j * th))
         oracle = float(np.sum(np.abs(np.diff(w))))
-        got = level_curve_length(aff, r)
+        got, _ = level_curve_length(aff, r)
         worst_aff = max(worst_aff, abs(got - oracle) / oracle)
     dt = time.perf_counter() - t0
 
@@ -276,10 +276,10 @@ def _poisson_invariants(m, c=1.0):
     reports = [*check_prop1(m, radii=(0.3, 0.6, 0.9), cfg=cfg),
                *thm5_bound(m, n_max=4, cfg=cfg), prop2_bound(m, 0.5, cfg=cfg),
                schwarz_radial_check(m, r_grid=16, cfg=cfg)]
-    lengths = [level_curve_length(m, r, cfg) for r in (0.3, 0.9)]
-    lengths.append(radial_length(m, 0.7, 0.9, cfg))
+    lengths = [level_curve_length(m, r, cfg)[0] for r in (0.3, 0.9)]
+    lengths.append(radial_length(m, 0.7, 0.9, cfg)[0])
     area_cfg = QuadratureConfig(abs_tol=1e-9 * abs(c) ** 2)
-    areas = [image_area(m, r, area_cfg) for r in (0.5, 0.9)]
+    areas = [image_area(m, r, area_cfg)[0] for r in (0.5, 0.9)]
     ratios = [rep.lhs / rep.rhs for rep in reports if rep.rhs != 0.0]
     ratios.append(estimate_K(m, r_max=0.99).K_lower)
     return (tuple(rep.holds for rep in reports), np.array(lengths),

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,8 +15,10 @@ import pytest
 import harmonicdisk
 from harmonicdisk import ArcSet, theorems
 from harmonicdisk.cli import CHECKS, THEOREM_NAMES, _flag, build_parser, main
+from harmonicdisk.config import (DEFAULT_CONFIG, QuadratureConfig,
+                                 effective_boundary_radius)
 from harmonicdisk.gallery import gallery_map
-from harmonicdisk.reporting import reports_to_json
+from harmonicdisk.reporting import fmt_float, reports_to_json
 
 IDENT_CROSSCUT_LEN = 2.0943927929925036  # FROZEN, rho=1 about zeta0=1
 
@@ -97,6 +100,24 @@ def test_length_boundary_measure(capsys):
     rows = parse_csv(out)
     want = (1.0 - 1e-6) * 1.5707963
     assert float(rows[0]["length"]) == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("spec,rb,want", [
+    ("identity", None, 1.0 - 1e-6),
+    ("identity", 0.95, 0.95),
+    ("poisson:phi=t+0.2*sin(t)", None, 0.998),
+])
+def test_length_boundary_r_is_the_effective_radius(capsys, spec, rb, want):
+    options = () if rb is None else ("--rb", str(rb))
+    code, out, _ = run_cli(capsys, "length", "--spec", spec, "--which",
+                           "boundary", *options)
+    assert code == 0
+    cfg = DEFAULT_CONFIG if rb is None else QuadratureConfig(
+        boundary_radius=rb)
+    got = parse_csv(out)[0]["r"]
+    assert got == fmt_float(effective_boundary_radius(
+        cfg, gallery_map(spec).max_radius))
+    assert float(got) == want
 
 
 def test_length_radial(capsys):
@@ -396,6 +417,18 @@ def test_thm4_leaves_out_scipy_spatial():
         "'0.2', '--boundary-samples', '64']); "
         "print('scipy.spatial' in sys.modules)").stdout
     assert out.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "schwarz", "--spec", "identity", "--r-grid", "4097"),
+    ("verify", "selfmap", "--spec", "identity", "--probes", str(2 ** 20 + 1)),
+    ("verify", "prop1", "--spec", "identity", "--theta-grid", "8193"),
+])
+def test_count_caps_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"error: \w+ must be \d+ to \d+, got \d+\n", err)
 
 
 def test_boundary_samples_cap_exits_1(capsys):

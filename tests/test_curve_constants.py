@@ -161,6 +161,15 @@ def test_u_polygon_connectivity_exceeds_one():
     assert 1.05 < got < 10.0
 
 
+@pytest.mark.parametrize("grid", [5, 12])
+def test_connectivity_refuses_when_no_pair_is_measured(grid):
+    # no sampled pair lies 10 cells apart, so nothing is measured: the
+    # floor 1.0 is not a measurement
+    with pytest.raises(PathNotFound, match="no sampled pair"):
+        linear_connectivity_constant(u_polygon(), point_pairs=12, grid=grid,
+                                     seed=1)
+
+
 def test_connectivity_validation():
     open_curve = PolygonalCurve(np.array([0.0, 1.0, 1.0j]), closed=False)
     with pytest.raises(ValidationError):

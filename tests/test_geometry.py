@@ -22,13 +22,16 @@ from harmonicdisk import (ArcSet, EmptyCrosscut, HarmonicMap, PolygonalCurve,
                           radial_length, sup_radial_length, thm2_bound)
 from harmonicdisk import geometry
 from harmonicdisk.config import QuadratureConfig
-from harmonicdisk.geometry import (circle_polygon, curve_diameter,
-                                   ellipse_polygon, hardy_mean,
-                                   is_self_intersecting, op_norm_field,
+from harmonicdisk.geometry import (MAX_RAY_CELLS, circle_polygon,
+                                   curve_diameter, ellipse_polygon,
+                                   hardy_mean, is_self_intersecting,
                                    point_polygon_distance, points_in_polygon,
-                                   polygonal_length, rectangle_polygon,
-                                   shoelace_area, square_polygon, u_polygon)
-from harmonicdisk.maps import SeriesHarmonicMap, rotate_domain, scale_range
+                                   polygonal_length, ray_table,
+                                   rectangle_polygon, shoelace_area,
+                                   square_polygon, u_polygon)
+from harmonicdisk.maps import (SeriesHarmonicMap, op_norm, rotate_domain,
+                               scale_range)
+from harmonicdisk.quadrature import cumulative_simpson, simpson_weights
 
 from oracles.area_closed_forms import lens_area, poly_area
 from oracles.poisson_bessel_series import bessel_series_coeffs
@@ -380,16 +383,14 @@ def test_arcset_rejects_overlap_and_degenerate():
 def test_level_curve_length_identity_and_affine():
     ident = gallery_map("identity")
     for r in (0.25, 0.9):
-        assert level_curve_length(ident, r) == pytest.approx(
+        assert level_curve_length(ident, r)[0] == pytest.approx(
             2.0 * math.pi * r, abs=1e-10)
     aff = gallery_map("affine:1,0.5")
-    assert level_curve_length(aff, 0.5) == pytest.approx(
+    assert level_curve_length(aff, 0.5)[0] == pytest.approx(
         AFFINE_PERIM_05, abs=1e-9)
-    info = {}
-    assert level_curve_length(aff, 0.9, info=info) == pytest.approx(
-        AFFINE_PERIM_09, abs=1e-9)
-    assert info["r"] == 0.9
-    assert info["nodes"] >= 17
+    length, nodes = level_curve_length(aff, 0.9)
+    assert length == pytest.approx(AFFINE_PERIM_09, abs=1e-9)
+    assert nodes >= 17
     with pytest.raises(ValidationError):
         level_curve_length(ident, 1.0)
     with pytest.raises(QuadratureNonconvergence):
@@ -398,24 +399,23 @@ def test_level_curve_length_identity_and_affine():
 
 def test_boundary_image_length_affine():
     aff = gallery_map("affine:1,0.5")
-    info = {}
-    full = boundary_image_length(aff, ArcSet.full(), info=info)
+    full, _ = boundary_image_length(aff, ArcSet.full())
     assert full == pytest.approx(AFFINE_PERIM_RB, abs=1e-9)
-    assert info["r_b"] == pytest.approx(R_CLIP)
-    half = boundary_image_length(aff, ArcSet.single(0.0, math.pi))
+    half, _ = boundary_image_length(aff, ArcSet.single(0.0, math.pi))
     assert half == pytest.approx(AFFINE_HALF_ARC_RB, abs=1e-9)
     # additivity over a split into disjoint arcs
     split = ArcSet(((0.0, 1.0), (1.0 + 1e-9, 2.0 * math.pi - 1e-9)))
-    assert boundary_image_length(aff, split) == pytest.approx(full, abs=1e-7)
+    assert boundary_image_length(aff, split)[0] == pytest.approx(full,
+                                                                 abs=1e-7)
 
 
 def test_radial_length_closed_forms():
     ident = gallery_map("identity")
-    assert radial_length(ident, 0.3, 0.8) == pytest.approx(0.8, abs=1e-12)
-    assert radial_length(ident, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert radial_length(ident, 0.3, 0.8)[0] == pytest.approx(0.8, abs=1e-12)
+    assert radial_length(ident, 0.0, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
     aff = gallery_map("affine:1,0.5")
-    assert radial_length(aff, 0.0, 1.0) == pytest.approx(1.5, abs=1e-11)
-    assert radial_length(aff, 0.5 * math.pi, 1.0) == pytest.approx(
+    assert radial_length(aff, 0.0, 1.0)[0] == pytest.approx(1.5, abs=1e-11)
+    assert radial_length(aff, 0.5 * math.pi, 1.0)[0] == pytest.approx(
         0.5, abs=1e-11)
     with pytest.raises(ValidationError):
         radial_length(ident, 0.0, 1.5)
@@ -432,15 +432,50 @@ def test_sup_radial_length_affine():
                abs(theta - 2.0 * math.pi)) < 1e-4
 
 
+def _rays_one_at_a_time(m, r, panels, n_theta, kernel, scale=1.0):
+    """The ray table's rows, one derivs_many and one cumulative_simpson
+    call per ray."""
+    rho = np.linspace(0.0, r, panels + 1)
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    points = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    rows = []
+    for k in range(n_theta):
+        fz, fzb = m.derivs_many((scale * rho) * points[k])
+        vals = kernel(np.exp(1j * thetas[k]), fz, fzb)
+        rows.append(cumulative_simpson(vals, r / panels))
+    return thetas, rho, np.array(rows)
+
+
+@pytest.mark.parametrize("name", ["identity", "poly:z+0.3*zbar^2",
+                                  "poisson:phi=t+0.2*sin(t)"])
+def test_ray_table_equals_ray_by_ray_loop(name):
+    m = gallery_map(name)
+    kernels = [geometry._stretch,
+               lambda e, fz, fzb: op_norm(fz, fzb),
+               lambda e, fz, fzb: 0.5 * geometry._stretch(e, fz, fzb)]
+    for kernel, r, scale in zip(kernels, (0.9, 0.95, 1.0), (1.0, 1.0, 0.5)):
+        got = ray_table(m, r, 16, 12, kernel, scale=scale)
+        want = _rays_one_at_a_time(m, r, 16, 12, kernel, scale)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+def test_ray_table_cell_cap():
+    # one ray of MAX_RAY_CELLS + 1 nodes is refused before evaluation
+    with pytest.raises(ValidationError, match="exceeds 2097152 cells"):
+        ray_table(_RefusingMap(), 0.5, MAX_RAY_CELLS, 1,
+                  geometry._stretch)
+    assert MAX_RAY_CELLS == 1 << 21
+
+
 def test_crosscut_length_identity_frozen():
     ident = gallery_map("identity")
     for rho, want in CROSSCUT_LEN.items():
-        info = {}
-        got = crosscut_length(ident, 1.0, rho, info=info)
+        got, _ = crosscut_length(ident, 1.0, rho)
         assert got == pytest.approx(want, abs=1e-9), rho
-        assert info["r_clip"] == pytest.approx(R_CLIP)
     # rotation invariance of the window: same lengths about zeta0 = i
-    assert crosscut_length(ident, 1.0j, 1.0) == pytest.approx(
+    assert crosscut_length(ident, 1.0j, 1.0)[0] == pytest.approx(
         CROSSCUT_LEN[1.0], abs=1e-9)
 
 
@@ -474,7 +509,7 @@ def test_nan_crosscut_center_is_refused():
 def test_crosscut_integral_identity_frozen():
     ident = gallery_map("identity")
     for r, want in CROSSCUT_INT.items():
-        got = crosscut_integral(ident, 1.0, r)
+        got, _, _ = crosscut_integral(ident, 1.0, r)
         assert got == pytest.approx(want, abs=5e-8), r
 
 
@@ -482,10 +517,28 @@ def test_crosscut_integral_fixed_panels_agree():
     # the doubled Gauss rule and the fixed-panel Simpson rule on the same
     # substituted domain agree with the returned value
     ident = gallery_map("identity")
-    info = {}
-    crosscut_integral(ident, 1.0, 0.5, info=info)
-    assert info["node_check"] <= 1e-9
-    assert info["simpson_check"] <= 1e-9
+    _, node_check, simpson_check = crosscut_integral(ident, 1.0, 0.5)
+    assert node_check <= 1e-9
+    assert simpson_check <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["identity", "poly:z+0.3*zbar^2"])
+def test_crosscut_checks_are_thm2_params(name):
+    # thm2 reports the two checks crosscut_integral returns, unchanged
+    m = gallery_map(name)
+    zeta0 = np.exp(0.7j)
+    reports = thm2_bound(m, zeta0, K=1.5, M_lav=2.0, r_list=(0.5, 1.5))
+    kernel = geometry._crosscut_kernel
+    rules = [(np.linspace(-1.0, 1.0, n + 1),
+              simpson_weights(n) * (2.0 / (3.0 * n))) for n in (256, 128)]
+    for rep, r in zip(reports[::2], (0.5, 1.5)):
+        val, node_check, simpson_check = crosscut_integral(m, zeta0, r)
+        assert (val, node_check) == geometry._lens_integral(
+            m, zeta0, r, R_CLIP, kernel, QuadratureConfig())
+        simpson = geometry._lens_quad(m, zeta0, r, R_CLIP, kernel, *rules)
+        assert simpson_check == abs(val - simpson)
+        assert rep.params["lhs_node_check"] == node_check
+        assert rep.params["lhs_adaptive_vs_fixed"] == simpson_check
 
 
 class _CountingMap(HarmonicMap):
@@ -523,8 +576,8 @@ def test_coarea_identity_crosscut_vs_lens():
     closed-form lens_area gates each route on its own."""
     ident = gallery_map("identity")
     for r in (0.5, 0.8):
-        lhs = crosscut_integral(ident, 1.0, r)
-        area = image_area(ident, r, center=1.0)
+        lhs, _, _ = crosscut_integral(ident, 1.0, r)
+        area, _ = image_area(ident, r, center=1.0)
         want = lens_area(1.0, r, R_CLIP)
         assert lhs == pytest.approx(want, abs=5e-8), r
         assert area == pytest.approx(want, abs=5e-8), r
@@ -535,54 +588,53 @@ def test_coarea_identity_crosscut_vs_lens():
 
 def test_image_area_disk_closed_forms():
     ident = gallery_map("identity")
-    info = {}
-    got = image_area(ident, 0.9, info=info)
+    got, agreement = image_area(ident, 0.9)
     assert got == pytest.approx(2.5446900494077327, abs=1e-10)
-    assert info["r_eff"] == 0.9
+    assert agreement <= 1e-8
     # r = 1 clips to the proxy radius; FROZEN pi (1 - 1e-6)^2
-    assert image_area(ident, 1.0) == pytest.approx(3.1415863704076274,
-                                                   abs=1e-10)
+    assert image_area(ident, 1.0)[0] == pytest.approx(3.1415863704076274,
+                                                      abs=1e-10)
     aff = gallery_map("affine:1,0.5")
-    assert image_area(aff, 0.9) == pytest.approx(1.9085175370557994,
-                                                 abs=1e-10)
+    assert image_area(aff, 0.9)[0] == pytest.approx(1.9085175370557994,
+                                                    abs=1e-10)
     poly = gallery_map("poly:z+0.3*zbar^2")
-    assert image_area(poly, 0.5) == pytest.approx(poly_area(0.3, 0.5),
-                                                  abs=1e-10)
-    assert image_area(poly, 0.9) == pytest.approx(poly_area(0.3, 0.9),
-                                                  abs=1e-10)
+    assert image_area(poly, 0.5)[0] == pytest.approx(poly_area(0.3, 0.5),
+                                                     abs=1e-10)
+    assert image_area(poly, 0.9)[0] == pytest.approx(poly_area(0.3, 0.9),
+                                                     abs=1e-10)
 
 
 def test_image_area_lens_against_closed_form():
     ident = gallery_map("identity")
     # origin outside the region, corners and window edges both active
     for rho in (0.3, 0.8, 1.2, 1.99):
-        got = image_area(ident, rho, center=1.0)
+        got = image_area(ident, rho, center=1.0)[0]
         assert got == pytest.approx(lens_area(1.0, rho, R_CLIP),
                                     abs=1e-8), rho
     # origin interior to the region
-    got = image_area(ident, 0.7, center=0.25)
+    got = image_area(ident, 0.7, center=0.25)[0]
     assert got == pytest.approx(lens_area(0.25, 0.7, R_CLIP), abs=1e-8)
     # origin interior and the region crossing |z| = R
-    got = image_area(ident, 0.7, center=0.5)
+    got = image_area(ident, 0.7, center=0.5)[0]
     assert got == pytest.approx(lens_area(0.5, 0.7, R_CLIP), abs=1e-8)
     # region entirely inside the disk: no clipping at all
-    got = image_area(ident, 0.2, center=0.3 + 0.2j)
+    got = image_area(ident, 0.2, center=0.3 + 0.2j)[0]
     assert got == pytest.approx(math.pi * 0.04, abs=1e-10)
     # region covering the whole disk
-    got = image_area(ident, 1.99, center=0.0)
+    got = image_area(ident, 1.99, center=0.0)[0]
     assert got == pytest.approx(math.pi * R_CLIP ** 2, abs=1e-9)
 
 
 def test_image_area_region_misses_disk():
     ident = gallery_map("identity")
-    assert image_area(ident, 0.3, center=2.0) == 0.0
+    assert image_area(ident, 0.3, center=2.0) == (0.0, 0.0)
 
 
 def test_image_area_off_axis_center_rotation_invariance():
     # identity areas depend on |center| only
     ident = gallery_map("identity")
-    a = image_area(ident, 0.6, center=1.0)
-    b = image_area(ident, 0.6, center=np.exp(2.1j))
+    a = image_area(ident, 0.6, center=1.0)[0]
+    b = image_area(ident, 0.6, center=np.exp(2.1j))[0]
     assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -591,7 +643,7 @@ def test_image_area_poly_lens_multiplicity_weighting():
     so integrate the radially-exact profile with a dense independent
     angular trapezoid rule as the oracle."""
     m = gallery_map("poly:z+0.3*zbar^2")
-    got = image_area(m, 0.8, center=1.0)
+    got = image_area(m, 0.8, center=1.0)[0]
 
     # independent oracle: J = 1 - 0.36 |z|^2 integrates exactly in rho
     # along each ray; trapezoid over 20000 angles on the full window
@@ -626,16 +678,16 @@ def test_image_area_validation():
 
 
 def test_hardy_mean_constant_fields():
-    aff_field = op_norm_field(gallery_map("affine:1,0.5"))
+    aff = gallery_map("affine:1,0.5")
     for p in (0.5, 1.0, 2.0):
-        assert hardy_mean(aff_field, p, 0.7) == pytest.approx(1.5, abs=1e-10)
-    poly_field = op_norm_field(gallery_map("poly:z+0.3*zbar^2"))
+        assert hardy_mean(aff, p, 0.7) == pytest.approx(1.5, abs=1e-10)
+    poly = gallery_map("poly:z+0.3*zbar^2")
     # |f_z| + |f_zb| = 1 + 0.6 |z|, constant on each circle
-    assert hardy_mean(poly_field, 2.0, 0.5) == pytest.approx(1.3, abs=1e-10)
+    assert hardy_mean(poly, 2.0, 0.5) == pytest.approx(1.3, abs=1e-10)
     with pytest.raises(ValidationError):
-        hardy_mean(aff_field, 0.0, 0.5)
+        hardy_mean(aff, 0.0, 0.5)
     with pytest.raises(ValidationError):
-        hardy_mean(aff_field, 1.0, 1.0)
+        hardy_mean(aff, 1.0, 1.0)
 
 
 # -- coefficient extraction -------------------------------------------------
@@ -721,6 +773,27 @@ def test_extract_coefficients_validation():
         extract_coefficients(m, 3, 1.0)
 
 
+def test_extract_coefficients_after_a_larger_call():
+    # the mode rows come from one table of roots of unity; a larger
+    # n_max before leaves the n_max = 8 coefficients bitwise unchanged
+    m = gallery_map("poly:z+0.3*zbar^2")
+    first = extract_coefficients(m, 8, 0.5)
+    try:
+        extract_coefficients(m, 600, 0.5)
+    except QuadratureNonconvergence:
+        pass  # mode 600's round-off is amplified by 2^599
+    again = extract_coefficients(m, 8, 0.5)
+    for x, y in zip(first, again):
+        assert x.tobytes() == y.tobytes()
+    assert geometry._roots_of_unity().nbytes == 256 * 1024
+    # each gathered row is e^{-i k t_j} with k*j reduced mod N first;
+    # equal values (extended precision pads its bytes)
+    N = geometry._EXTRACT_NODES
+    for k, row in enumerate(geometry._mode_matrix(8)):
+        mm = (geometry.TWO_PI_LD * (k * np.arange(N) % N)) / N
+        np.testing.assert_array_equal(row, np.cos(mm) - 1j * np.sin(mm))
+
+
 @pytest.mark.parametrize("zeta0,r_list,message", [
     (0.5, (1.0,), "crosscut center must be unimodular"),
     (complex(math.nan, 0.0), (1.0,), "crosscut center must be unimodular"),
@@ -749,10 +822,9 @@ class _RefusingMap(HarmonicMap):
 
 
 def test_boundary_polygon_identity():
-    info = {}
-    poly = boundary_polygon(gallery_map("identity"), 512, info=info)
+    poly = boundary_polygon(gallery_map("identity"), 512)
     assert poly.vertices.size == 512
-    assert info["r_b"] == pytest.approx(R_CLIP)
+    np.testing.assert_allclose(np.abs(poly.vertices), R_CLIP, rtol=1e-15)
     assert polygonal_length(poly) == pytest.approx(2.0 * math.pi * R_CLIP,
                                                    rel=1e-4)
     with pytest.raises(ValidationError):
@@ -778,8 +850,6 @@ def test_distance_to_boundary_identity():
 def test_custom_config_threading():
     # a looser config is honored (coarse rule, fewer refinements)
     cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5, boundary_radius=0.99)
-    info = {}
-    val = boundary_image_length(gallery_map("identity"), ArcSet.full(),
-                                cfg=cfg, info=info)
-    assert info["r_b"] == 0.99
+    val, _ = boundary_image_length(gallery_map("identity"), ArcSet.full(),
+                                   cfg=cfg)
     assert val == pytest.approx(2.0 * math.pi * 0.99, abs=1e-5)

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from harmonicdisk import (ArcSet, DegenerateE, DivisionDegenerate,
-                          InequalityReport, NormalizationViolation,
-                          NotSelfMap, SelfIntersecting, ValidationError,
-                          gallery_map)
+                          HarmonicMap, InequalityReport,
+                          NormalizationViolation, NotSelfMap,
+                          SelfIntersecting, ValidationError, gallery_map)
+from harmonicdisk.config import MAX_THETA_GRID, QuadratureConfig
 from harmonicdisk.geometry import PolygonalCurve, circle_polygon, \
     square_polygon
-from harmonicdisk.theorems import (REPORT_TOL, check_prop1, effective_K,
+from harmonicdisk.theorems import (MAX_PROBES, MAX_R_GRID, REPORT_TOL,
+                                   check_prop1, effective_K,
                                    isoperimetric_check, make_report,
                                    prop2_bound, schwarz_radial_check,
                                    selfmap_distortion_check, thm1_bound,
@@ -353,6 +355,40 @@ def test_selfmap_deterministic_seed():
     a = selfmap_distortion_check(gallery_map("identity"), probes=32, seed=7)
     b = selfmap_distortion_check(gallery_map("identity"), probes=32, seed=7)
     assert a[0].lhs == b[0].lhs and a[1].lhs == b[1].lhs
+
+
+# -- count caps --------------------------------------------------------------
+
+
+class _Evaluated(Exception):
+    pass
+
+
+class _RefusingMap(HarmonicMap):
+    """Raises as soon as anything is evaluated."""
+
+    def eval_many(self, z):
+        raise _Evaluated("eval_many")
+
+    def derivs_many(self, z):
+        raise _Evaluated("derivs_many")
+
+
+def test_count_caps_refuse_before_evaluation():
+    # each cap + 1 is refused before the map is asked for anything
+    with pytest.raises(ValidationError,
+                       match=f"r_grid must be 2 to {MAX_R_GRID}, got "
+                             f"{MAX_R_GRID + 1}"):
+        schwarz_radial_check(_RefusingMap(), r_grid=MAX_R_GRID + 1)
+    with pytest.raises(ValidationError,
+                       match=f"probes must be 1 to {MAX_PROBES}, got "
+                             f"{MAX_PROBES + 1}"):
+        selfmap_distortion_check(_RefusingMap(), probes=MAX_PROBES + 1)
+    with pytest.raises(ValidationError,
+                       match=f"theta_grid must be 8 to {MAX_THETA_GRID}, "
+                             f"got {MAX_THETA_GRID + 1}"):
+        QuadratureConfig(theta_grid=MAX_THETA_GRID + 1)
+    assert (MAX_R_GRID, MAX_PROBES, MAX_THETA_GRID) == (4096, 1 << 20, 8192)
 
 
 # -- isoperimetric ------------------------------------------------------------
