@@ -21,6 +21,7 @@ import cmath
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -31,9 +32,10 @@ from .config import (DEFAULT_CONFIG, MAX_THETA_GRID, QuadratureConfig,
 from .curve_constants import curve_constants
 from .errors import NumericalError, PointOutsideDisk, ValidationError
 from .gallery import gallery_map, gallery_names, load_map_spec
-from .geometry import (ArcSet, PolygonalCurve, boundary_image_length,
-                       crosscut_length, extract_coefficients, image_area,
-                       level_curve_length, radial_length)
+from .geometry import (MAX_COEFFICIENTS, ArcSet, PolygonalCurve,
+                       boundary_image_length, crosscut_length,
+                       extract_coefficients, image_area, level_curve_length,
+                       radial_length)
 from .reporting import (csv_table, fmt_float, reports_to_json,
                         reports_to_rows, rows_to_json, write_meta_sidecar,
                         write_payload, REPORT_COLUMNS)
@@ -54,6 +56,13 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word of a minus and a number is a value, so that the
+        # two-word form --z -0.9,0.1 works; argparse's own rule takes
+        # only plain negative numbers, and no option here starts so
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage mistakes are validation errors (exit 1), keeping exit 2
     # reserved for inequality violations
     def error(self, message):
@@ -379,7 +388,8 @@ def build_parser():
 
     p = sub.add_parser("coeffs", parents=[common],
                        help="power-series coefficients")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=int, default=8,
+                   help=f"highest coefficient index, 1 to {MAX_COEFFICIENTS}")
     p.add_argument("--rho", type=_parse_float, default=0.5)
 
     p = sub.add_parser("constants", parents=[common],
@@ -409,7 +419,9 @@ def build_parser():
     p.add_argument("--zeta0", type=_parse_complex, metavar="RE,IM")
     p.add_argument("--m-lav", dest="M_lav", type=_parse_float)
     p.add_argument("--r0", type=_parse_float)
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=int,
+                   help=f"highest coefficient index of thm5, 1 to "
+                        f"{MAX_COEFFICIENTS}")
     p.add_argument("--rho", type=_parse_float)
     p.add_argument("--threshold", type=_parse_float)
     p.add_argument("--boundary-samples", type=int,

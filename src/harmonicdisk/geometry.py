@@ -227,6 +227,10 @@ def points_in_polygon(points, curve):
 
 # consecutive segments per block of the pruned distance search
 _DIST_BLOCK = 16
+# (point, segment) cells per chunk of point_polygon_distance: its
+# candidate gathers (complex, 16 bytes a cell) then stay near the L2
+# cache; at BLOCK_CELLS they reached 32 MiB, mapped afresh per chunk
+_DIST_CELLS = 1 << 17
 # below this vertex and point size, with |u|^2 > 0, every product in the
 # segment formula is finite, so a segment value is never NaN there
 _DIST_SAFE = 1e150
@@ -251,7 +255,8 @@ def point_polygon_distance(points, curve):
     same per-segment formula, so the minimum over a superset of the
     argmin equals the full sweep's bit for bit.  NaN points and curves
     beyond _DIST_SAFE keep every block.  A point with an infinite and
-    no NaN coordinate is at distance inf.
+    no NaN coordinate is at distance inf.  Points go in chunks of
+    _DIST_CELLS cells; each point's value does not depend on its chunk.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     at_inf = np.isinf(pts) & ~np.isnan(pts)
@@ -275,7 +280,7 @@ def point_polygon_distance(points, curve):
     prune = bool(np.abs(curve.vertices).max() < _DIST_SAFE
                  and uu.min() > 0.0)
     out = np.empty(pts.size)
-    step = max(1, BLOCK_CELLS // (nb * _DIST_BLOCK))
+    step = max(1, _DIST_CELLS // (nb * _DIST_BLOCK))
     for i0 in range(0, pts.size, step):
         x = pts[i0:i0 + step]
         ub = _segment_distance(x[:, None] - P0[None, :], U0[None, :],
@@ -614,6 +619,15 @@ def _lens_quad(m, w, r, R, kernel, rule_rho, rule_t):
         return float(vals.sum())
 
 
+@functools.cache
+def _gauss_rule(n):
+    """leggauss(n) as read-only arrays, computed once per order."""
+    rule = leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _lens_integral(m, w, r, R, kernel, cfg):
     """_lens_quad with Gauss-Legendre rules of orders n x n/2, n doubling
     from _LENS_ORDER until two successive values agree; returns
@@ -621,7 +635,8 @@ def _lens_integral(m, w, r, R, kernel, cfg):
     _LENS_MAX_ORDER."""
 
     def value(n):
-        return _lens_quad(m, w, r, R, kernel, leggauss(n), leggauss(n // 2))
+        return _lens_quad(m, w, r, R, kernel, _gauss_rule(n),
+                          _gauss_rule(n // 2))
 
     n = 2 * _LENS_ORDER
     prev, val = value(_LENS_ORDER), value(n)
@@ -737,6 +752,12 @@ def hardy_mean(m, p, r, cfg=DEFAULT_CONFIG):
 
 
 _EXTRACT_NODES = 1 << 13
+# the node-halving check rule has N/2 = 2^12 nodes, on which mode k and
+# mode k + 2^12 coincide: modes 0..2^12 - 1, so a_1..a_4096, are the
+# most it can tell apart
+MAX_COEFFICIENTS = _EXTRACT_NODES // 2
+# mode rows per block of the coefficient sums (4 MiB)
+_MODE_ROWS = 16
 
 
 @functools.cache
@@ -748,16 +769,25 @@ def _roots_of_unity():
     return np.cos(mm) - 1j * np.sin(mm)
 
 
-def _mode_matrix(n_max):
-    """Rows e^{-i k t_j}, k < n_max, on the 2^13-node grid, extended
-    precision, gathered from the table of N-th roots of unity at
-    k*j mod N, so that no trig argument exceeds one turn.  Rounding the
-    products k*t_j directly leaves a smooth phase error whose high
+def _mode_matrix(stop, start=0):
+    """Rows e^{-i k t_j}, start <= k < stop, on the 2^13-node grid,
+    extended precision, gathered from the table of N-th roots of unity
+    at k*j mod N, so that no trig argument exceeds one turn.  Rounding
+    the products k*t_j directly leaves a smooth phase error whose high
     modes survive the rho^{1-n} amplification in the caller."""
     N = _EXTRACT_NODES
-    idx = np.multiply.outer(np.arange(n_max), np.arange(N))
+    idx = np.multiply.outer(np.arange(start, stop), np.arange(N))
     idx %= N
     return _roots_of_unity()[idx]
+
+
+def coefficient_count(n_max):
+    """n_max as an int, refused outside [1, MAX_COEFFICIENTS]."""
+    n_max = int(n_max)
+    if not 1 <= n_max <= MAX_COEFFICIENTS:
+        raise ValidationError(
+            f"n_max must be 1 to {MAX_COEFFICIENTS}, got {n_max}")
+    return n_max
 
 
 def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
@@ -774,16 +804,15 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     noise past useful accuracy.  The circle nodes and the mode sums are
     therefore extended precision, and every map gets those nodes through
     ``derivs_many``: series maps evaluate on them in extended precision,
-    the others round them to double.
+    the others round them to double.  n_max is 1 to MAX_COEFFICIENTS;
+    the sums run over blocks of _MODE_ROWS modes, each mode's sum
+    independent of its block.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    n_max = coefficient_count(n_max)
     rho = float(rho)
     if not 0.0 < rho < 1.0:
         raise ValidationError(f"extraction radius must be in (0,1), got {rho}")
     N = _EXTRACT_NODES
-    W = _mode_matrix(n_max)
     tt = (TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
     z = np.longdouble(rho) * (np.cos(tt) + 1j * np.sin(tt))
     fz, fzb = m.derivs_many(z)
@@ -792,15 +821,18 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     n = np.arange(1, n_max + 1, dtype=np.longdouble)
     scale = np.longdouble(rho) ** (np.longdouble(1.0) - n) / n
 
-    def coeffs(vals, step):
-        modes = (W[:, ::step] @ vals[::step]) / np.clongdouble(N // step)
-        return (modes * scale).astype(complex)
-
-    a = coeffs(fz, 1)
-    b = coeffs(gp, 1)
+    # a and b on all nodes, then on every other node (the check rule)
+    rules = ((fz, 1), (gp, 1), (fz, 2), (gp, 2))
+    modes = np.empty((len(rules), n_max), dtype=np.clongdouble)
+    for k0 in range(0, n_max, _MODE_ROWS):
+        W = _mode_matrix(min(k0 + _MODE_ROWS, n_max), k0)
+        for row, (vals, step) in zip(modes, rules):
+            row[k0:k0 + len(W)] = W[:, ::step] @ vals[::step]
+    a, b, a2, b2 = ((row / np.clongdouble(N // step) * scale).astype(complex)
+                    for row, (_, step) in zip(modes, rules))
     # np.max, unlike max(), keeps a NaN whichever argument holds it
-    disagreement = float(np.max([np.abs(a - coeffs(fz, 2)).max(),
-                                 np.abs(b - coeffs(gp, 2)).max()]))
+    disagreement = float(np.max([np.abs(a - a2).max(),
+                                 np.abs(b - b2).max()]))
     if not disagreement <= max(cfg.abs_tol * 10.0, 1e-8):
         raise QuadratureNonconvergence(
             f"coefficient extraction node-halving check failed: "

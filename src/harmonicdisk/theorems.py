@@ -25,14 +25,13 @@ from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
                      NotSelfMap, SelfIntersecting, ValidationError)
 from .geometry import (_stretch, _unimodular, _upper_radius,
                        boundary_image_length, boundary_polygon,
-                       boundary_sample_count, crosscut_integral,
-                       extract_coefficients, hardy_mean, image_area,
-                       is_self_intersecting, level_curve_length,
-                       point_polygon_distance, polygonal_length,
-                       radial_length, ray_table, shoelace_area,
-                       sup_radial_length)
+                       boundary_sample_count, coefficient_count,
+                       crosscut_integral, extract_coefficients, hardy_mean,
+                       image_area, is_self_intersecting, level_curve_length,
+                       point_polygon_distance, polygonal_length, ray_table,
+                       shoelace_area, sup_radial_length)
 from .maps import estimate_K, eval_circle_grid, op_norm, sup_modulus
-from .quadrature import adaptive_simpson, first_argmax, refine_grid_max
+from .quadrature import adaptive_simpson, first_argmax
 
 TWO_PI = 2.0 * math.pi
 REPORT_TOL = 1e-7
@@ -290,13 +289,15 @@ def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
 
 def thm5_bound(m, K=None, n_max=8, rho=0.5, cfg=DEFAULT_CONFIG):
     """Coefficient bound |a_n| + |b_n| <= K M_rad, where M_rad is the
-    sup over directions of the full radial image length."""
+    sup over directions of the full radial image length.  n_max is 1 to
+    geometry.MAX_COEFFICIENTS."""
+    n_max = coefficient_count(n_max)
     K_eff = effective_K(m, K, cfg)
     r_up = min(1.0, m.max_radius)
     theta_star, M_rad = sup_radial_length(m, r_up, cfg)
-    a, b = extract_coefficients(m, int(n_max), float(rho), cfg)
+    a, b = extract_coefficients(m, n_max, float(rho), cfg)
     reports = []
-    for n in range(1, int(n_max) + 1):
+    for n in range(1, n_max + 1):
         lhs = abs(a[n]) + abs(b[n - 1])
         reports.append(make_report(
             "thm5_coeff", lhs, K_eff * M_rad, "le",
@@ -362,12 +363,15 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
                          cfg=DEFAULT_CONFIG):
     """Normalized radial means A(r) <= r on a radius grid.
 
-    A(r) = sup_theta int_0^r ||D(rho e^{i theta})|| drho / c.  With no
-    normalization supplied, c is fitted as A_raw(r_top)/r_top at the top
-    grid radius (the equality scaling of the subordination claim): the
-    identity map then gets c = 1 and exact equality at every radius.
-    r_grid is 2 to MAX_R_GRID, and the ray table bounds theta_grid
-    (8 r_grid + 1).
+    A(r) = sup_theta int_0^r ||D(rho e^{i theta})|| drho / c, the sup
+    taken as the maximum over the ray table's theta_grid rays (no
+    refinement between them).  That maximum is a lower bound: a peak
+    between two rays is missed, so with a given normalization a
+    violation there goes unreported.  With no normalization supplied, c is
+    fitted as A_raw(r_top)/r_top at the top grid radius (the equality
+    scaling of the subordination claim): the identity map then gets
+    c = 1 and exact equality at every radius.  r_grid is 2 to
+    MAX_R_GRID, and the ray table bounds theta_grid (8 r_grid + 1).
     """
     r_grid = int(r_grid)
     if not 2 <= r_grid <= MAX_R_GRID:
@@ -375,20 +379,13 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
             f"r_grid must be 2 to {MAX_R_GRID}, got {r_grid}")
     n_theta = int(theta_grid) if theta_grid is not None else cfg.theta_grid
     r_top = effective_boundary_radius(cfg, m.max_radius)
-    thetas, rho, cum = ray_table(m, r_top, 8 * r_grid, n_theta,
-                                 lambda e, fz, fzb: op_norm(fz, fzb))
+    _, rho, cum = ray_table(m, r_top, 8 * r_grid, n_theta,
+                            lambda e, fz, fzb: op_norm(fz, fzb))
     # cum column k is the integral to rho[2k]; report every 4th column,
     # landing exactly on r_top at the last one
     pos = np.arange(4, cum.shape[1], 4)
     radii = rho[2 * pos]
     raw = cum[:, pos].max(axis=0)
-
-    def ray_total(th):
-        return radial_length(m, th, r_top, cfg)[0]
-
-    _, refined_top = refine_grid_max(ray_total, thetas, cum[:, -1],
-                                     wrap=TWO_PI)
-    raw[-1] = max(raw[-1], refined_top)
     if normalization is None:
         c = raw[-1] / r_top
         fitted = True

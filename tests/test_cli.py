@@ -423,12 +423,32 @@ def test_thm4_leaves_out_scipy_spatial():
     ("verify", "schwarz", "--spec", "identity", "--r-grid", "4097"),
     ("verify", "selfmap", "--spec", "identity", "--probes", str(2 ** 20 + 1)),
     ("verify", "prop1", "--spec", "identity", "--theta-grid", "8193"),
+    ("verify", "thm5", "--spec", "identity", "--n-max", "4097"),
+    ("coeffs", "--spec", "identity", "--n-max", "4097"),
+    ("coeffs", "--spec", "identity", "--n-max", "0"),
 ])
 def test_count_caps_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert re.fullmatch(r"error: \w+ must be \d+ to \d+, got \d+\n", err)
+
+
+@pytest.mark.parametrize("argv,value", [
+    (("eval", "--spec", "poly:z+0.3*zbar^2", "--z"), "-0.9,0.1"),
+    (("area", "--spec", "identity", "--r", "0.5", "--center"), "-1,0"),
+    (("area", "--spec", "identity", "--r", "0.5", "--center"), "-.5,-0.5"),
+    (("length", "--which", "crosscut", "--spec", "identity", "--zeta0"),
+     "-1,0"),
+    (("verify", "thm2", "--spec", "identity", "--r-list", "0.5",
+      "--m-lav", "1", "--zeta0"), "-1,0"),
+])
+def test_negative_complex_value_in_both_forms(capsys, argv, value):
+    # "--z -0.9,0.1" is the value -0.9,0.1, as "--z=-0.9,0.1" is
+    *head, flag = argv
+    joined = run_cli(capsys, *head, f"{flag}={value}")
+    assert joined[0] in (0, 2) and joined[2] == ""
+    assert run_cli(capsys, *head, flag, value) == joined
 
 
 def test_boundary_samples_cap_exits_1(capsys):

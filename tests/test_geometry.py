@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.legendre import leggauss
 
 from harmonicdisk import (ArcSet, EmptyCrosscut, HarmonicMap, PolygonalCurve,
                           QuadratureNonconvergence, ValidationError,
@@ -22,6 +23,7 @@ from harmonicdisk import (ArcSet, EmptyCrosscut, HarmonicMap, PolygonalCurve,
                           radial_length, sup_radial_length, thm2_bound)
 from harmonicdisk import geometry
 from harmonicdisk.config import QuadratureConfig
+from harmonicdisk.gallery import gallery_names
 from harmonicdisk.geometry import (MAX_RAY_CELLS, circle_polygon,
                                    curve_diameter, ellipse_polygon,
                                    hardy_mean, is_self_intersecting,
@@ -314,12 +316,47 @@ def test_point_polygon_distance_keeps_nan_segments():
 
 
 def test_point_polygon_distance_spans_chunks():
-    # 2^21 / 512 = 4096 points per chunk; 10^4 points take three chunks
+    # 2^17 / 512 = 256 points per chunk; 10^4 points take 40 chunks
     circle = circle_polygon(512)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.2, 1.2, 10_000) + 1j * rng.uniform(-1.2, 1.2, 10_000)
     np.testing.assert_array_equal(point_polygon_distance(pts, circle),
                                   _full_sweep_distance(pts, circle))
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 21])
+def test_point_polygon_distance_chunk_budget_keeps_bits(monkeypatch, cells):
+    # a chunk of one point and a chunk of 2^21 cells give the default's
+    # bits, on the thm4 boundary polygons of the gallery and the U
+    rng = np.random.default_rng(3)
+    curves = [geometry.boundary_polygon(gallery_map(spec), 2048)
+              for spec in gallery_names()] + [u_polygon()]
+    bad = np.array([np.nan, complex(np.inf, 0.0), complex(1.0, -np.inf),
+                    complex(np.nan, np.inf)])
+    cases = []
+    for curve in curves:
+        v = curve.vertices
+        scale = float(np.abs(v - v.mean()).max())
+        pts = v.mean() + 1.5 * scale * (rng.uniform(-1, 1, 600)
+                                        + 1j * rng.uniform(-1, 1, 600))
+        cases.append((curve, np.concatenate([pts[:300], bad, pts[300:]])))
+    with np.errstate(invalid="ignore"):
+        default = [point_polygon_distance(pts, c) for c, pts in cases]
+        monkeypatch.setattr(geometry, "_DIST_CELLS", cells)
+        for (curve, pts), want in zip(cases, default):
+            got = point_polygon_distance(pts, curve)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_gauss_rule_cache_is_read_only_leggauss():
+    for n in (32, 64, 128, 256, 512):
+        rule = geometry._gauss_rule(n)
+        assert rule is geometry._gauss_rule(n)
+        for got, want in zip(rule, leggauss(n)):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
 
 
 def test_u_polygon_area_and_vertex_count():
@@ -771,6 +808,18 @@ def test_extract_coefficients_validation():
         extract_coefficients(m, 0, 0.5)
     with pytest.raises(ValidationError):
         extract_coefficients(m, 3, 1.0)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_extract_coefficients_row_blocks_keep_bits(monkeypatch, rows):
+    # each mode's sum is independent of the block of rows it is in
+    cases = [(gallery_map("poly:z+0.3*zbar^2"), 12, 0.5),
+             (gallery_map("poisson:phi=t+0.2*sin(t)"), 21, 0.9)]
+    want = [extract_coefficients(m, n, rho) for m, n, rho in cases]
+    monkeypatch.setattr(geometry, "_MODE_ROWS", rows)
+    for (m, n, rho), (a, b) in zip(cases, want):
+        got_a, got_b = extract_coefficients(m, n, rho)
+        assert (got_a.tobytes(), got_b.tobytes()) == (a.tobytes(), b.tobytes())
 
 
 def test_extract_coefficients_after_a_larger_call():

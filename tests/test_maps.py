@@ -262,6 +262,75 @@ def test_poisson_derivs_evaluate_one_series_level(monkeypatch):
         assert calls == [z.size]
 
 
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if got.dtype == np.complex128:
+        assert got.tobytes() == want.tobytes()
+        return
+    # extended precision pads its bytes: compare values and signs
+    for a, b in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(a, b, equal_nan=True)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def _horner_points(rng, dtype, n):
+    z = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)).astype(dtype)
+    special = [complex(np.nan, 0.5), complex(np.inf, 0), -0.0j]
+    k = min(3, max(n - 1, 0))
+    z[1:1 + k] = special[:k]
+    return z
+
+
+def _coefficients(rng, n):
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) / 2.0
+
+
+HORNER_DTYPES = pytest.mark.parametrize(
+    "dtype", [np.complex128, np.clongdouble], ids=["complex128", "clongdouble"])
+
+
+# 4096 coefficients run at a block of 16 points, so that every block
+# boundary case stays small in extended precision
+@pytest.mark.parametrize("n_coeffs,block", [(1, None), (2, None), (11, None),
+                                            (4096, 16)])
+@HORNER_DTYPES
+def test_blocked_horner_equals_polyval_bitwise(monkeypatch, dtype, n_coeffs,
+                                               block):
+    from harmonicdisk import maps
+
+    if block is not None:
+        monkeypatch.setattr(maps, "_HORNER_BLOCK", block)
+    block = maps._HORNER_BLOCK
+    rng = np.random.default_rng(n_coeffs)
+    c = _coefficients(rng, n_coeffs)
+    cases = [np.asarray(dtype(0.4 - 0.3j))]
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        cases += [_horner_points(rng, dtype, n),
+                  _horner_points(rng, dtype, 3 * n).reshape(3, n)]
+    # not contiguous
+    cases.append(_horner_points(rng, dtype, 2 * block + 6).reshape(2, -1).T)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for z in cases:
+            _same_bits(maps._polyval(z, c), npoly.polyval(z, c))
+            for got, want in zip(maps._series_pair(z, c, c[::-1]),
+                                 (npoly.polyval(z, c),
+                                  np.conj(npoly.polyval(z, c[::-1])))):
+                _same_bits(got, want)
+
+
+@HORNER_DTYPES
+def test_blocked_horner_many_coefficients_bitwise(dtype):
+    from harmonicdisk import maps
+
+    rng = np.random.default_rng(7)
+    c = _coefficients(rng, 4096)
+    z = _horner_points(rng, dtype, maps._HORNER_BLOCK + 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _same_bits(maps._polyval(z, c), npoly.polyval(z, c))
+
+
 def test_poisson_phase_validation():
     with pytest.raises(MapSpecError):
         PoissonHarmonicMap(1.0, lambda t: t + 1.5 * np.sin(t))  # folds back

@@ -14,10 +14,12 @@ import pytest
 from harmonicdisk import (ArcSet, DegenerateE, DivisionDegenerate,
                           HarmonicMap, InequalityReport,
                           NormalizationViolation, NotSelfMap,
-                          SelfIntersecting, ValidationError, gallery_map)
+                          SelfIntersecting, SeriesHarmonicMap,
+                          ValidationError, gallery_map)
 from harmonicdisk.config import MAX_THETA_GRID, QuadratureConfig
-from harmonicdisk.geometry import PolygonalCurve, circle_polygon, \
-    square_polygon
+from harmonicdisk.geometry import (MAX_COEFFICIENTS, PolygonalCurve,
+                                   circle_polygon, extract_coefficients,
+                                   square_polygon)
 from harmonicdisk.theorems import (MAX_PROBES, MAX_R_GRID, REPORT_TOL,
                                    check_prop1, effective_K,
                                    isoperimetric_check, make_report,
@@ -326,6 +328,30 @@ def test_schwarz_explicit_normalization():
         schwarz_radial_check(gallery_map("identity"), r_grid=1)
 
 
+def test_schwarz_sup_is_the_ray_grid_maximum():
+    # f = z + c z^2 with |c| = 0.2 is holomorphic, so ||Df|| = |1 + 2 c z|
+    # peaks on the ray through conj(c), here half a step (pi/64) past the
+    # ray at 0 of a 64-ray table, and sup_theta int_0^r ||Df|| = r + 0.2 r^2.
+    # The check reads the two rays pi/64 from the peak and stays below
+    # that sup by 1.9e-4 in the fitted normalization.
+    half_step = math.pi / 64
+    m = SeriesHarmonicMap([0.0, 1.0, 0.2 * np.exp(-1j * half_step)])
+    rep = schwarz_radial_check(m, theta_grid=64)
+    r_top = rep.params["r_top"]
+    x, w = np.polynomial.legendre.leggauss(64)
+    rho = 0.5 * r_top * (x + 1.0)
+    on_ray = 0.5 * r_top * np.sum(
+        w * np.abs(1.0 + 0.4 * rho * np.exp(1j * half_step)))
+    c = rep.params["normalization"]
+    assert c == pytest.approx(on_ray / r_top, rel=1e-12)
+    assert c == pytest.approx(1.1998084771856, rel=1e-12)
+    assert 1.0 + 0.2 * r_top - c == pytest.approx(1.913e-4, rel=1e-3)
+    # a normalization between the two is therefore not refused
+    assert on_ray / 1.1999 < 1.0 < (r_top + 0.2 * r_top ** 2) / 1.1999
+    assert schwarz_radial_check(m, normalization=1.1999,
+                                theta_grid=64).params["normalization"] == 1.1999
+
+
 # -- selfmap -----------------------------------------------------------------
 
 
@@ -388,7 +414,14 @@ def test_count_caps_refuse_before_evaluation():
                        match=f"theta_grid must be 8 to {MAX_THETA_GRID}, "
                              f"got {MAX_THETA_GRID + 1}"):
         QuadratureConfig(theta_grid=MAX_THETA_GRID + 1)
-    assert (MAX_R_GRID, MAX_PROBES, MAX_THETA_GRID) == (4096, 1 << 20, 8192)
+    for n_max in (0, MAX_COEFFICIENTS + 1):
+        msg = f"n_max must be 1 to {MAX_COEFFICIENTS}, got {n_max}"
+        with pytest.raises(ValidationError, match=msg):
+            thm5_bound(_RefusingMap(), n_max=n_max)
+        with pytest.raises(ValidationError, match=msg):
+            extract_coefficients(_RefusingMap(), n_max, 0.5)
+    assert (MAX_R_GRID, MAX_PROBES, MAX_THETA_GRID, MAX_COEFFICIENTS) == (
+        4096, 1 << 20, 8192, 4096)
 
 
 # -- isoperimetric ------------------------------------------------------------
