@@ -21,7 +21,7 @@ for name in gallery_names():
     reps += check_prop1(m, radii=(0.3, 0.6, 0.9))
     reps += thm4_ratio(m, r_list=(0.1, 0.3, 0.6))
     reps += thm5_bound(m, n_max=4)
-    reps.append(schwarz_radial_check(m, r_grid=32))
+    reps += schwarz_radial_check(m, r_grid=32)
     for r in reps:
         rows.append((name, r.name, r.holds, r.margin))
 

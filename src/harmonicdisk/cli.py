@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import math
 import os
 import re
@@ -30,7 +29,8 @@ import numpy as np
 from .config import (DEFAULT_CONFIG, MAX_THETA_GRID, QuadratureConfig,
                      effective_boundary_radius)
 from .curve_constants import curve_constants
-from .errors import NumericalError, PointOutsideDisk, ValidationError
+from .errors import (NumericalError, PointOutsideDisk, ValidationError,
+                     checked_real)
 from .gallery import gallery_map, gallery_names, load_map_spec
 from .geometry import (MAX_COEFFICIENTS, ArcSet, PolygonalCurve,
                        boundary_image_length, crosscut_length,
@@ -123,7 +123,11 @@ def cmd_eval(run):
     z_list = list(run.args.get("z") or [])
     z_file = run.args.get("z_file")
     if z_file:
-        with open(z_file) as fh:
+        try:
+            fh = open(z_file)
+        except OSError as exc:
+            raise ValidationError(f"cannot read probe file {z_file}: {exc}")
+        with fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if line:
@@ -131,10 +135,9 @@ def cmd_eval(run):
     if not z_list:
         raise ValidationError("eval needs at least one probe "
                               "(--z RE,IM or --z-file PATH)")
+    for zk in z_list:
+        checked_real("|z|", abs(zk), 0.0, 1.0, "[)", PointOutsideDisk)
     z = np.array(z_list, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        bad = z[np.abs(z) >= 1.0][0]
-        raise PointOutsideDisk(f"probe {bad} is outside the open disk")
     f = m.eval_many(z)
     fz, fzb = m.derivs_many(z)
     afz, afzb = np.abs(fz), np.abs(fzb)
@@ -184,7 +187,8 @@ def cmd_length(run):
                          "param": "", "length": fmt_float(val),
                          "nodes": str(nodes)})
     elif which == "radial":
-        radii = run.args.get("r") or [1.0]
+        # the whole radius where the map's derivatives reach it
+        radii = run.args.get("r") or [min(1.0, m.max_radius)]
         for th in run.args.get("theta") or [0.0]:
             for r in radii:
                 val, nodes = radial_length(m, float(th), float(r), cfg)
@@ -262,38 +266,23 @@ def cmd_constants(run):
 
 
 def _thm1(m, cfg, arc=None, measure=None):
-    return [theorems.thm1_bound(m, _arc_set(arc, measure), cfg)]
-
-
-@functools.wraps(theorems.thm3_carleson, assigned=())
-def _thm3(m, **kw):
-    return theorems.thm3_carleson(m, **kw)[1]
-
-
-@functools.wraps(theorems.prop2_bound, assigned=())
-def _prop2(m, **kw):
-    return [theorems.prop2_bound(m, **kw)]
-
-
-@functools.wraps(theorems.schwarz_radial_check, assigned=())
-def _schwarz(m, **kw):
-    return [theorems.schwarz_radial_check(m, **kw)]
+    return theorems.thm1_bound(m, _arc_set(arc, measure), cfg)
 
 
 # check -> (function returning a report list, the verify options it
-# takes; selfmap's seed is the global --seed).  An adapter reshapes one
-# function, and inspect.signature shows that function's parameters.
+# takes; selfmap's seed is the global --seed).  _thm1 builds thm1's arc
+# set from its options.
 CHECKS = {
     "prop1": (theorems.check_prop1, ("K", "radii")),
     "thm1": (_thm1, ("arc", "measure")),
     "thm2": (theorems.thm2_bound,
              ("zeta0", "K", "M_lav", "r_list", "boundary_samples")),
-    "thm3": (_thm3, ("K",)),
-    "prop2": (_prop2, ("r0",)),
+    "thm3": (theorems.thm3_carleson, ("K",)),
+    "prop2": (theorems.prop2_bound, ("r0",)),
     "thm5": (theorems.thm5_bound, ("K", "n_max", "rho")),
     "thm4": (theorems.thm4_ratio,
              ("K", "r_list", "boundary_samples", "threshold")),
-    "schwarz": (_schwarz, ("normalization", "r_grid")),
+    "schwarz": (theorems.schwarz_radial_check, ("normalization", "r_grid")),
     "selfmap": (theorems.selfmap_distortion_check, ("K", "probes", "seed")),
 }
 THEOREM_NAMES = tuple(CHECKS)

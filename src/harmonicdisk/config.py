@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import checked_count, checked_real
 
 # at the cap, sup_radial_length's ray table fills half its cell budget
 MAX_THETA_GRID = 1 << 13
@@ -26,14 +27,10 @@ class QuadratureConfig:
     boundary_radius: float = 1.0 - 1e-6
 
     def __post_init__(self):
-        # "not x > 0" also refuses NaN
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValidationError("tolerances must be positive")
-        if not 8 <= self.theta_grid <= MAX_THETA_GRID:
-            raise ValidationError(f"theta_grid must be 8 to "
-                                  f"{MAX_THETA_GRID}, got {self.theta_grid}")
-        if not 0.0 < self.boundary_radius < 1.0:
-            raise ValidationError("boundary_radius must lie in (0, 1)")
+        checked_real("abs_tol", self.abs_tol, 0.0, math.inf)
+        checked_real("rel_tol", self.rel_tol, 0.0, math.inf)
+        checked_count("theta_grid", self.theta_grid, 8, MAX_THETA_GRID)
+        checked_real("boundary_radius", self.boundary_radius, 0.0, 1.0)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PathNotFound, ValidationError
+from .errors import PathNotFound, ValidationError, checked_count
 from .geometry import BLOCK_CELLS, _row_crossings, points_in_polygon
 
 _EXHAUSTIVE_LIMIT = 1024
@@ -69,7 +69,7 @@ def _pair_lags(n, seed):
     """Lag visit order: antipodal, adjacent, then a seeded shuffle."""
     head = [n // 2, 1]
     rest = [k for k in range(2, n // 2 + 1) if k not in head]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_count("seed", seed, 0, math.inf))
     rng.shuffle(rest)
     return [k for k in head if 1 <= k <= n // 2] + rest
 
@@ -95,13 +95,6 @@ def sample_vertex_pairs(curve, pairs, seed=0):
         if got >= want:
             break
     return blocks, got
-
-
-def _count(name, value, cap):
-    value = int(value)
-    if not 1 <= value <= cap:
-        raise ValidationError(f"{name} must be 1 to {cap}, got {value}")
-    return value
 
 
 class _Probe(NamedTuple):
@@ -194,7 +187,7 @@ def _lavrentiev(probe, counters=None):
 def lavrentiev_constant(curve, pairs=20000, seed=0, counters=None):
     """Shorter-arc length over chord, maximized over sampled pairs.
     pairs is 1 to MAX_PAIRS."""
-    pairs = _count("pairs", pairs, MAX_PAIRS)
+    pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
     return _lavrentiev(_probe_pairs(curve, pairs, seed), counters)
 
 
@@ -261,7 +254,7 @@ def quasicircle_constant(curve, pairs=20000, seed=0, counters=None):
     where W_max is the largest vertex count of a probed shorter arc.
     pairs is 1 to MAX_PAIRS.
     """
-    pairs = _count("pairs", pairs, MAX_PAIRS)
+    pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
     return _quasicircle(curve, _probe_pairs(curve, pairs, seed), counters)
 
 
@@ -283,8 +276,8 @@ def ahlfors_constant(curve, centers=129, radii=6, counters=None):
     of at most BLOCK_CELLS cells; a row sums as the segment vector of
     its radius would.
     """
-    centers = _count("centers", centers, MAX_CENTERS)
-    radii = _count("radii", radii, MAX_RADII)
+    centers = checked_count("centers", centers, 1, MAX_CENTERS)
+    radii = checked_count("radii", radii, 1, MAX_RADII)
     p, q = curve.segments()
     u = q - p
     seglen = np.abs(u)
@@ -509,11 +502,6 @@ MAX_GRID = 2048
 MAX_POINT_PAIRS = 4096
 
 
-def _connectivity_counts(point_pairs, grid):
-    grid = _count("grid", grid, MAX_GRID)
-    return _count("point_pairs", point_pairs, MAX_POINT_PAIRS), grid
-
-
 def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
                                  counters=None):
     """Empirical linear-connectivity constant of the enclosed region.
@@ -534,10 +522,14 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
     one a label of the whole raster gives.  Per pair, w is computed on
     the path and on one crop box, that of the largest such step, and
     every step slices its own crop from it.  grid is 1 to MAX_GRID and
-    point_pairs 1 to MAX_POINT_PAIRS.  PathNotFound when no sampled pair
-    is at least 10 cells apart, as no pair was then measured.
+    point_pairs 1 to MAX_POINT_PAIRS; seed is nonnegative.  PathNotFound
+    when no sampled pair is at least 10 cells apart, as no pair was then
+    measured.
     """
-    point_pairs, grid = _connectivity_counts(point_pairs, grid)
+    grid = checked_count("grid", grid, 1, MAX_GRID)
+    point_pairs = checked_count("point_pairs", point_pairs, 1,
+                                MAX_POINT_PAIRS)
+    seed = checked_count("seed", seed, 0, math.inf)
     if not boundary.closed:
         raise ValidationError("linear connectivity needs a closed boundary")
     cells, inside, cell = _raster(boundary, grid)
@@ -564,11 +556,13 @@ def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
     one sample of probe pairs.  The counts are refused out of range
     before any work: pairs 1 to MAX_PAIRS, centers 1 to MAX_CENTERS,
     radii 1 to MAX_RADII, and point_pairs and grid as for
-    linear_connectivity_constant."""
-    pairs = _count("pairs", pairs, MAX_PAIRS)
-    _count("centers", centers, MAX_CENTERS)
-    _count("radii", radii, MAX_RADII)
-    point_pairs, grid = _connectivity_counts(point_pairs, grid)
+    linear_connectivity_constant; a negative seed is refused by the
+    first step, the pair sample."""
+    pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
+    checked_count("centers", centers, 1, MAX_CENTERS)
+    checked_count("radii", radii, 1, MAX_RADII)
+    checked_count("grid", grid, 1, MAX_GRID)
+    checked_count("point_pairs", point_pairs, 1, MAX_POINT_PAIRS)
     counts = {}
     probe = _probe_pairs(curve, pairs, seed)
     lav = _lavrentiev(probe, counters=counts)
@@ -582,7 +576,7 @@ def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
 def lemma_c_consistent(curves, threshold=1e6, pairs=20000, seed=0):
     """Finite chord-arc constant iff finite Ahlfors and quasicircle
     constants, across a family of curves."""
-    pairs = _count("pairs", pairs, MAX_PAIRS)
+    pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
     for curve in curves:
         probe = _probe_pairs(curve, pairs, seed)
         lav, qc = _lavrentiev(probe), _quasicircle(curve, probe)

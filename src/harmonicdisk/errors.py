@@ -3,6 +3,10 @@
 Two broad families matter to callers (and to the CLI exit-code contract):
 ``ValidationError`` for malformed inputs or violated preconditions, and
 ``NumericalError`` for failures detected while computing.
+
+``checked_real`` and ``checked_count`` are the one copy of the range
+rule: every numeric input with a stated range passes through one of
+them where it enters.
 """
 
 
@@ -12,6 +16,27 @@ class Error(Exception):
 
 class ValidationError(Error):
     """Input does not satisfy a documented precondition."""
+
+
+def checked_real(name, value, lo, hi, ends="()", error=ValidationError):
+    """value as a float, refused with ``error`` unless it lies between lo
+    and hi, each end open or closed as ``ends`` says ("()", "(]", "[)" or
+    "[]").  NaN is always refused."""
+    x = float(value)
+    if not ((lo < x if ends[0] == "(" else lo <= x)
+            and (x < hi if ends[1] == ")" else x <= hi)):
+        raise error(f"{name} must be in {ends[0]}{lo:.12g},{hi:.12g}"
+                    f"{ends[1]}, got {x}")
+    return x
+
+
+def checked_count(name, value, lo, hi, error=ValidationError):
+    """value as an int, refused with ``error`` unless lo <= value <= hi;
+    the test runs before the coercion, so NaN and a fraction past a cap
+    are refused too."""
+    if not lo <= value <= hi:
+        raise error(f"{name} must be {lo} to {hi}, got {value}")
+    return int(value)
 
 
 class MapSpecError(ValidationError):

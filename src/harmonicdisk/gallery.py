@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 
 import numpy as np
 
-from .errors import MapSpecError
+from .errors import MapSpecError, checked_count, checked_real
 from .maps import AffineHarmonicMap, PoissonHarmonicMap, SeriesHarmonicMap
 
 _PHI_FUNCS = {
@@ -97,8 +98,8 @@ def gallery_map(name):
             M = float(name[len("scaled:"):])
         except ValueError:
             raise MapSpecError(f"bad scale in gallery name {name!r}")
-        if M <= 0:
-            raise MapSpecError("scaled: factor must be positive")
+        M = checked_real("scaled: factor", M, 0.0, math.inf,
+                         error=MapSpecError)
         return SeriesHarmonicMap([0.0, M])
     if name.startswith("affine:"):
         body = name[len("affine:"):]
@@ -120,8 +121,7 @@ def gallery_map(name):
                 f"poly: gallery names look like poly:z+c*zbar^n, got {name!r}")
         c = float(m.group(1))
         n = int(m.group(2))
-        if n < 1:
-            raise MapSpecError("poly: exponent must be >= 1")
+        n = checked_count("poly: exponent", n, 1, math.inf, MapSpecError)
         if not n * abs(c) < 1.0:
             raise MapSpecError(
                 f"poly:z+c*zbar^n needs n*|c| < 1 to stay sense-preserving, "

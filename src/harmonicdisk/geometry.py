@@ -24,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, QuadratureNonconvergence,
-                     ValidationError)
+                     ValidationError, checked_count, checked_real)
 from .maps import derivs_polar_grid, eval_circle_grid, jacobian, op_norm
 from .quadrature import (adaptive_simpson, cumulative_simpson,
                          refine_grid_max, simpson_weights)
@@ -93,7 +93,11 @@ class PolygonalCurve:
     def from_file(cls, path, closed=True):
         """One 'x y' vertex per line; blank lines and # comments skipped."""
         pts = []
-        with open(path) as fh:
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise ValidationError(f"cannot read curve file {path}: {exc}")
+        with fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -363,11 +367,9 @@ class ArcSet:
     def __post_init__(self):
         norm = []
         for a, b in self.arcs:
-            a, b = float(a), float(b)
-            width = b - a
-            if not 0.0 < width <= TWO_PI:
-                raise ValidationError(
-                    f"arc [{a}, {b}] must have width in (0, 2 pi]")
+            a = float(a)
+            width = checked_real("arc width", float(b) - a, 0.0, TWO_PI,
+                                 "(]")
             a = a % TWO_PI
             norm.append((a, a + width))
         if not norm:
@@ -441,9 +443,7 @@ def _circle(r):
 
 def level_curve_length(m, r, cfg=DEFAULT_CONFIG):
     """(length, nodes) of the image of the circle |z| = r."""
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise ValidationError(f"level-curve radius must be in (0,1), got {r}")
+    r = checked_real("level-curve radius", r, 0.0, 1.0)
     return _path_length(m, _circle(r), 0.0, TWO_PI, cfg, r)
 
 
@@ -460,19 +460,11 @@ def boundary_image_length(m, E, cfg=DEFAULT_CONFIG):
     return total, nodes
 
 
-def _radial_extent(r):
-    """r as a float, refused unless 0 < r <= 1 (NaN included)."""
-    r = float(r)
-    if not 0.0 < r <= 1.0:
-        raise ValidationError(f"radial extent must be in (0,1], got {r}")
-    return r
-
-
 def radial_length(m, theta, r, cfg=DEFAULT_CONFIG):
     """(length, nodes) of the image of the segment [0, r e^{i theta}]
     with multiplicity.  r may reach 1 for maps whose derivatives extend
     to the closed disk (series, affine)."""
-    r = _radial_extent(r)
+    r = checked_real("radial extent", r, 0.0, 1.0, "(]")
     e = np.exp(1j * float(theta))
 
     def path(rho):
@@ -519,7 +511,7 @@ def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
     the maximizer; golden-section refinement with the adaptive integral
     sharpens it.
     """
-    r = _radial_extent(r)
+    r = checked_real("radial extent", r, 0.0, 1.0, "(]")
     _refuse_beyond(m, r)
     thetas, _, cum = ray_table(m, r, 128, cfg.theta_grid, _stretch)
 
@@ -547,22 +539,12 @@ def _unimodular(zeta0, what="crosscut center"):
     return zeta0
 
 
-def _upper_radius(r):
-    """r as a float, refused unless 0 < r <= 2 (NaN included)."""
-    r = float(r)
-    if not 0.0 < r <= 2.0:
-        raise ValidationError(f"upper radius must be in (0,2], got {r}")
-    return r
-
-
 def crosscut_length(m, zeta0, rho, cfg=DEFAULT_CONFIG):
     """(length, nodes) of the image of the crosscut arc of radius rho
     about the boundary point zeta0, clipped to the boundary proxy
     radius."""
     zeta0 = _unimodular(zeta0)
-    rho = float(rho)
-    if not 0.0 < rho <= 2.0:
-        raise ValidationError(f"crosscut radius must be in (0,2], got {rho}")
+    rho = checked_real("crosscut radius", rho, 0.0, 2.0, "(]")
     r_clip = effective_boundary_radius(cfg, m.max_radius)
     c = _window_cos(1.0, rho, r_clip)
     if not c > -1.0:
@@ -672,7 +654,7 @@ def crosscut_integral(m, zeta0, r, cfg=DEFAULT_CONFIG):
     same substituted domain.
     """
     zeta0 = _unimodular(zeta0)
-    r = _upper_radius(r)
+    r = checked_real("upper radius", r, 0.0, 2.0, "(]")
     r_clip = effective_boundary_radius(cfg, m.max_radius)
     val, gap = _lens_integral(m, zeta0, r, r_clip, _crosscut_kernel, cfg)
     rules = [(np.linspace(-1.0, 1.0, n + 1),
@@ -714,11 +696,10 @@ def image_area(m, r, cfg=DEFAULT_CONFIG, center=None):
     center by the same doubled Gauss-Legendre rule as crosscut_integral
     (see _lens_quad), with the Jacobian |f_z|^2 - |f_zb|^2 as kernel.
     """
-    r = float(r)
-    if center is None and not 0.0 < r <= 1.0:
-        raise ValidationError(f"disk radius must be in (0,1], got {r}")
-    if center is not None and not 0.0 < r <= 2.0:
-        raise ValidationError(f"region radius must be in (0,2], got {r}")
+    if center is None:
+        r = checked_real("disk radius", r, 0.0, 1.0, "(]")
+    else:
+        r = checked_real("region radius", r, 0.0, 2.0, "(]")
     R = effective_boundary_radius(cfg, m.max_radius)
     w = 0.0 if center is None else complex(center)
     aw = abs(w)
@@ -736,12 +717,8 @@ def image_area(m, r, cfg=DEFAULT_CONFIG, center=None):
 def hardy_mean(m, p, r, cfg=DEFAULT_CONFIG):
     """Integral mean M_p(r, ||Df||) = [(1/2pi) int ||Df(r e^{it})||^p
     dt]^{1/p} of the operator norm |f_z| + |f_zb|."""
-    p = float(p)
-    r = float(r)
-    if p <= 0.0:
-        raise ValidationError(f"Hardy exponent must be positive, got {p}")
-    if not 0.0 < r < 1.0:
-        raise ValidationError(f"Hardy radius must be in (0,1), got {r}")
+    p = checked_real("Hardy exponent", p, 0.0, math.inf)
+    r = checked_real("Hardy radius", r, 0.0, 1.0)
 
     def g(t):
         return op_norm(*m.derivs_many(r * np.exp(1j * t))) ** p
@@ -781,15 +758,6 @@ def _mode_matrix(stop, start=0):
     return _roots_of_unity()[idx]
 
 
-def coefficient_count(n_max):
-    """n_max as an int, refused outside [1, MAX_COEFFICIENTS]."""
-    n_max = int(n_max)
-    if not 1 <= n_max <= MAX_COEFFICIENTS:
-        raise ValidationError(
-            f"n_max must be 1 to {MAX_COEFFICIENTS}, got {n_max}")
-    return n_max
-
-
 def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     """Series coefficients a_0..a_n_max and b_1..b_n_max from circle
     integrals of the Wirtinger derivatives.
@@ -808,10 +776,8 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     the sums run over blocks of _MODE_ROWS modes, each mode's sum
     independent of its block.
     """
-    n_max = coefficient_count(n_max)
-    rho = float(rho)
-    if not 0.0 < rho < 1.0:
-        raise ValidationError(f"extraction radius must be in (0,1), got {rho}")
+    n_max = checked_count("n_max", n_max, 1, MAX_COEFFICIENTS)
+    rho = checked_real("extraction radius", rho, 0.0, 1.0)
     N = _EXTRACT_NODES
     tt = (TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
     z = np.longdouble(rho) * (np.cos(tt) + 1j * np.sin(tt))
@@ -845,22 +811,12 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
 MAX_BOUNDARY_SAMPLES = 1 << 20
 
 
-def boundary_sample_count(samples):
-    """The vertex count of a boundary polygon, refused outside
-    [8, MAX_BOUNDARY_SAMPLES]."""
-    samples = int(samples)
-    if samples < 8:
-        raise ValidationError("boundary polygon needs at least 8 samples")
-    if samples > MAX_BOUNDARY_SAMPLES:
-        raise ValidationError(f"boundary polygon takes at most "
-                              f"{MAX_BOUNDARY_SAMPLES} samples, got {samples}")
-    return samples
-
-
 def boundary_polygon(m, samples, cfg=DEFAULT_CONFIG):
     """Polygonal approximation of the image of the proxy boundary
-    circle |z| = effective_boundary_radius(cfg, m.max_radius)."""
-    samples = boundary_sample_count(samples)
+    circle |z| = effective_boundary_radius(cfg, m.max_radius), of 8 to
+    MAX_BOUNDARY_SAMPLES vertices."""
+    samples = checked_count("boundary_samples", samples, 8,
+                            MAX_BOUNDARY_SAMPLES)
     rb = effective_boundary_radius(cfg, m.max_radius)
     return PolygonalCurve(eval_circle_grid(m, rb, samples))
 

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import (MapSpecError, NotSensePreserving, PointOutsideDisk,
-                     QuadratureNonconvergence)
+                     QuadratureNonconvergence, checked_real)
 from .quadrature import golden_max, refine_grid_max
 
 TWO_PI = 2.0 * math.pi
@@ -307,15 +307,13 @@ class PoissonHarmonicMap(HarmonicMap):
     _START_NODES = 256
 
     def __init__(self, scale, phi, *, kernel_tol=1e-10, max_panels=1 << 18):
-        self.scale = float(scale)
-        if not self.scale > 0.0:
-            raise MapSpecError("scale must be positive")
+        self.scale = checked_real("scale", scale, 0.0, math.inf,
+                                  error=MapSpecError)
         _refuse_overflow("Poisson", self.scale, 4.0 / math.pi * self.scale
                          / (1.0 - self.DERIV_RADIUS ** 2))
         self.phi = phi
-        self.kernel_tol = float(kernel_tol)
-        if not 0.0 < self.kernel_tol < math.inf:
-            raise MapSpecError("kernel_tol must be positive and finite")
+        self.kernel_tol = checked_real("kernel_tol", kernel_tol, 0.0,
+                                       math.inf, error=MapSpecError)
         self.max_panels = int(max_panels)
         self._levels: dict[int, tuple[np.ndarray, ...]] = {}
         self._weights: dict[tuple, np.ndarray] = {}
@@ -479,16 +477,14 @@ def derivs_polar_grid(m, radii, n_theta):
 def evaluate(m, z):
     """f(z) for a single point of the open unit disk."""
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise PointOutsideDisk(f"|z| = {abs(z)} >= 1")
+    checked_real("|z|", abs(z), 0.0, 1.0, "[)", PointOutsideDisk)
     return complex(m.eval_many(np.array([z]))[0])
 
 
 def wirtinger(m, z):
     """DerivativeFrame of the map at a single point of the open disk."""
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise PointOutsideDisk(f"|z| = {abs(z)} >= 1")
+    checked_real("|z|", abs(z), 0.0, 1.0, "[)", PointOutsideDisk)
     fz, fzb = m.derivs_many(np.array([z]))
     return DerivativeFrame.from_pair(fz[0], fzb[0])
 
@@ -501,9 +497,8 @@ def estimate_K(m, r_max=0.999, grid=720):
     best probe.  Raises NotSensePreserving if the jacobian is not
     positive at every probe.
     """
-    r_max = min(float(r_max), m.max_radius)
-    if not 0.0 < r_max:
-        raise ValueError("r_max must be positive")
+    r_max = min(checked_real("r_max", r_max, 0.0, math.inf, "(]"),
+                m.max_radius)
     n_r = 32
     lo = min(0.1, 0.5 * r_max)
     radii = np.geomspace(lo, r_max, n_r)
@@ -545,10 +540,8 @@ def sup_modulus(m, r_max):
     |f| is subharmonic, so this also bounds |f| on the closed disk of
     radius r_max.
     """
-    r_max = float(r_max)
-    if not 0.0 < r_max <= m.max_radius:
-        raise PointOutsideDisk(
-            f"r_max must lie in (0, {m.max_radius}] for this map")
+    r_max = checked_real("r_max", r_max, 0.0, m.max_radius, "(]",
+                         PointOutsideDisk)
     angles = np.linspace(0.0, TWO_PI, 720, endpoint=False)
     vals = np.abs(eval_circle_grid(m, r_max, 720))
 

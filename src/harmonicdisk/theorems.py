@@ -22,10 +22,10 @@ import numpy as np
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
-                     NotSelfMap, SelfIntersecting, ValidationError)
-from .geometry import (_stretch, _unimodular, _upper_radius,
-                       boundary_image_length, boundary_polygon,
-                       boundary_sample_count, coefficient_count,
+                     NotSelfMap, SelfIntersecting, ValidationError,
+                     checked_count, checked_real)
+from .geometry import (MAX_BOUNDARY_SAMPLES, MAX_COEFFICIENTS, _stretch,
+                       _unimodular, boundary_image_length, boundary_polygon,
                        crosscut_integral, extract_coefficients, hardy_mean,
                        image_area, is_self_intersecting, level_curve_length,
                        point_polygon_distance, polygonal_length, ray_table,
@@ -68,7 +68,9 @@ _K_CACHE = weakref.WeakKeyDictionary()
 
 def effective_K(m, user_K=None, cfg=DEFAULT_CONFIG):
     """max(declared K, empirical dilatation lower bound), memoized per
-    map instance."""
+    map instance; a declared K is refused unless 1 <= K < inf."""
+    if user_K is not None:
+        user_K = checked_real("K", user_K, 1.0, math.inf, "[)")
     r_max = min(0.99, m.max_radius)
     key = (r_max, cfg.theta_grid)
     per_map = _K_CACHE.setdefault(m, {})
@@ -77,7 +79,7 @@ def effective_K(m, user_K=None, cfg=DEFAULT_CONFIG):
     K_lower = per_map[key].K_lower
     if user_K is None:
         return K_lower
-    return max(float(user_K), K_lower)
+    return max(user_K, K_lower)
 
 
 DEFAULT_RADII = tuple(np.round(np.arange(1, 10) * 0.1, 1))
@@ -91,10 +93,10 @@ def check_prop1(m, K=None, radii=DEFAULT_RADII, cfg=DEFAULT_CONFIG):
     nondecreasing lengths along the radius grid.  Params carry the
     integral-mean proxy sup_r M_1(r, ||D||) and the perimeter proxy.
     """
+    radii = sorted(checked_real("radii", r, 0.0, 1.0) for r in radii)
+    if not radii:
+        raise ValidationError("radii must be nonempty")
     K_eff = effective_K(m, K, cfg)
-    radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] <= 0.0 or radii[-1] >= 1.0:
-        raise ValidationError("radii must lie in (0, 1)")
     reports = []
     lengths = []
     h1_proxy = 0.0
@@ -123,9 +125,8 @@ def check_prop1(m, K=None, radii=DEFAULT_RADII, cfg=DEFAULT_CONFIG):
 def thm1_bound(m, E, cfg=DEFAULT_CONFIG):
     """Boundary image length of an arc set against the sharp lower
     bound through the perimeter and the central derivative gap."""
-    measure = E.total_measure
-    if not 0.0 < measure < TWO_PI:
-        raise DegenerateE(f"arc measure must be in (0, 2 pi), got {measure}")
+    measure = checked_real("arc measure", E.total_measure, 0.0, TWO_PI,
+                           error=DegenerateE)
     fz0, fzb0 = m.derivs_many(np.array([0.0 + 0.0j]))
     d0 = float(np.abs(fz0[0]) - np.abs(fzb0[0]))
     rb = effective_boundary_radius(cfg, m.max_radius)
@@ -139,7 +140,7 @@ def thm1_bound(m, E, cfg=DEFAULT_CONFIG):
         gap = TWO_PI - measure
         rhs = (L * measure / gap) * (d0 * gap / L) ** (TWO_PI / measure)
         params["limit_path"] = False
-    return make_report("thm1_lower_bound", lhs, rhs, "ge", params)
+    return [make_report("thm1_lower_bound", lhs, rhs, "ge", params)]
 
 
 def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
@@ -157,15 +158,20 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     doubled-grid gap of the area.
     """
     zeta0 = _unimodular(zeta0)
-    r_list = [_upper_radius(r) for r in r_list]
+    r_list = [checked_real("upper radius", r, 0.0, 2.0, "(]")
+              for r in r_list]
+    if not r_list:
+        raise ValidationError("r_list must be nonempty")
+    if M_lav is not None:
+        M_lav = checked_real("M_lav", M_lav, 1.0, math.inf, "[)")
     # refused even when M_lav is given and the polygon is never built
-    boundary_samples = boundary_sample_count(boundary_samples)
+    boundary_samples = checked_count("boundary_samples", boundary_samples, 8,
+                                     MAX_BOUNDARY_SAMPLES)
     K_eff = effective_K(m, K, cfg)
     A, area_check = image_area(m, 1.0, cfg)
     if M_lav is None:
         M_lav = lavrentiev_constant(boundary_polygon(m, boundary_samples,
                                                      cfg))
-    M_lav = float(M_lav)
     alpha = 4.0 / (K_eff * (1.0 + M_lav) ** 2)
     front = math.sqrt(K_eff * math.pi * A / 3.0)
     reports = []
@@ -208,8 +214,7 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
     ratios = []
     for z in z_probes:
         z = complex(z)
-        if not abs(z) < 1.0:
-            raise ValidationError(f"probe must be interior, got {z}")
+        checked_real("|probe|", abs(z), 0.0, 1.0, "[)")
         half = math.pi * (1.0 - abs(z))
         theta = math.atan2(z.imag, z.real)
         arc_int, _ = adaptive_simpson(g, theta - half, theta + half,
@@ -219,12 +224,11 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
             raise DivisionDegenerate(f"||D|| ~ 0 at probe {z}")
         ratios.append((arc_int / (2.0 * half)) / denom)
     m_prime = float(max(ratios))
-    report = make_report(
+    return [make_report(
         "thm3_carleson", m_prime, m_prime, "le",
         {"K": K_eff, "r_b": rb, "ratio_min": float(min(ratios)),
          "ratio_max": m_prime, "finite": bool(np.isfinite(m_prime))},
-        probes=len(ratios))
-    return m_prime, [report]
+        probes=len(ratios))]
 
 
 def thm3_hypothesis_fit(m, zeta, delta, r_grid=None, cfg=DEFAULT_CONFIG):
@@ -232,9 +236,7 @@ def thm3_hypothesis_fit(m, zeta, delta, r_grid=None, cfg=DEFAULT_CONFIG):
     hypothesis ||D(rho zeta)|| <= M ((1-rho)/(1-r))^{delta-1}
     ||D(r zeta)|| for r <= rho along the ray toward zeta."""
     zeta = _unimodular(zeta, "ray endpoint")
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0,1), got {delta}")
+    delta = checked_real("delta", delta, 0.0, 1.0)
     if r_grid is None:
         r_grid = np.linspace(0.0, min(0.95, m.max_radius), 40)
     r = np.asarray(r_grid, dtype=float)
@@ -261,9 +263,7 @@ def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     the identity map already violates that variant, so the assertion
     runs against the integrated form.
     """
-    r0 = float(r0)
-    if not 0.0 < r0 < 1.0:
-        raise ValidationError(f"r0 must be in (0,1), got {r0}")
+    r0 = checked_real("r0", r0, 0.0, 1.0)
     s = sup_modulus(m, effective_boundary_radius(cfg, m.max_radius))
     log_term = math.log((1.0 + r0) / (1.0 - r0))
     M_derived = (2.0 / math.pi) * s * log_term
@@ -278,20 +278,20 @@ def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     ratios = cum[:, 1:] / r_vals[None, :]
     worst = float(ratios.max())
     i, j = np.unravel_index(first_argmax(ratios), ratios.shape)
-    return make_report(
+    return [make_report(
         "prop2_radial_bound", worst, M_derived, "le",
         {"r0": r0, "sup_modulus": s, "M_derived": M_derived,
          "M_displayed": M_displayed, "theta_star": float(thetas[i]),
          "r_star": float(r_vals[j]), "theta_grid": int(theta_grid),
          "r_grid": int(r_grid)},
-        probes=int(theta_grid) * int(r_grid))
+        probes=int(theta_grid) * int(r_grid))]
 
 
 def thm5_bound(m, K=None, n_max=8, rho=0.5, cfg=DEFAULT_CONFIG):
     """Coefficient bound |a_n| + |b_n| <= K M_rad, where M_rad is the
     sup over directions of the full radial image length.  n_max is 1 to
     geometry.MAX_COEFFICIENTS."""
-    n_max = coefficient_count(n_max)
+    n_max = checked_count("n_max", n_max, 1, MAX_COEFFICIENTS)
     K_eff = effective_K(m, K, cfg)
     r_up = min(1.0, m.max_radius)
     theta_star, M_rad = sup_radial_length(m, r_up, cfg)
@@ -316,14 +316,19 @@ def thm4_ratio(m, K=None, r_list=(0.05, 0.1, 0.2, 0.4, 0.6),
     radii: constant-ratio maps are recorded verbatim; otherwise the
     sequence must be nonincreasing as r decreases.
     """
+    r_sorted = sorted(checked_real("level-curve radius", r, 0.0, 1.0)
+                      for r in r_list)
+    if not r_sorted:
+        raise ValidationError("r_list must be nonempty")
+    boundary_samples = checked_count("boundary_samples", boundary_samples, 8,
+                                     MAX_BOUNDARY_SAMPLES)
     K_eff = effective_K(m, K, cfg)
     rb = effective_boundary_radius(cfg, m.max_radius)
     s = sup_modulus(m, rb)
-    poly = boundary_polygon(m, int(boundary_samples), cfg)
+    poly = boundary_polygon(m, boundary_samples, cfg)
     n_t = max(720, cfg.theta_grid)
     reports = []
     ratios = []
-    r_sorted = sorted(float(r) for r in r_list)
     for r in r_sorted:
         theta_star, rad = sup_radial_length(m, r, cfg)
         ell, _ = level_curve_length(m, r, cfg)
@@ -337,7 +342,7 @@ def thm4_ratio(m, K=None, r_list=(0.05, 0.1, 0.2, 0.4, 0.6),
             {"r": r, "K": K_eff, "sup_modulus": s, "theta_star": theta_star,
              "radial_length": rad, "level_length": ell,
              "distance_integral": dint, "boundary_samples":
-                 int(boundary_samples), "distance_nodes": n_t}))
+                 boundary_samples, "distance_nodes": n_t}))
     arr = np.array(ratios)
     spread = float(arr.max() - arr.min())
     constant = spread <= 1e-3 * float(arr.mean())
@@ -373,10 +378,10 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
     c = 1 and exact equality at every radius.  r_grid is 2 to
     MAX_R_GRID, and the ray table bounds theta_grid (8 r_grid + 1).
     """
-    r_grid = int(r_grid)
-    if not 2 <= r_grid <= MAX_R_GRID:
-        raise ValidationError(
-            f"r_grid must be 2 to {MAX_R_GRID}, got {r_grid}")
+    r_grid = checked_count("r_grid", r_grid, 2, MAX_R_GRID)
+    fitted = normalization is None
+    if not fitted:
+        c = checked_real("normalization", normalization, 0.0, math.inf)
     n_theta = int(theta_grid) if theta_grid is not None else cfg.theta_grid
     r_top = effective_boundary_radius(cfg, m.max_radius)
     _, rho, cum = ray_table(m, r_top, 8 * r_grid, n_theta,
@@ -386,14 +391,8 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
     pos = np.arange(4, cum.shape[1], 4)
     radii = rho[2 * pos]
     raw = cum[:, pos].max(axis=0)
-    if normalization is None:
+    if fitted:
         c = raw[-1] / r_top
-        fitted = True
-    else:
-        c = float(normalization)
-        fitted = False
-        if c <= 0.0:
-            raise ValidationError("normalization must be positive")
     A = raw / c
     if np.any(A > 1.0 + 1e-9):
         raise NormalizationViolation(
@@ -401,22 +400,21 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
     excess = A - radii
     # on the scale of the radii: the identity's excesses are round-off
     worst = first_argmax(excess, scale=radii)
-    return make_report(
+    return [make_report(
         "schwarz_radial", float(excess.max()), 0.0, "le",
         {"normalization": float(c), "fitted": fitted, "r_top": r_top,
          "r_worst": float(radii[worst]), "grid_radii": r_grid,
          "theta_grid": n_theta},
-        probes=int(radii.size))
+        probes=int(radii.size))]
 
 
 def selfmap_distortion_check(m, K=None, probes=200, seed=0,
                              cfg=DEFAULT_CONFIG):
     """Two-sided distortion bounds for harmonic self-maps of the disk:
     (1+K)/(2K) R <= |f_z| <= (K+1)/2 R with R = (1-|f|^2)/(1-|z|^2).
-    probes is 1 to MAX_PROBES."""
-    n = int(probes)
-    if not 1 <= n <= MAX_PROBES:
-        raise ValidationError(f"probes must be 1 to {MAX_PROBES}, got {n}")
+    probes is 1 to MAX_PROBES and seed nonnegative."""
+    n = checked_count("probes", probes, 1, MAX_PROBES)
+    seed = checked_count("seed", seed, 0, math.inf)
     K_eff = effective_K(m, K, cfg)
     rng = np.random.default_rng(seed)
     r = 0.9 * np.sqrt(rng.uniform(size=n))
@@ -432,7 +430,7 @@ def selfmap_distortion_check(m, K=None, probes=200, seed=0,
     lower = (1.0 + K_eff) / (2.0 * K_eff) * R
     upper = (K_eff + 1.0) / 2.0 * R
     afz = np.abs(fz)
-    params = {"K": K_eff, "seed": int(seed), "max_probe_radius": 0.9}
+    params = {"K": K_eff, "seed": seed, "max_probe_radius": 0.9}
     return [
         make_report("selfmap_lower", float((lower - afz).max()), 0.0, "le",
                     params, probes=n),
@@ -448,6 +446,6 @@ def isoperimetric_check(curve):
         raise SelfIntersecting("polygon edges cross; area is ill-defined")
     area = shoelace_area(curve)
     length = polygonal_length(curve)
-    return make_report("isoperimetric", area, length * length / (4.0 * math.pi),
-                       "le", {"length": length},
-                       probes=int(curve.vertices.size))
+    return [make_report("isoperimetric", area,
+                        length * length / (4.0 * math.pi), "le",
+                        {"length": length}, probes=int(curve.vertices.size))]

@@ -133,7 +133,7 @@ def test_criterion_04_arc_measure_limit():
     rhs = []
     all_hold = True
     for k in range(1, 6):
-        rep = thm1_bound(ident, ArcSet([(0.0, TWO_PI - 10.0 ** -k)]))
+        [rep] = thm1_bound(ident, ArcSet([(0.0, TWO_PI - 10.0 ** -k)]))
         all_hold = all_hold and rep.holds
         rhs.append(rep.rhs)
     monotone = bool(np.all(np.diff(rhs) > 0))
@@ -150,7 +150,7 @@ def test_arc_measure_limit_detail():
     # quadrature: the computed RHS matches the closed form to 1e-10
     # and the relative gap is 2.3e-5
     ident = gallery_map("identity")
-    rhs = [thm1_bound(ident, ArcSet([(0.0, TWO_PI - 10.0 ** -k)])).rhs
+    rhs = [thm1_bound(ident, ArcSet([(0.0, TWO_PI - 10.0 ** -k)]))[0].rhs
            for k in range(1, 6)]
     assert np.max(np.abs(np.array(rhs) - THM1_RHS_ANALYTIC)) < 1e-10
     assert (TWO_PI - rhs[-1]) / TWO_PI < 1e-4
@@ -240,10 +240,9 @@ def test_criterion_08_domain_constants():
 
 
 def _invariance_verdicts(m):
-    out = [rep.holds for rep in thm5_bound(m, n_max=4)]
-    out.append(schwarz_radial_check(m, r_grid=16).holds)
-    out.append(prop2_bound(m, 0.5).holds)
-    return tuple(out)
+    return tuple(rep.holds for rep in [*thm5_bound(m, n_max=4),
+                                       *schwarz_radial_check(m, r_grid=16),
+                                       *prop2_bound(m, 0.5)])
 
 
 def test_criterion_09_scale_rotation_invariance():
@@ -274,8 +273,8 @@ def _poisson_invariants(m, c=1.0):
     absolute tolerance scaled like the quantity it bounds."""
     cfg = QuadratureConfig(abs_tol=1e-9 * abs(c))
     reports = [*check_prop1(m, radii=(0.3, 0.6, 0.9), cfg=cfg),
-               *thm5_bound(m, n_max=4, cfg=cfg), prop2_bound(m, 0.5, cfg=cfg),
-               schwarz_radial_check(m, r_grid=16, cfg=cfg)]
+               *thm5_bound(m, n_max=4, cfg=cfg), *prop2_bound(m, 0.5, cfg=cfg),
+               *schwarz_radial_check(m, r_grid=16, cfg=cfg)]
     lengths = [level_curve_length(m, r, cfg)[0] for r in (0.3, 0.9)]
     lengths.append(radial_length(m, 0.7, 0.9, cfg)[0])
     area_cfg = QuadratureConfig(abs_tol=1e-9 * abs(c) ** 2)
@@ -306,7 +305,7 @@ def test_criterion_10_radial_majorant():
     worst = np.inf
     all_hold = True
     for name in gallery_names():
-        rep = schwarz_radial_check(gallery_map(name), r_grid=64)
+        [rep] = schwarz_radial_check(gallery_map(name), r_grid=64)
         all_hold = all_hold and rep.holds
         worst = min(worst, rep.margin)
     ok = all_hold and worst >= -1e-9

@@ -128,6 +128,16 @@ def test_length_radial(capsys):
     assert float(rows[0]["length"]) == pytest.approx(1.5, abs=1e-10)
 
 
+def test_length_radial_default_radius_is_the_derivative_radius(capsys):
+    # the whole radius, clamped where the Poisson derivatives stop
+    for spec, r in (("identity", "1"), ("poisson:phi=t+0.2*sin(t)",
+                                        fmt_float(0.998))):
+        code, out, _ = run_cli(capsys, "length", "--spec", spec,
+                               "--which", "radial")
+        assert code == 0
+        assert parse_csv(out)[0]["r"] == r
+
+
 def test_area_identity(capsys):
     code, out, _ = run_cli(capsys, "area", "--spec", "identity",
                            "--r", "0.9")
@@ -362,6 +372,38 @@ def test_non_finite_input_exits_1(capsys, argv):
     assert "error:" in err
 
 
+_SQUARE = "1 1\n-1 1\n-1 -1\n1 -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm2", "--r-list", "0.5", "--m-lav", "-1"),
+    ("verify", "thm2", "--r-list", "0.5", "--m-lav", "0.5"),
+    ("verify", "prop1", "--K", "0.5"),
+    ("verify", "thm2", "--r-list", ""),
+    ("verify", "thm4", "--r-list", ""),
+    ("verify", "selfmap", "--seed", "-1"),
+    ("constants", "{square}", "--seed", "-1"),
+    ("constants", "--curve", "{missing}"),
+    ("constants", "--curve", "{tmp}"),
+    ("eval", "--z-file", "{missing}"),
+    ("eval", "--z-file", "{tmp}"),
+], ids=["m-lav-negative", "m-lav-below-1", "K-below-1", "thm2-no-radii",
+        "thm4-no-radii", "selfmap-seed", "constants-seed", "curve-missing",
+        "curve-directory", "z-file-missing", "z-file-directory"])
+def test_out_of_range_input_exits_1_with_one_error_line(capsys, tmp_path,
+                                                        argv):
+    (tmp_path / "square.txt").write_text(_SQUARE)
+    paths = {"tmp": tmp_path, "square": tmp_path / "square.txt",
+             "missing": tmp_path / "missing.txt"}
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] != "constants":
+        argv += ["--spec", "scaled:0.5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag,value", [("--theta-grid", "0"),
                                         ("--rb", "1.5")])
 def test_quadrature_config_error_exits_1(capsys, flag, value):
@@ -456,7 +498,7 @@ def test_boundary_samples_cap_exits_1(capsys):
                              "--boundary-samples", str(2 ** 20 + 1))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: boundary polygon takes at most 1048576")
+    assert err == "error: boundary_samples must be 8 to 1048576, got 1048577\n"
 
 
 @pytest.mark.parametrize("argv,options", [
@@ -477,14 +519,14 @@ def test_verify_thm2_takes_boundary_samples(capsys):
     # the Lavrentiev polygon of thm2 has --boundary-samples vertices; the
     # count is refused even when --m-lav means no polygon is built
     for m_lav in ((), ("--m-lav", "2")):
-        for samples, msg in (("7", "needs at least 8"),
-                             (str(2 ** 20 + 1), "takes at most 1048576")):
+        for samples in ("7", str(2 ** 20 + 1)):
             code, out, err = run_cli(capsys, "verify", "thm2", "--spec",
                                      "identity", "--r-list", "0.5",
                                      "--boundary-samples", samples, *m_lav)
             assert code == 1
             assert out == ""
-            assert err.startswith("error: boundary polygon " + msg)
+            assert err == (f"error: boundary_samples must be 8 to 1048576, "
+                           f"got {samples}\n")
     m_lav = []
     for extra in ((), ("--boundary-samples", "16")):
         code, out, _ = run_cli(capsys, "verify", "thm2", "--spec",
@@ -539,15 +581,15 @@ def test_check_registry_options_are_parameters(capsys):
 
 # each check called with no keywords; thm1 on the CLI's default arc
 LIBRARY_DEFAULTS = {
-    "prop1": lambda m: theorems.check_prop1(m),
-    "thm1": lambda m: [theorems.thm1_bound(m, ArcSet.single(0.0, math.pi))],
-    "thm2": lambda m: theorems.thm2_bound(m),
-    "thm3": lambda m: theorems.thm3_carleson(m)[1],
-    "prop2": lambda m: [theorems.prop2_bound(m)],
-    "thm5": lambda m: theorems.thm5_bound(m),
-    "thm4": lambda m: theorems.thm4_ratio(m),
-    "schwarz": lambda m: [theorems.schwarz_radial_check(m)],
-    "selfmap": lambda m: theorems.selfmap_distortion_check(m),
+    "prop1": theorems.check_prop1,
+    "thm1": lambda m: theorems.thm1_bound(m, ArcSet.single(0.0, math.pi)),
+    "thm2": theorems.thm2_bound,
+    "thm3": theorems.thm3_carleson,
+    "prop2": theorems.prop2_bound,
+    "thm5": theorems.thm5_bound,
+    "thm4": theorems.thm4_ratio,
+    "schwarz": theorems.schwarz_radial_check,
+    "selfmap": theorems.selfmap_distortion_check,
 }
 
 

@@ -591,6 +591,16 @@ def test_probe_count_caps(kw, message):
                                                    4097, 14)
 
 
+def test_negative_seed_is_refused():
+    circle = circle_polygon(64)
+    for fn in (lavrentiev_constant, quasicircle_constant,
+               linear_connectivity_constant, curve_constants,
+               lambda c, **k: lemma_c_consistent([c], **k)):
+        with pytest.raises(ValidationError,
+                           match="^seed must be 0 to inf, got -1$"):
+            fn(circle, seed=-1)
+
+
 def test_probe_count_caps_admit_the_maxima(monkeypatch):
     # the caps themselves pass validation; stop before any work
     class Reached(Exception):

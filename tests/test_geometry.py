@@ -721,8 +721,9 @@ def test_hardy_mean_constant_fields():
     poly = gallery_map("poly:z+0.3*zbar^2")
     # |f_z| + |f_zb| = 1 + 0.6 |z|, constant on each circle
     assert hardy_mean(poly, 2.0, 0.5) == pytest.approx(1.3, abs=1e-10)
-    with pytest.raises(ValidationError):
-        hardy_mean(aff, 0.0, 0.5)
+    for p in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="Hardy exponent"):
+            hardy_mean(aff, p, 0.5)
     with pytest.raises(ValidationError):
         hardy_mean(aff, 1.0, 1.0)
 
@@ -881,7 +882,8 @@ def test_boundary_polygon_identity():
 
 
 def test_boundary_polygon_sample_cap():
-    with pytest.raises(ValidationError, match="at most 1048576"):
+    with pytest.raises(ValidationError, match=re.escape(
+            "boundary_samples must be 8 to 1048576, got 1048577")):
         boundary_polygon(_RefusingMap(), 2 ** 20 + 1)
     # the cap itself passes validation; the map is asked and refuses
     with pytest.raises(_Evaluated) as exc:

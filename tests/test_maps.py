@@ -9,8 +9,8 @@ from numpy.polynomial import polynomial as npoly
 from harmonicdisk import (AffineHarmonicMap, MapSpecError, NotSensePreserving,
                           PointOutsideDisk, PoissonHarmonicMap,
                           QuadratureNonconvergence, SeriesHarmonicMap,
-                          estimate_K, evaluate, gallery_map, sup_modulus,
-                          wirtinger)
+                          ValidationError, estimate_K, evaluate, gallery_map,
+                          sup_modulus, wirtinger)
 from harmonicdisk.gallery import gallery_names, parse_map_spec
 from harmonicdisk.maps import (DerivativeFrame, derivs_polar_grid,
                                eval_circle_grid, rotate_domain, scale_range)
@@ -49,6 +49,9 @@ def test_point_validation():
         evaluate(m, 1.0)
     with pytest.raises(PointOutsideDisk):
         wirtinger(m, 0.8 + 0.8j)
+    for point in (evaluate, wirtinger):
+        with pytest.raises(PointOutsideDisk, match="got nan"):
+            point(m, complex(math.nan, 0.0))
     assert evaluate(m, 0.999999) == pytest.approx(0.999999)
 
 
@@ -87,6 +90,12 @@ def test_estimate_K_poly_radial_growth():
     assert abs(rep.omega_sup - 0.54) < 1e-10
     want_K = 1.54 / 0.46
     assert abs(rep.K_lower - want_K) < 1e-9
+
+
+def test_estimate_K_refuses_a_bad_probe_radius():
+    for r_max in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="r_max must be in"):
+            estimate_K(gallery_map("identity"), r_max=r_max)
 
 
 def test_estimate_K_rejects_folding_map():

@@ -7,6 +7,7 @@ chain at tiny radii), the failure itself is asserted.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_prop1_validation():
 
 
 def test_thm1_identity_half_circle():
-    rep = thm1_bound(gallery_map("identity"), ArcSet.single(0.0, math.pi))
+    [rep] = thm1_bound(gallery_map("identity"), ArcSet.single(0.0, math.pi))
     assert rep.holds
     assert rep.lhs == pytest.approx(math.pi * R_CLIP, abs=1e-9)
     # d0 = 1, L = 2 pi r_b: rhs = L (pi / L)^2 = pi^2 / L
@@ -117,8 +118,8 @@ def test_thm1_identity_half_circle():
 
 
 def test_thm1_near_full_measure_limit():
-    rep = thm1_bound(gallery_map("affine:1,0.5"),
-                     ArcSet.single(0.0, 2.0 * math.pi - 5e-7))
+    [rep] = thm1_bound(gallery_map("affine:1,0.5"),
+                       ArcSet.single(0.0, 2.0 * math.pi - 5e-7))
     assert rep.params["limit_path"]
     # limit bound is 2 pi d0 = 2 pi (1 - 0.5)
     assert rep.rhs == pytest.approx(math.pi, abs=1e-9)
@@ -189,19 +190,19 @@ def test_thm2_poisson_chain():
 
 
 def test_thm3_carleson_constant_fields():
-    m_prime, reports = thm3_carleson(gallery_map("identity"))
-    assert m_prime == pytest.approx(1.0, abs=1e-8)
-    assert reports[0].params["ratio_min"] == pytest.approx(1.0, abs=1e-8)
-    m_prime, _ = thm3_carleson(gallery_map("affine:1,0.5"))
-    assert m_prime == pytest.approx(1.0, abs=1e-8)
+    [rep] = thm3_carleson(gallery_map("identity"))
+    assert rep.lhs == rep.params["ratio_max"] == pytest.approx(1.0, abs=1e-8)
+    assert rep.params["ratio_min"] == pytest.approx(1.0, abs=1e-8)
+    [rep] = thm3_carleson(gallery_map("affine:1,0.5"))
+    assert rep.lhs == pytest.approx(1.0, abs=1e-8)
 
 
 def test_thm3_carleson_radial_growth():
     # ||D|| = 1 + 0.6 |z|: worst probe is the innermost (|z| = 0.3)
-    m_prime, reports = thm3_carleson(gallery_map("poly:z+0.3*zbar^2"))
+    [rep] = thm3_carleson(gallery_map("poly:z+0.3*zbar^2"))
     want = (1.0 + 0.6 * R_CLIP) / 1.18
-    assert m_prime == pytest.approx(want, abs=1e-6)
-    assert reports[0].probes == 12
+    assert rep.lhs == pytest.approx(want, abs=1e-6)
+    assert rep.probes == 12
 
 
 def test_thm3_carleson_validation():
@@ -231,7 +232,7 @@ def test_thm3_hypothesis_fit():
 
 
 def test_prop2_identity_closed_form():
-    rep = prop2_bound(gallery_map("identity"), 0.5)
+    [rep] = prop2_bound(gallery_map("identity"), 0.5)
     assert rep.holds
     # F = 0.5 zeta: every ray ratio is exactly 0.5
     assert rep.lhs == pytest.approx(0.5, abs=1e-9)
@@ -247,7 +248,7 @@ def test_prop2_clips_to_poisson_derivative_radius():
     """poisson:phi=t is exactly f(z) = z, refused past |z| = 0.998.  At
     r0 = 0.999 the rays of F(zeta) = f(r0 zeta) must stop at
     0.998 / 0.999 instead of being refused; radial length over r is r0."""
-    rep = prop2_bound(gallery_map("poisson:phi=t"), 0.999)
+    [rep] = prop2_bound(gallery_map("poisson:phi=t"), 0.999)
     assert abs(rep.lhs - 0.999) < 1e-9
 
 
@@ -308,7 +309,7 @@ def test_thm4_identity_bound_arithmetic():
 
 
 def test_schwarz_identity_fitted():
-    rep = schwarz_radial_check(gallery_map("identity"), r_grid=32)
+    [rep] = schwarz_radial_check(gallery_map("identity"), r_grid=32)
     assert rep.holds
     assert rep.params["fitted"]
     assert rep.params["normalization"] == pytest.approx(1.0, abs=1e-9)
@@ -316,8 +317,8 @@ def test_schwarz_identity_fitted():
 
 
 def test_schwarz_explicit_normalization():
-    rep = schwarz_radial_check(gallery_map("identity"), normalization=2.0,
-                               r_grid=16)
+    [rep] = schwarz_radial_check(gallery_map("identity"), normalization=2.0,
+                                 r_grid=16)
     assert rep.holds
     assert not rep.params["fitted"]
     with pytest.raises(NormalizationViolation):
@@ -336,7 +337,7 @@ def test_schwarz_sup_is_the_ray_grid_maximum():
     # that sup by 1.9e-4 in the fitted normalization.
     half_step = math.pi / 64
     m = SeriesHarmonicMap([0.0, 1.0, 0.2 * np.exp(-1j * half_step)])
-    rep = schwarz_radial_check(m, theta_grid=64)
+    [rep] = schwarz_radial_check(m, theta_grid=64)
     r_top = rep.params["r_top"]
     x, w = np.polynomial.legendre.leggauss(64)
     rho = 0.5 * r_top * (x + 1.0)
@@ -348,8 +349,8 @@ def test_schwarz_sup_is_the_ray_grid_maximum():
     assert 1.0 + 0.2 * r_top - c == pytest.approx(1.913e-4, rel=1e-3)
     # a normalization between the two is therefore not refused
     assert on_ray / 1.1999 < 1.0 < (r_top + 0.2 * r_top ** 2) / 1.1999
-    assert schwarz_radial_check(m, normalization=1.1999,
-                                theta_grid=64).params["normalization"] == 1.1999
+    [rep] = schwarz_radial_check(m, normalization=1.1999, theta_grid=64)
+    assert rep.params["normalization"] == 1.1999
 
 
 # -- selfmap -----------------------------------------------------------------
@@ -424,15 +425,54 @@ def test_count_caps_refuse_before_evaluation():
         4096, 1 << 20, 8192, 4096)
 
 
+def test_quadrature_config_refuses_infinite_tolerances():
+    for key in ("abs_tol", "rel_tol"):
+        with pytest.raises(ValidationError,
+                           match=f"^{key} must be in \\(0,inf\\), got inf$"):
+            QuadratureConfig(**{key: math.inf})
+
+
+@pytest.mark.parametrize("check,kwargs,message", [
+    (check_prop1, {"K": 0.5}, "K must be in [1,inf), got 0.5"),
+    (check_prop1, {"K": math.nan}, "K must be in [1,inf), got nan"),
+    (check_prop1, {"K": math.inf}, "K must be in [1,inf), got inf"),
+    (check_prop1, {"radii": ()}, "radii must be nonempty"),
+    (thm2_bound, {"M_lav": -1.0}, "M_lav must be in [1,inf), got -1.0"),
+    (thm2_bound, {"M_lav": 0.5}, "M_lav must be in [1,inf), got 0.5"),
+    (thm2_bound, {"M_lav": math.nan}, "M_lav must be in [1,inf), got nan"),
+    (thm2_bound, {"M_lav": math.inf}, "M_lav must be in [1,inf), got inf"),
+    (thm2_bound, {"K": 0.5}, "K must be in [1,inf), got 0.5"),
+    (thm2_bound, {"r_list": ()}, "r_list must be nonempty"),
+    (thm4_ratio, {"r_list": ()}, "r_list must be nonempty"),
+    (thm4_ratio, {"r_list": (0.5, 1.0)},
+     "level-curve radius must be in (0,1), got 1.0"),
+    (thm4_ratio, {"r_list": (math.nan,)},
+     "level-curve radius must be in (0,1), got nan"),
+    (thm4_ratio, {"boundary_samples": 7},
+     "boundary_samples must be 8 to 1048576, got 7"),
+    (thm4_ratio, {"K": math.nan}, "K must be in [1,inf), got nan"),
+    (schwarz_radial_check, {"normalization": math.nan},
+     "normalization must be in (0,inf), got nan"),
+    (schwarz_radial_check, {"normalization": math.inf},
+     "normalization must be in (0,inf), got inf"),
+    (schwarz_radial_check, {"normalization": -1.0},
+     "normalization must be in (0,inf), got -1.0"),
+    (selfmap_distortion_check, {"seed": -1}, "seed must be 0 to inf, got -1"),
+])
+def test_bad_input_is_refused_before_evaluation(check, kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        check(_RefusingMap(), **kwargs)
+
+
 # -- isoperimetric ------------------------------------------------------------
 
 
 def test_isoperimetric_square_and_circle():
-    rep = isoperimetric_check(square_polygon())
+    [rep] = isoperimetric_check(square_polygon())
     assert rep.holds
     assert rep.lhs == 4.0
     assert rep.rhs == pytest.approx(64.0 / (4.0 * math.pi))
-    rep = isoperimetric_check(circle_polygon(512))
+    [rep] = isoperimetric_check(circle_polygon(512))
     assert rep.holds
     assert rep.margin == pytest.approx(0.0, abs=1e-3)  # near-extremal
 
