@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import re
@@ -453,10 +454,13 @@ def run_config_from_args(ns):
                      out_path=ns.out)
 
 
+# one parser per process: parse_args builds a fresh namespace each call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         run = run_config_from_args(ns)
         # overflow surfaces as a numerical failure, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):

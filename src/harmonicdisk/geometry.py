@@ -4,8 +4,10 @@ Everything here is a plain function over a harmonic map or an explicit
 polygonal curve.  Curve lengths are one adaptive Simpson rule over
 |d/dt f(c(t))| = |f_z(c) c'(t) + f_zb(c) conj(c'(t))| (_path_length);
 radial integrals over many directions share one polar ray table
-(ray_table); area integrals integrate the Jacobian in polar
-coordinates.  Boundary objects are always evaluated at the proxy radius
+(ray_table).  The area of a full disk is Parseval's sum over the map's
+power series (m.taylor), cross-checked by a polar grid rule; the area
+of a lens integrates the Jacobian in polar coordinates about its
+center.  Boundary objects are always evaluated at the proxy radius
 r_b = effective_boundary_radius(cfg, m.max_radius) < 1.
 
 A functional returns the evidence its value rests on together with it:
@@ -595,9 +597,15 @@ def _lens_quad(m, w, r, R, kernel, rule_rho, rule_t):
     e = np.exp(1j * (beta + half[:, None] * x[None, :]))
     fz, fzb = m.derivs_many(w + rho[:, None] * e)
     vals = kernel(e, fz, fzb) * ((drho * half * rho)[:, None] * wx[None, :])
+    return _fsum(vals)
+
+
+def _fsum(vals):
+    """math.fsum of an array; inf where finite terms' exact sum
+    overflows."""
     try:
         return math.fsum(vals.ravel().tolist())
-    except OverflowError:  # finite terms whose exact sum overflows
+    except OverflowError:
         return float(vals.sum())
 
 
@@ -665,36 +673,51 @@ def crosscut_integral(m, zeta0, r, cfg=DEFAULT_CONFIG):
 
 def _disk_area(m, r_eff, cfg):
     """(area, agreement): the Jacobian integral over the full disk
-    |z| < r_eff on the polar product grid, and its gap to the grid of
-    half the resolution."""
+    |z| < r_eff, and its gap to a polar grid rule.
 
-    def value(n_t, n_rho):
-        rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
-        jac = jacobian(*derivs_polar_grid(m, rho, n_t))
-        wts = simpson_weights(n_rho)
-        radial = (r_eff / n_rho / 3.0) * (jac * rho * wts).sum(axis=1)
-        return (TWO_PI / n_t) * float(math.fsum(radial))
+    The area is Parseval's sum pi sum_k k (|a_k|^2 - |b_k|^2) r_eff^{2k}
+    over the coefficients of m.taylor(r_eff) (P. Duren, Harmonic
+    Mappings in the Plane, 2004); the cross-check integrates the
+    Jacobian by composite Simpson on 257 radii times the trapezoid rule
+    on 512 angles.  Where m.taylor certifies no series at r_eff, its
+    QuadratureNonconvergence comes before any grid point is evaluated.
+    """
 
-    a1 = value(512, 256)
-    a2 = value(1024, 512)
-    if not abs(a2 - a1) <= max(cfg.abs_tol * 10.0, cfg.rel_tol * abs(a2)):
+    def weighted(c):  # k |c_k|^2 r_eff^{2k}
+        k = np.arange(c.size)
+        return k * (c.real ** 2 + c.imag ** 2) * (r_eff * r_eff) ** k
+
+    h, g, _ = m.taylor(r_eff)
+    area = math.pi * _fsum(np.concatenate([weighted(h), -weighted(g)]))
+
+    n_t, n_rho = 512, 256
+    rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
+    jac = jacobian(*derivs_polar_grid(m, rho, n_t))
+    wts = simpson_weights(n_rho)
+    radial = (r_eff / n_rho / 3.0) * (jac * rho * wts).sum(axis=1)
+    grid = (TWO_PI / n_t) * math.fsum(radial)
+    gap = abs(area - grid)
+    if not gap <= max(cfg.abs_tol * 10.0, cfg.rel_tol * abs(area)):
         raise QuadratureNonconvergence(
-            f"area rule did not stabilize: {a1} vs {a2}")
-    return a2, abs(a2 - a1)
+            f"area series and grid rule disagree: {area} vs {grid}")
+    return area, gap
 
 
 def image_area(m, r, cfg=DEFAULT_CONFIG, center=None):
     """(area, agreement): the Jacobian area (with multiplicity) of f
-    over a region of the disk, and the gap between the rule and its
-    doubled resolution.
+    over a region of the disk, and the gap between two values of it.
 
     center None: the full disk |z| < r (r = 1 clips to the boundary
     proxy radius).  center given: the region {|z - center| <= r}
     intersected with the clipped disk |z| <= R.
 
-    The lens-type region is integrated in polar coordinates about the
-    center by the same doubled Gauss-Legendre rule as crosscut_integral
-    (see _lens_quad), with the Jacobian |f_z|^2 - |f_zb|^2 as kernel.
+    A full disk (also a region containing the clipped disk) takes
+    Parseval's sum over m.taylor; agreement is its gap to a 512 x 257
+    polar grid rule (see _disk_area).  A lens-type region is integrated
+    in polar coordinates about the center by the same doubled
+    Gauss-Legendre rule as crosscut_integral (see _lens_quad), with the
+    Jacobian |f_z|^2 - |f_zb|^2 as kernel; agreement is the gap between
+    its last two orders.
     """
     if center is None:
         r = checked_real("disk radius", r, 0.0, 1.0, "(]")

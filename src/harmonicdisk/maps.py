@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .config import MAX_THETA_GRID
 from .errors import (MapSpecError, NotSensePreserving, PointOutsideDisk,
-                     QuadratureNonconvergence, checked_real)
+                     QuadratureNonconvergence, checked_count, checked_real)
 from .quadrature import golden_max, refine_grid_max
 
 TWO_PI = 2.0 * math.pi
@@ -125,6 +126,7 @@ def _refuse_overflow(kind, size, stretch):
 
 class HarmonicMap:
     """Common interface: vectorized evaluation and Wirtinger derivatives,
+    the power series ``taylor(rho)`` that evaluation uses on |z| <= rho,
     and the maps ``scaled(c)``: z -> c f(z) for a nonzero complex c and
     ``rotated(alpha)``: z -> f(e^{i alpha} z) of the same kind.
 
@@ -139,6 +141,13 @@ class HarmonicMap:
         raise NotImplementedError
 
     def derivs_many(self, z):
+        raise NotImplementedError
+
+    def taylor(self, rho):
+        """(h, g, err): coefficient arrays, lowest degree first, of the
+        power series f = h + conj(g) that evaluation uses on |z| <= rho,
+        so f(z) = polyval(z, h) + conj(polyval(z, g)).  err bounds the
+        truncation error of h' and g' there: 0 for an exact series."""
         raise NotImplementedError
 
     def scaled(self, c):
@@ -162,8 +171,10 @@ class SeriesHarmonicMap(HarmonicMap):
 
     def __init__(self, analytic_coeffs, antianalytic_coeffs=(), *,
                  sense_preserving=False):
-        a = np.atleast_1d(np.asarray(analytic_coeffs, dtype=complex))
-        b = np.asarray(antianalytic_coeffs, dtype=complex).reshape(-1)
+        # copies: a later write into the caller's arrays must not
+        # reach the map, whose derivative series are fixed below
+        a = np.atleast_1d(np.array(analytic_coeffs, dtype=complex))
+        b = np.array(antianalytic_coeffs, dtype=complex).reshape(-1)
         if a.size == 0:
             a = np.zeros(1, dtype=complex)
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
@@ -181,6 +192,8 @@ class SeriesHarmonicMap(HarmonicMap):
         self._g = np.concatenate([[0.0 + 0.0j], b])
         self._dh = npoly.polyder(a) if a.size > 1 else np.zeros(1, complex)
         self._dg = npoly.polyder(self._g) if b.size else np.zeros(1, complex)
+        for c in (a, b, self._g):  # taylor hands them out
+            c.flags.writeable = False
         if sense_preserving:
             self._check_sense_preserving()
 
@@ -205,6 +218,9 @@ class SeriesHarmonicMap(HarmonicMap):
         z = np.asarray(z)
         return _series_pair(z.astype(np.result_type(z, complex), copy=False),
                             self._dh, self._dg)
+
+    def taylor(self, rho):
+        return self.analytic_coeffs, self._g, 0.0
 
     def scaled(self, c):
         return SeriesHarmonicMap(c * self.analytic_coeffs,
@@ -244,12 +260,21 @@ class AffineHarmonicMap(HarmonicMap):
         fzb = np.full(z.shape, self.b)
         return fz, fzb
 
+    def taylor(self, rho):
+        return (np.array([self.c0, self.a]),
+                np.array([0.0, self.b.conjugate()]), 0.0)
+
     def scaled(self, c):
         return AffineHarmonicMap(c * self.c0, c * self.a, c * self.b)
 
     def rotated(self, alpha):
         w = np.exp(1j * alpha)
         return AffineHarmonicMap(self.c0, self.a * w, self.b * np.conj(w))
+
+
+# the outputs of derivs_many, h' and conj(g'), as level indices (see
+# PoissonHarmonicMap._certificate)
+_DERIV_OUTPUTS = ((2,), (3,))
 
 
 class PoissonHarmonicMap(HarmonicMap):
@@ -358,6 +383,8 @@ class PoissonHarmonicMap(HarmonicMap):
             g = np.conj(self._trimmed(
                 np.concatenate([[0.0], c[:n - K:-1]]), floor))
             got = (h, g, npoly.polyder(h), npoly.polyder(g))
+            for a in got:  # shared by every caller, taylor's included
+                a.flags.writeable = False
             self._levels[n] = got
         return got
 
@@ -389,19 +416,24 @@ class PoissonHarmonicMap(HarmonicMap):
             self._weights[(n, outputs)] = w
         return w
 
+    def _bound(self, n, outputs, rho):
+        """Per output, the certificate's bound on |delta| over |z| <= rho,
+        with rho rounded up by 4u: |z| <= rho (1 + 4u) even where abs()
+        rounded max |z| down."""
+        w = self._certificate(n, outputs)
+        rho_up = rho * (1.0 + 4.0 * _UNIT_ROUNDOFF)
+        return w @ rho_up ** np.arange(w.shape[1])
+
     def _converged(self, z, rho, outputs, series):
         """series(z, level) of the first 2n-node level that agrees with
         the n-node one to kernel_tol * scale at every point; ``rho`` is
         max |z| and ``outputs`` says which level arrays series reads (see
         _certificate)."""
         tol = self.kernel_tol * self.scale
-        # |z| <= rho (1 + 4u) even where abs() rounded rho down
-        rho_up = rho * (1.0 + 4.0 * _UNIT_ROUNDOFF)
         n = self._START_NODES
         prev = None
         while 2 * n <= self.max_panels:
-            w = self._certificate(n, outputs)
-            if np.all(w @ rho_up ** np.arange(w.shape[1]) <= tol):
+            if np.all(self._bound(n, outputs, rho) <= tol):
                 return series(z, self._level(2 * n))
             if prev is None:
                 prev = series(z, self._level(n))
@@ -440,9 +472,26 @@ class PoissonHarmonicMap(HarmonicMap):
     def derivs_many(self, z):
         z = np.asarray(z, dtype=complex)
         rho = self._radius(z, self.DERIV_RADIUS, "derivatives")
-        # two outputs, h' and conj(g')
-        return self._converged(z, rho, ((2,), (3,)),
+        return self._converged(z, rho, _DERIV_OUTPUTS,
                                lambda z, lv: _series_pair(z, lv[2], lv[3]))
+
+    def taylor(self, rho):
+        """(h, g, err) of the 2n-node level of the first pair (n, 2n)
+        whose derivative certificate holds at rho, the one derivs_many
+        takes for points of modulus rho; err is that certificate's
+        bound.  QuadratureNonconvergence where no pair holds."""
+        rho = checked_real("series radius", rho, 0.0, 1.0, "[]")
+        tol = self.kernel_tol * self.scale
+        n = self._START_NODES
+        while 2 * n <= self.max_panels:
+            bound = self._bound(n, _DERIV_OUTPUTS, rho)
+            if np.all(bound <= tol):
+                h, g = self._level(2 * n)[:2]
+                return h, g, float(bound.max())
+            n *= 2
+        raise QuadratureNonconvergence(
+            f"Poisson boundary series has no certified level within "
+            f"{self.max_panels} nodes at |z| <= {rho} (tolerance {tol})")
 
     def _with(self, scale, phi):
         return PoissonHarmonicMap(scale, phi, kernel_tol=self.kernel_tol,
@@ -495,10 +544,11 @@ def estimate_K(m, r_max=0.999, grid=720):
     32 geometrically spaced radii in (0.1, r_max] times ``grid`` angles,
     followed by coordinate-wise golden-section refinement around the
     best probe.  Raises NotSensePreserving if the jacobian is not
-    positive at every probe.
+    positive at every probe.  grid is 8 to MAX_THETA_GRID.
     """
     r_max = min(checked_real("r_max", r_max, 0.0, math.inf, "(]"),
                 m.max_radius)
+    grid = checked_count("grid", grid, 8, MAX_THETA_GRID)
     n_r = 32
     lo = min(0.1, 0.5 * r_max)
     radii = np.geomspace(lo, r_max, n_r)

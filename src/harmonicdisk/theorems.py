@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, effective_boundary_radius
+from .config import (DEFAULT_CONFIG, MAX_THETA_GRID,
+                     effective_boundary_radius)
 from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
                      NotSelfMap, SelfIntersecting, ValidationError,
@@ -39,6 +40,8 @@ REPORT_TOL = 1e-7
 MAX_R_GRID = 1 << 12
 # selfmap probes: each holds a few complex arrays, ~150 MiB at the cap
 MAX_PROBES = 1 << 20
+# thm3_hypothesis_fit radii: a few n x n float arrays, ~40 MiB at the cap
+_MAX_FIT_RADII = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     quadrature cross-checks: lhs_node_check is the doubled Gauss-Legendre
     gap of the crosscut integral, lhs_adaptive_vs_fixed its distance to a
     composite Simpson rule on the same domain, and area_node_check the
-    doubled-grid gap of the area.
+    gap between the area's Parseval sum and its polar grid rule.
     """
     zeta0 = _unimodular(zeta0)
     r_list = [checked_real("upper radius", r, 0.0, 2.0, "(]")
@@ -204,7 +207,10 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
     angular half-width pi (1 - |z|); the ratio compares the mean of
     ||D|| over I(z) at the proxy radius with ||D(z)||.  The theorem is
     existential, so the sup ratio itself is reported as the constant.
+    z_probes holds 1 to MAX_PROBES points.
     """
+    z_probes = list(z_probes)
+    checked_count("probes", len(z_probes), 1, MAX_PROBES)
     K_eff = effective_K(m, K, cfg)
     rb = effective_boundary_radius(cfg, m.max_radius)
 
@@ -234,12 +240,15 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
 def thm3_hypothesis_fit(m, zeta, delta, r_grid=None, cfg=DEFAULT_CONFIG):
     """Smallest grid-consistent constant in the radial growth
     hypothesis ||D(rho zeta)|| <= M ((1-rho)/(1-r))^{delta-1}
-    ||D(r zeta)|| for r <= rho along the ray toward zeta."""
+    ||D(r zeta)|| for r <= rho along the ray toward zeta.  r_grid holds
+    1 to 1024 radii in [0, 1)."""
     zeta = _unimodular(zeta, "ray endpoint")
     delta = checked_real("delta", delta, 0.0, 1.0)
     if r_grid is None:
         r_grid = np.linspace(0.0, min(0.95, m.max_radius), 40)
-    r = np.asarray(r_grid, dtype=float)
+    r = np.array([checked_real("r_grid radius", x, 0.0, 1.0, "[)")
+                  for x in np.ravel(r_grid)])
+    checked_count("r_grid size", r.size, 1, _MAX_FIT_RADII)
     zeta = zeta / abs(zeta)
     D = op_norm(*m.derivs_many(r * zeta))
     if float(D.min()) < 1e-14:
@@ -261,9 +270,12 @@ def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     M = (2/pi) sup|f| log((1+r0)/(1-r0)).  The constant with an extra
     r0 factor in front is also evaluated and reported for comparison;
     the identity map already violates that variant, so the assertion
-    runs against the integrated form.
+    runs against the integrated form.  theta_grid is 8 to
+    MAX_THETA_GRID and r_grid 1 to MAX_R_GRID.
     """
     r0 = checked_real("r0", r0, 0.0, 1.0)
+    theta_grid = checked_count("theta_grid", theta_grid, 8, MAX_THETA_GRID)
+    r_grid = checked_count("r_grid", r_grid, 1, MAX_R_GRID)
     s = sup_modulus(m, effective_boundary_radius(cfg, m.max_radius))
     log_term = math.log((1.0 + r0) / (1.0 - r0))
     M_derived = (2.0 / math.pi) * s * log_term
@@ -271,7 +283,7 @@ def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     # F'(zeta) = r0 f'(r0 zeta); rays of F stop where f's derivatives do
     r_top = min(1.0, m.max_radius / r0)
     thetas, rho, cum = ray_table(
-        m, r_top, 2 * int(r_grid), theta_grid,
+        m, r_top, 2 * r_grid, theta_grid,
         lambda e, fz, fzb: r0 * _stretch(e, fz, fzb), scale=r0)
     # drop the leading zero column; column k then sits at radius rho[2k+2]
     r_vals = rho[2::2]
@@ -282,9 +294,9 @@ def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
         "prop2_radial_bound", worst, M_derived, "le",
         {"r0": r0, "sup_modulus": s, "M_derived": M_derived,
          "M_displayed": M_displayed, "theta_star": float(thetas[i]),
-         "r_star": float(r_vals[j]), "theta_grid": int(theta_grid),
-         "r_grid": int(r_grid)},
-        probes=int(theta_grid) * int(r_grid))]
+         "r_star": float(r_vals[j]), "theta_grid": theta_grid,
+         "r_grid": r_grid},
+        probes=theta_grid * r_grid)]
 
 
 def thm5_bound(m, K=None, n_max=8, rho=0.5, cfg=DEFAULT_CONFIG):

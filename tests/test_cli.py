@@ -579,6 +579,25 @@ def test_check_registry_options_are_parameters(capsys):
             assert _flag(option) in help_text.split(), (name, option)
 
 
+def test_successive_calls_share_no_parsed_state(capsys):
+    # main reuses one parser per process: options appended by one call
+    # must not reach the next, which sees the defaults (r 0.5, rho 1)
+    code, out, _ = run_cli(capsys, "length", "--spec", "identity",
+                           "--which", "level", "--r", "0.25", "--r", "0.75",
+                           "--rho", "0.5")
+    assert code == 0
+    assert [row["r"] for row in parse_csv(out)] == ["0.25", "0.75"]
+    code, out, _ = run_cli(capsys, "length", "--spec", "identity",
+                           "--which", "level")
+    assert code == 0
+    assert [row["r"] for row in parse_csv(out)] == ["0.5"]
+    code, out, _ = run_cli(capsys, "length", "--spec", "identity",
+                           "--which", "crosscut")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["r"] for row in rows] == ["1"]
+
+
 # each check called with no keywords; thm1 on the CLI's default arc
 LIBRARY_DEFAULTS = {
     "prop1": theorems.check_prop1,

@@ -7,6 +7,7 @@ closed forms) and pasted here verbatim.
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,8 +32,8 @@ from harmonicdisk.geometry import (MAX_RAY_CELLS, circle_polygon,
                                    polygonal_length, ray_table,
                                    rectangle_polygon, shoelace_area,
                                    square_polygon, u_polygon)
-from harmonicdisk.maps import (SeriesHarmonicMap, op_norm, rotate_domain,
-                               scale_range)
+from harmonicdisk.maps import (AffineHarmonicMap, SeriesHarmonicMap, op_norm,
+                               rotate_domain, scale_range)
 from harmonicdisk.quadrature import cumulative_simpson, simpson_weights
 
 from oracles.area_closed_forms import lens_area, poly_area
@@ -639,6 +640,65 @@ def test_image_area_disk_closed_forms():
                                                      abs=1e-10)
     assert image_area(poly, 0.9)[0] == pytest.approx(poly_area(0.3, 0.9),
                                                      abs=1e-10)
+
+
+# FROZEN: image_area(m, 1) of the gallery by the earlier rule, the
+# Jacobian on 1024 x 513 polar nodes checked against 512 x 257
+GALLERY_DISK_AREAS = {
+    "identity": 3.141586370407627,
+    "scaled:2.0": 12.566345481630508,
+    "affine:1,0.5": 2.3561897778057204,
+    "poly:z+0.3*zbar^2": 2.5761019547047823,
+    "poisson:phi=t+0.2*sin(t)": 3.128789404095057,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_DISK_AREAS))
+def test_disk_area_of_the_gallery_is_frozen(name):
+    area, agreement = image_area(gallery_map(name), 1.0)
+    assert area == pytest.approx(GALLERY_DISK_AREAS[name], rel=1e-12)
+    assert agreement <= 1.1e-13
+
+
+def test_disk_area_is_the_parseval_sum():
+    """pi sum_k k (|a_k|^2 - |b_k|^2) r^{2k} against the closed forms,
+    to round-off (the grid rule alone agrees to about 1e-13)."""
+    poly = gallery_map("poly:z+0.3*zbar^2")
+    for r in (0.5, 0.9, 1.0):
+        got = image_area(poly, r)[0]
+        assert got == pytest.approx(poly_area(0.3, min(r, R_CLIP)),
+                                    rel=1e-15)
+    a, b = 1.0 + 0.5j, 0.3 - 0.4j
+    aff = AffineHarmonicMap(0.2 - 0.1j, a, b)
+    for r in (0.3, 0.9):
+        want = math.pi * (abs(a) ** 2 - abs(b) ** 2) * r * r
+        assert image_area(aff, r)[0] == pytest.approx(want, rel=1e-15)
+
+
+def test_disk_area_refuses_a_kinked_phase_before_the_grid():
+    # t + 0.1 |sin t| is not quasiconformal: no level certifies its
+    # derivatives at the proxy radius, so no grid point is evaluated
+    m = gallery_map("poisson:phi=t+0.1*sqrt(sin(t)**2)")
+
+    def grid(z):
+        raise AssertionError("the grid rule ran")
+
+    m.derivs_many = grid
+    with pytest.raises(QuadratureNonconvergence, match="no certified level"):
+        image_area(m, 1.0)
+
+
+def test_disk_area_memory():
+    # tracemalloc peak: 32.1 MiB with the 1024 x 513 grid, 8.0 MiB
+    # with the Parseval sum and one 512 x 257 grid
+    m = gallery_map("identity")
+    tracemalloc.start()
+    try:
+        image_area(m, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20
 
 
 def test_image_area_lens_against_closed_form():

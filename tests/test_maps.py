@@ -98,6 +98,11 @@ def test_estimate_K_refuses_a_bad_probe_radius():
             estimate_K(gallery_map("identity"), r_max=r_max)
 
 
+def test_estimate_K_refuses_an_empty_grid():
+    with pytest.raises(ValidationError, match="grid must be 8 to"):
+        estimate_K(gallery_map("identity"), grid=0)
+
+
 def test_estimate_K_rejects_folding_map():
     m = SeriesHarmonicMap([0.0, 1.0], [0.0, 0.8])
     with pytest.raises(NotSensePreserving):
@@ -269,6 +274,79 @@ def test_poisson_derivs_evaluate_one_series_level(monkeypatch):
         calls.clear()
         m.eval_many(z)
         assert calls == [z.size]
+
+
+# -- the power-series view: taylor ------------------------------------------
+
+
+def _taylor_sum(m, rho, z):
+    h, g, err = m.taylor(rho)
+    return npoly.polyval(z, h) + np.conj(npoly.polyval(z, g)), err
+
+
+@pytest.mark.parametrize("m", [
+    gallery_map("identity"), gallery_map("scaled:2.0"),
+    gallery_map("affine:1,0.5"), gallery_map("poly:z+0.3*zbar^2"),
+    AffineHarmonicMap(0.2 - 0.1j, 1.0 + 0.5j, 0.3 - 0.4j),
+    SeriesHarmonicMap([0.1, 1.0, 0.2j, -0.05], [0.3, 0.1 - 0.05j])],
+    ids=["identity", "scaled", "affine", "poly", "affine_c0", "series"])
+def test_taylor_of_an_exact_series_is_the_map(m):
+    rng = np.random.default_rng(3)
+    z = 0.99 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+    got, err = _taylor_sum(m, 0.99, z)
+    assert err == 0.0
+    np.testing.assert_allclose(got, m.eval_many(z), rtol=1e-15, atol=1e-15)
+
+
+def test_series_map_owns_its_coefficients():
+    # a later write into the caller's array must not reach the map: its
+    # derivative series are fixed at construction
+    a = np.array([0.0, 1.0, 0.2], dtype=complex)
+    m = SeriesHarmonicMap(a)
+    a[2] = 5.0
+    assert m.eval_many(np.array([0.5]))[0] == 0.55
+    h, g, _ = m.taylor(0.5)
+    for c in (h, g):
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+
+
+def test_poisson_taylor_is_within_its_certificate():
+    m = gallery_map("poisson:phi=t+0.2*sin(t)")
+    z = np.exp(2j * np.pi * (np.arange(64) + 0.37) / 64)
+    for rho in (0.5, 0.9, 0.998):
+        got, err = _taylor_sum(m, rho, rho * z)
+        assert 0.0 <= err <= m.kernel_tol * m.scale
+        assert np.abs(got - m.eval_many(rho * z)).max() <= err + 1e-14
+
+
+def test_poisson_taylor_is_the_level_derivs_many_takes():
+    # a kinked quasiconformal phase, several levels deep at rho = 0.9
+    m = gallery_map("poisson:phi=t+0.3*sqrt(sin(t)**2)**3")
+    z = 0.9 * np.exp(2j * np.pi * (np.arange(64) + 0.37) / 64)
+    h, g, err = m.taylor(0.9)
+    assert h.size > 256 and 0.0 < err <= m.kernel_tol * m.scale
+    fz, fzb = m.derivs_many(z)
+    np.testing.assert_array_equal(npoly.polyval(z, npoly.polyder(h)), fz)
+    np.testing.assert_array_equal(
+        np.conj(npoly.polyval(z, npoly.polyder(g))), fzb)
+    got, _ = _taylor_sum(m, 0.9, z)
+    tol = m.kernel_tol * m.scale  # eval_many's own level is within it
+    assert np.abs(got - m.eval_many(z)).max() <= err + tol
+
+
+def test_poisson_taylor_refusals():
+    kinked = gallery_map("poisson:phi=t+0.1*sqrt(sin(t)**2)")
+    with pytest.raises(QuadratureNonconvergence):
+        kinked.taylor(0.998)
+    m = gallery_map("poisson:phi=t+0.2*sin(t)")
+    for rho in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValidationError):
+            m.taylor(rho)
+    # the cached level is shared: a caller cannot write into it
+    h, _, _ = m.taylor(0.5)
+    with pytest.raises(ValueError):
+        h[0] = 0.0
 
 
 def _same_bits(got, want):

@@ -214,6 +214,11 @@ def test_thm3_carleson_validation():
         thm3_carleson(folded, z_probes=[0.0])
 
 
+def test_thm3_carleson_refuses_no_probes():
+    with pytest.raises(ValidationError, match="probes must be 1 to"):
+        thm3_carleson(gallery_map("identity"), z_probes=())
+
+
 def test_thm3_hypothesis_fit():
     # constant ||D||: the fitted constant is the diagonal value 1
     got = thm3_hypothesis_fit(gallery_map("identity"), 1.0, 0.5)
@@ -226,6 +231,13 @@ def test_thm3_hypothesis_fit():
             thm3_hypothesis_fit(gallery_map("identity"), zeta, 0.5)
     with pytest.raises(ValidationError):
         thm3_hypothesis_fit(gallery_map("identity"), 1.0, 1.0)
+
+
+def test_thm3_hypothesis_fit_refuses_a_radius_on_the_circle():
+    # 1 - r vanishes at r = 1
+    with pytest.raises(ValidationError, match="r_grid radius must be in"):
+        thm3_hypothesis_fit(gallery_map("identity"), 1.0, 0.5,
+                            r_grid=[0.5, 1.0])
 
 
 # -- prop2 -------------------------------------------------------------------
@@ -255,6 +267,16 @@ def test_prop2_clips_to_poisson_derivative_radius():
 def test_prop2_validation():
     with pytest.raises(ValidationError):
         prop2_bound(gallery_map("identity"), 1.0)
+
+
+def test_prop2_refuses_no_radii():
+    with pytest.raises(ValidationError, match="r_grid must be 1 to"):
+        prop2_bound(gallery_map("identity"), r_grid=0)
+
+
+def test_prop2_refuses_no_rays():
+    with pytest.raises(ValidationError, match="theta_grid must be 8 to"):
+        prop2_bound(gallery_map("identity"), theta_grid=0)
 
 
 # -- thm5 --------------------------------------------------------------------
