@@ -1,5 +1,5 @@
-"""Build the three map families, evaluate them, and read off
-pointwise distortion.
+"""Build a polynomial, an affine and a Poisson map, evaluate them, and
+read off pointwise distortion.
 
 Run from the repository root:
 
@@ -8,15 +8,16 @@ Run from the repository root:
 
 import numpy as np
 
-from harmonicdisk.maps import (AffineHarmonicMap, PoissonHarmonicMap,
-                               SeriesHarmonicMap, estimate_K)
+from harmonicdisk.gallery import gallery_map
+from harmonicdisk.maps import PoissonHarmonicMap, SeriesHarmonicMap, estimate_K
 
 # a polynomial map z + 0.3*conj(z)^2, entered by its two coefficient
 # lists: analytic a_0, a_1, ... and anti-analytic b_1, b_2, ...
 poly = SeriesHarmonicMap([0.0, 1.0], [0.0, 0.3])
 
-# a*z + b*conj(z), sense preserving because |a| > |b|
-affine = AffineHarmonicMap(0.0, 1.0, 0.5)
+# a*z + b*conj(z), sense preserving because |a| > |b|: the degree-one
+# series map with coefficient lists [0, a] and [conj(b)]
+affine = gallery_map("affine:1,0.5")
 
 # harmonic extension of the boundary correspondence e^{i phi(t)} with
 # phi(t) = t + 0.2 sin t, evaluated as the power series of its boundary

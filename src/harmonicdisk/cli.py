@@ -110,13 +110,23 @@ def resolve_map(spec):
     return gallery_map(spec)
 
 
+def _write_out(run, base, payloads):
+    """Write each (path, text) of payloads and the sidecar of base; an
+    OSError on the way is refused like any other bad --out."""
+    try:
+        for path, text in payloads:
+            write_payload(path, text)
+        write_meta_sidecar(base, run.command, sys.argv[1:])
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {run.out_path}: {exc}")
+
+
 def _emit(run, columns, rows):
     to_text = csv_table if run.out_format == "csv" else rows_to_json
     text = to_text(rows, columns)
     sys.stdout.write(text)
     if run.out_path:
-        write_payload(run.out_path, text)
-        write_meta_sidecar(run.out_path, run.command, sys.argv[1:])
+        _write_out(run, run.out_path, [(run.out_path, text)])
 
 
 def cmd_eval(run):
@@ -321,9 +331,8 @@ def cmd_verify(run):
     sys.stdout.write(texts[run.out_format])
     if run.out_path:
         base = os.path.splitext(run.out_path)[0]
-        for fmt, text in texts.items():
-            write_payload(f"{base}.{fmt}", text)
-        write_meta_sidecar(base, "verify", sys.argv[1:])
+        _write_out(run, base, [(f"{base}.{fmt}", text)
+                               for fmt, text in texts.items()])
     return 0 if all(rep.holds for rep in reports) else 2
 
 
@@ -446,6 +455,10 @@ def run_config_from_args(ns):
     args = {k: v for k, v in vars(ns).items() if k not in _GLOBAL_KEYS}
     if "curve_flag" in args:
         args["curve"] = args.pop("curve_flag") or args.get("curve") or ""
+    # refused before any map is built: the payload could not be written
+    out_dir = os.path.dirname(ns.out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValidationError(f"--out directory {out_dir} does not exist")
     # validated here, whichever command the options reach
     cfg = QuadratureConfig(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
                            theta_grid=ns.theta_grid, boundary_radius=ns.rb)

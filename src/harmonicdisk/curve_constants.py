@@ -165,13 +165,9 @@ def _probe_pairs(curve, pairs, seed):
     return _Probe(got, chunks)
 
 
-def _count_pairs(probe, skipped, counters):
-    if counters is not None:
-        counters["pairs"] = probe.got
-        counters["degenerate_pairs"] = skipped
-
-
-def _lavrentiev(probe, counters=None):
+def _lavrentiev(probe):
+    """(constant, degenerate pairs): pairs whose chord is below
+    _CHORD_EPS are skipped."""
     best, skipped = 1.0, 0
     for _, shorter, chord, _ in probe.chunks:
         ok = chord >= _CHORD_EPS
@@ -180,15 +176,14 @@ def _lavrentiev(probe, counters=None):
         ratio = np.divide(shorter, chord, out=np.zeros(chord.size),
                           where=ok)
         best = max(best, float(ratio.max()))
-    _count_pairs(probe, skipped, counters)
-    return best
+    return best, skipped
 
 
-def lavrentiev_constant(curve, pairs=20000, seed=0, counters=None):
+def lavrentiev_constant(curve, pairs=20000, seed=0):
     """Shorter-arc length over chord, maximized over sampled pairs.
     pairs is 1 to MAX_PAIRS."""
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
-    return _lavrentiev(_probe_pairs(curve, pairs, seed), counters)
+    return _lavrentiev(_probe_pairs(curve, pairs, seed))[0]
 
 
 def _arc_diameters(v, base, size):
@@ -225,13 +220,12 @@ def _arc_diameters(v, base, size):
     return out
 
 
-def _quasicircle(curve, probe, counters=None):
+def _quasicircle(curve, probe):
     v = curve.vertices
     n = v.size
     runs, _, chord, fwd = zip(*probe.chunks)
     chord, fwd = np.concatenate(chord), np.concatenate(fwd)
     ok = chord >= _CHORD_EPS
-    _count_pairs(probe, int(ok.size - np.count_nonzero(ok)), counters)
     if not np.any(ok):
         return 1.0
     lags, starts = zip(*(block for run in runs for block in run))
@@ -244,7 +238,7 @@ def _quasicircle(curve, probe, counters=None):
     return max(1.0, float((diam / chord[ok]).max()))
 
 
-def quasicircle_constant(curve, pairs=20000, seed=0, counters=None):
+def quasicircle_constant(curve, pairs=20000, seed=0):
     """Shorter-arc diameter over chord, same probe pairs as the
     Lavrentiev constant.
 
@@ -255,7 +249,7 @@ def quasicircle_constant(curve, pairs=20000, seed=0, counters=None):
     pairs is 1 to MAX_PAIRS.
     """
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
-    return _quasicircle(curve, _probe_pairs(curve, pairs, seed), counters)
+    return _quasicircle(curve, _probe_pairs(curve, pairs, seed))
 
 
 def _ahlfors_centers(curve, count):
@@ -267,7 +261,7 @@ def _ahlfors_centers(curve, count):
     return seq[:min(count, seq.size)]
 
 
-def ahlfors_constant(curve, centers=129, radii=6, counters=None):
+def ahlfors_constant(curve, centers=129, radii=6):
     """Clipped curve length inside D(w, r) over r, maximized over probe
     centers and radius fractions.  centers is 1 to MAX_CENTERS (a curve
     has 2n + 1 of them) and radii 1 to MAX_RADII.
@@ -304,9 +298,6 @@ def ahlfors_constant(curve, centers=129, radii=6, counters=None):
             s1 = np.clip((neg_bq + root) / two_a, 0.0, 1.0)
             inside = np.where(disc > 0.0, (s1 - s0) * seglen, 0.0)
             best = max([best] + (inside.sum(axis=1) / r).tolist())
-    if counters is not None:
-        counters["centers"] = len(cs)
-        counters["radii"] = radii
     return best
 
 
@@ -502,9 +493,10 @@ MAX_GRID = 2048
 MAX_POINT_PAIRS = 4096
 
 
-def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
-                                 counters=None):
-    """Empirical linear-connectivity constant of the enclosed region.
+def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
+    """(constant, measured pairs): the empirical linear-connectivity
+    constant of the enclosed region and the number of sampled pairs it
+    was measured on.
 
     For each sampled interior pair (a, b), bisects the smallest D such
     that a and b are raster-connected inside the region through cells
@@ -543,11 +535,7 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0,
     if not pairs:
         raise PathNotFound(f"no sampled pair is at least 10 cells apart "
                            f"at grid {grid}; nothing was measured")
-    best = max([1.0] + [hi / d for d, hi in pairs])
-    if counters is not None:
-        counters["conn_pairs"] = len(pairs)
-        counters["grid"] = grid
-    return best
+    return max([1.0] + [hi / d for d, hi in pairs]), len(pairs)
 
 
 def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
@@ -559,28 +547,20 @@ def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
     linear_connectivity_constant; a negative seed is refused by the
     first step, the pair sample."""
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
-    checked_count("centers", centers, 1, MAX_CENTERS)
-    checked_count("radii", radii, 1, MAX_RADII)
-    checked_count("grid", grid, 1, MAX_GRID)
-    checked_count("point_pairs", point_pairs, 1, MAX_POINT_PAIRS)
-    counts = {}
+    centers = checked_count("centers", centers, 1, MAX_CENTERS)
+    radii = checked_count("radii", radii, 1, MAX_RADII)
+    grid = checked_count("grid", grid, 1, MAX_GRID)
+    point_pairs = checked_count("point_pairs", point_pairs, 1,
+                                MAX_POINT_PAIRS)
     probe = _probe_pairs(curve, pairs, seed)
-    lav = _lavrentiev(probe, counters=counts)
+    lav, degenerate = _lavrentiev(probe)
     qc = _quasicircle(curve, probe)
-    ahl = ahlfors_constant(curve, centers, radii, counters=counts)
-    conn = linear_connectivity_constant(curve, point_pairs, grid, seed,
-                                        counters=counts)
+    ahl = ahlfors_constant(curve, centers, radii)
+    conn, measured = linear_connectivity_constant(curve, point_pairs, grid,
+                                                  seed)
+    counts = {"pairs": probe.got, "degenerate_pairs": degenerate,
+              # the centroid, the vertices and the segment midpoints
+              "centers": min(centers, 2 * curve.vertices.size + curve.closed),
+              "radii": radii, "conn_pairs": measured, "grid": grid}
     return CurveConstantsReport(lav, qc, ahl, conn, counts)
 
-
-def lemma_c_consistent(curves, threshold=1e6, pairs=20000, seed=0):
-    """Finite chord-arc constant iff finite Ahlfors and quasicircle
-    constants, across a family of curves."""
-    pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
-    for curve in curves:
-        probe = _probe_pairs(curve, pairs, seed)
-        lav, qc = _lavrentiev(probe), _quasicircle(curve, probe)
-        ahl = ahlfors_constant(curve)
-        if (lav < threshold) != (ahl < threshold and qc < threshold):
-            return False
-    return True

@@ -51,10 +51,6 @@ class DegenerateE(ValidationError):
     """Boundary arc set with measure outside the admissible open range."""
 
 
-class SelfIntersecting(ValidationError):
-    """Closed polygon fails the simplicity (non-self-intersection) scan."""
-
-
 class NumericalError(Error):
     """Computation failed in a way that invalidates the result."""
 

@@ -8,6 +8,8 @@ Gallery names accepted everywhere a map is requested:
     poly:z+c*zbar^n              f(z) = z + c zbar^n        (real c, int n)
     poisson:phi=t+eps*sin(t)     Poisson map with that boundary phase
 
+An affine map, named or a JSON spec, is the degree-one series map
+with coefficient lists [c0, a] and [conj(b)], refused unless |b| < |a|.
 Complex literals in ``affine:`` use Python syntax (``0.5+0.25j``).  The
 ``poisson:`` phase expression is parsed with a whitelisted arithmetic
 AST; the only free variable is ``t`` and the only functions are sin,
@@ -33,8 +35,9 @@ import re
 
 import numpy as np
 
-from .errors import MapSpecError, checked_count, checked_real
-from .maps import AffineHarmonicMap, PoissonHarmonicMap, SeriesHarmonicMap
+from .errors import (MapSpecError, NotSensePreserving, checked_count,
+                     checked_real)
+from .maps import PoissonHarmonicMap, SeriesHarmonicMap
 
 _PHI_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": np.arctan,
@@ -84,6 +87,19 @@ def _compile_phase(expr):
     return phi
 
 
+def _affine_map(c0, a, b):
+    """f(z) = c0 + a z + b zbar as the degree-one series map, refused
+    unless |b| < |a| (sense-preserving); the series constructor refuses
+    non-finite and overflowing coefficients first."""
+    m = SeriesHarmonicMap([c0, a], [np.conj(b)])
+    # the exact test: the series probe grid compares squares, which can
+    # round to equal
+    if not abs(b) < abs(a):
+        raise NotSensePreserving(
+            f"affine map needs |b| < |a|, got |a| = {abs(a)}, |b| = {abs(b)}")
+    return m
+
+
 _POLY_RE = re.compile(
     r"^z\+(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\*zbar\^(\d+)$")
 
@@ -112,7 +128,7 @@ def gallery_map(name):
             b = complex(parts[1])
         except ValueError:
             raise MapSpecError(f"bad complex literal in gallery name {name!r}")
-        return AffineHarmonicMap(0.0, a, b)
+        return _affine_map(0.0, a, b)
     if name.startswith("poly:"):
         body = name[len("poly:"):].replace(" ", "")
         m = _POLY_RE.match(body)
@@ -170,7 +186,7 @@ def parse_map_spec(spec):
         return SeriesHarmonicMap(
             a, b, sense_preserving=bool(spec.get("sense_preserving", False)))
     if kind == "affine":
-        return AffineHarmonicMap(
+        return _affine_map(
             _as_complex(spec.get("c0", 0.0), "c0"),
             _as_complex(spec.get("a", 1.0), "a"),
             _as_complex(spec.get("b", 0.0), "b"))

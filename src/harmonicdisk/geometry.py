@@ -80,17 +80,6 @@ class PolygonalCurve:
         """Cumulative length before each vertex (prefix[0] = 0)."""
         return np.concatenate([[0.0], np.cumsum(self.segment_lengths())])
 
-    def refine(self):
-        """Insert every segment midpoint (dyadic refinement)."""
-        p, q = self.segments()
-        mids = 0.5 * (p + q)
-        out = np.empty(p.size * 2, dtype=complex)
-        out[0::2] = p
-        out[1::2] = mids
-        if not self.closed:
-            out = np.concatenate([out, [self.vertices[-1]]])
-        return PolygonalCurve(out, self.closed)
-
     @classmethod
     def from_file(cls, path, closed=True):
         """One 'x y' vertex per line; blank lines and # comments skipped."""
@@ -114,63 +103,6 @@ class PolygonalCurve:
                     raise ValidationError(
                         f"{path}:{lineno}: non-numeric vertex {line!r}")
         return cls(np.array(pts), closed=closed)
-
-
-def polygonal_length(curve):
-    return float(math.fsum(curve.segment_lengths()))
-
-
-def curve_diameter(curve):
-    """Max pairwise vertex distance (chunked O(n^2) scan)."""
-    v = curve.vertices
-    best = 0.0
-    step = max(1, BLOCK_CELLS // max(1, v.size))
-    for i in range(0, v.size, step):
-        d = np.abs(v[i:i + step, None] - v[None, :])
-        best = max(best, float(d.max()))
-    return best
-
-
-def shoelace_area(curve):
-    """Signed-area magnitude of a closed polygon."""
-    if not curve.closed:
-        raise ValidationError("area needs a closed curve")
-    p, q = curve.segments()
-    cross = p.real * q.imag - p.imag * q.real
-    return abs(float(math.fsum(cross))) * 0.5
-
-
-def is_self_intersecting(curve):
-    """True when any two non-adjacent segments properly cross."""
-    p, q = curve.segments()
-    n = p.size
-
-    def orient(a, b, c):
-        return ((b.real - a.real) * (c.imag - a.imag)
-                - (b.imag - a.imag) * (c.real - a.real))
-
-    step = max(1, (1 << 20) // max(1, n))
-    idx = np.arange(n)
-    for i0 in range(0, n, step):
-        sl = slice(i0, min(i0 + step, n))
-        a = p[sl, None]
-        b = q[sl, None]
-        c = p[None, :]
-        d = q[None, :]
-        d1 = orient(a, b, c)
-        d2 = orient(a, b, d)
-        d3 = orient(c, d, a)
-        d4 = orient(c, d, b)
-        proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-        # adjacency (shared endpoints) never counts as a crossing
-        ii = idx[sl, None]
-        jj = idx[None, :]
-        gap = np.minimum((ii - jj) % n, (jj - ii) % n) if curve.closed \
-            else np.abs(ii - jj)
-        proper &= gap > 1
-        if np.any(proper):
-            return True
-    return False
 
 
 def _row_crossings(y, p, q):
@@ -393,10 +325,6 @@ class ArcSet:
         return math.fsum(b - a for a, b in self.arcs)
 
     @classmethod
-    def full(cls):
-        return cls(((0.0, TWO_PI),))
-
-    @classmethod
     def single(cls, alpha, beta):
         return cls(((alpha, beta),))
 
@@ -465,7 +393,7 @@ def boundary_image_length(m, E, cfg=DEFAULT_CONFIG):
 def radial_length(m, theta, r, cfg=DEFAULT_CONFIG):
     """(length, nodes) of the image of the segment [0, r e^{i theta}]
     with multiplicity.  r may reach 1 for maps whose derivatives extend
-    to the closed disk (series, affine)."""
+    to the closed disk (series maps)."""
     r = checked_real("radial extent", r, 0.0, 1.0, "(]")
     e = np.exp(1j * float(theta))
 
@@ -842,9 +770,3 @@ def boundary_polygon(m, samples, cfg=DEFAULT_CONFIG):
                             MAX_BOUNDARY_SAMPLES)
     rb = effective_boundary_radius(cfg, m.max_radius)
     return PolygonalCurve(eval_circle_grid(m, rb, samples))
-
-
-def distance_to_boundary(m, w, boundary_samples=2048, cfg=DEFAULT_CONFIG):
-    """Distance from w to the polygonal image of the proxy boundary."""
-    poly = boundary_polygon(m, boundary_samples, cfg)
-    return float(point_polygon_distance(np.array([complex(w)]), poly)[0])

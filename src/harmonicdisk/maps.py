@@ -16,10 +16,10 @@ A sense-preserving map has jacobian > 0 everywhere; it is K-quasiconformal
 when op_norm <= K * lam, equivalently when the second complex dilatation
 omega = g'/h' satisfies |omega| <= (K - 1)/(K + 1).
 
-Three concrete representations are provided: truncated power series,
-Poisson integrals of unimodular boundary data, and affine maps.  All of
-them evaluate on ndarrays; scalar wrappers validate the unit-disk
-precondition.
+Two concrete representations are provided: truncated power series,
+whose degree-one case is the affine map c0 + a z + b zbar (built by
+gallery), and Poisson integrals of unimodular boundary data.  Both
+evaluate on ndarrays.
 """
 
 from __future__ import annotations
@@ -38,22 +38,6 @@ from .quadrature import golden_max, refine_grid_max
 
 TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-
-
-@dataclass(frozen=True)
-class DerivativeFrame:
-    """Wirtinger derivatives at a point together with the derived norms."""
-
-    fz: complex
-    fzb: complex
-    op_norm: float
-    lam: float
-    jacobian: float
-
-    @classmethod
-    def from_pair(cls, fz, fzb):
-        return cls(complex(fz), complex(fzb), float(op_norm(fz, fzb)),
-                   abs(abs(fz) - abs(fzb)), float(jacobian(fz, fzb)))
 
 
 def op_norm(fz, fzb):
@@ -231,45 +215,6 @@ class SeriesHarmonicMap(HarmonicMap):
         a, b = self.analytic_coeffs, self.antianalytic_coeffs
         return SeriesHarmonicMap(a * w ** np.arange(a.size),
                                  b * w ** np.arange(1, b.size + 1))
-
-
-class AffineHarmonicMap(HarmonicMap):
-    """f(z) = c0 + a z + b zbar with |b| < |a| (sense-preserving)."""
-
-    def __init__(self, c0, a, b):
-        self.c0 = complex(c0)
-        self.a = complex(a)
-        self.b = complex(b)
-        if not np.all(np.isfinite([self.c0, self.a, self.b])):
-            raise MapSpecError("affine coefficients must be finite")
-        with np.errstate(over="ignore"):
-            size = np.abs([self.c0, self.a, self.b])
-            _refuse_overflow("affine", size.sum(), size[1:].sum())
-        if not abs(self.b) < abs(self.a):
-            raise NotSensePreserving(
-                f"affine map needs |b| < |a|, got |a| = {abs(self.a)}, "
-                f"|b| = {abs(self.b)}")
-
-    def eval_many(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self.c0 + self.a * z + self.b * np.conj(z)
-
-    def derivs_many(self, z):
-        z = np.asarray(z, dtype=complex)
-        fz = np.full(z.shape, self.a)
-        fzb = np.full(z.shape, self.b)
-        return fz, fzb
-
-    def taylor(self, rho):
-        return (np.array([self.c0, self.a]),
-                np.array([0.0, self.b.conjugate()]), 0.0)
-
-    def scaled(self, c):
-        return AffineHarmonicMap(c * self.c0, c * self.a, c * self.b)
-
-    def rotated(self, alpha):
-        w = np.exp(1j * alpha)
-        return AffineHarmonicMap(self.c0, self.a * w, self.b * np.conj(w))
 
 
 # the outputs of derivs_many, h' and conj(g'), as level indices (see
@@ -521,21 +466,6 @@ def derivs_polar_grid(m, radii, n_theta):
     n_theta = int(n_theta)
     e = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
     return m.derivs_many(radii[None, :] * e[:, None])
-
-
-def evaluate(m, z):
-    """f(z) for a single point of the open unit disk."""
-    z = complex(z)
-    checked_real("|z|", abs(z), 0.0, 1.0, "[)", PointOutsideDisk)
-    return complex(m.eval_many(np.array([z]))[0])
-
-
-def wirtinger(m, z):
-    """DerivativeFrame of the map at a single point of the open disk."""
-    z = complex(z)
-    checked_real("|z|", abs(z), 0.0, 1.0, "[)", PointOutsideDisk)
-    fz, fzb = m.derivs_many(np.array([z]))
-    return DerivativeFrame.from_pair(fz[0], fzb[0])
 
 
 def estimate_K(m, r_max=0.999, grid=720):

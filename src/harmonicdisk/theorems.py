@@ -23,14 +23,12 @@ from .config import (DEFAULT_CONFIG, MAX_THETA_GRID,
                      effective_boundary_radius)
 from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
-                     NotSelfMap, SelfIntersecting, ValidationError,
-                     checked_count, checked_real)
+                     NotSelfMap, ValidationError, checked_count, checked_real)
 from .geometry import (MAX_BOUNDARY_SAMPLES, MAX_COEFFICIENTS, _stretch,
                        _unimodular, boundary_image_length, boundary_polygon,
                        crosscut_integral, extract_coefficients, hardy_mean,
-                       image_area, is_self_intersecting, level_curve_length,
-                       point_polygon_distance, polygonal_length, ray_table,
-                       shoelace_area, sup_radial_length)
+                       image_area, level_curve_length, point_polygon_distance,
+                       ray_table, sup_radial_length)
 from .maps import estimate_K, eval_circle_grid, op_norm, sup_modulus
 from .quadrature import adaptive_simpson, first_argmax
 
@@ -40,8 +38,6 @@ REPORT_TOL = 1e-7
 MAX_R_GRID = 1 << 12
 # selfmap probes: each holds a few complex arrays, ~150 MiB at the cap
 MAX_PROBES = 1 << 20
-# thm3_hypothesis_fit radii: a few n x n float arrays, ~40 MiB at the cap
-_MAX_FIT_RADII = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -237,30 +233,6 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
         probes=len(ratios))]
 
 
-def thm3_hypothesis_fit(m, zeta, delta, r_grid=None, cfg=DEFAULT_CONFIG):
-    """Smallest grid-consistent constant in the radial growth
-    hypothesis ||D(rho zeta)|| <= M ((1-rho)/(1-r))^{delta-1}
-    ||D(r zeta)|| for r <= rho along the ray toward zeta.  r_grid holds
-    1 to 1024 radii in [0, 1)."""
-    zeta = _unimodular(zeta, "ray endpoint")
-    delta = checked_real("delta", delta, 0.0, 1.0)
-    if r_grid is None:
-        r_grid = np.linspace(0.0, min(0.95, m.max_radius), 40)
-    r = np.array([checked_real("r_grid radius", x, 0.0, 1.0, "[)")
-                  for x in np.ravel(r_grid)])
-    checked_count("r_grid size", r.size, 1, _MAX_FIT_RADII)
-    zeta = zeta / abs(zeta)
-    D = op_norm(*m.derivs_many(r * zeta))
-    if float(D.min()) < 1e-14:
-        raise DivisionDegenerate("||D|| vanishes on the probe ray")
-    # rows r, cols rho, upper triangle has r <= rho
-    ratio = D[None, :] / (D[:, None]
-                          * ((1.0 - r[None, :]) / (1.0 - r[:, None]))
-                          ** (delta - 1.0))
-    mask = r[:, None] <= r[None, :]
-    return float(np.max(np.where(mask, ratio, -np.inf)))
-
-
 def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     """Radial growth bound for the rescaled map F(zeta) = f(r0 zeta).
 
@@ -326,8 +298,11 @@ def thm4_ratio(m, K=None, r_list=(0.05, 0.1, 0.2, 0.4, 0.6),
     RHS = 32 r (1+r) K^3 sup|f| / int d(f(r e^{it}), boundary) dt.
     A trailing trend report records how the ratio behaves toward small
     radii: constant-ratio maps are recorded verbatim; otherwise the
-    sequence must be nonincreasing as r decreases.
+    sequence must be nonincreasing as r decreases.  below_threshold
+    says whether the ratio at the smallest radius is below threshold,
+    which is in (0, inf).
     """
+    threshold = checked_real("threshold", threshold, 0.0, math.inf)
     r_sorted = sorted(checked_real("level-curve radius", r, 0.0, 1.0)
                       for r in r_list)
     if not r_sorted:
@@ -371,32 +346,31 @@ def thm4_ratio(m, K=None, r_list=(0.05, 0.1, 0.2, 0.4, 0.6),
         float(arr[-1] - arr[0]), trend_ok,
         {"radii": r_sorted, "ratios": [float(x) for x in arr],
          "constant_ratio": bool(constant), "below_threshold": below,
-         "threshold": float(threshold)},
+         "threshold": threshold},
         probes=len(r_sorted)))
     return reports
 
 
-def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
+def schwarz_radial_check(m, normalization=None, r_grid=64,
                          cfg=DEFAULT_CONFIG):
     """Normalized radial means A(r) <= r on a radius grid.
 
     A(r) = sup_theta int_0^r ||D(rho e^{i theta})|| drho / c, the sup
-    taken as the maximum over the ray table's theta_grid rays (no
+    taken as the maximum over the ray table's cfg.theta_grid rays (no
     refinement between them).  That maximum is a lower bound: a peak
     between two rays is missed, so with a given normalization a
     violation there goes unreported.  With no normalization supplied, c is
     fitted as A_raw(r_top)/r_top at the top grid radius (the equality
     scaling of the subordination claim): the identity map then gets
     c = 1 and exact equality at every radius.  r_grid is 2 to
-    MAX_R_GRID, and the ray table bounds theta_grid (8 r_grid + 1).
+    MAX_R_GRID, and the ray table bounds cfg.theta_grid (8 r_grid + 1).
     """
     r_grid = checked_count("r_grid", r_grid, 2, MAX_R_GRID)
     fitted = normalization is None
     if not fitted:
         c = checked_real("normalization", normalization, 0.0, math.inf)
-    n_theta = int(theta_grid) if theta_grid is not None else cfg.theta_grid
     r_top = effective_boundary_radius(cfg, m.max_radius)
-    _, rho, cum = ray_table(m, r_top, 8 * r_grid, n_theta,
+    _, rho, cum = ray_table(m, r_top, 8 * r_grid, cfg.theta_grid,
                             lambda e, fz, fzb: op_norm(fz, fzb))
     # cum column k is the integral to rho[2k]; report every 4th column,
     # landing exactly on r_top at the last one
@@ -416,7 +390,7 @@ def schwarz_radial_check(m, normalization=None, r_grid=64, theta_grid=None,
         "schwarz_radial", float(excess.max()), 0.0, "le",
         {"normalization": float(c), "fitted": fitted, "r_top": r_top,
          "r_worst": float(radii[worst]), "grid_radii": r_grid,
-         "theta_grid": n_theta},
+         "theta_grid": cfg.theta_grid},
         probes=int(radii.size))]
 
 
@@ -449,15 +423,3 @@ def selfmap_distortion_check(m, K=None, probes=200, seed=0,
         make_report("selfmap_upper", float((afz - upper).max()), 0.0, "le",
                     params, probes=n),
     ]
-
-
-def isoperimetric_check(curve):
-    """Shoelace area against length^2 / (4 pi) for a simple closed
-    polygon."""
-    if is_self_intersecting(curve):
-        raise SelfIntersecting("polygon edges cross; area is ill-defined")
-    area = shoelace_area(curve)
-    length = polygonal_length(curve)
-    return [make_report("isoperimetric", area,
-                        length * length / (4.0 * math.pi), "le",
-                        {"length": length}, probes=int(curve.vertices.size))]

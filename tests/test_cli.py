@@ -381,15 +381,21 @@ _SQUARE = "1 1\n-1 1\n-1 -1\n1 -1\n"
     ("verify", "prop1", "--K", "0.5"),
     ("verify", "thm2", "--r-list", ""),
     ("verify", "thm4", "--r-list", ""),
+    ("verify", "thm4", "--threshold", "0"),
+    ("verify", "thm4", "--threshold", "-1"),
     ("verify", "selfmap", "--seed", "-1"),
     ("constants", "{square}", "--seed", "-1"),
     ("constants", "--curve", "{missing}"),
     ("constants", "--curve", "{tmp}"),
     ("eval", "--z-file", "{missing}"),
     ("eval", "--z-file", "{tmp}"),
+    ("verify", "schwarz", "--out", "{missing}/run"),
+    ("eval", "--z", "0.1,0", "--out", "{missing}/x.csv"),
 ], ids=["m-lav-negative", "m-lav-below-1", "K-below-1", "thm2-no-radii",
-        "thm4-no-radii", "selfmap-seed", "constants-seed", "curve-missing",
-        "curve-directory", "z-file-missing", "z-file-directory"])
+        "thm4-no-radii", "thm4-threshold-zero", "thm4-threshold-negative",
+        "selfmap-seed", "constants-seed", "curve-missing",
+        "curve-directory", "z-file-missing", "z-file-directory",
+        "out-directory-missing", "eval-out-directory-missing"])
 def test_out_of_range_input_exits_1_with_one_error_line(capsys, tmp_path,
                                                         argv):
     (tmp_path / "square.txt").write_text(_SQUARE)
@@ -547,6 +553,21 @@ def test_verify_out_files_share_one_base(capsys, tmp_path, out):
     assert sorted(p.name for p in (tmp_path / "outq").iterdir()) == [
         "a.csv", "a.json", "a.meta.json"]
     assert (tmp_path / "outq" / "a.csv").read_text() == text
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm5", "--spec", "identity", "--n-max", "2"),
+    ("eval", "--spec", "identity", "--z", "0.1,0"),
+])
+def test_out_that_cannot_be_written_exits_1(capsys, tmp_path, argv):
+    # a directory where the payload file should go: open() fails
+    (tmp_path / "run.csv").mkdir()
+    code, out, err = run_cli(capsys, *argv, "--out",
+                             str(tmp_path / "run.csv"))
+    assert code == 1
+    assert out  # the payload was computed and printed first
+    assert err.startswith("error: cannot write --out ")
+    assert len(err.splitlines()) == 1
 
 
 def test_argmax_fields_take_the_first_tied_grid_point(capsys):

@@ -10,8 +10,7 @@ from scipy import ndimage
 
 from harmonicdisk import (CurveConstantsReport, PathNotFound, ValidationError,
                           ahlfors_constant, boundary_polygon, curve_constants,
-                          gallery_map,
-                          lavrentiev_constant, lemma_c_consistent,
+                          gallery_map, lavrentiev_constant,
                           linear_connectivity_constant, quasicircle_constant)
 from harmonicdisk.curve_constants import (MAX_CENTERS, MAX_GRID, MAX_PAIRS,
                                           MAX_POINT_PAIRS, MAX_RADII,
@@ -63,9 +62,10 @@ def test_circle_ahlfors_two_pi():
 def test_circle_linear_connectivity_is_one():
     # convex region: the straight segment always connects; the raster
     # lens test overshoots 1 by at most a few cells over the distance
-    got = linear_connectivity_constant(circle_polygon(128), point_pairs=8,
-                                       grid=256)
+    got, measured = linear_connectivity_constant(circle_polygon(128),
+                                                 point_pairs=8, grid=256)
     assert 1.0 <= got < 1.03
+    assert 1 <= measured <= 8
 
 
 def test_square_matches_brute_force_exactly():
@@ -156,8 +156,8 @@ def test_seeded_determinism():
 
 def test_u_polygon_connectivity_exceeds_one():
     # the two prongs force paths around the notch
-    got = linear_connectivity_constant(u_polygon(), point_pairs=12, grid=384,
-                                       seed=1)
+    got, _ = linear_connectivity_constant(u_polygon(), point_pairs=12,
+                                          grid=384, seed=1)
     assert 1.05 < got < 10.0
 
 
@@ -286,8 +286,8 @@ def test_pair_diameters_equal_full_grid_labelling(curve):
             args = (cells, inside, cell, pts, _diag(curve))
             got = _pair_diameters(*args)
             assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
-    assert linear_connectivity_constant(curve, 8, 200, 2) == max(
-        [1.0] + [hi / d for d, hi in got])
+    assert linear_connectivity_constant(curve, 8, 200, 2) == (
+        max([1.0] + [hi / d for d, hi in got]), len(got))
 
 
 def _unit_raster(grid=48):
@@ -361,7 +361,7 @@ def test_circle_connectivity_needs_few_labels(monkeypatch):
         return label(*args, **kwargs)
 
     monkeypatch.setattr(ndimage, "label", counting)
-    got = linear_connectivity_constant(circle_polygon(512), grid=512)
+    got, _ = linear_connectivity_constant(circle_polygon(512), grid=512)
     assert 1.0 <= got < 1.01
     # the full-grid bisection labels ~170 times here
     assert len(calls) <= 16
@@ -432,22 +432,16 @@ def test_ahlfors_square_vertex_probe():
 
 
 def test_counters_and_report():
-    counts = {}
-    lavrentiev_constant(square_polygon(), counters=counts)
-    assert counts["pairs"] == 6
-    assert counts["degenerate_pairs"] == 0
     rep = curve_constants(rectangle_polygon(2.0, 2.0, 4), point_pairs=6,
                           grid=192)
     assert isinstance(rep, CurveConstantsReport)
     assert rep.lavrentiev_M >= rep.quasicircle_M >= 1.0
     assert 1.0 <= rep.linear_conn_M < 1.05
-    assert rep.sample_counts["pairs"] == 16 * 15 // 2
-    assert rep.sample_counts["grid"] == 192
-
-
-def test_lemma_c_consistency_family():
-    fam = [circle_polygon(64), rectangle_polygon(2.0, 2.0, 8), u_polygon(4)]
-    assert lemma_c_consistent(fam)
+    counts = dict(rep.sample_counts)
+    assert 1 <= counts.pop("conn_pairs") <= 6
+    # 16 vertices: every pair, 16 vertices + 16 midpoints + the centroid
+    assert counts == {"pairs": 16 * 15 // 2, "degenerate_pairs": 0,
+                      "centers": 33, "radii": 6, "grid": 192}
 
 
 @pytest.mark.parametrize("grid", [1, 2, 37, 64, 512])
@@ -562,13 +556,11 @@ def test_pair_constants_equal_gather_version(n):
 
 def test_report_shares_one_pair_sample():
     curve = boundary_polygon(gallery_map("poly:z+0.3*zbar^2"), 1500)
-    counts = {}
-    lav = lavrentiev_constant(curve, 5000, 2, counters=counts)
     rep = curve_constants(curve, pairs=5000, point_pairs=2, grid=64, seed=2)
-    assert rep.lavrentiev_M == lav
+    assert rep.lavrentiev_M == lavrentiev_constant(curve, 5000, 2)
     assert rep.quasicircle_M == quasicircle_constant(curve, 5000, 2)
     assert rep.ahlfors_M == ahlfors_constant(curve)
-    assert {k: rep.sample_counts[k] for k in counts} == counts
+    assert rep.sample_counts["pairs"] == 5000
 
 
 @pytest.mark.parametrize("kw,message", [
@@ -581,8 +573,7 @@ def test_report_shares_one_pair_sample():
 def test_probe_count_caps(kw, message):
     circle = circle_polygon(64)
     funcs = [curve_constants]
-    funcs += ([lavrentiev_constant, quasicircle_constant,
-               lambda c, **k: lemma_c_consistent([c], **k)]
+    funcs += ([lavrentiev_constant, quasicircle_constant]
               if "pairs" in kw else [ahlfors_constant])
     for fn in funcs:
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -594,8 +585,7 @@ def test_probe_count_caps(kw, message):
 def test_negative_seed_is_refused():
     circle = circle_polygon(64)
     for fn in (lavrentiev_constant, quasicircle_constant,
-               linear_connectivity_constant, curve_constants,
-               lambda c, **k: lemma_c_consistent([c], **k)):
+               linear_connectivity_constant, curve_constants):
         with pytest.raises(ValidationError,
                            match="^seed must be 0 to inf, got -1$"):
             fn(circle, seed=-1)
@@ -615,7 +605,6 @@ def test_probe_count_caps_admit_the_maxima(monkeypatch):
     for call in (
             lambda: lavrentiev_constant(circle, pairs=MAX_PAIRS),
             lambda: quasicircle_constant(circle, pairs=MAX_PAIRS),
-            lambda: lemma_c_consistent([circle], pairs=MAX_PAIRS),
             lambda: ahlfors_constant(circle, MAX_CENTERS, MAX_RADII),
             lambda: curve_constants(circle, MAX_PAIRS, MAX_CENTERS,
                                     MAX_RADII, MAX_POINT_PAIRS, MAX_GRID)):

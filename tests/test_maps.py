@@ -1,19 +1,19 @@
 """Map representations, Wirtinger calculus, and the dilatation probe."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from harmonicdisk import (AffineHarmonicMap, MapSpecError, NotSensePreserving,
-                          PointOutsideDisk, PoissonHarmonicMap,
-                          QuadratureNonconvergence, SeriesHarmonicMap,
-                          ValidationError, estimate_K, evaluate, gallery_map,
-                          sup_modulus, wirtinger)
+from harmonicdisk import (MapSpecError, NotSensePreserving, PointOutsideDisk,
+                          PoissonHarmonicMap, QuadratureNonconvergence,
+                          SeriesHarmonicMap, ValidationError, estimate_K,
+                          gallery_map, sup_modulus)
 from harmonicdisk.gallery import gallery_names, parse_map_spec
-from harmonicdisk.maps import (DerivativeFrame, derivs_polar_grid,
-                               eval_circle_grid, rotate_domain, scale_range)
+from harmonicdisk.maps import (derivs_polar_grid, eval_circle_grid, jacobian,
+                               op_norm, rotate_domain, scale_range)
 
 from oracles.poisson_bessel_series import bessel_series_coeffs
 
@@ -21,51 +21,51 @@ Z_PROBES = np.array([0.0, 0.3 + 0.2j, -0.7j, 0.55 - 0.55j, 0.9,
                      -0.85 + 0.3j, 0.05 + 0.95j])
 
 
+def affine(c0, a, b):
+    """The JSON-spec affine map c0 + a z + b zbar."""
+    return parse_map_spec({"kind": "affine", "c0": [c0.real, c0.imag],
+                           "a": [a.real, a.imag], "b": [b.real, b.imag]})
+
+
 def test_series_eval_and_derivs_hand_math():
     # f(z) = z + 0.3 zbar^2, so the stored b_2 satisfies conj(b_2) = 0.3
     m = gallery_map("poly:z+0.3*zbar^2")
     z = 0.5 + 0.2j
     want = z + 0.3 * np.conj(z) ** 2
-    assert abs(evaluate(m, z) - want) < 1e-15
-    fr = wirtinger(m, z)
-    assert abs(fr.fz - 1.0) < 1e-15
-    assert abs(fr.fzb - 0.6 * np.conj(z)) < 1e-15
+    assert abs(m.eval_many(np.array([z]))[0] - want) < 1e-15
+    fz, fzb = m.derivs_many(np.array([z]))
+    assert abs(fz[0] - 1.0) < 1e-15
+    assert abs(fzb[0] - 0.6 * np.conj(z)) < 1e-15
     s = abs(0.6 * np.conj(z))
-    assert abs(fr.op_norm - (1.0 + s)) < 1e-15
-    assert abs(fr.lam - (1.0 - s)) < 1e-15
-    assert abs(fr.jacobian - (1.0 - s * s)) < 1e-15
+    assert abs(op_norm(fz, fzb)[0] - (1.0 + s)) < 1e-15
+    assert abs(jacobian(fz, fzb)[0] - (1.0 - s * s)) < 1e-15
 
 
 def test_derivative_frame_arithmetic():
-    fr = DerivativeFrame.from_pair(3.0 + 4.0j, 1.0)
-    assert fr.op_norm == 6.0
-    assert fr.lam == 4.0
-    assert fr.jacobian == 24.0
-
-
-def test_point_validation():
-    m = gallery_map("identity")
-    with pytest.raises(PointOutsideDisk):
-        evaluate(m, 1.0)
-    with pytest.raises(PointOutsideDisk):
-        wirtinger(m, 0.8 + 0.8j)
-    for point in (evaluate, wirtinger):
-        with pytest.raises(PointOutsideDisk, match="got nan"):
-            point(m, complex(math.nan, 0.0))
-    assert evaluate(m, 0.999999) == pytest.approx(0.999999)
+    # the frame (f_z, f_zb) = (3 + 4i, 1)
+    assert op_norm(3.0 + 4.0j, 1.0) == 6.0
+    assert jacobian(3.0 + 4.0j, 1.0) == 24.0
 
 
 def test_affine_map_basics():
-    m = AffineHarmonicMap(1.0j, 2.0, 0.5)
+    # the degree-one series map c0 + a z + b zbar
+    m = affine(1.0j, 2.0, 0.5)
+    assert isinstance(m, SeriesHarmonicMap)
     z = Z_PROBES
     np.testing.assert_allclose(m.eval_many(z),
                                1.0j + 2.0 * z + 0.5 * np.conj(z))
     fz, fzb = m.derivs_many(z)
     assert np.all(fz == 2.0) and np.all(fzb == 0.5)
+    with pytest.raises(NotSensePreserving, match=re.escape(
+            "affine map needs |b| < |a|, got |a| = 1.0, |b| = 1.0")):
+        gallery_map("affine:1,1")
     with pytest.raises(NotSensePreserving):
-        AffineHarmonicMap(0.0, 1.0, 1.0)
-    with pytest.raises(NotSensePreserving):
-        AffineHarmonicMap(0.0, 0.5, 0.5 + 0.1j)
+        affine(0.0, 0.5, 0.5 + 0.1j)
+    # finiteness and overflow are refused first, by the series map
+    with pytest.raises(MapSpecError, match="must be finite"):
+        gallery_map("affine:nan,nan")
+    with pytest.raises(MapSpecError, match="overflows"):
+        affine(0.0, 1e308, 1e308)
 
 
 def test_series_sense_preserving_probe():
@@ -287,7 +287,7 @@ def _taylor_sum(m, rho, z):
 @pytest.mark.parametrize("m", [
     gallery_map("identity"), gallery_map("scaled:2.0"),
     gallery_map("affine:1,0.5"), gallery_map("poly:z+0.3*zbar^2"),
-    AffineHarmonicMap(0.2 - 0.1j, 1.0 + 0.5j, 0.3 - 0.4j),
+    affine(0.2 - 0.1j, 1.0 + 0.5j, 0.3 - 0.4j),
     SeriesHarmonicMap([0.1, 1.0, 0.2j, -0.05], [0.3, 0.1 - 0.05j])],
     ids=["identity", "scaled", "affine", "poly", "affine_c0", "series"])
 def test_taylor_of_an_exact_series_is_the_map(m):
@@ -517,13 +517,13 @@ def test_parse_map_spec():
     m = parse_map_spec({"kind": "series", "analytic": [[0, 0], [1, 0]],
                         "antianalytic": [[0, 0], [0.3, 0]]})
     z = 0.4 + 0.1j
-    assert abs(evaluate(m, z) - (z + 0.3 * np.conj(z) ** 2)) < 1e-15
+    assert abs(m.eval_many(z) - (z + 0.3 * np.conj(z) ** 2)) < 1e-15
     m = parse_map_spec({"kind": "affine", "a": [1, 0], "b": [0.5, 0]})
-    assert abs(evaluate(m, 0.2) - 0.3) < 1e-15
+    assert abs(m.eval_many(0.2) - 0.3) < 1e-15
     m = parse_map_spec({"kind": "poisson", "phi": "t"})
-    assert abs(evaluate(m, 0.5) - 0.5) < 1e-9
+    assert abs(m.eval_many(np.array([0.5]))[0] - 0.5) < 1e-9
     m = parse_map_spec({"kind": "gallery", "name": "scaled:2.0"})
-    assert abs(evaluate(m, 0.25) - 0.5) < 1e-15
+    assert abs(m.eval_many(0.25) - 0.5) < 1e-15
     for bad in [{"kind": "nope"}, {"kind": "series", "analytic": []},
                 {"kind": "poisson", "phi": 3}, {"kind": "gallery"},
                 {"kind": "series", "analytic": ["x"]}, 7]:

@@ -15,19 +15,14 @@ import pytest
 from harmonicdisk import (ArcSet, DegenerateE, DivisionDegenerate,
                           HarmonicMap, InequalityReport,
                           NormalizationViolation, NotSelfMap,
-                          SelfIntersecting, SeriesHarmonicMap,
-                          ValidationError, gallery_map)
+                          SeriesHarmonicMap, ValidationError, gallery_map)
 from harmonicdisk.config import MAX_THETA_GRID, QuadratureConfig
-from harmonicdisk.geometry import (MAX_COEFFICIENTS, PolygonalCurve,
-                                   circle_polygon, extract_coefficients,
-                                   square_polygon)
+from harmonicdisk.geometry import MAX_COEFFICIENTS, extract_coefficients
 from harmonicdisk.theorems import (MAX_PROBES, MAX_R_GRID, REPORT_TOL,
-                                   check_prop1, effective_K,
-                                   isoperimetric_check, make_report,
+                                   check_prop1, effective_K, make_report,
                                    prop2_bound, schwarz_radial_check,
                                    selfmap_distortion_check, thm1_bound,
-                                   thm2_bound, thm3_carleson,
-                                   thm3_hypothesis_fit, thm4_ratio,
+                                   thm2_bound, thm3_carleson, thm4_ratio,
                                    thm5_bound)
 
 R_CLIP = 1.0 - 1e-6
@@ -128,7 +123,7 @@ def test_thm1_near_full_measure_limit():
 
 def test_thm1_rejects_degenerate_arcs():
     with pytest.raises(DegenerateE):
-        thm1_bound(gallery_map("identity"), ArcSet.full())
+        thm1_bound(gallery_map("identity"), ArcSet.single(0.0, 2.0 * math.pi))
 
 
 # -- thm2 --------------------------------------------------------------------
@@ -217,27 +212,6 @@ def test_thm3_carleson_validation():
 def test_thm3_carleson_refuses_no_probes():
     with pytest.raises(ValidationError, match="probes must be 1 to"):
         thm3_carleson(gallery_map("identity"), z_probes=())
-
-
-def test_thm3_hypothesis_fit():
-    # constant ||D||: the fitted constant is the diagonal value 1
-    got = thm3_hypothesis_fit(gallery_map("identity"), 1.0, 0.5)
-    assert got == pytest.approx(1.0, abs=1e-12)
-    # any map: the diagonal forces fit >= 1
-    got = thm3_hypothesis_fit(gallery_map("poly:z+0.3*zbar^2"), 1.0j, 0.3)
-    assert got >= 1.0 - 1e-12
-    for zeta in (0.5, complex(np.nan, 0.0)):
-        with pytest.raises(ValidationError):
-            thm3_hypothesis_fit(gallery_map("identity"), zeta, 0.5)
-    with pytest.raises(ValidationError):
-        thm3_hypothesis_fit(gallery_map("identity"), 1.0, 1.0)
-
-
-def test_thm3_hypothesis_fit_refuses_a_radius_on_the_circle():
-    # 1 - r vanishes at r = 1
-    with pytest.raises(ValidationError, match="r_grid radius must be in"):
-        thm3_hypothesis_fit(gallery_map("identity"), 1.0, 0.5,
-                            r_grid=[0.5, 1.0])
 
 
 # -- prop2 -------------------------------------------------------------------
@@ -359,7 +333,7 @@ def test_schwarz_sup_is_the_ray_grid_maximum():
     # that sup by 1.9e-4 in the fitted normalization.
     half_step = math.pi / 64
     m = SeriesHarmonicMap([0.0, 1.0, 0.2 * np.exp(-1j * half_step)])
-    [rep] = schwarz_radial_check(m, theta_grid=64)
+    [rep] = schwarz_radial_check(m, cfg=QuadratureConfig(theta_grid=64))
     r_top = rep.params["r_top"]
     x, w = np.polynomial.legendre.leggauss(64)
     rho = 0.5 * r_top * (x + 1.0)
@@ -371,7 +345,8 @@ def test_schwarz_sup_is_the_ray_grid_maximum():
     assert 1.0 + 0.2 * r_top - c == pytest.approx(1.913e-4, rel=1e-3)
     # a normalization between the two is therefore not refused
     assert on_ray / 1.1999 < 1.0 < (r_top + 0.2 * r_top ** 2) / 1.1999
-    [rep] = schwarz_radial_check(m, normalization=1.1999, theta_grid=64)
+    [rep] = schwarz_radial_check(m, normalization=1.1999,
+                                 cfg=QuadratureConfig(theta_grid=64))
     assert rep.params["normalization"] == 1.1999
 
 
@@ -480,26 +455,15 @@ def test_quadrature_config_refuses_infinite_tolerances():
     (schwarz_radial_check, {"normalization": -1.0},
      "normalization must be in (0,inf), got -1.0"),
     (selfmap_distortion_check, {"seed": -1}, "seed must be 0 to inf, got -1"),
+    (thm4_ratio, {"threshold": math.nan},
+     "threshold must be in (0,inf), got nan"),
+    (thm4_ratio, {"threshold": 0.0}, "threshold must be in (0,inf), got 0.0"),
+    (thm4_ratio, {"threshold": -1.0},
+     "threshold must be in (0,inf), got -1.0"),
+    (thm4_ratio, {"threshold": math.inf},
+     "threshold must be in (0,inf), got inf"),
 ])
 def test_bad_input_is_refused_before_evaluation(check, kwargs, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         check(_RefusingMap(), **kwargs)
 
-
-# -- isoperimetric ------------------------------------------------------------
-
-
-def test_isoperimetric_square_and_circle():
-    [rep] = isoperimetric_check(square_polygon())
-    assert rep.holds
-    assert rep.lhs == 4.0
-    assert rep.rhs == pytest.approx(64.0 / (4.0 * math.pi))
-    [rep] = isoperimetric_check(circle_polygon(512))
-    assert rep.holds
-    assert rep.margin == pytest.approx(0.0, abs=1e-3)  # near-extremal
-
-
-def test_isoperimetric_rejects_bowtie():
-    bowtie = PolygonalCurve(np.array([0.0, 1.0 + 1.0j, 1.0, 1.0j]))
-    with pytest.raises(SelfIntersecting):
-        isoperimetric_check(bowtie)
