@@ -8,8 +8,6 @@ Run from the repository root:
     python3 demos/05_verify_gallery.py
 """
 
-import numpy as np
-
 from harmonicdisk.gallery import gallery_map, gallery_names
 from harmonicdisk.theorems import (check_prop1, schwarz_radial_check,
                                    thm4_ratio, thm5_bound)

@@ -17,11 +17,12 @@ never shrinks a constant.
 Arc lengths and arc diameters are exact for every probed pair, so the
 Lavrentiev and quasicircle constants are the exact maxima over the
 probe set.  Both constants read one ranking of the probe pairs, built
-from slices of the doubled vertex ring.  The diameters come from one
-pass of a window recurrence: O(n * W_max) time and O(n) working memory
-for an n-gon, where W_max is the largest vertex count of a probed
-shorter arc.  The Ahlfors lengths of a center are one (radii, segments)
-array.
+in chunks from slices of the doubled vertex ring; the Lavrentiev
+constant reduces each chunk as it is ranked.  The diameters come from
+one pass of a window recurrence: O(n * W_max) time and O(n) working
+memory for an n-gon, where W_max is the largest vertex count of a
+probed shorter arc.  The Ahlfors lengths of a center are one (radii,
+segments) array.
 
 The connectivity raster is built row by row: a row shares one ordinate,
 so its even-odd containment is the parity of its crossings binned at
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +77,8 @@ def _pair_lags(n, seed):
 def sample_vertex_pairs(curve, pairs, seed=0):
     """Deterministic (i, j) vertex pairs, grouped by lag.
 
-    Returns a list of (lag, start_indices) blocks whose total count is
+    Returns a list of (lag, count) blocks, each pairing the starts
+    i = 0 .. count-1 with j = i + lag (mod n), and their total count,
     min(pairs, all distinct pairs).  Exhaustive when the polygon is
     small.
     """
@@ -88,29 +89,21 @@ def sample_vertex_pairs(curve, pairs, seed=0):
     got = 0
     for lag in _pair_lags(n, seed):
         # lag n/2 on an even polygon pairs each i with i+n/2 twice
-        count = n // 2 if (2 * lag == n) else n
-        starts = np.arange(min(count, want - got))
-        blocks.append((lag, starts))
-        got += starts.size
+        count = min(n // 2 if (2 * lag == n) else n, want - got)
+        blocks.append((lag, count))
+        got += count
         if got >= want:
             break
     return blocks, got
 
 
-class _Probe(NamedTuple):
-    """The probe pairs of sample_vertex_pairs, ranked in chunks."""
-    got: int
-    # (blocks, shorter arc length, chord, the shorter arc runs i -> i+lag)
-    # per run of consecutive blocks, flat in probe order
-    chunks: list
-
-
-# pairs per ranked chunk: 32 KiB arrays, which the heap reuses from
-# call to call.  Flat per-probe arrays were unmapped when freed, which
-# raises glibc's mmap threshold: an exhaustive 1024-gon call then
-# faulted ~5,000 pages back in, and a later thm4 three times its own
-# faults.  Chunks of 1024 pairs faulted least but fragmented the heap,
-# adding ~2 MiB to the peak RSS of a curves pass.
+# pairs per ranked chunk: 32 KiB arrays, which come from the heap; the
+# Lavrentiev constant frees each chunk before the next one is ranked,
+# which reuses its memory.  Flat per-probe arrays were unmapped when
+# freed, which raises glibc's mmap threshold: an exhaustive 1024-gon
+# call then faulted ~5,000 pages back in, and a later thm4 three times
+# its own faults.  Chunks of 1024 pairs faulted least but fragmented
+# the heap, adding ~2 MiB to the peak RSS of a curves pass.
 _CHUNK_PAIRS = 1 << 12
 
 
@@ -119,17 +112,21 @@ def _runs(blocks):
     block alone), with their pair counts."""
     run, size = [], 0
     for block in blocks:
-        if run and size + block[1].size > _CHUNK_PAIRS:
+        if run and size + block[1] > _CHUNK_PAIRS:
             yield run, size
             run, size = [], 0
         run.append(block)
-        size += block[1].size
+        size += block[1]
     if run:
         yield run, size
 
 
 def _probe_pairs(curve, pairs, seed):
-    """Sample the probe pairs and rank each one by its shorter arc.
+    """Sample the probe pairs and rank them by their shorter arc, one
+    chunk at a time: yields (blocks, start i, shorter arc length, chord,
+    the shorter arc runs i -> i+lag) per run of consecutive blocks, in
+    probe order.  A chunk carries its own start indices, so a caller
+    that reduces each chunk as it comes holds one chunk's.
 
     A block pairs each start i = 0 .. c-1 with j = i + lag (mod n), so
     the j side is the slice [lag, lag + c) of the doubled vertex and
@@ -137,19 +134,17 @@ def _probe_pairs(curve, pairs, seed):
     differences and the chord are taken per block; the rest runs once
     per chunk.
     """
-    blocks, got = sample_vertex_pairs(curve, pairs, seed)
+    blocks, _ = sample_vertex_pairs(curve, pairs, seed)
     v = curve.vertices
     n = v.size
     pre = curve.arc_prefix()
     total = pre[-1]
     v2 = np.concatenate([v, v])
     pre2 = np.concatenate([pre[:n], pre[:n]])
-    chunks = []
     for run, size in _runs(blocks):
         arc_f, chord = np.empty(size), np.empty(size)
         at = 0
-        for lag, starts in run:
-            c = starts.size
+        for lag, c in run:
             np.subtract(pre2[lag:lag + c], pre[:c], out=arc_f[at:at + c])
             np.abs(v2[lag:lag + c] - v[:c], out=chord[at:at + c])
             at += c
@@ -161,15 +156,16 @@ def _probe_pairs(curve, pairs, seed):
         np.add(arc_f, total, out=arc_f, where=arc_f < 0.0)
         arc_b = total - arc_f
         fwd = arc_f <= arc_b
-        chunks.append((run, np.minimum(arc_f, arc_b, out=arc_b), chord, fwd))
-    return _Probe(got, chunks)
+        starts = np.concatenate([np.arange(c) for _, c in run])
+        yield run, starts, np.minimum(arc_f, arc_b, out=arc_b), chord, fwd
 
 
-def _lavrentiev(probe):
-    """(constant, degenerate pairs): pairs whose chord is below
+def _lavrentiev(chunks):
+    """(constant, degenerate pairs) over the ranked chunks of
+    _probe_pairs, each reduced as it comes: pairs whose chord is below
     _CHORD_EPS are skipped."""
     best, skipped = 1.0, 0
-    for _, shorter, chord, _ in probe.chunks:
+    for _, _, shorter, chord, _ in chunks:
         ok = chord >= _CHORD_EPS
         skipped += int(ok.size - np.count_nonzero(ok))
         # a degenerate pair reads 0, below the floor of 1
@@ -181,7 +177,8 @@ def _lavrentiev(probe):
 
 def lavrentiev_constant(curve, pairs=20000, seed=0):
     """Shorter-arc length over chord, maximized over sampled pairs.
-    pairs is 1 to MAX_PAIRS."""
+    pairs is 1 to MAX_PAIRS.  The pairs are ranked and reduced one chunk
+    at a time, so working memory is O(n) plus one chunk."""
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
     return _lavrentiev(_probe_pairs(curve, pairs, seed))[0]
 
@@ -220,17 +217,18 @@ def _arc_diameters(v, base, size):
     return out
 
 
-def _quasicircle(curve, probe):
+def _quasicircle(curve, chunks):
+    """The constant over all ranked chunks of _probe_pairs at once."""
     v = curve.vertices
     n = v.size
-    runs, _, chord, fwd = zip(*probe.chunks)
+    runs, starts, _, chord, fwd = zip(*chunks)
     chord, fwd = np.concatenate(chord), np.concatenate(fwd)
     ok = chord >= _CHORD_EPS
     if not np.any(ok):
         return 1.0
-    lags, starts = zip(*(block for run in runs for block in run))
+    lags, counts = zip(*(block for run in runs for block in run))
     i = np.concatenate(starts)
-    lag = np.repeat(lags, [s.size for s in starts])
+    lag = np.repeat(lags, counts)
     # forward arcs run i .. i+lag, backward arcs j .. j+n-lag
     base = np.where(fwd, i, (i + lag) % n)[ok]
     size = np.where(fwd, lag + 1, n - lag + 1)[ok]
@@ -552,13 +550,14 @@ def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
     grid = checked_count("grid", grid, 1, MAX_GRID)
     point_pairs = checked_count("point_pairs", point_pairs, 1,
                                 MAX_POINT_PAIRS)
-    probe = _probe_pairs(curve, pairs, seed)
-    lav, degenerate = _lavrentiev(probe)
-    qc = _quasicircle(curve, probe)
+    chunks = list(_probe_pairs(curve, pairs, seed))
+    lav, degenerate = _lavrentiev(chunks)
+    qc = _quasicircle(curve, chunks)
     ahl = ahlfors_constant(curve, centers, radii)
     conn, measured = linear_connectivity_constant(curve, point_pairs, grid,
                                                   seed)
-    counts = {"pairs": probe.got, "degenerate_pairs": degenerate,
+    counts = {"pairs": sum(chunk[1].size for chunk in chunks),
+              "degenerate_pairs": degenerate,
               # the centroid, the vertices and the segment midpoints
               "centers": min(centers, 2 * curve.vertices.size + curve.closed),
               "radii": radii, "conn_pairs": measured, "grid": grid}

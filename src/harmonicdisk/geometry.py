@@ -4,11 +4,12 @@ Everything here is a plain function over a harmonic map or an explicit
 polygonal curve.  Curve lengths are one adaptive Simpson rule over
 |d/dt f(c(t))| = |f_z(c) c'(t) + f_zb(c) conj(c'(t))| (_path_length);
 radial integrals over many directions share one polar ray table
-(ray_table).  The area of a full disk is Parseval's sum over the map's
-power series (m.taylor), cross-checked by a polar grid rule; the area
-of a lens integrates the Jacobian in polar coordinates about its
-center.  Boundary objects are always evaluated at the proxy radius
-r_b = effective_boundary_radius(cfg, m.max_radius) < 1.
+(ray_table), evaluated in blocks of rays.  The area of a full disk is
+Parseval's sum over the map's power series (m.taylor), cross-checked
+by a polar grid rule; the area of a lens integrates the Jacobian in
+polar coordinates about its center.  Boundary objects are always
+evaluated at the proxy radius r_b = effective_boundary_radius(cfg,
+m.max_radius) < 1.
 
 A functional returns the evidence its value rests on together with it:
 the length functionals (length, nodes), image_area (area, agreement)
@@ -27,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, QuadratureNonconvergence,
                      ValidationError, checked_count, checked_real)
-from .maps import derivs_polar_grid, eval_circle_grid, jacobian, op_norm
+from .maps import eval_circle_grid, jacobian, op_norm
 from .quadrature import (adaptive_simpson, cumulative_simpson,
                          refine_grid_max, simpson_weights)
 
@@ -167,8 +168,13 @@ def points_in_polygon(points, curve):
 _DIST_BLOCK = 16
 # (point, segment) cells per chunk of point_polygon_distance: its
 # candidate gathers (complex, 16 bytes a cell) then stay near the L2
-# cache; at BLOCK_CELLS they reached 32 MiB, mapped afresh per chunk
-_DIST_CELLS = 1 << 17
+# cache, and its (point, block) arrays hold 2^12 cells, 64 KiB, below
+# glibc's default mmap threshold of 128 KiB.  At 2^17 those and the
+# gathers reached 128 KiB and were mapped and faulted in afresh per
+# chunk (about 1,000 minor faults per Poisson thm4) unless a larger
+# array freed earlier had raised the threshold; at BLOCK_CELLS the
+# gathers reached 32 MiB
+_DIST_CELLS = 1 << 16
 # below this vertex and point size, with |u|^2 > 0, every product in the
 # segment formula is finite, so a segment value is never NaN there
 _DIST_SAFE = 1e150
@@ -405,6 +411,32 @@ def radial_length(m, theta, r, cfg=DEFAULT_CONFIG):
 
 # cells (rays x nodes) of one ray table; see ray_table
 MAX_RAY_CELLS = 1 << 21
+# (ray, node) cells per block of the polar kernels, ray_table and the
+# disk-area grid.  Their node counts are odd, so a complex block stays
+# below 128 KiB, glibc's default mmap threshold: its arrays come from
+# the heap, not faulted in afresh per block (as maps._HORNER_BLOCK's)
+_POLAR_BLOCK_CELLS = 1 << 13
+
+
+def _polar_blocks(m, radii, n_theta):
+    """(rows, f_z, f_zb) of the polar grid of maps.derivs_polar_grid,
+    angles 2 pi k / n_theta by radii, in blocks of whole rows of at most
+    _POLAR_BLOCK_CELLS cells (one row at least).
+
+    Each row equals the row of a whole-grid call, bit for bit, on the
+    gallery: a series map evaluates every point by itself, and a Poisson
+    map whose coefficient certificate holds takes its series level from
+    the largest |z| of a batch, which every block holds (the largest
+    radius, to within one rounding).  Where no certificate holds (a
+    kinked phase), a Poisson map settles its level by comparing two
+    levels on the batch's own points, so a block may stop at a lower
+    level than the whole grid, within the same kernel tolerance.
+    """
+    e = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    step = max(1, _POLAR_BLOCK_CELLS // radii.size)
+    for i in range(0, n_theta, step):
+        rows = slice(i, min(i + step, n_theta))
+        yield (rows, *m.derivs_many(radii[None, :] * e[rows, None]))
 
 
 def ray_table(m, r, panels, n_theta, kernel, scale=1.0):
@@ -412,15 +444,14 @@ def ray_table(m, r, panels, n_theta, kernel, scale=1.0):
     over [0, rho[2 i]] along the ray at thetas[k] = 2 pi k / n_theta,
     e = e^{i thetas} as a column, by cumulative_simpson on the nodes
     rho = j r / panels, j = 0..panels (panels even).  f's derivatives
-    come from one derivs_polar_grid call at scale * rho, so a kernel for
-    z -> f(scale z) supplies the factor scale itself.
+    come from the polar grid at scale * rho (_polar_blocks), so a kernel
+    for z -> f(scale z) supplies the factor scale itself.
 
-    Memory budget: 256 MiB.  tracemalloc peaks were 48-80 bytes a cell
-    (point, derivative pair, kernel temporaries) on the gallery maps and
-    120 on a kinked Poisson phase, whose failed certificate keeps a
-    second level; at 128 bytes a cell that admits MAX_RAY_CELLS = 2^21
-    cells n_theta (panels + 1), and a larger table is refused before
-    any evaluation.
+    The rays go in blocks of _POLAR_BLOCK_CELLS cells, and only cum is
+    kept: 8 bytes a ray per node pair, about 8 MiB at the cap of
+    MAX_RAY_CELLS = 2^21 cells n_theta (panels + 1), plus the points,
+    derivatives and kernel values of one block.  A larger table is
+    refused before any evaluation.
     """
     n_theta, panels = int(n_theta), int(panels)
     if n_theta * (panels + 1) > MAX_RAY_CELLS:
@@ -429,9 +460,11 @@ def ray_table(m, r, panels, n_theta, kernel, scale=1.0):
             f"{MAX_RAY_CELLS} cells")
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     rho = np.linspace(0.0, r, panels + 1)
-    fz, fzb = derivs_polar_grid(m, scale * rho, n_theta)
-    vals = kernel(np.exp(1j * thetas)[:, None], fz, fzb)
-    return thetas, rho, cumulative_simpson(vals, r / panels)
+    e = np.exp(1j * thetas)[:, None]
+    cum = np.empty((n_theta, panels // 2 + 1))
+    for rows, fz, fzb in _polar_blocks(m, scale * rho, n_theta):
+        cum[rows] = cumulative_simpson(kernel(e[rows], fz, fzb), r / panels)
+    return thetas, rho, cum
 
 
 def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
@@ -607,7 +640,8 @@ def _disk_area(m, r_eff, cfg):
     over the coefficients of m.taylor(r_eff) (P. Duren, Harmonic
     Mappings in the Plane, 2004); the cross-check integrates the
     Jacobian by composite Simpson on 257 radii times the trapezoid rule
-    on 512 angles.  Where m.taylor certifies no series at r_eff, its
+    on 512 angles, its rows in blocks (_polar_blocks), keeping only each
+    row's sum.  Where m.taylor certifies no series at r_eff, its
     QuadratureNonconvergence comes before any grid point is evaluated.
     """
 
@@ -620,9 +654,11 @@ def _disk_area(m, r_eff, cfg):
 
     n_t, n_rho = 512, 256
     rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
-    jac = jacobian(*derivs_polar_grid(m, rho, n_t))
     wts = simpson_weights(n_rho)
-    radial = (r_eff / n_rho / 3.0) * (jac * rho * wts).sum(axis=1)
+    radial = np.empty(n_t)
+    for rows, fz, fzb in _polar_blocks(m, rho, n_t):
+        radial[rows] = (jacobian(fz, fzb) * rho * wts).sum(axis=1)
+    radial *= r_eff / n_rho / 3.0
     grid = (TWO_PI / n_t) * math.fsum(radial)
     gap = abs(area - grid)
     if not gap <= max(cfg.abs_tol * 10.0, cfg.rel_tol * abs(area)):

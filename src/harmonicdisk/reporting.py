@@ -4,6 +4,8 @@ Numbers are rendered with repr-faithful precision (%.17g) so CSV/JSON
 bodies round-trip to the same float64 and rerunning a command produces
 byte-identical payload files.  Anything nondeterministic (timestamps,
 library versions) goes into a `.meta.json` sidecar, never the payload.
+Every float of a payload cell passes through fmt_float, which refuses
+a NaN or an infinity with NumericalError (exit 3 at the CLI).
 """
 
 from __future__ import annotations
@@ -11,14 +13,25 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import platform
 import sys
 import time
 
+from .errors import NumericalError
+
+
+def _finite(x):
+    x = float(x)
+    if not math.isfinite(x):
+        raise NumericalError(f"non-finite value {x} in a payload cell")
+    return x
+
 
 def fmt_float(x):
-    """Shortest digit string that parses back to the same float64."""
-    return "%.17g" % float(x)
+    """Shortest digit string that parses back to the same float64;
+    NumericalError for a NaN or an infinity."""
+    return "%.17g" % _finite(x)
 
 
 def _cell(value):
@@ -27,7 +40,7 @@ def _cell(value):
     if isinstance(value, float):
         return fmt_float(value)
     if isinstance(value, complex):
-        return f"{fmt_float(value.real)}{value.imag:+.17g}j"
+        return f"{fmt_float(value.real)}{_finite(value.imag):+.17g}j"
     if isinstance(value, (list, tuple)):
         return "[" + " ".join(_cell(v) for v in value) + "]"
     return str(value)

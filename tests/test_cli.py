@@ -326,6 +326,18 @@ def test_overflow_prints_only_the_failure_line(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_payload_cell_exits_3(tmp_path, fmt):
+    # f = z^2 has f_z = 0 at the origin, so its omega_abs cell is inf
+    spec = _spec_file(tmp_path, {"kind": "series", "analytic": [0, 0, 1]})
+    proc = _run_module("eval", "--spec", spec, "--z", "0,0",
+                       "--format", fmt)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "numerical failure: non-finite value inf in a payload cell"]
+
+
 def test_coefficient_overflow_exits_3(capsys):
     # rho^{1-n} overflows double at n = 128, rho = 0.001: the
     # node-halving disagreement is NaN

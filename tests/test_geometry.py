@@ -23,16 +23,18 @@ from harmonicdisk import (ArcSet, EmptyCrosscut, HarmonicMap, PolygonalCurve,
                           level_curve_length, radial_length,
                           sup_radial_length, thm2_bound)
 from harmonicdisk import geometry
-from harmonicdisk.config import QuadratureConfig
+from harmonicdisk.config import (DEFAULT_CONFIG, QuadratureConfig,
+                                 effective_boundary_radius)
 from harmonicdisk.gallery import gallery_names, parse_map_spec
 from harmonicdisk.geometry import (MAX_RAY_CELLS, circle_polygon,
                                    ellipse_polygon, hardy_mean,
                                    point_polygon_distance, points_in_polygon,
                                    ray_table, rectangle_polygon,
                                    square_polygon, u_polygon)
-from harmonicdisk.maps import (SeriesHarmonicMap, op_norm, rotate_domain,
-                               scale_range)
+from harmonicdisk.maps import (SeriesHarmonicMap, derivs_polar_grid,
+                               jacobian, op_norm, rotate_domain, scale_range)
 from harmonicdisk.quadrature import cumulative_simpson, simpson_weights
+from harmonicdisk.theorems import schwarz_radial_check
 
 from oracles.area_closed_forms import lens_area, poly_area
 from oracles.poisson_bessel_series import bessel_series_coeffs
@@ -302,7 +304,7 @@ def test_point_polygon_distance_keeps_nan_segments():
 
 
 def test_point_polygon_distance_spans_chunks():
-    # 2^17 / 512 = 256 points per chunk; 10^4 points take 40 chunks
+    # 2^16 / 512 = 128 points per chunk; 10^4 points take 79 chunks
     circle = circle_polygon(512)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.2, 1.2, 10_000) + 1j * rng.uniform(-1.2, 1.2, 10_000)
@@ -477,12 +479,18 @@ def test_ray_table_equals_ray_by_ray_loop(name):
     kernels = [geometry._stretch,
                lambda e, fz, fzb: op_norm(fz, fzb),
                lambda e, fz, fzb: 0.5 * geometry._stretch(e, fz, fzb)]
-    for kernel, r, scale in zip(kernels, (0.9, 0.95, 1.0), (1.0, 1.0, 0.5)):
-        got = ray_table(m, r, 16, 12, kernel, scale=scale)
-        want = _rays_one_at_a_time(m, r, 16, 12, kernel, scale)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+    # 12 rays of 17 nodes fit one block; 40 rays of 513 nodes go in
+    # blocks of 15, 15 and 10 rays
+    for panels, n_theta in [(16, 12), (512, 40)]:
+        for kernel, r, scale in zip(kernels, (0.9, 0.95, 1.0),
+                                    (1.0, 1.0, 0.5)):
+            got = ray_table(m, r, panels, n_theta, kernel, scale=scale)
+            want = _rays_one_at_a_time(m, r, panels, n_theta, kernel, scale)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+    step = geometry._POLAR_BLOCK_CELLS // 513
+    assert (step, 40 % step) == (15, 10)
 
 
 def test_ray_table_cell_cap():
@@ -675,17 +683,50 @@ def test_disk_area_refuses_a_kinked_phase_before_the_grid():
         image_area(m, 1.0)
 
 
-def test_disk_area_memory():
-    # tracemalloc peak: 32.1 MiB with the 1024 x 513 grid, 8.0 MiB
-    # with the Parseval sum and one 512 x 257 grid
-    m = gallery_map("identity")
+def _whole_grid_area(m, r_eff):
+    """The cross-check grid rule of _disk_area on one 512 x 257 array."""
+    n_t, n_rho = 512, 256
+    rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
+    jac = jacobian(*derivs_polar_grid(m, rho, n_t))
+    wts = simpson_weights(n_rho)
+    radial = (r_eff / n_rho / 3.0) * (jac * rho * wts).sum(axis=1)
+    return (2.0 * math.pi / n_t) * math.fsum(radial)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_DISK_AREAS))
+def test_disk_area_grid_blocks_equal_the_whole_grid(name):
+    m = gallery_map(name)
+    for r in (0.5, 1.0):
+        area, agreement = image_area(m, r)
+        r_eff = min(r, effective_boundary_radius(DEFAULT_CONFIG,
+                                                 m.max_radius))
+        assert agreement == abs(area - _whole_grid_area(m, r_eff))
+
+
+def _traced_peak(call):
+    """tracemalloc peak of call(), after one warm-up call that fills the
+    per-map caches."""
+    call()
     tracemalloc.start()
     try:
-        image_area(m, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 << 20
+
+
+def test_disk_area_memory():
+    # tracemalloc peak: 32.1 MiB with the 1024 x 513 grid, 8.0 MiB
+    # with one 512 x 257 grid, 0.7 MiB with its rows in blocks
+    assert _traced_peak(lambda: image_area(gallery_map("identity"),
+                                           1.0)) <= 2 << 20
+
+
+def test_schwarz_ray_table_memory():
+    # tracemalloc peak: 22.6 MiB with the whole 720 x 513 table, 2.2
+    # MiB with its rays in blocks and only the running integrals kept
+    m = gallery_map("identity")
+    assert _traced_peak(lambda: schwarz_radial_check(m)) <= 4 << 20
 
 
 def test_image_area_lens_against_closed_form():

@@ -4,7 +4,9 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+from harmonicdisk.errors import NumericalError
 from harmonicdisk.reporting import (csv_table, fmt_float, reports_to_json,
                                     reports_to_rows, rows_to_json,
                                     write_meta_sidecar, write_payload,
@@ -82,3 +84,16 @@ def test_write_payload_and_sidecar(tmp_path):
     assert "numpy" in meta and "written_at" in meta
     # sidecar never touches the payload
     assert out.read_bytes() == b"h\n1\n"
+
+
+@pytest.mark.parametrize("lhs,params", [
+    (math.inf, {}), (math.nan, {}), (1.0, {"K": math.inf}),
+    (1.0, {"w": complex(0.5, math.nan)}), (1.0, {"radii": [0.1, -math.inf]}),
+    (1.0, {"x": np.float64(math.inf)})])
+def test_non_finite_cell_is_refused(lhs, params):
+    # json.dumps would write Infinity or NaN, csv the text inf or nan
+    rep = make_report("demo", lhs, 2.0, "le", params)
+    with pytest.raises(NumericalError, match="non-finite value"):
+        reports_to_json([rep])
+    with pytest.raises(NumericalError, match="non-finite value"):
+        csv_table(reports_to_rows([rep]), REPORT_COLUMNS)
