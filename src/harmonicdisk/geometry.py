@@ -418,10 +418,12 @@ MAX_RAY_CELLS = 1 << 21
 _POLAR_BLOCK_CELLS = 1 << 13
 
 
-def _polar_blocks(m, radii, n_theta):
-    """(rows, f_z, f_zb) of the polar grid of maps.derivs_polar_grid,
-    angles 2 pi k / n_theta by radii, in blocks of whole rows of at most
-    _POLAR_BLOCK_CELLS cells (one row at least).
+def _polar_blocks(m, radii, rays):
+    """(rows, f_z, f_zb) of the polar grid of rays by radii, in blocks
+    of whole rows of at most _POLAR_BLOCK_CELLS cells (one row at
+    least).  ``rays`` is a count n, for the angles 2 pi k / n of
+    maps.derivs_polar_grid (same angle expression), or an array of
+    angles.
 
     Each row equals the row of a whole-grid call, bit for bit, on the
     gallery: a series map evaluates every point by itself, and a Poisson
@@ -432,37 +434,44 @@ def _polar_blocks(m, radii, n_theta):
     levels on the batch's own points, so a block may stop at a lower
     level than the whole grid, within the same kernel tolerance.
     """
-    e = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    if np.ndim(rays):
+        e = np.exp(1j * np.asarray(rays, dtype=float))
+    else:
+        e = np.exp(2j * np.pi * np.arange(rays) / rays)
     step = max(1, _POLAR_BLOCK_CELLS // radii.size)
-    for i in range(0, n_theta, step):
-        rows = slice(i, min(i + step, n_theta))
+    for i in range(0, e.size, step):
+        rows = slice(i, min(i + step, e.size))
         yield (rows, *m.derivs_many(radii[None, :] * e[rows, None]))
 
 
-def ray_table(m, r, panels, n_theta, kernel, scale=1.0):
+def ray_table(m, r, panels, rays, kernel, scale=1.0):
     """(thetas, rho, cum): cum[k, i] integrates kernel(e, f_z, f_zb)
-    over [0, rho[2 i]] along the ray at thetas[k] = 2 pi k / n_theta,
-    e = e^{i thetas} as a column, by cumulative_simpson on the nodes
-    rho = j r / panels, j = 0..panels (panels even).  f's derivatives
-    come from the polar grid at scale * rho (_polar_blocks), so a kernel
-    for z -> f(scale z) supplies the factor scale itself.
+    over [0, rho[2 i]] along the ray at thetas[k], e = e^{i thetas} as a
+    column, by cumulative_simpson on the nodes rho = j r / panels,
+    j = 0..panels (panels even).  ``rays`` is a count n, for the grid
+    thetas = 2 pi k / n, or an array of angles.  f's derivatives come
+    from the polar grid at scale * rho (_polar_blocks), so a kernel for
+    z -> f(scale z) supplies the factor scale itself.
 
     The rays go in blocks of _POLAR_BLOCK_CELLS cells, and only cum is
     kept: 8 bytes a ray per node pair, about 8 MiB at the cap of
-    MAX_RAY_CELLS = 2^21 cells n_theta (panels + 1), plus the points,
+    MAX_RAY_CELLS = 2^21 cells rays x (panels + 1), plus the points,
     derivatives and kernel values of one block.  A larger table is
     refused before any evaluation.
     """
-    n_theta, panels = int(n_theta), int(panels)
-    if n_theta * (panels + 1) > MAX_RAY_CELLS:
+    if np.ndim(rays):
+        thetas = np.asarray(rays, dtype=float)
+    else:
+        thetas = np.linspace(0.0, TWO_PI, int(rays), endpoint=False)
+    panels = int(panels)
+    if thetas.size * (panels + 1) > MAX_RAY_CELLS:
         raise ValidationError(
-            f"ray table of {n_theta} rays x {panels + 1} nodes exceeds "
+            f"ray table of {thetas.size} rays x {panels + 1} nodes exceeds "
             f"{MAX_RAY_CELLS} cells")
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     rho = np.linspace(0.0, r, panels + 1)
     e = np.exp(1j * thetas)[:, None]
-    cum = np.empty((n_theta, panels // 2 + 1))
-    for rows, fz, fzb in _polar_blocks(m, scale * rho, n_theta):
+    cum = np.empty((thetas.size, panels // 2 + 1))
+    for rows, fz, fzb in _polar_blocks(m, scale * rho, rays):
         cum[rows] = cumulative_simpson(kernel(e[rows], fz, fzb), r / panels)
     return thetas, rho, cum
 
@@ -471,19 +480,20 @@ def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
     """(theta*, sup value) of the radial length over directions.
 
     The ray table's lengths on cfg.theta_grid rays of 128 panels locate
-    the maximizer; golden-section refinement with the adaptive integral
-    sharpens it.
+    the maximizer, and refine_grid_max zooms in on it with ray tables of
+    the same rule at explicit angles, so grid and refined lengths are
+    compared under one rule.  The value is the adaptive radial_length at
+    theta*.
     """
     r = checked_real("radial extent", r, 0.0, 1.0, "(]")
     _refuse_beyond(m, r)
+
+    def lengths(rays):
+        return ray_table(m, r, 128, rays, _stretch)[2][:, -1]
+
     thetas, _, cum = ray_table(m, r, 128, cfg.theta_grid, _stretch)
-
-    def ray(th):
-        return radial_length(m, th, r, cfg)[0]
-
-    theta_star, _ = refine_grid_max(ray, thetas, cum[:, -1], wrap=TWO_PI)
-    # re-evaluate adaptively so grid and refined values share one rule
-    return float(theta_star), ray(theta_star)
+    theta_star, _ = refine_grid_max(lengths, thetas, cum[:, -1], wrap=TWO_PI)
+    return theta_star, radial_length(m, theta_star, r, cfg)[0]
 
 
 def _window_cos(aw, rho, R):

@@ -34,7 +34,7 @@ from numpy.polynomial import polynomial as npoly
 from .config import MAX_THETA_GRID
 from .errors import (MapSpecError, NotSensePreserving, PointOutsideDisk,
                      QuadratureNonconvergence, checked_count, checked_real)
-from .quadrature import golden_max, refine_grid_max
+from .quadrature import refine_grid_max
 
 TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
@@ -472,8 +472,10 @@ def estimate_K(m, r_max=0.999, grid=720):
     """Lower bound for the maximal dilatation from a polar probe grid.
 
     32 geometrically spaced radii in (0.1, r_max] times ``grid`` angles,
-    followed by coordinate-wise golden-section refinement around the
-    best probe.  Raises NotSensePreserving if the jacobian is not
+    followed by coordinate-wise refinement around the best probe:
+    refine_grid_max zooms in on omega = |f_zb| / |f_z| over arrays of
+    angles at the best probe's radius, then over arrays of radii at the
+    refined angle.  Raises NotSensePreserving if the jacobian is not
     positive at every probe.  grid is 8 to MAX_THETA_GRID.
     """
     r_max = min(checked_real("r_max", r_max, 0.0, math.inf, "(]"),
@@ -493,20 +495,18 @@ def estimate_K(m, r_max=0.999, grid=720):
             f"jacobian {jac[i_bad, j_bad]:.3e} <= 0 at probe z = {z_bad:.6f}")
     om = (np.abs(fzb) / np.abs(fz)).T
 
-    def omega_at(r, th):
-        a, b = m.derivs_many(np.array([r * np.exp(1j * th)]))
-        return float(np.abs(b[0]) / np.abs(a[0]))
+    def omega(z):
+        a, b = m.derivs_many(z)
+        return np.abs(b) / np.abs(a)
 
     i, j = np.unravel_index(int(np.argmax(om)), om.shape)
-    # refine the angle on the wrap-around grid, then the radius
-    th_star, _ = refine_grid_max(lambda th: omega_at(radii[i], th), angles,
-                                 om[i], wrap=TWO_PI)
-    r_lo = radii[max(i - 1, 0)]
-    r_hi = radii[min(i + 1, n_r - 1)]
-    if r_hi > r_lo:
-        r_star, val = golden_max(lambda r: omega_at(r, th_star), r_lo, r_hi)
-    else:
-        r_star, val = radii[i], omega_at(radii[i], th_star)
+    # refine the angle on the wrap-around grid, then the radius; the
+    # column at angles[j] stands for the radii's values at th_star
+    th_star, _ = refine_grid_max(
+        lambda th: omega(radii[i] * np.exp(1j * th)), angles, om[i],
+        wrap=TWO_PI)
+    _, val = refine_grid_max(lambda r: omega(r * np.exp(1j * th_star)),
+                             radii, om[:, j])
     omega_sup = max(float(np.max(om)), val)
     if omega_sup >= 1.0:
         raise NotSensePreserving(f"dilatation modulus {omega_sup} >= 1")
@@ -515,7 +515,8 @@ def estimate_K(m, r_max=0.999, grid=720):
 
 
 def sup_modulus(m, r_max):
-    """sup |f| over the circle |z| = r_max (grid plus golden refinement).
+    """sup |f| over the circle |z| = r_max: the max over 720 angles,
+    refined by refine_grid_max zooming in on |f| over arrays of angles.
 
     |f| is subharmonic, so this also bounds |f| on the closed disk of
     radius r_max.
@@ -524,11 +525,9 @@ def sup_modulus(m, r_max):
                          PointOutsideDisk)
     angles = np.linspace(0.0, TWO_PI, 720, endpoint=False)
     vals = np.abs(eval_circle_grid(m, r_max, 720))
-
-    def f1(th):
-        return float(np.abs(m.eval_many(np.array([r_max * np.exp(1j * th)])))[0])
-
-    _, v = refine_grid_max(f1, angles, vals, wrap=TWO_PI)
+    _, v = refine_grid_max(
+        lambda th: np.abs(m.eval_many(r_max * np.exp(1j * th))), angles,
+        vals, wrap=TWO_PI)
     return max(float(vals.max()), v)
 
 

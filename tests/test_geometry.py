@@ -458,14 +458,18 @@ def test_sup_radial_length_affine():
                abs(theta - 2.0 * math.pi)) < 1e-4
 
 
-def _rays_one_at_a_time(m, r, panels, n_theta, kernel, scale=1.0):
+def _rays_one_at_a_time(m, r, panels, rays, kernel, scale=1.0):
     """The ray table's rows, one derivs_many and one cumulative_simpson
-    call per ray."""
+    call per ray; rays is a ray count or an array of angles."""
     rho = np.linspace(0.0, r, panels + 1)
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    points = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    if np.ndim(rays):
+        thetas = np.asarray(rays)
+        points = np.exp(1j * thetas)
+    else:
+        thetas = np.linspace(0.0, 2.0 * math.pi, rays, endpoint=False)
+        points = np.exp(2j * np.pi * np.arange(rays) / rays)
     rows = []
-    for k in range(n_theta):
+    for k in range(thetas.size):
         fz, fzb = m.derivs_many((scale * rho) * points[k])
         vals = kernel(np.exp(1j * thetas[k]), fz, fzb)
         rows.append(cumulative_simpson(vals, r / panels))
@@ -480,12 +484,14 @@ def test_ray_table_equals_ray_by_ray_loop(name):
                lambda e, fz, fzb: op_norm(fz, fzb),
                lambda e, fz, fzb: 0.5 * geometry._stretch(e, fz, fzb)]
     # 12 rays of 17 nodes fit one block; 40 rays of 513 nodes go in
-    # blocks of 15, 15 and 10 rays
-    for panels, n_theta in [(16, 12), (512, 40)]:
+    # blocks of 15, 15 and 10 rays; 33 explicit angles of 129 nodes (a
+    # zoom level of sup_radial_length) fit one block
+    zoom = np.linspace(-0.01, 0.02, 33)
+    for panels, rays in [(16, 12), (512, 40), (128, zoom)]:
         for kernel, r, scale in zip(kernels, (0.9, 0.95, 1.0),
                                     (1.0, 1.0, 0.5)):
-            got = ray_table(m, r, panels, n_theta, kernel, scale=scale)
-            want = _rays_one_at_a_time(m, r, panels, n_theta, kernel, scale)
+            got = ray_table(m, r, panels, rays, kernel, scale=scale)
+            want = _rays_one_at_a_time(m, r, panels, rays, kernel, scale)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert g.tobytes() == w.tobytes()

@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from harmonicdisk import (MapSpecError, NotSensePreserving, PointOutsideDisk,
                           PoissonHarmonicMap, QuadratureNonconvergence,
                           SeriesHarmonicMap, ValidationError, estimate_K,
-                          gallery_map, sup_modulus)
+                          gallery_map, sup_modulus, sup_radial_length)
 from harmonicdisk.gallery import gallery_names, parse_map_spec
 from harmonicdisk.maps import (derivs_polar_grid, eval_circle_grid, jacobian,
                                op_norm, rotate_domain, scale_range)
@@ -438,6 +438,45 @@ def test_sup_modulus_closed_forms():
     assert abs(sup_modulus(gallery_map("affine:1,0.5"), 0.8) - 1.2) < 1e-12
     with pytest.raises(PointOutsideDisk):
         sup_modulus(gallery_map("poisson:phi=t"), 0.9999)
+
+
+def _dense_circle_max(f, r):
+    """max of f(z) over |z| = r: 200,001 angles, then 200,001 more across
+    the two cells about the best one."""
+    t = np.linspace(0.0, 2.0 * np.pi, 200001)
+    vals = f(r * np.exp(1j * t))
+    k, h = int(np.argmax(vals)), t[1] - t[0]
+    fine = np.linspace(t[k] - h, t[k] + h, 200001)
+    return max(float(vals.max()), float(f(r * np.exp(1j * fine)).max()))
+
+
+def _omega(m):
+    def f(z):
+        fz, fzb = m.derivs_many(z)
+        return np.abs(fzb) / np.abs(fz)
+    return f
+
+
+@pytest.mark.parametrize("name", ["affine:1,0.5", "poly:z+0.3*zbar^2",
+                                  "poisson:phi=t+0.2*sin(t)"])
+def test_refined_sups_off_the_grid(name):
+    # a rotation moves every maximizer off the angle grid, so the value
+    # comes from the refinement, not from a grid point
+    m0 = gallery_map(name)
+    length0 = sup_radial_length(m0, 0.6)[1]
+    for alpha in (0.1234, 1.0, 2.5):
+        m = rotate_domain(m0, alpha)
+        s = sup_modulus(m, 0.9)
+        dense = _dense_circle_max(lambda z: np.abs(m.eval_many(z)), 0.9)
+        assert abs(s - dense) <= 2e-16 * dense
+        length = sup_radial_length(m, 0.6)[1]
+        assert abs(length - length0) <= 1e-13 * length0
+        # omega = g'/h' is analytic, so its sup over |z| <= 0.99 sits on
+        # the circle (the rotated Poisson map's omega differs from the
+        # unrotated one's by up to 3e-13 relative at its max)
+        omega = estimate_K(m, 0.99).omega_sup
+        dense = _dense_circle_max(_omega(m), 0.99)
+        assert abs(omega - dense) <= 1e-13 * dense
 
 
 def test_scale_range_and_rotate_domain():

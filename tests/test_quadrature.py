@@ -8,8 +8,7 @@ from scipy import integrate
 
 from harmonicdisk import QuadratureNonconvergence
 from harmonicdisk.quadrature import (adaptive_simpson, cumulative_simpson,
-                                     first_argmax, golden_max,
-                                     refine_grid_max)
+                                     first_argmax, refine_grid_max)
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -183,17 +182,18 @@ def test_cumulative_simpson_axis_and_node_convention():
         cumulative_simpson(np.zeros(8), h)
 
 
-def test_golden_max_parabola():
+def test_refine_grid_max_parabola():
     # argmax of a smooth peak is only locatable to sqrt(eps); the value
     # itself is flat there and lands much closer
-    x, v = golden_max(lambda x: -(x - 0.3) ** 2 + 2.0, -1.0, 1.0)
+    xs = np.linspace(-1.0, 1.0, 8)
+    x, v = refine_grid_max(lambda x: -(x - 0.3) ** 2 + 2.0, xs)
     assert abs(x - 0.3) < 1e-6
     assert abs(v - 2.0) < 1e-14
 
 
 def test_refine_grid_max_wraps():
     # maximizer of cos(t - 0.2) sits near t = 0.2, against the grid seam
-    f = lambda t: math.cos(t - 0.2)  # noqa: E731
+    f = lambda t: np.cos(t - 0.2)  # noqa: E731
     xs = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     x, v = refine_grid_max(f, xs, wrap=2.0 * np.pi)
     assert abs(math.cos(x - 0.2) - 1.0) < 1e-12
@@ -205,6 +205,22 @@ def test_refine_grid_max_interior_no_wrap():
     xs = np.linspace(0.0, 5.0, 11)
     x, v = refine_grid_max(f, xs)
     assert abs(x - 2.5) < 1e-8
+
+
+def test_refine_grid_max_calls_per_search():
+    # a bracket of two 2 pi / 720 cells shrinks 16-fold per call, so it
+    # reaches 1e-12 in 9 calls
+    xs = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    calls = []
+
+    def f_many(t):
+        calls.append(np.size(t))
+        return np.cos(t - 1.2345)
+
+    x, v = refine_grid_max(f_many, xs, f_many(xs), wrap=2.0 * np.pi)
+    assert len(calls) - 1 <= 10
+    assert abs(x - 1.2345) < 1e-6
+    assert v > float(np.cos(xs - 1.2345).max())
 
 
 def _nudged(values, rng, ulps=3):
@@ -246,8 +262,8 @@ def test_first_argmax_scale():
 
 
 def test_refine_grid_max_keeps_a_tied_grid_point():
-    # flat up to round-off: golden search cannot beat the first grid
+    # flat up to round-off: the zoom levels cannot beat the first grid
     # sample by more than the tie tolerance, so the sample is kept
     xs = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    f = lambda t: 1.0 + 1e-16 * math.sin(7.0 * t)  # noqa: E731
+    f = lambda t: 1.0 + 1e-16 * np.sin(7.0 * t)  # noqa: E731
     assert refine_grid_max(f, xs, wrap=2.0 * np.pi) == (0.0, 1.0)

@@ -301,6 +301,47 @@ def test_thm4_identity_bound_arithmetic():
     assert rep.rhs == pytest.approx(want, rel=1e-3)
 
 
+# -- refined sups on the gallery ----------------------------------------------
+
+# M_rad of thm5 and the radial lengths of thm4's rows at its default
+# r_list, as float.hex.  Every maximizer sits on the angle grid at
+# theta* = 0, where the refinement keeps the grid point.
+GALLERY_REFINED_SUPS = {
+    "identity": ("0x1.0000000000000p+0", [
+        "0x1.999999999999ap-5", "0x1.999999999999ap-4",
+        "0x1.999999999999ap-3", "0x1.999999999999ap-2",
+        "0x1.3333333333333p-1"]),
+    "scaled:2.0": ("0x1.0000000000000p+1", [
+        "0x1.999999999999ap-4", "0x1.999999999999ap-3",
+        "0x1.999999999999ap-2", "0x1.999999999999ap-1",
+        "0x1.3333333333333p+0"]),
+    "affine:1,0.5": ("0x1.8000000000000p+0", [
+        "0x1.3333333333333p-4", "0x1.3333333333333p-3",
+        "0x1.3333333333333p-2", "0x1.3333333333333p-1",
+        "0x1.cccccccccccccp-1"]),
+    "poly:z+0.3*zbar^2": ("0x1.4ccccccccccccp+0", [
+        "0x1.9fbe76c8b4395p-5", "0x1.a5e353f7ced91p-4",
+        "0x1.b22d0e5604189p-3", "0x1.cac083126e978p-2",
+        "0x1.6a7ef9db22d0dp-1"]),
+    "poisson:phi=t+0.2*sin(t)": ("0x1.18da68741b9bcp+0", [
+        "0x1.99984b440d8a0p-5", "0x1.9ba507eae4373p-4",
+        "0x1.9fc671060feb8p-3", "0x1.a82961e506b31p-2",
+        "0x1.4489e6fad658ap-1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_REFINED_SUPS))
+def test_gallery_refined_sups_are_frozen(name):
+    m_rad, lengths = GALLERY_REFINED_SUPS[name]
+    m = gallery_map(name)
+    rows = by_name(thm4_ratio(m), "thm4_bound")
+    assert [rep.params["radial_length"].hex() for rep in rows] == lengths
+    assert [rep.params["theta_star"] for rep in rows] == [0.0] * len(rows)
+    for rep in thm5_bound(m):
+        assert rep.params["M_rad"].hex() == m_rad
+        assert rep.params["theta_star"] == 0.0
+
+
 # -- schwarz -----------------------------------------------------------------
 
 
