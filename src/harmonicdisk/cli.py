@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,18 +40,6 @@ from .reporting import (csv_table, fmt_float, reports_to_json,
                         write_payload, REPORT_COLUMNS)
 from .maps import jacobian, op_norm
 from . import theorems
-
-@dataclass
-class RunConfig:
-    """Everything that determines a run's payload bytes."""
-
-    command: str
-    map_spec: str = ""
-    args: dict = field(default_factory=dict)
-    quadrature: QuadratureConfig = DEFAULT_CONFIG
-    seed: int = 0
-    out_format: str = "csv"
-    out_path: str = ""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,29 +96,29 @@ def resolve_map(spec):
     return gallery_map(spec)
 
 
-def _write_out(run, base, payloads):
+def _write_out(ns, base, payloads):
     """Write each (path, text) of payloads and the sidecar of base; an
     OSError on the way is refused like any other bad --out."""
     try:
         for path, text in payloads:
             write_payload(path, text)
-        write_meta_sidecar(base, run.command, sys.argv[1:])
+        write_meta_sidecar(base, ns.command, sys.argv[1:])
     except OSError as exc:
-        raise ValidationError(f"cannot write --out {run.out_path}: {exc}")
+        raise ValidationError(f"cannot write --out {ns.out}: {exc}")
 
 
-def _emit(run, columns, rows):
-    to_text = csv_table if run.out_format == "csv" else rows_to_json
+def _emit(ns, columns, rows):
+    to_text = csv_table if ns.format == "csv" else rows_to_json
     text = to_text(rows, columns)
     sys.stdout.write(text)
-    if run.out_path:
-        _write_out(run, run.out_path, [(run.out_path, text)])
+    if ns.out:
+        _write_out(ns, ns.out, [(ns.out, text)])
 
 
-def cmd_eval(run):
-    m = resolve_map(run.map_spec)
-    z_list = list(run.args.get("z") or [])
-    z_file = run.args.get("z_file")
+def cmd_eval(ns, cfg):
+    m = resolve_map(ns.spec)
+    z_list = list(ns.z or [])
+    z_file = ns.z_file
     if z_file:
         try:
             fh = open(z_file)
@@ -165,7 +151,7 @@ def cmd_eval(run):
         "jacobian": fmt_float(jac[k]),
         "omega_abs": fmt_float(omega[k]),
     } for k in range(z.size)]
-    _emit(run, tuple(rows[0]), rows)
+    _emit(ns, tuple(rows[0]), rows)
     return 0
 
 
@@ -186,21 +172,20 @@ def _arc_set(arcs=None, measure=None):
     return ArcSet.single(0.0, np.pi)
 
 
-def cmd_length(run):
-    m = resolve_map(run.map_spec)
-    cfg = run.quadrature
-    which = run.args["which"]
+def cmd_length(ns, cfg):
+    m = resolve_map(ns.spec)
+    which = ns.which
     rows = []
     if which == "level":
-        for r in run.args.get("r") or [0.5]:
+        for r in ns.r or [0.5]:
             val, nodes = level_curve_length(m, float(r), cfg)
             rows.append({"which": which, "r": fmt_float(r),
                          "param": "", "length": fmt_float(val),
                          "nodes": str(nodes)})
     elif which == "radial":
         # the whole radius where the map's derivatives reach it
-        radii = run.args.get("r") or [min(1.0, m.max_radius)]
-        for th in run.args.get("theta") or [0.0]:
+        radii = ns.r or [min(1.0, m.max_radius)]
+        for th in ns.theta or [0.0]:
             for r in radii:
                 val, nodes = radial_length(m, float(th), float(r), cfg)
                 rows.append({"which": which, "r": fmt_float(r),
@@ -208,61 +193,59 @@ def cmd_length(run):
                              "length": fmt_float(val),
                              "nodes": str(nodes)})
     elif which == "boundary":
-        E = _arc_set(run.args.get("arc"), run.args.get("measure"))
+        E = _arc_set(ns.arc, ns.measure)
         val, nodes = boundary_image_length(m, E, cfg)
         rb = effective_boundary_radius(cfg, m.max_radius)
         rows.append({"which": which, "r": fmt_float(rb),
                      "param": fmt_float(E.total_measure),
                      "length": fmt_float(val), "nodes": str(nodes)})
     else:  # crosscut
-        zeta0 = run.args["zeta0"]
-        for rho in run.args.get("rho") or [1.0]:
+        zeta0 = ns.zeta0
+        for rho in ns.rho or [1.0]:
             val, nodes = crosscut_length(m, zeta0, float(rho), cfg)
             rows.append({"which": which, "r": fmt_float(rho),
                          "param": fmt_float(zeta0.real),
                          "length": fmt_float(val), "nodes": str(nodes)})
-    _emit(run, ("which", "r", "param", "length", "nodes"), rows)
+    _emit(ns, ("which", "r", "param", "length", "nodes"), rows)
     return 0
 
 
-def cmd_area(run):
-    m = resolve_map(run.map_spec)
-    center = run.args.get("center")
+def cmd_area(ns, cfg):
+    m = resolve_map(ns.spec)
+    center = ns.center
     rows = []
-    for r in run.args.get("r") or [1.0]:
-        val, agreement = image_area(m, float(r), run.quadrature,
-                                    center=center)
+    for r in ns.r or [1.0]:
+        val, agreement = image_area(m, float(r), cfg, center=center)
         rows.append({
             "r": fmt_float(r),
             "center": "" if center is None else fmt_float(center.real),
             "area": fmt_float(val),
             "agreement": fmt_float(agreement),
         })
-    _emit(run, ("r", "center", "area", "agreement"), rows)
+    _emit(ns, ("r", "center", "area", "agreement"), rows)
     return 0
 
 
-def cmd_coeffs(run):
-    m = resolve_map(run.map_spec)
-    n_max = run.args["n_max"]
-    a, b = extract_coefficients(m, n_max, run.args["rho"], run.quadrature)
+def cmd_coeffs(ns, cfg):
+    m = resolve_map(ns.spec)
+    n_max = ns.n_max
+    a, b = extract_coefficients(m, n_max, ns.rho, cfg)
     b = np.concatenate(([0.0], b))  # b_0 = 0: its mode belongs to a_0
     rows = [{"n": str(n), "a_re": fmt_float(a[n].real),
              "a_im": fmt_float(a[n].imag), "b_re": fmt_float(b[n].real),
              "b_im": fmt_float(b[n].imag)} for n in range(n_max + 1)]
-    _emit(run, ("n", "a_re", "a_im", "b_re", "b_im"), rows)
+    _emit(ns, ("n", "a_re", "a_im", "b_re", "b_im"), rows)
     return 0
 
 
-def cmd_constants(run):
-    curve_file = run.args.get("curve")
-    if not curve_file:
+def cmd_constants(ns, cfg):
+    if not ns.curve:
         raise ValidationError("constants needs a curve file (--curve PATH)")
-    counts = {key: run.args[key]
+    counts = {key: getattr(ns, key)
               for key in ("pairs", "centers", "radii", "point_pairs")
-              if run.args[key] is not None}
-    report = curve_constants(PolygonalCurve.from_file(curve_file),
-                             seed=run.seed, **counts)
+              if getattr(ns, key) is not None}
+    report = curve_constants(PolygonalCurve.from_file(ns.curve),
+                             seed=ns.seed, **counts)
     row = {
         "lavrentiev": fmt_float(report.lavrentiev_M),
         "quasicircle": fmt_float(report.quasicircle_M),
@@ -271,7 +254,7 @@ def cmd_constants(run):
         "samples": ";".join(f"{k}={v}" for k, v in
                             sorted(report.sample_counts.items())),
     }
-    _emit(run, ("lavrentiev", "quasicircle", "ahlfors",
+    _emit(ns, ("lavrentiev", "quasicircle", "ahlfors",
                 "linear_connectivity", "samples"), [row])
     return 0
 
@@ -305,11 +288,18 @@ def _flag(dest):
     return "--" + name.replace("_", "-")
 
 
-def run_verify_check(theorem, m, run):
-    """Run one check with the options given; returns its report list."""
+# namespace keys that are not options of a check
+_GLOBAL_KEYS = {"spec", "out", "format", "seed", "abs_tol", "rel_tol",
+                "theta_grid", "rb", "command", "run", "theorem"}
+
+
+def run_verify_check(ns, m, cfg):
+    """Run the check ns.theorem with the options given; returns its
+    report list."""
+    theorem = ns.theorem
     fn, options = CHECKS[theorem]
-    given = {key: value for key, value in run.args.items()
-             if value is not None and key != "theorem"}
+    given = {key: value for key, value in vars(ns).items()
+             if value is not None and key not in _GLOBAL_KEYS}
     foreign = [key for key in given if key not in options]
     if foreign:
         raise ValidationError(
@@ -317,26 +307,26 @@ def run_verify_check(theorem, m, run):
             f"{', '.join(map(_flag, foreign))}; its options are "
             f"{', '.join(map(_flag, options))}")
     if "seed" in options:
-        given["seed"] = run.seed
+        given["seed"] = ns.seed
     # the module's current binding, which a profiler may have wrapped
     fn = getattr(theorems, fn.__name__, fn)
-    return fn(m, cfg=run.quadrature, **given)
+    return fn(m, cfg=cfg, **given)
 
 
-def cmd_verify(run):
-    m = resolve_map(run.map_spec)
-    reports = run_verify_check(run.args["theorem"], m, run)
+def cmd_verify(ns, cfg):
+    m = resolve_map(ns.spec)
+    reports = run_verify_check(ns, m, cfg)
     texts = {"csv": csv_table(reports_to_rows(reports), REPORT_COLUMNS),
              "json": reports_to_json(reports)}
-    sys.stdout.write(texts[run.out_format])
-    if run.out_path:
-        base = os.path.splitext(run.out_path)[0]
-        _write_out(run, base, [(f"{base}.{fmt}", text)
+    sys.stdout.write(texts[ns.format])
+    if ns.out:
+        base = os.path.splitext(ns.out)[0]
+        _write_out(ns, base, [(f"{base}.{fmt}", text)
                                for fmt, text in texts.items()])
     return 0 if all(rep.holds for rep in reports) else 2
 
 
-def cmd_gallery(run):
+def cmd_gallery(ns, cfg):
     for name in gallery_names():
         sys.stdout.write(name + "\n")
     return 0
@@ -368,6 +358,7 @@ def build_parser():
     p.add_argument("--z", action="append", type=_parse_complex,
                    metavar="RE,IM")
     p.add_argument("--z-file", metavar="PATH")
+    p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("length", parents=[common],
                        help="curve-length functionals")
@@ -380,21 +371,23 @@ def build_parser():
     p.add_argument("--zeta0", type=_parse_complex, default="1",
                    metavar="RE,IM")
     p.add_argument("--rho", action="append", type=_parse_float)
+    p.set_defaults(run=cmd_length)
 
     p = sub.add_parser("area", parents=[common], help="image area")
     p.add_argument("--r", action="append", type=_parse_float)
     p.add_argument("--center", type=_parse_complex, metavar="RE,IM")
+    p.set_defaults(run=cmd_area)
 
     p = sub.add_parser("coeffs", parents=[common],
                        help="power-series coefficients")
     p.add_argument("--n-max", type=int, default=8,
                    help=f"highest coefficient index, 1 to {MAX_COEFFICIENTS}")
     p.add_argument("--rho", type=_parse_float, default=0.5)
+    p.set_defaults(run=cmd_coeffs)
 
     p = sub.add_parser("constants", parents=[common],
                        help="chord-arc constants of a polygonal curve")
-    p.add_argument("curve", nargs="?", default="")
-    p.add_argument("--curve", dest="curve_flag", default="", metavar="PATH")
+    p.add_argument("--curve", default="", metavar="PATH")
     p.add_argument("--pairs", type=int,
                    help="vertex pairs of the Lavrentiev and quasicircle "
                         "constants, 1 to 2096128 (curves of up to 1024 "
@@ -406,6 +399,7 @@ def build_parser():
     p.add_argument("--point-pairs", type=int,
                    help="interior point pairs of the linear-connectivity "
                         "constant, 1 to 4096")
+    p.set_defaults(run=cmd_constants)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one inequality check")
@@ -431,53 +425,34 @@ def build_parser():
                    help=f"grid radii of schwarz, 2 to {theorems.MAX_R_GRID}")
     p.add_argument("--probes", type=int,
                    help=f"probe points of selfmap, 1 to {theorems.MAX_PROBES}")
+    p.set_defaults(run=cmd_verify)
 
-    sub.add_parser("gallery", parents=[common],
-                   help="list built-in map names")
+    p = sub.add_parser("gallery", parents=[common],
+                       help="list built-in map names")
+    p.set_defaults(run=cmd_gallery)
     return parser
 
 
-_DISPATCH = {
-    "eval": cmd_eval,
-    "length": cmd_length,
-    "area": cmd_area,
-    "coeffs": cmd_coeffs,
-    "constants": cmd_constants,
-    "verify": cmd_verify,
-    "gallery": cmd_gallery,
-}
-
-_GLOBAL_KEYS = {"spec", "out", "format", "seed", "abs_tol", "rel_tol",
-                "theta_grid", "rb", "command"}
-
-
-def run_config_from_args(ns):
-    args = {k: v for k, v in vars(ns).items() if k not in _GLOBAL_KEYS}
-    if "curve_flag" in args:
-        args["curve"] = args.pop("curve_flag") or args.get("curve") or ""
-    # refused before any map is built: the payload could not be written
-    out_dir = os.path.dirname(ns.out)
-    if out_dir and not os.path.isdir(out_dir):
-        raise ValidationError(f"--out directory {out_dir} does not exist")
-    # validated here, whichever command the options reach
-    cfg = QuadratureConfig(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
-                           theta_grid=ns.theta_grid, boundary_radius=ns.rb)
-    return RunConfig(command=ns.command, map_spec=ns.spec, args=args,
-                     quadrature=cfg, seed=ns.seed, out_format=ns.format,
-                     out_path=ns.out)
-
-
-# one parser per process: parse_args builds a fresh namespace each call
-_parser = functools.cache(build_parser)
+# one parser per process, built at import: its handlers are the
+# functions defined above, never a wrapper a profiler installs later
+# (and would leave behind in a parser built while it was installed);
+# parse_args builds a fresh namespace each call
+_PARSER = build_parser()
 
 
 def main(argv=None):
     try:
-        ns = _parser().parse_args(argv)
-        run = run_config_from_args(ns)
+        ns = _PARSER.parse_args(argv)
+        # refused before any map is built: the payload could not be written
+        out_dir = os.path.dirname(ns.out)
+        if out_dir and not os.path.isdir(out_dir):
+            raise ValidationError(f"--out directory {out_dir} does not exist")
+        # validated here, whichever command the options reach
+        cfg = QuadratureConfig(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
+                               theta_grid=ns.theta_grid, boundary_radius=ns.rb)
         # overflow surfaces as a numerical failure, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            return _DISPATCH[run.command](run)
+            return ns.run(ns, cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, QuadratureNonconvergence,
                      ValidationError, checked_count, checked_real)
-from .maps import eval_circle_grid, jacobian, op_norm
+from .maps import _circle_nodes, _polar_blocks, jacobian, op_norm
 from .quadrature import (adaptive_simpson, cumulative_simpson,
                          refine_grid_max, simpson_weights)
 
@@ -128,39 +128,21 @@ def points_in_polygon(points, curve):
 
     A point (x, y) is inside when an odd number of segments straddle
     the line of ordinate y and cross it at xs = x1 + (y - y1)(x2 - x1) /
-    (y2 - y1) > x.  The crossings depend only on y, so they are computed
-    once per distinct ordinate (a raster row shares one set); each point
-    then counts the crossings of its row to its right by one sort of
-    crossings and points together, with a crossing placed before a point
-    of equal abscissa so that ties do not count.  Work is chunked to
-    2^21 (ordinate, segment) cells.  Points with a NaN coordinate are
-    outside.
+    (y2 - y1) > x (_row_crossings); a crossing at xs = x does not count.
+    Work is chunked to BLOCK_CELLS (point, segment) cells.  Points with
+    a NaN coordinate are outside.
     """
     if not curve.closed:
         raise ValidationError("containment needs a closed curve")
     pts = np.asarray(points, dtype=complex).reshape(-1)
     p, q = curve.segments()
-    levels, row = np.unique(pts.imag, return_inverse=True)
-    by_row = np.argsort(row, kind="stable")
-    row_sorted = row[by_row]
     out = np.empty(pts.size, dtype=bool)
-    step = max(1, BLOCK_CELLS // max(1, p.size))
-    for r0 in range(0, levels.size, step):
-        y = levels[r0:r0 + step]
-        rr, xs = _row_crossings(y, p, q)
-        lo, hi = np.searchsorted(row_sorted, [r0, r0 + y.size])
-        sel = by_row[lo:hi]
-        # one sort of crossings and points by (row, abscissa, kind),
-        # crossings first among equal abscissae
-        rows = np.concatenate([rr, row[sel] - r0])
-        is_pt = np.repeat([False, True], [rr.size, sel.size])
-        order = np.lexsort((is_pt, np.concatenate([xs, pts.real[sel]]),
-                            rows))
-        seen = np.cumsum(~is_pt[order])
-        row_end = np.cumsum(np.bincount(rr, minlength=y.size))
-        at = order >= rr.size
-        right = row_end[rows[order[at]]] - seen[at]
-        out[sel[order[at] - rr.size]] = right % 2 == 1
+    step = max(1, BLOCK_CELLS // p.size)
+    for i in range(0, pts.size, step):
+        x = pts[i:i + step]
+        rr, xs = _row_crossings(x.imag, p, q)
+        right = np.bincount(rr[xs > x.real[rr]], minlength=x.size)
+        out[i:i + x.size] = right % 2 == 1
     return out
 
 
@@ -411,37 +393,6 @@ def radial_length(m, theta, r, cfg=DEFAULT_CONFIG):
 
 # cells (rays x nodes) of one ray table; see ray_table
 MAX_RAY_CELLS = 1 << 21
-# (ray, node) cells per block of the polar kernels, ray_table and the
-# disk-area grid.  Their node counts are odd, so a complex block stays
-# below 128 KiB, glibc's default mmap threshold: its arrays come from
-# the heap, not faulted in afresh per block (as maps._HORNER_BLOCK's)
-_POLAR_BLOCK_CELLS = 1 << 13
-
-
-def _polar_blocks(m, radii, rays):
-    """(rows, f_z, f_zb) of the polar grid of rays by radii, in blocks
-    of whole rows of at most _POLAR_BLOCK_CELLS cells (one row at
-    least).  ``rays`` is a count n, for the angles 2 pi k / n of
-    maps.derivs_polar_grid (same angle expression), or an array of
-    angles.
-
-    Each row equals the row of a whole-grid call, bit for bit, on the
-    gallery: a series map evaluates every point by itself, and a Poisson
-    map whose coefficient certificate holds takes its series level from
-    the largest |z| of a batch, which every block holds (the largest
-    radius, to within one rounding).  Where no certificate holds (a
-    kinked phase), a Poisson map settles its level by comparing two
-    levels on the batch's own points, so a block may stop at a lower
-    level than the whole grid, within the same kernel tolerance.
-    """
-    if np.ndim(rays):
-        e = np.exp(1j * np.asarray(rays, dtype=float))
-    else:
-        e = np.exp(2j * np.pi * np.arange(rays) / rays)
-    step = max(1, _POLAR_BLOCK_CELLS // radii.size)
-    for i in range(0, e.size, step):
-        rows = slice(i, min(i + step, e.size))
-        yield (rows, *m.derivs_many(radii[None, :] * e[rows, None]))
 
 
 def ray_table(m, r, panels, rays, kernel, scale=1.0):
@@ -453,7 +404,7 @@ def ray_table(m, r, panels, rays, kernel, scale=1.0):
     from the polar grid at scale * rho (_polar_blocks), so a kernel for
     z -> f(scale z) supplies the factor scale itself.
 
-    The rays go in blocks of _POLAR_BLOCK_CELLS cells, and only cum is
+    The rays go in blocks of fewer than 2^13 cells, and only cum is
     kept: 8 bytes a ray per node pair, about 8 MiB at the cap of
     MAX_RAY_CELLS = 2^21 cells rays x (panels + 1), plus the points,
     derivatives and kernel values of one block.  A larger table is
@@ -471,7 +422,7 @@ def ray_table(m, r, panels, rays, kernel, scale=1.0):
     rho = np.linspace(0.0, r, panels + 1)
     e = np.exp(1j * thetas)[:, None]
     cum = np.empty((thetas.size, panels // 2 + 1))
-    for rows, fz, fzb in _polar_blocks(m, scale * rho, rays):
+    for rows, (fz, fzb) in _polar_blocks(m.derivs_many, scale * rho, rays):
         cum[rows] = cumulative_simpson(kernel(e[rows], fz, fzb), r / panels)
     return thetas, rho, cum
 
@@ -666,7 +617,7 @@ def _disk_area(m, r_eff, cfg):
     rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
     wts = simpson_weights(n_rho)
     radial = np.empty(n_t)
-    for rows, fz, fzb in _polar_blocks(m, rho, n_t):
+    for rows, (fz, fzb) in _polar_blocks(m.derivs_many, rho, n_t):
         radial[rows] = (jacobian(fz, fzb) * rho * wts).sum(axis=1)
     radial *= r_eff / n_rho / 3.0
     grid = (TWO_PI / n_t) * math.fsum(radial)
@@ -815,4 +766,4 @@ def boundary_polygon(m, samples, cfg=DEFAULT_CONFIG):
     samples = checked_count("boundary_samples", samples, 8,
                             MAX_BOUNDARY_SAMPLES)
     rb = effective_boundary_radius(cfg, m.max_radius)
-    return PolygonalCurve(eval_circle_grid(m, rb, samples))
+    return PolygonalCurve(m.eval_many(rb * _circle_nodes(samples)))

@@ -453,19 +453,40 @@ class PoissonHarmonicMap(HarmonicMap):
         return self._with(self.scale, lambda t: phi(t + alpha))
 
 
-def eval_circle_grid(m, r, n):
-    """f on the uniform circle grid r exp(2 pi i k / n)."""
-    n = int(n)
-    return m.eval_many(float(r) * np.exp(2j * np.pi * np.arange(n) / n))
+def _circle_nodes(rays):
+    """Unit-circle nodes: exp(2 pi i k / n), k < n, for a count n, or
+    exp(i angles) for an array of angles.  The one place circle and
+    polar grids get their nodes."""
+    if np.ndim(rays):
+        return np.exp(1j * np.asarray(rays, dtype=float))
+    return np.exp(2j * np.pi * np.arange(rays) / rays)
 
 
-def derivs_polar_grid(m, radii, n_theta):
-    """(f_z, f_zb) arrays of shape (n_theta, len(radii)) on the polar
-    grid angles 2 pi k / n_theta (rows) x radii (columns)."""
-    radii = np.asarray(radii, dtype=float)
-    n_theta = int(n_theta)
-    e = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
-    return m.derivs_many(radii[None, :] * e[:, None])
+# (ray, node) cells per block of _polar_blocks: a complex block stays
+# strictly below 128 KiB, glibc's default mmap threshold, so its arrays
+# come from the heap, not faulted in afresh per block (as _HORNER_BLOCK's)
+_POLAR_BLOCK_CELLS = 1 << 13
+
+
+def _polar_blocks(evaluate, radii, rays):
+    """(rows, evaluate(points)) of the polar grid of rays (_circle_nodes)
+    by radii, in blocks of whole rows of fewer than _POLAR_BLOCK_CELLS
+    cells (one row at least).
+
+    Each row equals the row of a whole-grid call, bit for bit, on the
+    gallery: a series map evaluates every point by itself, and a Poisson
+    map whose coefficient certificate holds takes its series level from
+    the largest |z| of a batch, which every block holds (the largest
+    radius, to within one rounding).  Where no certificate holds (a
+    kinked phase), a Poisson map settles its level by comparing two
+    levels on the batch's own points, so a block may stop at a lower
+    level than the whole grid, within the same kernel tolerance.
+    """
+    e = _circle_nodes(rays)
+    step = max(1, (_POLAR_BLOCK_CELLS - 1) // radii.size)
+    for i in range(0, e.size, step):
+        rows = slice(i, min(i + step, e.size))
+        yield rows, evaluate(radii[None, :] * e[rows, None])
 
 
 def estimate_K(m, r_max=0.999, grid=720):
@@ -475,8 +496,9 @@ def estimate_K(m, r_max=0.999, grid=720):
     followed by coordinate-wise refinement around the best probe:
     refine_grid_max zooms in on omega = |f_zb| / |f_z| over arrays of
     angles at the best probe's radius, then over arrays of radii at the
-    refined angle.  Raises NotSensePreserving if the jacobian is not
-    positive at every probe.  grid is 8 to MAX_THETA_GRID.
+    refined angle.  The grid goes in blocks of angles (_polar_blocks);
+    NotSensePreserving names the worst probe of the first block where
+    the jacobian is not positive.  grid is 8 to MAX_THETA_GRID.
     """
     r_max = min(checked_real("r_max", r_max, 0.0, math.inf, "(]"),
                 m.max_radius)
@@ -485,15 +507,16 @@ def estimate_K(m, r_max=0.999, grid=720):
     lo = min(0.1, 0.5 * r_max)
     radii = np.geomspace(lo, r_max, n_r)
     angles = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    fz, fzb = derivs_polar_grid(m, radii, grid)  # (grid, n_r)
-    jac = jacobian(fz, fzb).T
-    if np.any(jac <= 0.0):
-        k = int(np.argmin(jac))
-        i_bad, j_bad = np.unravel_index(k, jac.shape)
-        z_bad = radii[i_bad] * np.exp(1j * angles[j_bad])
-        raise NotSensePreserving(
-            f"jacobian {jac[i_bad, j_bad]:.3e} <= 0 at probe z = {z_bad:.6f}")
-    om = (np.abs(fzb) / np.abs(fz)).T
+    om = np.empty((grid, n_r))
+    for rows, (fz, fzb) in _polar_blocks(m.derivs_many, radii, grid):
+        jac = jacobian(fz, fzb).T
+        if np.any(jac <= 0.0):
+            i_bad, j_bad = np.unravel_index(int(np.argmin(jac)), jac.shape)
+            z_bad = radii[i_bad] * np.exp(1j * angles[rows.start + j_bad])
+            raise NotSensePreserving(f"jacobian {jac[i_bad, j_bad]:.3e} <= 0 "
+                                     f"at probe z = {z_bad:.6f}")
+        om[rows] = np.abs(fzb) / np.abs(fz)
+    om = om.T
 
     def omega(z):
         a, b = m.derivs_many(z)
@@ -503,7 +526,7 @@ def estimate_K(m, r_max=0.999, grid=720):
     # refine the angle on the wrap-around grid, then the radius; the
     # column at angles[j] stands for the radii's values at th_star
     th_star, _ = refine_grid_max(
-        lambda th: omega(radii[i] * np.exp(1j * th)), angles, om[i],
+        lambda th: omega(radii[i] * _circle_nodes(th)), angles, om[i],
         wrap=TWO_PI)
     _, val = refine_grid_max(lambda r: omega(r * np.exp(1j * th_star)),
                              radii, om[:, j])
@@ -524,9 +547,9 @@ def sup_modulus(m, r_max):
     r_max = checked_real("r_max", r_max, 0.0, m.max_radius, "(]",
                          PointOutsideDisk)
     angles = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-    vals = np.abs(eval_circle_grid(m, r_max, 720))
+    vals = np.abs(m.eval_many(r_max * _circle_nodes(720)))
     _, v = refine_grid_max(
-        lambda th: np.abs(m.eval_many(r_max * np.exp(1j * th))), angles,
+        lambda th: np.abs(m.eval_many(r_max * _circle_nodes(th))), angles,
         vals, wrap=TWO_PI)
     return max(float(vals.max()), v)
 

@@ -14,7 +14,6 @@ derivatives already exhibit.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .geometry import (MAX_BOUNDARY_SAMPLES, MAX_COEFFICIENTS, _stretch,
                        crosscut_integral, extract_coefficients, hardy_mean,
                        image_area, level_curve_length, point_polygon_distance,
                        ray_table, sup_radial_length)
-from .maps import estimate_K, eval_circle_grid, op_norm, sup_modulus
+from .maps import _circle_nodes, estimate_K, op_norm, sup_modulus
 from .quadrature import adaptive_simpson, first_argmax
 
 TWO_PI = 2.0 * math.pi
@@ -62,20 +61,13 @@ def make_report(name, lhs, rhs, sense="le", params=None, probes=0):
                             dict(params or {}), int(probes))
 
 
-_K_CACHE = weakref.WeakKeyDictionary()
-
-
 def effective_K(m, user_K=None, cfg=DEFAULT_CONFIG):
-    """max(declared K, empirical dilatation lower bound), memoized per
-    map instance; a declared K is refused unless 1 <= K < inf."""
+    """max(declared K, empirical dilatation lower bound); a declared K is
+    refused unless 1 <= K < inf."""
     if user_K is not None:
         user_K = checked_real("K", user_K, 1.0, math.inf, "[)")
-    r_max = min(0.99, m.max_radius)
-    key = (r_max, cfg.theta_grid)
-    per_map = _K_CACHE.setdefault(m, {})
-    if key not in per_map:
-        per_map[key] = estimate_K(m, r_max=r_max, grid=cfg.theta_grid)
-    K_lower = per_map[key].K_lower
+    K_lower = estimate_K(m, r_max=min(0.99, m.max_radius),
+                         grid=cfg.theta_grid).K_lower
     if user_K is None:
         return K_lower
     return max(user_K, K_lower)
@@ -320,7 +312,7 @@ def thm4_ratio(m, K=None, r_list=(0.05, 0.1, 0.2, 0.4, 0.6),
         theta_star, rad = sup_radial_length(m, r, cfg)
         ell, _ = level_curve_length(m, r, cfg)
         lhs = rad / ell
-        pts = eval_circle_grid(m, r, n_t)
+        pts = m.eval_many(r * _circle_nodes(n_t))
         dint = TWO_PI * float(point_polygon_distance(pts, poly).mean())
         rhs = 32.0 * r * (1.0 + r) * K_eff ** 3 * s / dint
         ratios.append(lhs)

@@ -17,7 +17,7 @@ from harmonicdisk import ArcSet, theorems
 from harmonicdisk.cli import CHECKS, THEOREM_NAMES, _flag, build_parser, main
 from harmonicdisk.config import (DEFAULT_CONFIG, QuadratureConfig,
                                  effective_boundary_radius)
-from harmonicdisk.gallery import gallery_map
+from harmonicdisk.gallery import gallery_map, gallery_names
 from harmonicdisk.reporting import fmt_float, reports_to_json
 
 IDENT_CROSSCUT_LEN = 2.0943927929925036  # FROZEN, rho=1 about zeta0=1
@@ -160,25 +160,36 @@ def test_coeffs_poly(capsys):
 def test_constants_square_file(capsys, tmp_path):
     cf = tmp_path / "square.txt"
     cf.write_text("1 1\n-1 1\n-1 -1\n1 -1\n")
-    code, out, _ = run_cli(capsys, "constants", str(cf),
+    code, out, _ = run_cli(capsys, "constants", "--curve", str(cf),
                            "--point-pairs", "4")
     assert code == 0
     rows = parse_csv(out)
     assert float(rows[0]["lavrentiev"]) == pytest.approx(math.sqrt(2.0))
     assert float(rows[0]["quasicircle"]) == pytest.approx(1.0)
-    # flag spelling works too
-    code, out, _ = run_cli(capsys, "constants", "--curve", str(cf),
-                           "--point-pairs", "4")
-    assert code == 0
     code, _, err = run_cli(capsys, "constants")
     assert code == 1
+
+
+def test_constants_takes_its_curve_only_from_the_flag(capsys, tmp_path):
+    # a positional file next to --curve was once read in place of the
+    # flag's, silently
+    cf = tmp_path / "square.txt"
+    cf.write_text("1 1\n-1 1\n-1 -1\n1 -1\n")
+    for argv in ((str(cf),), (str(cf), "--curve", str(cf))):
+        code, out, err = run_cli(capsys, "constants", *argv,
+                                 "--point-pairs", "4")
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: unrecognized arguments: {cf}"]
 
 
 @pytest.mark.parametrize("pairs", ["0", "4097"])
 def test_constants_point_pairs_range_exits_1(capsys, tmp_path, pairs):
     cf = tmp_path / "square.txt"
     cf.write_text("1 1\n-1 1\n-1 -1\n1 -1\n")
-    code, out, err = run_cli(capsys, "constants", str(cf),
+    code, out, err = run_cli(capsys, "constants", "--curve", str(cf),
                              "--point-pairs", pairs)
     assert code == 1
     assert out == ""
@@ -193,8 +204,8 @@ def test_constants_probe_counts_range_exits_1(capsys, tmp_path, option,
                                               value, cap):
     cf = tmp_path / "square.txt"
     cf.write_text("1 1\n-1 1\n-1 -1\n1 -1\n")
-    code, out, err = run_cli(capsys, "constants", str(cf), f"--{option}",
-                             value)
+    code, out, err = run_cli(capsys, "constants", "--curve", str(cf),
+                             f"--{option}", value)
     assert code == 1
     assert out == ""
     assert err == f"error: {option} must be 1 to {cap}, got {value}\n"
@@ -396,7 +407,7 @@ _SQUARE = "1 1\n-1 1\n-1 -1\n1 -1\n"
     ("verify", "thm4", "--threshold", "0"),
     ("verify", "thm4", "--threshold", "-1"),
     ("verify", "selfmap", "--seed", "-1"),
-    ("constants", "{square}", "--seed", "-1"),
+    ("constants", "--curve", "{square}", "--seed", "-1"),
     ("constants", "--curve", "{missing}"),
     ("constants", "--curve", "{tmp}"),
     ("eval", "--z-file", "{missing}"),
@@ -629,6 +640,19 @@ def test_successive_calls_share_no_parsed_state(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert [row["r"] for row in rows] == ["1"]
+
+
+def test_handlers_are_fixed_at_import(capsys, monkeypatch):
+    # a profiler rebinds module functions while it runs; the parser's
+    # handlers stay the ones it was built with, so no wrapper of a
+    # profiler that has since been removed can linger in them
+    def wrapped(ns, cfg):
+        raise AssertionError("a rebound handler ran")
+
+    monkeypatch.setattr(harmonicdisk.cli, "cmd_gallery", wrapped)
+    code, out, _ = run_cli(capsys, "gallery")
+    assert code == 0
+    assert out.split() == list(gallery_names())
 
 
 # each check called with no keywords; thm1 on the CLI's default arc

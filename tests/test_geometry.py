@@ -22,7 +22,7 @@ from harmonicdisk import (ArcSet, EmptyCrosscut, HarmonicMap, PolygonalCurve,
                           extract_coefficients, gallery_map, image_area,
                           level_curve_length, radial_length,
                           sup_radial_length, thm2_bound)
-from harmonicdisk import geometry
+from harmonicdisk import geometry, maps
 from harmonicdisk.config import (DEFAULT_CONFIG, QuadratureConfig,
                                  effective_boundary_radius)
 from harmonicdisk.gallery import gallery_names, parse_map_spec
@@ -31,8 +31,8 @@ from harmonicdisk.geometry import (MAX_RAY_CELLS, circle_polygon,
                                    point_polygon_distance, points_in_polygon,
                                    ray_table, rectangle_polygon,
                                    square_polygon, u_polygon)
-from harmonicdisk.maps import (SeriesHarmonicMap, derivs_polar_grid,
-                               jacobian, op_norm, rotate_domain, scale_range)
+from harmonicdisk.maps import (SeriesHarmonicMap, jacobian, op_norm,
+                               rotate_domain, scale_range)
 from harmonicdisk.quadrature import cumulative_simpson, simpson_weights
 from harmonicdisk.theorems import schwarz_radial_check
 
@@ -166,6 +166,65 @@ def test_points_in_polygon_matches_per_point_rule():
         np.testing.assert_array_equal(got, want)
         assert not got[-3:].any()
         assert got.any() and not got.all()
+
+
+def _sorted_row_containment(points, curve):
+    """points_in_polygon as it was before the per-point count: the
+    crossings once per distinct ordinate, counted per point by one sort
+    of crossings and points, a crossing before a point of equal
+    abscissa.  The reference of the per-point version."""
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    p, q = curve.segments()
+    levels, row = np.unique(pts.imag, return_inverse=True)
+    by_row = np.argsort(row, kind="stable")
+    row_sorted = row[by_row]
+    out = np.empty(pts.size, dtype=bool)
+    step = max(1, geometry.BLOCK_CELLS // max(1, p.size))
+    for r0 in range(0, levels.size, step):
+        y = levels[r0:r0 + step]
+        rr, xs = geometry._row_crossings(y, p, q)
+        lo, hi = np.searchsorted(row_sorted, [r0, r0 + y.size])
+        sel = by_row[lo:hi]
+        rows = np.concatenate([rr, row[sel] - r0])
+        is_pt = np.repeat([False, True], [rr.size, sel.size])
+        order = np.lexsort((is_pt, np.concatenate([xs, pts.real[sel]]),
+                            rows))
+        seen = np.cumsum(~is_pt[order])
+        row_end = np.cumsum(np.bincount(rr, minlength=y.size))
+        at = order >= rr.size
+        right = row_end[rows[order[at]]] - seen[at]
+        out[sel[order[at] - rr.size]] = right % 2 == 1
+    return out
+
+
+@pytest.mark.parametrize("curve", [
+    u_polygon(), square_polygon(), circle_polygon(512), circle_polygon(4096),
+    ellipse_polygon(2, 1, 256), rectangle_polygon(2, 1, per_side=16)],
+    ids=["U", "square", "circle512", "circle4096", "ellipse256",
+         "rectangle16"])
+def test_points_in_polygon_equals_the_sorted_row_version(curve):
+    # random points; vertices and edge midpoints (on the curve); a
+    # lattice whose rows share ordinates with vertices and each other;
+    # NaN and inf coordinates
+    p, q = curve.segments()
+    v = curve.vertices
+    x0, x1 = v.real.min() - 0.25, v.real.max() + 0.25
+    y0, y1 = v.imag.min() - 0.25, v.imag.max() + 0.25
+    rng = np.random.default_rng(11)
+    scattered = (rng.uniform(x0, x1, 20_000)
+                 + 1j * rng.uniform(y0, y1, 20_000))
+    lattice = (np.linspace(x0, x1, 101)[None, :]
+               + 1j * np.linspace(y0, y1, 101)[:, None]).ravel()
+    nan, inf = math.nan, math.inf
+    special = np.array([complex(nan, 0.0), complex(0.0, nan),
+                        complex(nan, nan), complex(inf, 0.0),
+                        complex(-inf, 0.0), complex(0.0, inf),
+                        complex(0.0, -inf), complex(-inf, v[0].imag)])
+    pts = np.concatenate([scattered, v, 0.5 * (p + q), lattice, special])
+    got = points_in_polygon(pts, curve)
+    np.testing.assert_array_equal(got, _sorted_row_containment(pts, curve))
+    assert not got[-special.size:].any()
+    assert got.any() and not got.all()
 
 
 def test_point_polygon_distance_square():
@@ -495,7 +554,7 @@ def test_ray_table_equals_ray_by_ray_loop(name):
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
-    step = geometry._POLAR_BLOCK_CELLS // 513
+    step = (maps._POLAR_BLOCK_CELLS - 1) // 513
     assert (step, 40 % step) == (15, 10)
 
 
@@ -693,7 +752,8 @@ def _whole_grid_area(m, r_eff):
     """The cross-check grid rule of _disk_area on one 512 x 257 array."""
     n_t, n_rho = 512, 256
     rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
-    jac = jacobian(*derivs_polar_grid(m, rho, n_t))
+    e = np.exp(2j * np.pi * np.arange(n_t) / n_t)
+    jac = jacobian(*m.derivs_many(rho[None, :] * e[:, None]))
     wts = simpson_weights(n_rho)
     radial = (r_eff / n_rho / 3.0) * (jac * rho * wts).sum(axis=1)
     return (2.0 * math.pi / n_t) * math.fsum(radial)

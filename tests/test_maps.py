@@ -12,8 +12,9 @@ from harmonicdisk import (MapSpecError, NotSensePreserving, PointOutsideDisk,
                           SeriesHarmonicMap, ValidationError, estimate_K,
                           gallery_map, sup_modulus, sup_radial_length)
 from harmonicdisk.gallery import gallery_names, parse_map_spec
-from harmonicdisk.maps import (derivs_polar_grid, eval_circle_grid, jacobian,
+from harmonicdisk.maps import (_POLAR_BLOCK_CELLS, _polar_blocks, jacobian,
                                op_norm, rotate_domain, scale_range)
+from harmonicdisk.quadrature import refine_grid_max
 
 from oracles.poisson_bessel_series import bessel_series_coeffs
 
@@ -105,8 +106,15 @@ def test_estimate_K_refuses_an_empty_grid():
 
 def test_estimate_K_rejects_folding_map():
     m = SeriesHarmonicMap([0.0, 1.0], [0.0, 0.8])
-    with pytest.raises(NotSensePreserving):
+    with pytest.raises(NotSensePreserving) as err:
         estimate_K(m)
+    # the named probe folds: jacobian 1 - 2.56 |z|^2 < 0
+    got = re.fullmatch(r"jacobian (\S+) <= 0 at probe z = (\S+)",
+                       str(err.value))
+    z = complex(got[2])
+    assert float(got[1]) == pytest.approx(1.0 - 2.56 * abs(z) ** 2,
+                                          rel=1e-3)
+    assert abs(z) > 0.625
 
 
 def test_poisson_identity_phase_reproduces_identity():
@@ -133,25 +141,112 @@ def test_poisson_matches_bessel_series_twin():
     assert float(np.abs(fzb_p - fzb_s).max()) < 1e-8
 
 
+def _sampled(evaluate, radii, rays):
+    """The polar sampler's blocks stacked back into one (rays, radii)
+    grid, output by output; also returns the block row counts."""
+    blocks = list(_polar_blocks(evaluate, radii, rays))
+    outs = [b if isinstance(b, tuple) else (b,) for _, b in blocks]
+    sizes = [rows.stop - rows.start for rows, _ in blocks]
+    return [np.concatenate(parts) for parts in zip(*outs)], sizes
+
+
+def _whole_grid(evaluate, radii, rays):
+    """One evaluate call on the whole polar grid, as the deleted
+    whole-grid helpers made it."""
+    if np.ndim(rays):
+        e = np.exp(1j * np.asarray(rays, dtype=float))
+    else:
+        e = np.exp(2j * np.pi * np.arange(rays) / rays)
+    out = evaluate(radii[None, :] * e[:, None])
+    return list(out) if isinstance(out, tuple) else [out]
+
+
 def test_poisson_circle_fast_path_matches_pointwise():
     m = gallery_map("poisson:phi=t+0.2*sin(t)")
     n = 64
     for r in (0.3, 0.95, 0.998):
         z = r * np.exp(2j * np.pi * np.arange(n) / n)
         slow = m.eval_many(z)
-        fast = eval_circle_grid(m, r, n)
-        assert float(np.abs(slow - fast).max()) < 5e-10
+        (fast,), _ = _sampled(m.eval_many, np.array([r]), n)
+        assert float(np.abs(slow - fast[:, 0]).max()) < 5e-10
 
 
 def test_polar_grid_shapes_and_agreement():
     m = gallery_map("poly:z+0.3*zbar^2")
     radii = np.array([0.1, 0.5, 0.9])
-    fz, fzb = derivs_polar_grid(m, radii, 16)
+    (fz, fzb), _ = _sampled(m.derivs_many, radii, 16)
     assert fz.shape == (16, 3)
     z = radii[None, :] * np.exp(2j * np.pi * np.arange(16) / 16)[:, None]
     fz_d, fzb_d = m.derivs_many(z)
     np.testing.assert_array_equal(fz, fz_d)
     np.testing.assert_array_equal(fzb, fzb_d)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_polar_blocks_equal_the_whole_grid_bitwise(name):
+    m = gallery_map(name)
+    zoom, fan = np.linspace(1.2, 1.25, 33), np.linspace(0.0, 6.0, 100)
+    # (rays, radii) of one block, and of several with a short last one
+    for rays, n_r, blocks in [(16, 3, 1), (720, 32, 3), (40, 513, 3),
+                              (zoom, 129, 1), (fan, 129, 2)]:
+        radii = np.linspace(0.0, min(0.95, m.max_radius), n_r)
+        for evaluate in (m.eval_many, m.derivs_many):
+            got, sizes = _sampled(evaluate, radii, rays)
+            want = _whole_grid(evaluate, radii, rays)
+            assert len(sizes) == blocks
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("rays,n_r", [(720, 32), (720, 129), (512, 257),
+                                      (33, 129), (40, 513)])
+def test_polar_blocks_stay_below_the_mmap_threshold(rays, n_r):
+    # glibc maps a request of 128 KiB or more afresh; 256 rows x 32
+    # radii would be exactly 128 KiB
+    rows_seen = []
+    for rows, z in _polar_blocks(lambda z: z, np.linspace(0.1, 0.9, n_r),
+                                 rays):
+        assert z.dtype == complex and z.nbytes < 128 << 10
+        assert z.shape == (rows.stop - rows.start, n_r)
+        rows_seen.extend(range(rows.start, rows.stop))
+    assert rows_seen == list(range(rays))
+    assert _POLAR_BLOCK_CELLS == 1 << 13
+
+
+def _whole_grid_estimate_K(m, r_max=0.999, grid=720):
+    """estimate_K as it was with one derivs_many call on the whole
+    (grid x 32) probe grid: the reference of the blocked version."""
+    r_max = min(r_max, m.max_radius)
+    radii = np.geomspace(min(0.1, 0.5 * r_max), r_max, 32)
+    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    e = np.exp(2j * np.pi * np.arange(grid) / grid)
+    fz, fzb = m.derivs_many(radii[None, :] * e[:, None])
+    assert np.all(jacobian(fz, fzb) > 0.0)
+    om = (np.abs(fzb) / np.abs(fz)).T
+
+    def omega(z):
+        a, b = m.derivs_many(z)
+        return np.abs(b) / np.abs(a)
+
+    i, j = np.unravel_index(int(np.argmax(om)), om.shape)
+    th_star, _ = refine_grid_max(
+        lambda th: omega(radii[i] * np.exp(1j * th)), angles, om[i],
+        wrap=2.0 * math.pi)
+    _, val = refine_grid_max(lambda r: omega(r * np.exp(1j * th_star)),
+                             radii, om[:, j])
+    omega_sup = max(float(np.max(om)), val)
+    return omega_sup, (1.0 + omega_sup) / (1.0 - omega_sup)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_estimate_K_blocks_equal_the_whole_grid(name):
+    base = gallery_map(name)
+    for m in [base] + [rotate_domain(base, a) for a in (0.1234, 1.0, 2.5)]:
+        for r_max in (0.999, 0.99):
+            rep = estimate_K(m, r_max=r_max)
+            want = _whole_grid_estimate_K(m, r_max)
+            assert (rep.omega_sup, rep.K_lower) == want
 
 
 def test_poisson_refusal_radii():
@@ -163,9 +258,9 @@ def test_poisson_refusal_radii():
     # rounding slack: radius computed as |r e^{it}| may exceed r by ulps
     m.eval_many(np.array([0.999 + 1e-13]))
     with pytest.raises(QuadratureNonconvergence):
-        eval_circle_grid(m, 0.9991, 8)
+        list(_polar_blocks(m.eval_many, np.array([0.9991]), 8))
     with pytest.raises(QuadratureNonconvergence):
-        derivs_polar_grid(m, [0.9981], 8)
+        list(_polar_blocks(m.derivs_many, np.array([0.9981]), 8))
 
 
 def test_poisson_kinked_phase():
