@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .errors import checked_count, checked_real
 
-# at the cap, sup_radial_length's ray table fills half its cell budget
+# at the cap, a 128-panel ray table of sup_radial_length fills half its
+# cell budget; its shared table takes no more panels than fit
 MAX_THETA_GRID = 1 << 13
 
 

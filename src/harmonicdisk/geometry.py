@@ -130,7 +130,8 @@ def points_in_polygon(points, curve):
     the line of ordinate y and cross it at xs = x1 + (y - y1)(x2 - x1) /
     (y2 - y1) > x (_row_crossings); a crossing at xs = x does not count.
     Work is chunked to BLOCK_CELLS (point, segment) cells.  Points with
-    a NaN coordinate are outside.
+    a NaN coordinate are outside.  The result has the shape of
+    ``points``.
     """
     if not curve.closed:
         raise ValidationError("containment needs a closed curve")
@@ -143,7 +144,7 @@ def points_in_polygon(points, curve):
         rr, xs = _row_crossings(x.imag, p, q)
         right = np.bincount(rr[xs > x.real[rr]], minlength=x.size)
         out[i:i + x.size] = right % 2 == 1
-    return out
+    return out.reshape(np.shape(points))
 
 
 # consecutive segments per block of the pruned distance search
@@ -172,17 +173,21 @@ def _segment_distance(w, u, uu):
 
 def point_polygon_distance(points, curve):
     """Distance from each query point to the polyline (segments, not
-    just vertices).
+    just vertices), in the shape of ``points``.
 
-    A block of _DIST_BLOCK segments is at least |x - c| - rho from x (c
-    the mean of its vertices, rho the farthest one's distance).  Blocks
-    whose bound exceeds, beyond a rounding slack, the distance to the
-    nearest block's first segment are skipped; the rest go through the
-    same per-segment formula, so the minimum over a superset of the
-    argmin equals the full sweep's bit for bit.  NaN points and curves
-    beyond _DIST_SAFE keep every block.  A point with an infinite and
-    no NaN coordinate is at distance inf.  Points go in chunks of
-    _DIST_CELLS cells; each point's value does not depend on its chunk.
+    A block of _DIST_BLOCK segments lies within its sagitta sag (its
+    vertices' largest distance from the chord joining its ends) of that
+    chord, and the chord within sag of the block, so a chord at
+    distance dc from x puts the block between dc - sag and dc + sag
+    from x.  A block whose chord has length zero is bounded by the disk
+    about its first vertex instead.  Blocks whose lower bound exceeds,
+    beyond a rounding slack, the least upper bound are skipped; the
+    rest go through the same per-segment formula, so the minimum over a
+    superset of the argmin equals the full sweep's bit for bit.  NaN
+    points and curves beyond _DIST_SAFE keep every block.  A point with
+    an infinite and no NaN coordinate is at distance inf.  Points go in
+    chunks of _DIST_CELLS cells; each point's value does not depend on
+    its chunk.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     at_inf = np.isinf(pts) & ~np.isnan(pts)
@@ -196,39 +201,46 @@ def point_polygon_distance(points, curve):
     # pad the last block with copies of the final segment
     pad = np.minimum(np.arange(nb * _DIST_BLOCK), p.size - 1)
     P, U, UU = (a[pad].reshape(nb, _DIST_BLOCK) for a in (p, u, uu))
-    vert = np.concatenate([P, q[pad[_DIST_BLOCK - 1::_DIST_BLOCK], None]],
-                          axis=1)
-    center = vert.mean(axis=1)
-    radius = np.abs(vert - center[:, None]).max(axis=1)
-    # contiguous copies, so that numpy runs the same loops on them as on
-    # the candidate arrays
-    P0, U0, UU0 = P[:, 0].copy(), U[:, 0].copy(), UU[:, 0].copy()
     prune = bool(np.abs(curve.vertices).max() < _DIST_SAFE
                  and uu.min() > 0.0)
+    if prune:
+        vert = np.concatenate(
+            [P, q[pad[_DIST_BLOCK - 1::_DIST_BLOCK], None]], axis=1)
+        c0 = vert[:, 0]
+        cu = vert[:, -1] - c0
+        cuu = (cu * np.conj(cu)).real
+        # a chord of length zero (or whose square underflows) becomes
+        # the point c0, where the formula gives |x - c0|
+        flat = cuu == 0.0
+        cu[flat], cuu[flat] = 0.0, 1.0
+        sag = _segment_distance(vert - c0[:, None], cu[:, None],
+                                cuu[:, None]).max(axis=1)
+        # the bounds' and the segment formula's roundings are a few ulps
+        # of |x - g| + R, g the vertex mean and R the farthest vertex's
+        # distance from it
+        g = curve.vertices.mean()
+        reach = np.abs(curve.vertices - g).max()
     out = np.empty(pts.size)
     step = max(1, _DIST_CELLS // (nb * _DIST_BLOCK))
     for i0 in range(0, pts.size, step):
         x = pts[i0:i0 + step]
-        ub = _segment_distance(x[:, None] - P0[None, :], U0[None, :],
-                               UU0[None, :]).min(axis=1)
         if prune:
-            far = np.abs(x[:, None] - center[None, :])
-            keep = ~(far - radius > ub[:, None] + 1e-12 * (far + radius))
+            dc = _segment_distance(x[:, None] - c0, cu, cuu)
+            ub = (dc + sag).min(axis=1) + 1e-12 * (np.abs(x - g) + reach)
+            keep = ~(dc - sag > ub[:, None])
         else:
             keep = np.ones((x.size, nb), dtype=bool)
         rows, blocks = np.nonzero(keep)
         d = _segment_distance(x.take(rows)[:, None] - P.take(blocks, 0),
                               U.take(blocks, 0), UU.take(blocks, 0))
-        # one reduction per point over its candidate rows of d; a point
-        # without candidates (none occur: the block giving ub passes its
-        # bound) keeps ub instead of shifting the later points' rows
+        # one reduction per point over its candidate rows of d; every
+        # point has one: the block giving ub, or all of them where a
+        # NaN bound compares false
         counts = np.bincount(rows, minlength=x.size)
-        has = counts > 0
-        first = (np.cumsum(counts) - counts)[has] * _DIST_BLOCK
-        ub[has] = np.minimum.reduceat(d.reshape(-1), first)
-        out[i0:i0 + x.size] = ub
+        first = (np.cumsum(counts) - counts) * _DIST_BLOCK
+        out[i0:i0 + x.size] = np.minimum.reduceat(d.reshape(-1), first)
     out[at_inf] = np.inf
-    return out
+    return out.reshape(np.shape(points))
 
 
 # curve factories used by tests, demos, and the domain-constants module
@@ -427,24 +439,65 @@ def ray_table(m, r, panels, rays, kernel, scale=1.0):
     return thetas, rho, cum
 
 
+# panel counts of sup_radial_length's shared ray table: even, 128 to 2^10
+_SHARED_PANELS = np.arange(128, (1 << 10) + 1, 2)
+
+
+def _shared_nodes(radii, rays):
+    """(P, nodes): the smallest of _SHARED_PANELS whose grid
+    j radii[-1] / P, j = 0..P, holds every radius, to within a relative
+    1e-12, at an even node j, and whose table of ``rays`` rays fits
+    MAX_RAY_CELLS; None where there is none.  A single radius gives
+    (128, [128])."""
+    fits = rays * (_SHARED_PANELS + 1) <= MAX_RAY_CELLS
+    x = np.multiply.outer(radii, _SHARED_PANELS) / radii[-1]
+    j = np.rint(x)
+    on = (np.abs(x - j) <= 1e-12 * x) & (j % 2 == 0) & (j > 0)
+    ok = np.flatnonzero(fits & on.all(axis=0))
+    if not ok.size:
+        return None
+    return int(_SHARED_PANELS[ok[0]]), j[:, ok[0]].astype(int).tolist()
+
+
 def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
-    """(theta*, sup value) of the radial length over directions.
+    """(theta*, sup value) of the radial length over directions; for an
+    ascending sequence of radii, the list of those pairs.
 
-    The ray table's lengths on cfg.theta_grid rays of 128 panels locate
-    the maximizer, and refine_grid_max zooms in on it with ray tables of
-    the same rule at explicit angles, so grid and refined lengths are
-    compared under one rule.  The value is the adaptive radial_length at
-    theta*.
+    One ray table on cfg.theta_grid rays serves every radius: its grid
+    of step radii[-1] / P puts each radius at an even node j_r
+    (_shared_nodes), where the radius reads its grid lengths, and
+    refine_grid_max zooms in on the maximizer with ray tables of j_r
+    panels of [0, r] at explicit angles, the same step, so grid and
+    refined lengths are compared under one rule.  A single radius takes
+    128 panels; where no shared grid exists, each radius takes a table
+    of its own of 128 panels.  The value is the adaptive radial_length
+    at theta*.
     """
-    r = checked_real("radial extent", r, 0.0, 1.0, "(]")
-    _refuse_beyond(m, r)
+    radii = [checked_real("radial extent", x, 0.0, 1.0, "(]")
+             for x in np.atleast_1d(r)]
+    if not radii or radii != sorted(radii):
+        raise ValidationError(f"radii must be nonempty and ascending: {r}")
+    _refuse_beyond(m, radii[-1])
+    shared = _shared_nodes(np.array(radii), cfg.theta_grid)
+    if shared is not None:
+        top_panels, nodes = shared
+        thetas, _, cum = ray_table(m, radii[-1], top_panels, cfg.theta_grid,
+                                   _stretch)
+    pairs = []
+    for k, x in enumerate(radii):
+        if shared is None:
+            panels = 128
+            thetas, _, cum = ray_table(m, x, panels, cfg.theta_grid, _stretch)
+        else:
+            panels = nodes[k]
 
-    def lengths(rays):
-        return ray_table(m, r, 128, rays, _stretch)[2][:, -1]
+        def lengths(rays, x=x, panels=panels):
+            return ray_table(m, x, panels, rays, _stretch)[2][:, -1]
 
-    thetas, _, cum = ray_table(m, r, 128, cfg.theta_grid, _stretch)
-    theta_star, _ = refine_grid_max(lengths, thetas, cum[:, -1], wrap=TWO_PI)
-    return theta_star, radial_length(m, theta_star, r, cfg)[0]
+        theta_star, _ = refine_grid_max(lengths, thetas,
+                                        cum[:, panels // 2], wrap=TWO_PI)
+        pairs.append((theta_star, radial_length(m, theta_star, x, cfg)[0]))
+    return pairs if np.ndim(r) else pairs[0]
 
 
 def _window_cos(aw, rho, R):

@@ -306,14 +306,18 @@ def thm4_ratio(m, K=None, r_list=(0.05, 0.1, 0.2, 0.4, 0.6),
     s = sup_modulus(m, rb)
     poly = boundary_polygon(m, boundary_samples, cfg)
     n_t = max(720, cfg.theta_grid)
+    sups = sup_radial_length(m, r_sorted, cfg)
+    # one eval_many call per radius (a Poisson map takes its series level
+    # from its batch), one distance sweep for all of them
+    dist = point_polygon_distance(
+        np.stack([m.eval_many(r * _circle_nodes(n_t)) for r in r_sorted]),
+        poly)
     reports = []
     ratios = []
-    for r in r_sorted:
-        theta_star, rad = sup_radial_length(m, r, cfg)
+    for r, (theta_star, rad), d in zip(r_sorted, sups, dist):
         ell, _ = level_curve_length(m, r, cfg)
         lhs = rad / ell
-        pts = m.eval_many(r * _circle_nodes(n_t))
-        dint = TWO_PI * float(point_polygon_distance(pts, poly).mean())
+        dint = TWO_PI * float(d.mean())
         rhs = 32.0 * r * (1.0 + r) * K_eff ** 3 * s / dint
         ratios.append(lhs)
         reports.append(make_report(

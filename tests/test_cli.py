@@ -522,6 +522,17 @@ def test_negative_complex_value_in_both_forms(capsys, argv, value):
     assert run_cli(capsys, *head, flag, value) == joined
 
 
+def test_thm4_radii_past_the_shared_table_cap_run(capsys):
+    # a grid holding 0.003 and 0.6 needs 400 panels, and 8192 rays of
+    # 401 nodes pass the ray-table cap: each radius gets its own table,
+    # and the check runs (its r = 0.003 row fails, exit 2)
+    code, out, err = run_cli(capsys, "verify", "thm4", "--spec", "identity",
+                             "--theta-grid", "8192", "--r-list", "0.003,0.6")
+    assert (code, err) == (2, "")
+    assert [row["holds"] for row in parse_csv(out)] == ["false", "true",
+                                                        "true"]
+
+
 def test_boundary_samples_cap_exits_1(capsys):
     code, out, err = run_cli(capsys, "verify", "thm4", "--spec", "identity",
                              "--boundary-samples", str(2 ** 20 + 1))

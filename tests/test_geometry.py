@@ -395,6 +395,89 @@ def test_point_polygon_distance_chunk_budget_keeps_bits(monkeypatch, cells):
             assert got.tobytes() == want.tobytes()
 
 
+def test_point_polygon_distance_chord_bound_rounding():
+    # The nearest point to x = gap is the end 0 of a straight run of 16
+    # segments from -2^17 along the real axis (sagitta 0, exactly), and
+    # a second straight run starts 5e-12 farther from x and gives the
+    # least upper bound.  The run's chord distance |x + 2^17| - 2^17
+    # rounds by up to 1.5e-11, so a lower bound without a rounding slack
+    # (or with one relative to the distances only) can skip the block
+    # holding the minimum.
+    rng = np.random.default_rng(2)
+    run = -2.0 ** 17 + 2.0 ** 13 * np.arange(17)
+    for gap in rng.uniform(0.5, 1.5, 64):
+        first = complex(gap, gap + 5e-12)
+        up = first + 10j * np.arange(17)
+        detour = up[-1] + (-2.0 ** 17 + 1e3j - up[-1]) * np.arange(1, 16) / 15
+        curve = PolygonalCurve(np.concatenate([up, detour, run]),
+                               closed=False)
+        x = np.array([gap])
+        np.testing.assert_array_equal(point_polygon_distance(x, curve),
+                                      _full_sweep_distance(x, curve))
+
+
+def _kept_blocks(monkeypatch, pts, curve):
+    """(distances, share of the (point, block) pairs that reach the
+    per-segment formula)."""
+    kept = []
+    distance = geometry._segment_distance
+
+    def counting(w, u, uu):
+        if w.ndim == 2 and w.shape[1] == geometry._DIST_BLOCK:
+            kept.append(w.shape[0])
+        return distance(w, u, uu)
+
+    monkeypatch.setattr(geometry, "_segment_distance", counting)
+    got = point_polygon_distance(pts, curve)
+    monkeypatch.undo()
+    blocks = -(-curve.segments()[0].size // geometry._DIST_BLOCK)
+    return got, sum(kept) / (pts.size * blocks)
+
+
+def test_point_polygon_distance_zero_chord_block(monkeypatch):
+    # block 10 of this 33-block curve is a loop of 16 segments from the
+    # ring vertex 160 back to it, a chord of length zero
+    ring = np.exp(2j * np.pi * np.arange(512) / 512)
+    loop = ring[160] * (1.0 - 0.05 * (1.0 - np.exp(
+        2j * np.pi * np.arange(1, 16) / 16)))
+    curve = PolygonalCurve(np.concatenate([ring[:161], loop, ring[160:]]))
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([rng.uniform(-1.5, 1.5, 4000)
+                          + 1j * rng.uniform(-1.5, 1.5, 4000),
+                          curve.vertices, [0.97 * ring[160]]])
+    got, share = _kept_blocks(monkeypatch, pts, curve)
+    np.testing.assert_array_equal(got, _full_sweep_distance(pts, curve))
+    # the loop's block does not keep every block of every point
+    assert share < 0.1
+
+
+def test_point_polygon_distance_thm4_blocks_pruned(monkeypatch):
+    # thm4's points against the Poisson boundary polygon: near the middle
+    # of the round image every block used to stay a candidate
+    m = gallery_map("poisson:phi=t+0.2*sin(t)")
+    poly = boundary_polygon(m, 2048)
+    pts = m.eval_many(0.05 * maps._circle_nodes(720))
+    got, share = _kept_blocks(monkeypatch, pts, poly)
+    np.testing.assert_array_equal(got, _full_sweep_distance(pts, poly))
+    assert share < 0.1
+
+
+@pytest.mark.parametrize("kernel", [point_polygon_distance,
+                                    points_in_polygon])
+def test_polygon_kernels_keep_the_points_shape(kernel):
+    rng = np.random.default_rng(6)
+    pts = (rng.uniform(-2, 2, 35) + 1j * rng.uniform(-2, 2, 35))
+    curve = u_polygon()
+    flat = kernel(pts, curve)
+    got = kernel(pts.reshape(5, 7), curve)
+    assert got.shape == (5, 7)
+    assert got.tobytes() == flat.reshape(5, 7).tobytes()
+    for k in (0, 17):
+        one = kernel(pts[k], curve)
+        assert one.shape == ()
+        assert one.tobytes() == flat[k].tobytes()
+
+
 def test_gauss_rule_cache_is_read_only_leggauss():
     for n in (32, 64, 128, 256, 512):
         rule = geometry._gauss_rule(n)
@@ -515,6 +598,50 @@ def test_sup_radial_length_affine():
     assert val == pytest.approx(1.5, abs=1e-9)
     assert min(abs(theta), abs(theta - math.pi),
                abs(theta - 2.0 * math.pi)) < 1e-4
+
+
+def test_shared_ray_table_nodes():
+    nodes = geometry._shared_nodes
+    # thm4's default radii sit at nodes 12, 24, 48, 96 and 144 of 144
+    assert nodes(np.array([0.05, 0.1, 0.2, 0.4, 0.6]), 720) == (
+        144, [12, 24, 48, 96, 144])
+    # one radius keeps the 128-panel table
+    assert nodes(np.array([0.37]), 8192) == (128, [128])
+    assert nodes(np.array([0.003, 0.6]), 720) == (400, [2, 400])
+    # 8192 rays of 401 nodes pass MAX_RAY_CELLS
+    assert nodes(np.array([0.003, 0.6]), 8192) is None
+    assert nodes(np.array([0.3, 0.7]), 720) == (140, [60, 140])
+    # no node at all, or more than 2^10 panels
+    assert nodes(np.array([0.3, math.sqrt(0.5)]), 720) is None
+    assert nodes(np.array([0.001, 0.6]), 720) is None
+
+
+@pytest.mark.parametrize("rays", [8, 720, 4096, 8192])
+def test_shared_ray_table_fits_the_cell_cap(rays):
+    rng = np.random.default_rng(rays)
+    cases = [np.array([0.003, 0.6]), np.array([0.05, 0.1, 0.2, 0.4, 0.6])]
+    cases += [np.sort(rng.integers(1, 600, 3)) / 600.0 for _ in range(50)]
+    for radii in cases:
+        got = geometry._shared_nodes(radii, rays)
+        if got is None:
+            continue
+        panels, at = got
+        assert rays * (panels + 1) <= MAX_RAY_CELLS
+        assert panels % 2 == 0 and all(j % 2 == 0 for j in at)
+        np.testing.assert_allclose(np.array(at) * radii[-1] / panels, radii,
+                                   rtol=1e-12)
+
+
+def test_sup_radial_length_of_several_radii():
+    m = gallery_map("affine:1,0.5")
+    pairs = sup_radial_length(m, [0.25, 0.5, 1.0])
+    assert [val for _, val in pairs] == pytest.approx([0.375, 0.75, 1.5],
+                                                      abs=1e-9)
+    assert pairs[-1] == sup_radial_length(m, 1.0)
+    assert sup_radial_length(m, (0.5,)) == [sup_radial_length(m, 0.5)]
+    for radii in ([], [0.5, 0.25], [0.5, 1.5]):
+        with pytest.raises(ValidationError):
+            sup_radial_length(m, radii)
 
 
 def _rays_one_at_a_time(m, r, panels, rays, kernel, scale=1.0):

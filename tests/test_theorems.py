@@ -16,8 +16,13 @@ from harmonicdisk import (ArcSet, DegenerateE, DivisionDegenerate,
                           HarmonicMap, InequalityReport,
                           NormalizationViolation, NotSelfMap,
                           SeriesHarmonicMap, ValidationError, gallery_map)
+from harmonicdisk import theorems
 from harmonicdisk.config import MAX_THETA_GRID, QuadratureConfig
-from harmonicdisk.geometry import MAX_COEFFICIENTS, extract_coefficients
+from harmonicdisk.geometry import (MAX_COEFFICIENTS, _stretch,
+                                   extract_coefficients, radial_length,
+                                   ray_table)
+from harmonicdisk.maps import rotate_domain
+from harmonicdisk.quadrature import refine_grid_max
 from harmonicdisk.theorems import (MAX_PROBES, MAX_R_GRID, REPORT_TOL,
                                    check_prop1, effective_K, make_report,
                                    prop2_bound, schwarz_radial_check,
@@ -330,6 +335,31 @@ GALLERY_REFINED_SUPS = {
 }
 
 
+# thm4's distance integrals at its default r_list, as float.hex
+GALLERY_DISTANCE_INTEGRALS = {
+    "identity": [
+        "0x1.7e044cf5f4b35p+2", "0x1.69e91e03c453dp+2",
+        "0x1.41b2c01f63949p+2", "0x1.e28c08ad442c5p+1",
+        "0x1.41b2911bc12f9p+1"],
+    "scaled:2.0": [
+        "0x1.7e044cf5f4b35p+3", "0x1.69e91e03c453dp+3",
+        "0x1.41b2c01f63949p+3", "0x1.e28c08ad442c5p+2",
+        "0x1.41b2911bc12f9p+2"],
+    "affine:1,0.5": [
+        "0x1.850a8320febb1p+1", "0x1.77655a135f935p+1",
+        "0x1.5a68c7240cf70p+1", "0x1.1962c79ab4a0ap+1",
+        "0x1.9b669b371b007p+0"],
+    "poly:z+0.3*zbar^2": [
+        "0x1.08fec13c0e92bp+2", "0x1.f18e469688856p+1",
+        "0x1.b25b0f3dad9d8p+1", "0x1.3ac7d43c1692fp+1",
+        "0x1.98da0ebdb30e7p+0"],
+    "poisson:phi=t+0.2*sin(t)": [
+        "0x1.66f2f8674bac5p+2", "0x1.5e89c1c316f46p+2",
+        "0x1.3c41300e6f338p+2", "0x1.dd6e276062097p+1",
+        "0x1.3ebd034f45970p+1"],
+}
+
+
 @pytest.mark.parametrize("name", sorted(GALLERY_REFINED_SUPS))
 def test_gallery_refined_sups_are_frozen(name):
     m_rad, lengths = GALLERY_REFINED_SUPS[name]
@@ -337,9 +367,45 @@ def test_gallery_refined_sups_are_frozen(name):
     rows = by_name(thm4_ratio(m), "thm4_bound")
     assert [rep.params["radial_length"].hex() for rep in rows] == lengths
     assert [rep.params["theta_star"] for rep in rows] == [0.0] * len(rows)
+    assert ([rep.params["distance_integral"].hex() for rep in rows]
+            == GALLERY_DISTANCE_INTEGRALS[name])
     for rep in thm5_bound(m):
         assert rep.params["M_rad"].hex() == m_rad
         assert rep.params["theta_star"] == 0.0
+
+
+def _sup_radius_by_radius(m, radii, cfg):
+    """sup_radial_length with a 128-panel ray table and zoom per radius."""
+    pairs = []
+    for r in radii:
+        def lengths(rays, r=r):
+            return ray_table(m, r, 128, rays, _stretch)[2][:, -1]
+
+        thetas, _, cum = ray_table(m, r, 128, cfg.theta_grid, _stretch)
+        theta, _ = refine_grid_max(lengths, thetas, cum[:, -1],
+                                   wrap=2.0 * math.pi)
+        pairs.append((theta, radial_length(m, theta, r, cfg)[0]))
+    return pairs
+
+
+@pytest.mark.parametrize("alpha", [0.1234, 1.0, 2.5])
+def test_thm4_shared_ray_table_moves_only_flat_tops(monkeypatch, alpha):
+    # off the angle grid the maximizer of the shared table's zoom and of
+    # one 128-panel table per radius differ by the flat top of the
+    # maximum; the adaptive lengths and the verdicts stay
+    m = rotate_domain(gallery_map("poly:z+0.3*zbar^2"), alpha)
+    shared = thm4_ratio(m)
+    monkeypatch.setattr(theorems, "sup_radial_length", _sup_radius_by_radius)
+    alone = thm4_ratio(m)
+    assert [rep.holds for rep in shared] == [rep.holds for rep in alone]
+    for a, b in zip(by_name(shared, "thm4_bound"),
+                    by_name(alone, "thm4_bound")):
+        turn = a.params["theta_star"] - b.params["theta_star"]
+        assert abs(math.remainder(turn, 2.0 * math.pi)) < 1e-7
+        assert a.params["radial_length"] == pytest.approx(
+            b.params["radial_length"], rel=1e-15, abs=0.0)
+        assert (a.params["distance_integral"]
+                == b.params["distance_integral"])
 
 
 # -- schwarz -----------------------------------------------------------------
