@@ -27,12 +27,13 @@ segments) array.
 The connectivity raster is built row by row: a row shares one ordinate,
 so its even-odd containment is the parity of its crossings binned at
 the sorted cell abscissae.  The bisection is exact for the raster: a
-step below the larger endpoint-cell distance L is infeasible and one at
-or above the largest distance U along a straight raster path is
-feasible, so per pair the distances are computed on that path and, for
-the steps in [L, U), on one crop box, from which each such step labels
-the cells within the step of both endpoints.  Convex regions need
-almost no labels.
+step below the larger endpoint-cell distance L fails, and one connects
+at or above the largest distance U along a straight raster path, or
+above the vertex diagonal when one label of the inside cells joins the
+endpoints.  Other steps label the cells within the step of both
+endpoints on one crop box, from the lowest bisection leaf up, and keep
+each answer as a bound that decides later steps: a step is monotone in
+D.  Convex regions need no labels.
 """
 
 from __future__ import annotations
@@ -407,13 +408,20 @@ def _pair_diameters(cells, inside, cell, pts, diag):
     b are 8-connected through inside cells within D of both.
 
     w, the farther endpoint's distance on inside cells and inf outside,
-    is computed only where a step reads it: on the straight path, whose
-    ends are the endpoint cells, and on one crop box.  numpy's complex
-    abs gives the same bits on any subset of cells, so every w equals
-    the one a whole-raster array holds."""
+    is computed on the straight path, whose ends are the endpoint cells,
+    and on one crop box; numpy's complex abs gives the same bits on any
+    subset of cells.  A step is monotone in D, so labelled steps bound
+    later ones.  A path that leaves the region takes its endpoints' ids
+    from one label of the inside cells: PathNotFound if they differ,
+    else every step from diag + cell on connects.  That needs w <= diag
+    on inside cells: linear_connectivity_constant passes the vertices'
+    bounding-box diagonal, and the tests' bare 48 x 48 rasters of unit
+    cells pass 48 sqrt(2), above their cells' diagonal.  When d fails,
+    the tops of the lowest 1, 2, 4, ... leaves are probed first."""
     # imported here: scipy.ndimage is most of the package's import time
     from scipy import ndimage
     grid = inside.shape[0]
+    ids = None
     out = []
     for k in range(len(pts) // 2):
         (za, ra, ca), (zb, rb, cb) = pts[2 * k], pts[2 * k + 1]
@@ -440,13 +448,23 @@ def _pair_diameters(cells, inside, cell, pts, diag):
         # connects once all of its cells are
         path = w(*_raster_line(ra, ca, rb, cb))
         lower, upper = max(path[0], path[-1]), path.max()
-        # every labelled step has D < upper and D <= 2 diag, and its
-        # crop grows with D: each one is a slice of the first one's box
-        box = None
+        if upper == np.inf:
+            if ids is None:
+                # only the endpoints' ids are kept, not the label array
+                rows, cols = np.array([p[1:] for p in pts]).T
+                ids = ndimage.label(inside, structure=_EIGHT)[0][rows, cols]
+            if ids[2 * k] != ids[2 * k + 1]:
+                raise PathNotFound(
+                    f"no raster path between {za:.4f} and {zb:.4f}")
+            upper = diag + cell
+        # upper and fails: the smallest step known to connect and the
+        # largest known to fail.  A labelled step lies below upper and
+        # 2 diag, so its crop is a slice of the first labelled one's box
+        box, fails = None, -np.inf
 
         def feasible(D):
-            nonlocal box
-            if D < lower:
+            nonlocal box, upper, fails
+            if D < lower or D <= fails:
                 return False
             if D >= upper:
                 return True
@@ -465,16 +483,26 @@ def _pair_diameters(cells, inside, cell, pts, diag):
                 wbox[r0 - R0:r1 - R0, c0 - C0:c1 - C0] <= D,
                 structure=_EIGHT)
             la = labels[ra - r0, ca - c0]
-            return la != 0 and la == labels[rb - r0, cb - c0]
+            if la != 0 and la == labels[rb - r0, cb - c0]:
+                upper = D
+                return True
+            fails = D
+            return False
 
-        if not feasible(diag * 2.0):
-            raise PathNotFound(
-                f"no raster path between {za:.4f} and {zb:.4f}")
+        tol = max(1e-3 * d, 0.25 * cell)
         lo, hi = d, 2.0 * diag
         if feasible(lo):
             hi = lo
         else:
-            while hi - lo > max(1e-3 * d, 0.25 * cell):
+            # the tops of the lowest 1, 2, 4, ... leaves: the his of a run
+            # of connecting steps, probed from the lowest up
+            tops = [hi]
+            while tops[-1] - lo > tol:
+                tops.append(0.5 * (lo + tops[-1]))
+            for top in reversed(tops):
+                if feasible(top):
+                    break
+            while hi - lo > tol:
                 midv = 0.5 * (lo + hi)
                 if feasible(midv):
                     hi = midv
@@ -507,11 +535,16 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
     on inside cells and inf outside.  A step D below L = max(w(a), w(b))
     leaves an endpoint out, and one at or above U, the max of w along a
     straight 8-connected raster path from a to b, keeps that path in.
-    Only L <= D < U labels the mask w <= D, cropped to a box that holds
-    every cell within D of both endpoints, so each step's answer is the
-    one a label of the whole raster gives.  Per pair, w is computed on
-    the path and on one crop box, that of the largest such step, and
-    every step slices its own crop from it.  grid is 1 to MAX_GRID and
+    Where the path leaves the region, one label of the inside cells per
+    raster gives the endpoints' components: PathNotFound if they differ,
+    else U is the vertices' diagonal plus a cell.  Only L <= D < U
+    labels the mask w <= D, cropped to a box that holds every cell
+    within D of both endpoints, so each step's answer is the one a
+    label of the whole raster gives; it is monotone in D, so each
+    answer is kept as a bound.  When d = |a - b| fails, the tops of the
+    lowest 1, 2, 4, ... bisection leaves are probed first.  Per pair, w
+    is computed on the path and on one crop box, and every step slices
+    its own crop from it.  grid is 1 to MAX_GRID and
     point_pairs 1 to MAX_POINT_PAIRS; seed is nonnegative.  PathNotFound
     when no sampled pair is at least 10 cells apart, as no pair was then
     measured.

@@ -291,9 +291,48 @@ def test_pair_diameters_equal_full_grid_labelling(curve):
         max([1.0] + [hi / d for d, hi in got]), len(got))
 
 
+def test_pair_diameters_equal_full_grid_labelling_at_grid_512():
+    # the benchmark's raster and pair count, where most pairs of the U
+    # take the component label, the memo and the first probes
+    curve = u_polygon()
+    cells, inside, cell = _raster(curve, 512)
+    for seed in range(3):
+        pts = _sample_interior(curve, cells, inside, 16, seed)
+        args = (cells, inside, cell, pts, _diag(curve))
+        assert _bits(_pair_diameters(*args)) == _bits(
+            _full_grid_pair_diameters(*args))
+
+
+def test_diag_bounds_w_on_every_inside_cell():
+    # _pair_diameters connects every step from diag + cell on when one
+    # component holds both endpoints: that needs w <= diag
+    for curve in (circle_polygon(128), ellipse_polygon(3.0, 1.0, 300),
+                  square_polygon(), u_polygon(), _star()):
+        for grid in (64, 200, 512):
+            cells, inside, _ = _raster(curve, grid)
+            z = cells[inside]
+            for seed in range(3):
+                pts = _sample_interior(curve, cells, inside, 8, seed)
+                far = max(float(np.abs(z - p[0]).max()) for p in pts)
+                assert far <= _diag(curve)
+
+
 def _unit_raster(grid=48):
     xs = np.arange(float(grid))
     return xs + 1j * xs[:, None], np.ones((grid, grid), dtype=bool), 1.0
+
+
+def _count_labels(monkeypatch):
+    """The images ndimage.label is called on, in call order."""
+    calls = []
+    label = ndimage.label
+
+    def counting(image, *args, **kwargs):
+        calls.append(image)
+        return label(image, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", counting)
+    return calls
 
 
 def test_pair_diameters_step_at_the_lower_bound():
@@ -329,16 +368,88 @@ def test_pair_diameters_crop_keeps_the_lens_edge():
     assert connector <= got[0][1] < 35.0
 
 
-def test_pair_diameters_one_cell_wall():
+def _leaf_tops(d, cell, diag):
+    """The his of a run of connecting bisection steps: the tops of the
+    lowest 2^k, ..., 2, 1 leaves, the lowest leaf's top last."""
+    tops = [2.0 * diag]
+    while tops[-1] - d > max(1e-3 * d, 0.25 * cell):
+        tops.append(0.5 * (d + tops[-1]))
+    return tops
+
+
+@pytest.mark.parametrize("half, probe, labels", [
+    (1, 1, 3), (2, 1, 3), (3, 2, 4), (4, 3, 6), (5, 3, 6)],
+    ids=["lowest leaf", "lowest leaf, taller wall", "2nd leaf", "3rd leaf",
+         "4th leaf"])
+def test_pair_diameters_probe_labels(monkeypatch, half, probe, labels):
+    # a wall in column 14, rows 10 - half .. 10 + half, just right of a:
+    # the taller the wall, the further a's way round it.  The labels are
+    # the component label, the step at d and the tops of the lowest 1,
+    # 2, 4, ... leaves up to the probe-th, the first that connects; hi
+    # lies above the probe below it.  The bisection without the memo,
+    # the component label and the probes labelled 11 times in each case.
+    cells, inside, cell = _unit_raster()
+    inside[10 - half:11 + half, 14] = False
+    pts = [(cells[10, 13], 10, 13), (cells[10, 26], 10, 26)]
+    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    calls = _count_labels(monkeypatch)
+    got = _pair_diameters(*args)
+    assert len(calls) == labels
+    assert calls[0] is inside
+    assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
+    (d, hi), = got
+    tops = _leaf_tops(d, cell, args[-1])
+    assert (tops[1 - probe] if probe > 1 else d) < hi <= tops[-probe]
+
+
+def test_pair_diameters_far_corner_detour(monkeypatch):
+    # a at (0, 0) reaches b at (0, 12) only along the raster's rim, which
+    # cuts the corner (47, 47) through (47, 46), hypot(47, 46) from a: an
+    # answer near the cells' diagonal, so a cap of the steps below it
+    # answers wrongly.  The bisection without the shortcuts labels 11
+    # times; the probes up to the lower half's top, then the bisection
+    # of the upper half, take 17.
+    cells, inside, cell = _unit_raster()
+    inside[:] = False
+    inside[:, 0] = inside[47, :] = inside[:, 47] = inside[0, 12:] = True
+    pts = [(cells[0, 0], 0, 0), (cells[0, 12], 0, 12)]
+    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    calls = _count_labels(monkeypatch)
+    got = _pair_diameters(*args)
+    assert len(calls) == 17
+    assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
+    (d, hi), = got
+    assert math.hypot(47.0, 46.0) <= hi <= _leaf_tops(d, cell, args[-1])[1]
+
+
+def test_pair_diameters_one_cell_wall(monkeypatch):
     # the straight path from a to b crosses a wall one cell thick, so
-    # the upper bound is inf and the detour round the wall's end counts
+    # the upper bound is inf and the detour round the wall's end counts.
+    # The probes climb to the 8th, then the bisection runs in its top
+    # leaves: 16 labels, where the bisection without the shortcuts took 11
     cells, inside, cell = _unit_raster()
     inside[:41, 20] = False
     pts = [(cells[10, 13], 10, 13), (cells[10, 26], 10, 26)]
     args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    calls = _count_labels(monkeypatch)
     got = _pair_diameters(*args)
+    assert len(calls) == 16
     assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
     assert got[0][1] > 2.0 * got[0][0]
+
+
+def test_pair_diameters_refuses_a_cut_raster(monkeypatch):
+    # a full-height wall between a and b: the component label alone
+    # refuses the pair, before any crop box is built or labelled
+    cells, inside, cell = _unit_raster()
+    inside[:, 20] = False
+    pts = [(cells[10, 13], 10, 13), (cells[10, 26], 10, 26)]
+    calls = _count_labels(monkeypatch)
+    with pytest.raises(PathNotFound,
+                       match=r"^no raster path between 13\.0000\+10\.0000j "
+                             r"and 26\.0000\+10\.0000j$"):
+        _pair_diameters(cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    assert len(calls) == 1 and calls[0] is inside
 
 
 def test_raster_line_is_eight_connected():
@@ -366,6 +477,16 @@ def test_circle_connectivity_needs_few_labels(monkeypatch):
     assert 1.0 <= got < 1.01
     # the full-grid bisection labels ~170 times here
     assert len(calls) <= 16
+
+
+def test_u_connectivity_label_ceiling(monkeypatch):
+    # the benchmark's U at grid 512: the component label, the memo and
+    # the first probes take 116 labels over seeds 0-2, where the plain
+    # bisection took 184 and one without the probes 154
+    calls = _count_labels(monkeypatch)
+    for seed in range(3):
+        linear_connectivity_constant(u_polygon(), grid=512, seed=seed)
+    assert len(calls) <= 120
 
 
 def _scalar_sample(boundary, cells, inside, point_pairs, seed):
