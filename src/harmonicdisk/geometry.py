@@ -734,29 +734,6 @@ _EXTRACT_NODES = 1 << 13
 # mode k + 2^12 coincide: modes 0..2^12 - 1, so a_1..a_4096, are the
 # most it can tell apart
 MAX_COEFFICIENTS = _EXTRACT_NODES // 2
-# mode rows per block of the coefficient sums (4 MiB)
-_MODE_ROWS = 16
-
-
-@functools.cache
-def _roots_of_unity():
-    """e^{-2 pi i j / N}, j < N = _EXTRACT_NODES, in extended precision
-    (256 KiB), computed once."""
-    N = _EXTRACT_NODES
-    mm = (TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
-    return np.cos(mm) - 1j * np.sin(mm)
-
-
-def _mode_matrix(stop, start=0):
-    """Rows e^{-i k t_j}, start <= k < stop, on the 2^13-node grid,
-    extended precision, gathered from the table of N-th roots of unity
-    at k*j mod N, so that no trig argument exceeds one turn.  Rounding
-    the products k*t_j directly leaves a smooth phase error whose high
-    modes survive the rho^{1-n} amplification in the caller."""
-    N = _EXTRACT_NODES
-    idx = np.multiply.outer(np.arange(start, stop), np.arange(N))
-    idx %= N
-    return _roots_of_unity()[idx]
 
 
 def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
@@ -764,18 +741,17 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     integrals of the Wirtinger derivatives.
 
     n a_n and n b_n are Fourier modes of f_z and conj(f_zb) on the
-    circle |z| = rho, computed with the uniform trapezoid rule (the DFT)
-    on 2^13 nodes.  The same sums over every other node (a 2^12-node
-    rule) must agree within tolerance, else QuadratureNonconvergence.
+    circle |z| = rho, computed with the uniform trapezoid rule on 2^13
+    nodes, which is the DFT: one FFT per function.  The same FFTs over
+    every other node (a 2^12-node rule) must agree within tolerance,
+    else QuadratureNonconvergence.
 
     High modes are attenuated by rho^{n-1}; recovering mode n divides by
     that tiny factor, which would amplify double-precision summation
-    noise past useful accuracy.  The circle nodes and the mode sums are
+    noise past useful accuracy.  The circle nodes and the FFTs are
     therefore extended precision, and every map gets those nodes through
     ``derivs_many``: series maps evaluate on them in extended precision,
-    the others round them to double.  n_max is 1 to MAX_COEFFICIENTS;
-    the sums run over blocks of _MODE_ROWS modes, each mode's sum
-    independent of its block.
+    the others round them to double.  n_max is 1 to MAX_COEFFICIENTS.
     """
     n_max = checked_count("n_max", n_max, 1, MAX_COEFFICIENTS)
     rho = checked_real("extraction radius", rho, 0.0, 1.0)
@@ -786,20 +762,16 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     fz, gp = fz.astype(np.clongdouble), np.conj(fzb).astype(np.clongdouble)
 
     n = np.arange(1, n_max + 1, dtype=np.longdouble)
-    scale = np.longdouble(rho) ** (np.longdouble(1.0) - n) / n
-
-    # a and b on all nodes, then on every other node (the check rule)
-    rules = ((fz, 1), (gp, 1), (fz, 2), (gp, 2))
-    modes = np.empty((len(rules), n_max), dtype=np.clongdouble)
-    for k0 in range(0, n_max, _MODE_ROWS):
-        W = _mode_matrix(min(k0 + _MODE_ROWS, n_max), k0)
-        for row, (vals, step) in zip(modes, rules):
-            row[k0:k0 + len(W)] = W[:, ::step] @ vals[::step]
-    a, b, a2, b2 = ((row / np.clongdouble(N // step) * scale).astype(complex)
-                    for row, (_, step) in zip(modes, rules))
-    # np.max, unlike max(), keeps a NaN whichever argument holds it
-    disagreement = float(np.max([np.abs(a - a2).max(),
-                                 np.abs(b - b2).max()]))
+    # rho^{1-n} may overflow; the check below refuses what that leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.longdouble(rho) ** (np.longdouble(1.0) - n) / n
+        # a and b on all nodes, then on every other node (the check rule)
+        a, b, a2, b2 = ((np.fft.fft(vals[::step])[:n_max]
+                         / np.clongdouble(N // step) * scale).astype(complex)
+                        for vals, step in ((fz, 1), (gp, 1), (fz, 2), (gp, 2)))
+        # np.max, unlike max(), keeps a NaN whichever argument holds it
+        disagreement = float(np.max([np.abs(a - a2).max(),
+                                     np.abs(b - b2).max()]))
     if not disagreement <= max(cfg.abs_tol * 10.0, 1e-8):
         raise QuadratureNonconvergence(
             f"coefficient extraction node-halving check failed: "

@@ -197,8 +197,10 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
     existential, so the sup ratio itself is reported as the constant.
     z_probes holds 1 to MAX_PROBES points.
     """
-    z_probes = list(z_probes)
+    z_probes = [complex(z) for z in z_probes]
     checked_count("probes", len(z_probes), 1, MAX_PROBES)
+    for z in z_probes:
+        checked_real("|probe|", abs(z), 0.0, 1.0, "[)")
     K_eff = effective_K(m, K, cfg)
     rb = effective_boundary_radius(cfg, m.max_radius)
 
@@ -207,8 +209,6 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
 
     ratios = []
     for z in z_probes:
-        z = complex(z)
-        checked_real("|probe|", abs(z), 0.0, 1.0, "[)")
         half = math.pi * (1.0 - abs(z))
         theta = math.atan2(z.imag, z.real)
         arc_int, _ = adaptive_simpson(g, theta - half, theta + half,
@@ -268,17 +268,18 @@ def thm5_bound(m, K=None, n_max=8, rho=0.5, cfg=DEFAULT_CONFIG):
     sup over directions of the full radial image length.  n_max is 1 to
     geometry.MAX_COEFFICIENTS."""
     n_max = checked_count("n_max", n_max, 1, MAX_COEFFICIENTS)
+    rho = checked_real("extraction radius", rho, 0.0, 1.0)
     K_eff = effective_K(m, K, cfg)
     r_up = min(1.0, m.max_radius)
     theta_star, M_rad = sup_radial_length(m, r_up, cfg)
-    a, b = extract_coefficients(m, n_max, float(rho), cfg)
+    a, b = extract_coefficients(m, n_max, rho, cfg)
     reports = []
     for n in range(1, n_max + 1):
         lhs = abs(a[n]) + abs(b[n - 1])
         reports.append(make_report(
             "thm5_coeff", lhs, K_eff * M_rad, "le",
             {"n": n, "K": K_eff, "M_rad": M_rad, "r_up": r_up,
-             "theta_star": theta_star, "rho": float(rho)}))
+             "theta_star": theta_star, "rho": rho}))
     return reports
 
 

@@ -350,13 +350,20 @@ def test_non_finite_payload_cell_exits_3(tmp_path, fmt):
 
 
 def test_coefficient_overflow_exits_3(capsys):
-    # rho^{1-n} overflows double at n = 128, rho = 0.001: the
+    # rho^{1-n} overflows double at n = 128, rho = 0.001: the poly map's
     # node-halving disagreement is NaN
-    code, out, err = run_cli(capsys, "coeffs", "--spec", "identity",
-                             "--n-max", "128", "--rho", "0.001")
+    argv = ("--n-max", "128", "--rho", "0.001")
+    code, out, err = run_cli(capsys, "coeffs", "--spec", "poly:z+0.3*zbar^2",
+                             *argv)
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+    # the identity's f_z is constant: no round-off to amplify, exact zeros
+    code, out, err = run_cli(capsys, "coeffs", "--spec", "identity", *argv)
+    assert code == 0
+    assert out.splitlines() == (["n,a_re,a_im,b_re,b_im", "0,0,0,0,0",
+                                 "1,1,0,0,0"]
+                                + [f"{n},0,0,0,0" for n in range(2, 129)])
 
 
 def test_overflowing_series_spec_exits_1(capsys, tmp_path):

@@ -1039,7 +1039,7 @@ def test_extract_coefficients_high_mode_attenuation():
 def _extract_series_by_horner(m, n_max, rho):
     """(a_1..a_n_max, b_1..b_n_max) of a series map with h' and g'
     evaluated by explicit extended-precision Horner steps on
-    extract_coefficients' nodes, then the same mode sums."""
+    extract_coefficients' nodes, then their long-double FFTs."""
     N = geometry._EXTRACT_NODES
     tt = (geometry.TWO_PI_LD * np.arange(N, dtype=np.longdouble)) / N
     z = np.longdouble(rho) * (np.cos(tt) + 1j * np.sin(tt))
@@ -1054,7 +1054,7 @@ def _extract_series_by_horner(m, n_max, rho):
     n = np.arange(1, n_max + 1, dtype=np.longdouble)
     scale = np.longdouble(rho) ** (np.longdouble(1.0) - n) / n
     g = np.concatenate([[0.0], m.antianalytic_coeffs])
-    return [((geometry._mode_matrix(n_max) @ horner(npoly.polyder(c)))
+    return [(np.fft.fft(horner(npoly.polyder(c)))[:n_max]
              / np.clongdouble(N) * scale).astype(complex)
             for c in (m.analytic_coeffs, g)]
 
@@ -1092,37 +1092,54 @@ def test_extract_coefficients_validation():
         extract_coefficients(m, 3, 1.0)
 
 
-@pytest.mark.parametrize("rows", [1, 5])
-def test_extract_coefficients_row_blocks_keep_bits(monkeypatch, rows):
-    # each mode's sum is independent of the block of rows it is in
-    cases = [(gallery_map("poly:z+0.3*zbar^2"), 12, 0.5),
-             (gallery_map("poisson:phi=t+0.2*sin(t)"), 21, 0.9)]
-    want = [extract_coefficients(m, n, rho) for m, n, rho in cases]
-    monkeypatch.setattr(geometry, "_MODE_ROWS", rows)
-    for (m, n, rho), (a, b) in zip(cases, want):
-        got_a, got_b = extract_coefficients(m, n, rho)
-        assert (got_a.tobytes(), got_b.tobytes()) == (a.tobytes(), b.tobytes())
+def test_fft_keeps_extended_precision():
+    # numpy's FFT computes in long double from numpy 2.0; 1.x would cast
+    # to complex128 and lose the bits the extraction needs
+    x = np.arange(8, dtype=np.clongdouble) / 3
+    assert np.fft.fft(x).dtype == np.clongdouble
 
 
-def test_extract_coefficients_after_a_larger_call():
-    # the mode rows come from one table of roots of unity; a larger
-    # n_max before leaves the n_max = 8 coefficients bitwise unchanged
+def test_extract_coefficients_leading_entries_keep_bits():
+    # mode n's value does not depend on how many modes are asked for
+    for m in (gallery_map("poly:z+0.3*zbar^2"),
+              gallery_map("poisson:phi=t+0.2*sin(t)")):
+        a8, b8 = extract_coefficients(m, 8, 0.9)
+        a64, b64 = extract_coefficients(m, 64, 0.9)
+        assert a8.tobytes() == a64[:9].tobytes()
+        assert b8.tobytes() == b64[:8].tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_extract_coefficients_exact_on_gallery_series(rho):
+    # f_z and f_zb are constant on the affine maps, so every mode but
+    # the first is an exact zero; poly's conj(f_zb) = 0.6 z carries the
+    # round-off of its long-double nodes
+    exact = {"identity": ([0.0, 1.0], [0.0]),
+             "scaled:2.0": ([0.0, 2.0], [0.0]),
+             "affine:1,0.5": ([0.0, 1.0], [0.5]),
+             "poly:z+0.3*zbar^2": ([0.0, 1.0], [0.0, 0.3])}
+    for name, (a_head, b_head) in exact.items():
+        a, b = extract_coefficients(gallery_map(name), 8, rho)
+        want_a = np.zeros(9, dtype=complex)
+        want_a[:2] = a_head
+        want_b = np.zeros(8, dtype=complex)
+        want_b[:len(b_head)] = b_head
+        if name.startswith("poly"):
+            assert np.abs(a - want_a).max() <= 1e-19
+            assert np.abs(b - want_b).max() <= 1e-19
+        else:
+            np.testing.assert_array_equal(a, want_a)
+            np.testing.assert_array_equal(b, want_b)
+
+
+def test_extract_coefficients_overflow_is_a_numerical_error():
+    # rho^{1-n} overflows double at n = 128, rho = 0.001; with warnings
+    # as errors the caller still gets the package's NumericalError
     m = gallery_map("poly:z+0.3*zbar^2")
-    first = extract_coefficients(m, 8, 0.5)
-    try:
-        extract_coefficients(m, 600, 0.5)
-    except QuadratureNonconvergence:
-        pass  # mode 600's round-off is amplified by 2^599
-    again = extract_coefficients(m, 8, 0.5)
-    for x, y in zip(first, again):
-        assert x.tobytes() == y.tobytes()
-    assert geometry._roots_of_unity().nbytes == 256 * 1024
-    # each gathered row is e^{-i k t_j} with k*j reduced mod N first;
-    # equal values (extended precision pads its bytes)
-    N = geometry._EXTRACT_NODES
-    for k, row in enumerate(geometry._mode_matrix(8)):
-        mm = (geometry.TWO_PI_LD * (k * np.arange(N) % N)) / N
-        np.testing.assert_array_equal(row, np.cos(mm) - 1j * np.sin(mm))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNonconvergence, match="nan"):
+            extract_coefficients(m, 128, 0.001)
 
 
 @pytest.mark.parametrize("zeta0,r_list,message", [

@@ -569,6 +569,11 @@ def test_quadrature_config_refuses_infinite_tolerances():
      "threshold must be in (0,inf), got -1.0"),
     (thm4_ratio, {"threshold": math.inf},
      "threshold must be in (0,inf), got inf"),
+    (thm5_bound, {"rho": 1.5}, "extraction radius must be in (0,1), got 1.5"),
+    (thm5_bound, {"rho": math.nan},
+     "extraction radius must be in (0,1), got nan"),
+    (thm3_carleson, {"z_probes": (0.5, 0.3j, 1.0)},
+     "|probe| must be in [0,1), got 1.0"),
 ])
 def test_bad_input_is_refused_before_evaluation(check, kwargs, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
