@@ -1099,14 +1099,31 @@ def test_fft_keeps_extended_precision():
     assert np.fft.fft(x).dtype == np.clongdouble
 
 
-def test_extract_coefficients_leading_entries_keep_bits():
-    # mode n's value does not depend on how many modes are asked for
-    for m in (gallery_map("poly:z+0.3*zbar^2"),
-              gallery_map("poisson:phi=t+0.2*sin(t)")):
-        a8, b8 = extract_coefficients(m, 8, 0.9)
-        a64, b64 = extract_coefficients(m, 64, 0.9)
-        assert a8.tobytes() == a64[:9].tobytes()
-        assert b8.tobytes() == b64[:8].tobytes()
+@pytest.mark.parametrize("rows", [1, 5])
+def test_extract_coefficients_row_blocks_keep_bits(rows):
+    # mode n's value does not depend on how many modes are asked for:
+    # the first `rows` modes are the leading entries of a longer call
+    cases = [(gallery_map("poly:z+0.3*zbar^2"), 12, 0.5),
+             (gallery_map("poisson:phi=t+0.2*sin(t)"), 21, 0.9),
+             (gallery_map("poisson:phi=t+0.2*sin(t)"), 64, 0.9)]
+    for m, n, rho in cases:
+        a, b = extract_coefficients(m, n, rho)
+        got_a, got_b = extract_coefficients(m, rows, rho)
+        assert got_a.tobytes() == a[:rows + 1].tobytes()
+        assert got_b.tobytes() == b[:rows].tobytes()
+
+
+def test_extract_coefficients_after_a_larger_call():
+    # no state carries over between calls: a larger n_max before, even
+    # one that fails its check, leaves the n_max = 8 coefficients
+    # bitwise unchanged
+    m = gallery_map("poly:z+0.3*zbar^2")
+    first = extract_coefficients(m, 8, 0.5)
+    with pytest.raises(QuadratureNonconvergence):
+        extract_coefficients(m, 600, 0.5)  # mode 600's round-off times 2^599
+    again = extract_coefficients(m, 8, 0.5)
+    for x, y in zip(first, again):
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.9])
