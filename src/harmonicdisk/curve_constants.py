@@ -16,13 +16,14 @@ never shrinks a constant.
 
 Arc lengths and arc diameters are exact for every probed pair, so the
 Lavrentiev and quasicircle constants are the exact maxima over the
-probe set.  Both constants read one ranking of the probe pairs, built
-in chunks from slices of the doubled vertex ring; the Lavrentiev
-constant reduces each chunk as it is ranked.  The diameters come from
-one pass of a window recurrence: O(n * W_max) time and O(n) working
-memory for an n-gon, where W_max is the largest vertex count of a
-probed shorter arc.  The Ahlfors lengths of a center are one (radii,
-segments) array.
+probe set.  Both read one sweep of the probe pairs: chunks of forward
+and backward arc lengths and chords, from slices of the doubled vertex
+and arc-prefix rings.  The Lavrentiev constant reduces each chunk as it
+comes; the quasicircle constant derives which arc is shorter.  The
+diameters come from one pass of a window recurrence: O(n * W_max) time
+and O(n) working memory for an n-gon, where W_max is the largest vertex
+count of a probed shorter arc.  The Ahlfors lengths of a center are one
+(radii, segments) array.
 
 The connectivity raster is built row by row: a row shares one ordinate,
 so its even-odd containment is the parity of its crossings binned at
@@ -123,11 +124,11 @@ def _runs(blocks):
 
 
 def _probe_pairs(curve, pairs, seed):
-    """Sample the probe pairs and rank them by their shorter arc, one
-    chunk at a time: yields (blocks, start i, shorter arc length, chord,
-    the shorter arc runs i -> i+lag) per run of consecutive blocks, in
-    probe order.  A chunk carries its own start indices, so a caller
-    that reduces each chunk as it comes holds one chunk's.
+    """Sample the probe pairs and sweep them once, one chunk at a time:
+    yields (blocks, forward arc length i -> i+lag, backward arc length,
+    chord) per run of consecutive blocks, in probe order.  The shorter
+    arc is the smaller of the two arcs, and runs i -> i+lag where the
+    forward one is not longer.
 
     A block pairs each start i = 0 .. c-1 with j = i + lag (mod n), so
     the j side is the slice [lag, lag + c) of the doubled vertex and
@@ -149,29 +150,25 @@ def _probe_pairs(curve, pairs, seed):
             np.subtract(pre2[lag:lag + c], pre[:c], out=arc_f[at:at + c])
             np.abs(v2[lag:lag + c] - v[:c], out=chord[at:at + c])
             at += c
-        # forward arc length i -> i+lag, wrapping through vertex 0:
-        # np.mod(arc_f, total) as numpy computes it, fmod plus total
-        # where negative, without the floor quotient np.mod also forms
-        # (a zero may keep its sign, which no comparison sees)
-        np.fmod(arc_f, total, out=arc_f)
+        # forward arc length i -> i+lag, wrapping through vertex 0: a
+        # prefix difference lies in (-total, total), so np.mod(arc_f,
+        # total) is arc_f plus total where negative (a zero may keep its
+        # sign, which no comparison sees)
         np.add(arc_f, total, out=arc_f, where=arc_f < 0.0)
-        arc_b = total - arc_f
-        fwd = arc_f <= arc_b
-        starts = np.concatenate([np.arange(c) for _, c in run])
-        yield run, starts, np.minimum(arc_f, arc_b, out=arc_b), chord, fwd
+        yield run, arc_f, total - arc_f, chord
 
 
 def _lavrentiev(chunks):
-    """(constant, degenerate pairs) over the ranked chunks of
+    """(constant, degenerate pairs) over the swept chunks of
     _probe_pairs, each reduced as it comes: pairs whose chord is below
     _CHORD_EPS are skipped."""
     best, skipped = 1.0, 0
-    for _, _, shorter, chord, _ in chunks:
+    for _, arc_f, arc_b, chord in chunks:
         ok = chord >= _CHORD_EPS
         skipped += int(ok.size - np.count_nonzero(ok))
         # a degenerate pair reads 0, below the floor of 1
-        ratio = np.divide(shorter, chord, out=np.zeros(chord.size),
-                          where=ok)
+        ratio = np.divide(np.minimum(arc_f, arc_b), chord,
+                          out=np.zeros(chord.size), where=ok)
         best = max(best, float(ratio.max()))
     return best, skipped
 
@@ -219,16 +216,17 @@ def _arc_diameters(v, base, size):
 
 
 def _quasicircle(curve, chunks):
-    """The constant over all ranked chunks of _probe_pairs at once."""
+    """The constant over all swept chunks of _probe_pairs at once."""
     v = curve.vertices
     n = v.size
-    runs, starts, _, chord, fwd = zip(*chunks)
-    chord, fwd = np.concatenate(chord), np.concatenate(fwd)
+    runs, arc_f, arc_b, chord = zip(*chunks)
+    chord = np.concatenate(chord)
     ok = chord >= _CHORD_EPS
     if not np.any(ok):
         return 1.0
+    fwd = np.concatenate([f <= b for f, b in zip(arc_f, arc_b)])
     lags, counts = zip(*(block for run in runs for block in run))
-    i = np.concatenate(starts)
+    i = np.concatenate([np.arange(c) for c in counts])
     lag = np.repeat(lags, counts)
     # forward arcs run i .. i+lag, backward arcs j .. j+n-lag
     base = np.where(fwd, i, (i + lag) % n)[ok]
@@ -586,10 +584,12 @@ def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
     chunks = list(_probe_pairs(curve, pairs, seed))
     lav, degenerate = _lavrentiev(chunks)
     qc = _quasicircle(curve, chunks)
+    probed = sum(chunk[3].size for chunk in chunks)
+    del chunks  # freed before the connectivity raster
     ahl = ahlfors_constant(curve, centers, radii)
     conn, measured = linear_connectivity_constant(curve, point_pairs, grid,
                                                   seed)
-    counts = {"pairs": sum(chunk[1].size for chunk in chunks),
+    counts = {"pairs": probed,
               "degenerate_pairs": degenerate,
               # the centroid, the vertices and the segment midpoints
               "centers": min(centers, 2 * curve.vertices.size + curve.closed),

@@ -28,7 +28,8 @@ from numpy.polynomial.legendre import leggauss
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, QuadratureNonconvergence,
                      ValidationError, checked_count, checked_real)
-from .maps import _circle_nodes, _polar_blocks, jacobian, op_norm
+from .maps import (_POLAR_BLOCK_CELLS, _circle_nodes, _polar_blocks,
+                   jacobian, op_norm)
 from .quadrature import (adaptive_simpson, cumulative_simpson,
                          refine_grid_max, simpson_weights)
 
@@ -336,7 +337,9 @@ class ArcSet:
 def _stretch(t, fz, fzb):
     """|f_z t + f_zb conj(t)|: the speed of f along the tangent t, and
     so the ray-table kernel of radial lengths."""
-    return np.abs(fz * t + fzb * np.conj(t))
+    s = fz * t
+    s += fzb * np.conj(t)
+    return np.abs(s)
 
 
 def _refuse_beyond(m, radius):
@@ -553,7 +556,8 @@ def _lens_quad(m, w, r, R, kernel, rule_rho, rule_t):
     edges where an arc closes into a circle or shrinks to a point; the
     arc at rho is t = arg w + pi + half(rho) x, x in [-1, 1].  rule_rho
     and rule_t are (nodes, weights) on [-1, 1] for u = 4 v / pi - 1 and
-    x.  All nodes go to one derivs_many call.
+    x.  The nodes go in blocks of whole rho-rows of fewer than
+    _POLAR_BLOCK_CELLS cells, whose terms are summed exactly (_fsum).
     """
     aw = abs(w)
     lo, hi = abs(R - aw), min(r, R + aw)
@@ -569,19 +573,51 @@ def _lens_quad(m, w, r, R, kernel, rule_rho, rule_t):
                            for a, b in pieces])
     half = math.pi - np.arccos(np.clip(_window_cos(aw, rho, R), -1.0, 1.0))
     beta = math.atan2(w.imag, w.real) + math.pi
-    e = np.exp(1j * (beta + half[:, None] * x[None, :]))
-    fz, fzb = m.derivs_many(w + rho[:, None] * e)
-    vals = kernel(e, fz, fzb) * ((drho * half * rho)[:, None] * wx[None, :])
-    return _fsum(vals)
+    weight = drho * half * rho
+    step = max(1, (_POLAR_BLOCK_CELLS - 1) // x.size)
+
+    def block(rows):
+        e = np.exp(1j * (beta + half[rows, None] * x))
+        fz, fzb = m.derivs_many(w + rho[rows, None] * e)
+        return kernel(e, fz, fzb) * (weight[rows, None] * wx)
+
+    return _fsum(block(slice(i, i + step)) for i in range(0, rho.size, step))
 
 
-def _fsum(vals):
-    """math.fsum of an array; inf where finite terms' exact sum
+def _fsum(blocks):
+    """math.fsum of the terms of an iterable of arrays, bit for bit, from
+    each array's _exact_parts in turn; inf where finite terms' exact sum
     overflows."""
+    parts = [p for block in map(_exact_parts, blocks) for p in block]
     try:
-        return math.fsum(vals.ravel().tolist())
+        return math.fsum(parts)
     except OverflowError:
-        return float(vals.sum())
+        with np.errstate(over="ignore"):
+            return float(np.sum(parts))
+
+
+def _exact_parts(vals):
+    """Doubles whose exact sum is that of the terms of vals (M. A.
+    Malcolm, CACM 14 (1971) 731-736): a term m 2^e (np.frexp) splits m
+    into its multiple of 2^-27 and the rest, and np.bincount sums each
+    half per exponent e, exactly under 2^26 terms; np.ldexp turns the
+    totals into exact doubles.  An array holding a non-finite or
+    subnormal term, an exponent above 960 or 2^26 terms or more gives
+    its terms unchanged.
+    """
+    x = vals.ravel()
+    if 0 < x.size < 1 << 26 and np.isfinite(x).all():
+        m, e = np.frexp(x)
+        e0 = int(e.min())
+        if -1021 <= e0 and e.max() <= 960:
+            hi = m * 2.0 ** 27
+            np.floor(hi, out=hi)
+            hi *= 2.0 ** -27
+            k = e - e0
+            exps = np.arange(e0, e0 + int(k.max()) + 1)
+            return (np.ldexp(np.bincount(k, hi), exps).tolist()
+                    + np.ldexp(np.bincount(k, m - hi), exps).tolist())
+    return x.tolist()
 
 
 @functools.cache
@@ -664,7 +700,7 @@ def _disk_area(m, r_eff, cfg):
         return k * (c.real ** 2 + c.imag ** 2) * (r_eff * r_eff) ** k
 
     h, g, _ = m.taylor(r_eff)
-    area = math.pi * _fsum(np.concatenate([weighted(h), -weighted(g)]))
+    area = math.pi * _fsum((weighted(h), -weighted(g)))
 
     n_t, n_rho = 512, 256
     rho = r_eff * np.linspace(0.0, 1.0, n_rho + 1)
@@ -742,9 +778,10 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
 
     n a_n and n b_n are Fourier modes of f_z and conj(f_zb) on the
     circle |z| = rho, computed with the uniform trapezoid rule on 2^13
-    nodes, which is the DFT: one FFT per function.  The same FFTs over
-    every other node (a 2^12-node rule) must agree within tolerance,
-    else QuadratureNonconvergence.
+    nodes, which is the DFT: one FFT F per function.  The rule on every
+    other node (2^12 nodes) must agree within tolerance, else
+    QuadratureNonconvergence; its mode k is F[k] + F[k + 2^12], so the
+    check reads the aliased mode |F[k + 2^12]| of the same FFT.
 
     High modes are attenuated by rho^{n-1}; recovering mode n divides by
     that tiny factor, which would amplify double-precision summation
@@ -765,13 +802,15 @@ def extract_coefficients(m, n_max, rho, cfg=DEFAULT_CONFIG):
     # rho^{1-n} may overflow; the check below refuses what that leaves
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.longdouble(rho) ** (np.longdouble(1.0) - n) / n
-        # a and b on all nodes, then on every other node (the check rule)
-        a, b, a2, b2 = ((np.fft.fft(vals[::step])[:n_max]
-                         / np.clongdouble(N // step) * scale).astype(complex)
-                        for vals, step in ((fz, 1), (gp, 1), (fz, 2), (gp, 2)))
+        # the full rule's modes k < n_max (row 0) and k + N/2 (row 1): the
+        # rule on every other node has F[k] + F[k + N/2] in place of F[k]
+        A, B = (np.fft.fft(vals).reshape(2, -1)[:, :n_max]
+                / np.clongdouble(N) * scale for vals in (fz, gp))
+        a, b = A[0].astype(complex), B[0].astype(complex)
         # np.max, unlike max(), keeps a NaN whichever argument holds it
-        disagreement = float(np.max([np.abs(a - a2).max(),
-                                     np.abs(b - b2).max()]))
+        disagreement = float(np.max([np.abs(A[1]).max(), np.abs(B[1]).max()]))
+    if not np.isfinite([a, b]).all():  # a coefficient beyond double
+        disagreement = math.nan
     if not disagreement <= max(cfg.abs_tol * 10.0, 1e-8):
         raise QuadratureNonconvergence(
             f"coefficient extraction node-halving check failed: "

@@ -765,6 +765,70 @@ def test_crosscut_checks_are_thm2_params(name):
         assert rep.params["lhs_adaptive_vs_fixed"] == simpson_check
 
 
+def _sum_outcome(fsum, terms):
+    """fsum(terms) as hex, or the name of the error it raises."""
+    try:
+        return float(fsum(terms)).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def test_fsum_equals_math_fsum_on_adversarial_arrays():
+    # 1,200 seeded arrays of 1 to 40,000 terms with exponents over
+    # 2^+-60, scaled by 1e+-30; every other one is cancelling pairs x,
+    # -x (some perturbed in their last bits), which leave only a small
+    # remainder.  Whole and split into blocks, the sum is math.fsum's
+    rng = np.random.default_rng(1971)
+    for trial in range(1200):
+        size = int(np.exp(rng.uniform(0.0, math.log(40000.0))))
+        x = rng.standard_normal(size) * np.exp2(rng.integers(-60, 61, size))
+        if trial % 2:
+            half = x[:(size + 1) // 2]
+            nudge = rng.choice([0.0, 2.0 ** -45, -2.0 ** -30], half.size)
+            x = np.concatenate([half, -half * (1.0 + nudge)])[:size]
+            rng.shuffle(x)
+        x *= 10.0 ** rng.uniform(-30.0, 30.0)
+        want = math.fsum(x.tolist()).hex()
+        assert geometry._fsum([x]).hex() == want, trial
+        blocks = np.array_split(x, int(rng.integers(1, 9)))
+        assert geometry._fsum(iter(blocks)).hex() == want, trial
+
+
+@pytest.mark.parametrize("terms", [
+    [5e-324, -1e-310, 3e-320, 1.0],  # subnormal terms
+    [2.0 ** -1022, -0.75 * 2.0 ** -1021, 1e-300],  # the least exponent
+    [1.5 * 2.0 ** 959, -(2.0 ** 959), 3.0],  # the largest exponent
+    [2.0 ** 960, 1.0, -(2.0 ** 960)],  # one above it
+    [1e308, -1e308, 1e308],
+    [1.0, math.nan], [math.inf, 1.0], [-math.inf, 2.0],
+    [math.inf, -math.inf],  # ValueError, as math.fsum raises
+    [-0.0], [-0.0, -0.0], [0.0, -0.0], [],
+])
+def test_fsum_fallback_cases_equal_math_fsum(terms):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sum_outcome(lambda t: geometry._fsum([np.array(t)]), terms)
+        # the same terms behind a block of ordinary ones
+        ordinary = np.linspace(-1.0, 2.0, 50)
+        mixed = _sum_outcome(lambda t: geometry._fsum([ordinary, np.array(t)]),
+                             terms)
+    assert got == _sum_outcome(math.fsum, terms)
+    assert mixed == _sum_outcome(math.fsum, ordinary.tolist() + terms)
+
+
+@pytest.mark.parametrize("terms,want", [
+    ([1e308, 1e308], math.inf),
+    ([-1e308, -1e308, 1.0], -math.inf),
+    ([1.7e308, 1.7e308, -1e300], math.inf)])
+def test_fsum_overflow_is_inf_without_a_warning(terms, want):
+    # math.fsum raises OverflowError where finite terms' exact sum
+    # overflows; the sum reads inf, and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert geometry._fsum([np.array(terms)]) == want
+        assert geometry._fsum([np.ones(3), np.array(terms)]) == want
+
+
 class _CountingMap(HarmonicMap):
     """Delegates to a gallery map and counts derivs_many calls."""
 
