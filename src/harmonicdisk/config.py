@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from .errors import checked_count, checked_real
 
-# at the cap, a 128-panel ray table of sup_radial_length fills half its
-# cell budget; its shared table takes no more panels than fit
+# at the cap, the 129-node ray table of one radius of sup_radial_length
+# fills half its cell budget; 127 evenly spaced radii (255 nodes) fill it
 MAX_THETA_GRID = 1 << 13
 
 

@@ -162,13 +162,23 @@ def gallery_names():
             "poisson:phi=t+0.2*sin(t)"]
 
 
+def _real(obj, error):
+    """obj as a float, refused with MapSpecError(error) unless it is a
+    number: JSON true and false load as bools, and a bool is an int; an
+    int past float range has no float value."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        try:
+            return float(obj)
+        except OverflowError:
+            pass
+    raise MapSpecError(error)
+
+
 def _as_complex(obj, what):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
-        return complex(obj[0], obj[1])
-    raise MapSpecError(f"{what} must be a number or a [re, im] pair")
+    error = f"{what} must be a number or a [re, im] pair"
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        return complex(_real(obj[0], error), _real(obj[1], error))
+    return complex(_real(obj, error))
 
 
 def parse_map_spec(spec):
@@ -183,8 +193,10 @@ def parse_map_spec(spec):
              for c in spec.get("antianalytic", [])]
         if not a:
             raise MapSpecError("series spec needs a nonempty analytic list")
-        return SeriesHarmonicMap(
-            a, b, sense_preserving=bool(spec.get("sense_preserving", False)))
+        sense_preserving = spec.get("sense_preserving", False)
+        if not isinstance(sense_preserving, bool):
+            raise MapSpecError("series sense_preserving must be true or false")
+        return SeriesHarmonicMap(a, b, sense_preserving=sense_preserving)
     if kind == "affine":
         return _affine_map(
             _as_complex(spec.get("c0", 0.0), "c0"),
@@ -194,13 +206,12 @@ def parse_map_spec(spec):
         phi = spec.get("phi")
         if not isinstance(phi, str):
             raise MapSpecError("poisson spec needs a string phi expression")
-        scale = spec.get("scale", 1.0)
-        if not isinstance(scale, (int, float)):
-            raise MapSpecError("poisson scale must be a number")
+        scale = _real(spec.get("scale", 1.0), "poisson scale must be a number")
         kwargs = {}
         if "kernel_tol" in spec:
-            kwargs["kernel_tol"] = float(spec["kernel_tol"])
-        return PoissonHarmonicMap(float(scale), _compile_phase(phi), **kwargs)
+            kwargs["kernel_tol"] = _real(spec["kernel_tol"],
+                                         "poisson kernel_tol must be a number")
+        return PoissonHarmonicMap(scale, _compile_phase(phi), **kwargs)
     if kind == "gallery":
         name = spec.get("name")
         if not isinstance(name, str):

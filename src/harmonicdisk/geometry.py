@@ -83,7 +83,7 @@ class PolygonalCurve:
         return np.concatenate([[0.0], np.cumsum(self.segment_lengths())])
 
     @classmethod
-    def from_file(cls, path, closed=True):
+    def from_file(cls, path):
         """One 'x y' vertex per line; blank lines and # comments skipped."""
         pts = []
         try:
@@ -104,7 +104,7 @@ class PolygonalCurve:
                 except ValueError:
                     raise ValidationError(
                         f"{path}:{lineno}: non-numeric vertex {line!r}")
-        return cls(np.array(pts), closed=closed)
+        return cls(np.array(pts))
 
 
 def _row_crossings(y, p, q):
@@ -246,9 +246,9 @@ def point_polygon_distance(points, curve):
 
 # curve factories used by tests, demos, and the domain-constants module
 
-def circle_polygon(n, radius=1.0, center=0.0):
+def circle_polygon(n, radius=1.0):
     t = TWO_PI * np.arange(n) / n
-    return PolygonalCurve(center + radius * np.exp(1j * t))
+    return PolygonalCurve(radius * np.exp(1j * t))
 
 
 def square_polygon():
@@ -274,17 +274,17 @@ def ellipse_polygon(a, b, n):
     return PolygonalCurve(a * np.cos(t) + 1j * b * np.sin(t))
 
 
-def u_polygon(per_side=8):
+def u_polygon():
     """U-shaped (non-convex) polygon: a 3x3 square with a 1x2 notch cut
-    downward from the middle of the top side."""
+    downward from the middle of the top side, 8 vertices a side."""
     corners = np.array([0, 3, 3 + 3j, 2 + 3j, 2 + 1j, 1 + 1j, 1 + 3j, 3j],
                        dtype=complex)
     pts = []
     for k in range(corners.size):
         a = corners[k]
         b = corners[(k + 1) % corners.size]
-        for j in range(per_side):
-            pts.append(a + (b - a) * j / per_side)
+        for j in range(8):
+            pts.append(a + (b - a) * j / 8)
     return PolygonalCurve(np.array(pts))
 
 
@@ -410,18 +410,19 @@ def radial_length(m, theta, r, cfg=DEFAULT_CONFIG):
 MAX_RAY_CELLS = 1 << 21
 
 
-def ray_table(m, r, panels, rays, kernel, scale=1.0):
-    """(thetas, rho, cum): cum[k, i] integrates kernel(e, f_z, f_zb)
-    over [0, rho[2 i]] along the ray at thetas[k], e = e^{i thetas} as a
-    column, by cumulative_simpson on the nodes rho = j r / panels,
-    j = 0..panels (panels even).  ``rays`` is a count n, for the grid
-    thetas = 2 pi k / n, or an array of angles.  f's derivatives come
-    from the polar grid at scale * rho (_polar_blocks), so a kernel for
-    z -> f(scale z) supplies the factor scale itself.
+def ray_table(m, rho, h, rays, kernel, scale=1.0):
+    """(thetas, cum): cum[k, i] integrates kernel(e, f_z, f_zb) over
+    [0, rho[2 i]] along the ray at thetas[k], e = e^{i thetas} as a
+    column, by cumulative_simpson on the nodes rho (an odd count from
+    rho[0] = 0) with step h[i] on node pair i, h a scalar for a uniform
+    grid.  ``rays`` is a count n, for the grid thetas = 2 pi k / n, or
+    an array of angles.  f's derivatives come from the polar grid at
+    scale * rho (_polar_blocks), so a kernel for z -> f(scale z)
+    supplies the factor scale itself.
 
     The rays go in blocks of fewer than 2^13 cells, and only cum is
     kept: 8 bytes a ray per node pair, about 8 MiB at the cap of
-    MAX_RAY_CELLS = 2^21 cells rays x (panels + 1), plus the points,
+    MAX_RAY_CELLS = 2^21 cells rays x nodes, plus the points,
     derivatives and kernel values of one block.  A larger table is
     refused before any evaluation.
     """
@@ -429,51 +430,41 @@ def ray_table(m, r, panels, rays, kernel, scale=1.0):
         thetas = np.asarray(rays, dtype=float)
     else:
         thetas = np.linspace(0.0, TWO_PI, int(rays), endpoint=False)
-    panels = int(panels)
-    if thetas.size * (panels + 1) > MAX_RAY_CELLS:
+    if thetas.size * rho.size > MAX_RAY_CELLS:
         raise ValidationError(
-            f"ray table of {thetas.size} rays x {panels + 1} nodes exceeds "
+            f"ray table of {thetas.size} rays x {rho.size} nodes exceeds "
             f"{MAX_RAY_CELLS} cells")
-    rho = np.linspace(0.0, r, panels + 1)
     e = np.exp(1j * thetas)[:, None]
-    cum = np.empty((thetas.size, panels // 2 + 1))
+    cum = np.empty((thetas.size, rho.size // 2 + 1))
     for rows, (fz, fzb) in _polar_blocks(m.derivs_many, scale * rho, rays):
-        cum[rows] = cumulative_simpson(kernel(e[rows], fz, fzb), r / panels)
-    return thetas, rho, cum
+        cum[rows] = cumulative_simpson(kernel(e[rows], fz, fzb), h)
+    return thetas, cum
 
 
-# panel counts of sup_radial_length's shared ray table: even, 128 to 2^10
-_SHARED_PANELS = np.arange(128, (1 << 10) + 1, 2)
-
-
-def _shared_nodes(radii, rays):
-    """(P, nodes): the smallest of _SHARED_PANELS whose grid
-    j radii[-1] / P, j = 0..P, holds every radius, to within a relative
-    1e-12, at an even node j, and whose table of ``rays`` rays fits
-    MAX_RAY_CELLS; None where there is none.  A single radius gives
-    (128, [128])."""
-    fits = rays * (_SHARED_PANELS + 1) <= MAX_RAY_CELLS
-    x = np.multiply.outer(radii, _SHARED_PANELS) / radii[-1]
-    j = np.rint(x)
-    on = (np.abs(x - j) <= 1e-12 * x) & (j % 2 == 0) & (j > 0)
-    ok = np.flatnonzero(fits & on.all(axis=0))
-    if not ok.size:
-        return None
-    return int(_SHARED_PANELS[ok[0]]), j[:, ok[0]].astype(int).tolist()
+def _radius_nodes(radii):
+    """(rho, h, at): nodes and per-pair steps of sup_radial_length's ray
+    table, in which radius k is node 2 at[k].  Piece [r_{k-1}, r_k] of
+    the table (r_{-1} = 0) is uniform, with max(1, round(64 (r_k -
+    r_{k-1}) / r_max)) node pairs, so one radius r gets
+    np.linspace(0, r, 129) and the step r / 128."""
+    r = np.array(radii, dtype=float)
+    lo = np.concatenate(([0.0], r[:-1]))
+    pairs = np.maximum(1, np.rint((r - lo) / (r[-1] / 64))).astype(int)
+    rho = np.concatenate([[0.0]] + [np.linspace(a, b, 2 * n + 1)[1:]
+                                    for a, b, n in zip(lo, r, pairs)])
+    return rho, np.repeat((r - lo) / (2 * pairs), pairs), np.cumsum(pairs)
 
 
 def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
     """(theta*, sup value) of the radial length over directions; for an
     ascending sequence of radii, the list of those pairs.
 
-    One ray table on cfg.theta_grid rays serves every radius: its grid
-    of step radii[-1] / P puts each radius at an even node j_r
-    (_shared_nodes), where the radius reads its grid lengths, and
-    refine_grid_max zooms in on the maximizer with ray tables of j_r
-    panels of [0, r] at explicit angles, the same step, so grid and
-    refined lengths are compared under one rule.  A single radius takes
-    128 panels; where no shared grid exists, each radius takes a table
-    of its own of 128 panels.  The value is the adaptive radial_length
+    One ray table on cfg.theta_grid rays holds every radius as a node
+    (_radius_nodes), where the radius reads its grid lengths, and
+    refine_grid_max zooms in on the maximizer with the rows of that
+    table's nodes up to the radius at explicit angles, so grid and
+    refined lengths are compared under one rule.  A table past
+    MAX_RAY_CELLS is refused.  The value is the adaptive radial_length
     at theta*.
     """
     radii = [checked_real("radial extent", x, 0.0, 1.0, "(]")
@@ -481,24 +472,16 @@ def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
     if not radii or radii != sorted(radii):
         raise ValidationError(f"radii must be nonempty and ascending: {r}")
     _refuse_beyond(m, radii[-1])
-    shared = _shared_nodes(np.array(radii), cfg.theta_grid)
-    if shared is not None:
-        top_panels, nodes = shared
-        thetas, _, cum = ray_table(m, radii[-1], top_panels, cfg.theta_grid,
-                                   _stretch)
+    rho, h, ends = _radius_nodes(radii)
+    thetas, cum = ray_table(m, rho, h, cfg.theta_grid, _stretch)
     pairs = []
-    for k, x in enumerate(radii):
-        if shared is None:
-            panels = 128
-            thetas, _, cum = ray_table(m, x, panels, cfg.theta_grid, _stretch)
-        else:
-            panels = nodes[k]
+    for x, at in zip(radii, ends):
+        def lengths(rays, at=at):
+            return ray_table(m, rho[:2 * at + 1], h[:at], rays,
+                             _stretch)[1][:, -1]
 
-        def lengths(rays, x=x, panels=panels):
-            return ray_table(m, x, panels, rays, _stretch)[2][:, -1]
-
-        theta_star, _ = refine_grid_max(lengths, thetas,
-                                        cum[:, panels // 2], wrap=TWO_PI)
+        theta_star, _ = refine_grid_max(lengths, thetas, cum[:, at],
+                                        wrap=TWO_PI)
         pairs.append((theta_star, radial_length(m, theta_star, x, cfg)[0]))
     return pairs if np.ndim(r) else pairs[0]
 

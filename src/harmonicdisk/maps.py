@@ -260,7 +260,7 @@ class PoissonHarmonicMap(HarmonicMap):
     evaluated.  Otherwise both series are evaluated at the points and
     compared, as the certificate can be far from sharp (a kinked phase
     near the boundary).  Either way the result is the one the
-    pointwise comparison alone gives, bit for bit.  ``max_panels`` is
+    pointwise comparison alone gives, bit for bit.  MAX_PANELS is
     the largest FFT size; QuadratureNonconvergence is raised when 2n
     would exceed it.
 
@@ -275,8 +275,9 @@ class PoissonHarmonicMap(HarmonicMap):
     max_radius = DERIV_RADIUS
 
     _START_NODES = 256
+    MAX_PANELS = 1 << 18
 
-    def __init__(self, scale, phi, *, kernel_tol=1e-10, max_panels=1 << 18):
+    def __init__(self, scale, phi, *, kernel_tol=1e-10):
         self.scale = checked_real("scale", scale, 0.0, math.inf,
                                   error=MapSpecError)
         _refuse_overflow("Poisson", self.scale, 4.0 / math.pi * self.scale
@@ -284,7 +285,6 @@ class PoissonHarmonicMap(HarmonicMap):
         self.phi = phi
         self.kernel_tol = checked_real("kernel_tol", kernel_tol, 0.0,
                                        math.inf, error=MapSpecError)
-        self.max_panels = int(max_panels)
         self._levels: dict[int, tuple[np.ndarray, ...]] = {}
         self._weights: dict[tuple, np.ndarray] = {}
         self._spot_check_phase()
@@ -377,7 +377,7 @@ class PoissonHarmonicMap(HarmonicMap):
         tol = self.kernel_tol * self.scale
         n = self._START_NODES
         prev = None
-        while 2 * n <= self.max_panels:
+        while 2 * n <= self.MAX_PANELS:
             if np.all(self._bound(n, outputs, rho) <= tol):
                 return series(z, self._level(2 * n))
             if prev is None:
@@ -391,7 +391,7 @@ class PoissonHarmonicMap(HarmonicMap):
             n *= 2
         raise QuadratureNonconvergence(
             f"Poisson boundary series did not reach |delta| <= "
-            f"{tol} within {self.max_panels} nodes "
+            f"{tol} within {self.MAX_PANELS} nodes "
             f"(max |z| = {rho})")
 
     # refusal slack: |r e^{it}| can exceed r by a rounding error
@@ -428,7 +428,7 @@ class PoissonHarmonicMap(HarmonicMap):
         rho = checked_real("series radius", rho, 0.0, 1.0, "[]")
         tol = self.kernel_tol * self.scale
         n = self._START_NODES
-        while 2 * n <= self.max_panels:
+        while 2 * n <= self.MAX_PANELS:
             bound = self._bound(n, _DERIV_OUTPUTS, rho)
             if np.all(bound <= tol):
                 h, g = self._level(2 * n)[:2]
@@ -436,11 +436,10 @@ class PoissonHarmonicMap(HarmonicMap):
             n *= 2
         raise QuadratureNonconvergence(
             f"Poisson boundary series has no certified level within "
-            f"{self.max_panels} nodes at |z| <= {rho} (tolerance {tol})")
+            f"{self.MAX_PANELS} nodes at |z| <= {rho} (tolerance {tol})")
 
     def _with(self, scale, phi):
-        return PoissonHarmonicMap(scale, phi, kernel_tol=self.kernel_tol,
-                                  max_panels=self.max_panels)
+        return PoissonHarmonicMap(scale, phi, kernel_tol=self.kernel_tol)
 
     def scaled(self, c):
         # c P[e^{i phi}] = |c| P[e^{i (phi + arg c)}]

@@ -16,10 +16,11 @@ from .errors import QuadratureNonconvergence
 # Do not bisect below this fraction of the original interval; an integrand
 # needing finer panels than 2^-48 of the range is treated as non-convergent.
 _MIN_WIDTH_FRACTION = 2.0 ** -48
+# panels adaptive_simpson may accept before it gives up
+MAX_SUBDIVISIONS = 1 << 16
 
 
-def adaptive_simpson(f, a, b, *, abs_tol=1e-9, rel_tol=1e-8,
-                     max_subdivisions=1 << 16):
+def adaptive_simpson(f, a, b, *, abs_tol=1e-9, rel_tol=1e-8):
     """Adaptive composite Simpson rule for a real integrand on [a, b].
 
     ``f`` takes an ndarray of abscissae and returns integrand values.
@@ -30,8 +31,8 @@ def adaptive_simpson(f, a, b, *, abs_tol=1e-9, rel_tol=1e-8,
     points of every active interval.
 
     Returns ``(value, nodes)``.  Raises QuadratureNonconvergence when the
-    panel budget is exhausted or an interval would be bisected below the
-    width floor.
+    panel budget MAX_SUBDIVISIONS is exhausted or an interval would be
+    bisected below the width floor.
     """
     a = float(a)
     b = float(b)
@@ -58,9 +59,9 @@ def adaptive_simpson(f, a, b, *, abs_tol=1e-9, rel_tol=1e-8,
     running = float(np.sum(S))
 
     while L.size:
-        if accepted_panels + 2 * L.size > max_subdivisions:
+        if accepted_panels + 2 * L.size > MAX_SUBDIVISIONS:
             raise QuadratureNonconvergence(
-                f"adaptive Simpson exceeded {max_subdivisions} panels on "
+                f"adaptive Simpson exceeded {MAX_SUBDIVISIONS} panels on "
                 f"[{a!r}, {b!r}]")
         if np.any(W < span * _MIN_WIDTH_FRACTION):
             raise QuadratureNonconvergence(
@@ -140,7 +141,7 @@ def first_argmax(values, scale=None):
     return int(np.argmax(values >= values.max() - TIE_RTOL * scale))
 
 
-def refine_grid_max(f_many, xs, values=None, *, wrap=None, tol=1e-12):
+def refine_grid_max(f_many, xs, values=None, *, wrap=None):
     """Maximize ``f_many`` starting from its argmax over the grid ``xs``.
 
     ``f_many`` maps an array of abscissae to an array of values.  The
@@ -149,9 +150,9 @@ def refine_grid_max(f_many, xs, values=None, *, wrap=None, tol=1e-12):
     (the neighbours then wrap around).  Each level evaluates
     _ZOOM_POINTS equispaced points of the bracket in one call and
     narrows it to the two cells about their argmax, 16-fold, until it
-    is at most ``tol`` wide: 9 calls for a bracket of 2 x 2 pi / 720 at
-    tol 1e-12.  The best point of all levels replaces the sample only if
-    it beats it by more than a relative TIE_RTOL.  ``values`` defaults
+    is at most 1e-12 wide: 9 calls for a bracket of 2 x 2 pi / 720.
+    The best point of all levels replaces the sample only if it beats
+    it by more than a relative TIE_RTOL.  ``values`` defaults
     to ``f_many(xs)``.  Returns ``(x, f(x))``.
     """
     xs = np.asarray(xs, dtype=float)
@@ -168,7 +169,7 @@ def refine_grid_max(f_many, xs, values=None, *, wrap=None, tol=1e-12):
         lo = xs[i - 1] if i > 0 else xs[-1] - wrap
         hi = xs[i + 1] if i + 1 < xs.size else xs[0] + wrap
     x, v = xs[i], -math.inf
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         pts = np.linspace(lo, hi, _ZOOM_POINTS)
         vals = f_many(pts)
         k = int(np.argmax(vals))

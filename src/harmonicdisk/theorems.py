@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (DEFAULT_CONFIG, MAX_THETA_GRID,
-                     effective_boundary_radius)
+from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
                      NotSelfMap, ValidationError, checked_count, checked_real)
@@ -225,7 +224,7 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
         probes=len(ratios))]
 
 
-def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
+def prop2_bound(m, r0=0.5, cfg=DEFAULT_CONFIG):
     """Radial growth bound for the rescaled map F(zeta) = f(r0 zeta).
 
     The derivative bound ||D_f(z)|| <= (4/pi) sup|f| / (1 - |z|^2)
@@ -234,20 +233,20 @@ def prop2_bound(m, r0=0.5, theta_grid=64, r_grid=128, cfg=DEFAULT_CONFIG):
     M = (2/pi) sup|f| log((1+r0)/(1-r0)).  The constant with an extra
     r0 factor in front is also evaluated and reported for comparison;
     the identity map already violates that variant, so the assertion
-    runs against the integrated form.  theta_grid is 8 to
-    MAX_THETA_GRID and r_grid 1 to MAX_R_GRID.
+    runs against the integrated form on a ray table of 64 rays and
+    r_grid = 128 radii.
     """
     r0 = checked_real("r0", r0, 0.0, 1.0)
-    theta_grid = checked_count("theta_grid", theta_grid, 8, MAX_THETA_GRID)
-    r_grid = checked_count("r_grid", r_grid, 1, MAX_R_GRID)
+    theta_grid, r_grid = 64, 128
     s = sup_modulus(m, effective_boundary_radius(cfg, m.max_radius))
     log_term = math.log((1.0 + r0) / (1.0 - r0))
     M_derived = (2.0 / math.pi) * s * log_term
     M_displayed = r0 * M_derived
     # F'(zeta) = r0 f'(r0 zeta); rays of F stop where f's derivatives do
     r_top = min(1.0, m.max_radius / r0)
-    thetas, rho, cum = ray_table(
-        m, r_top, 2 * r_grid, theta_grid,
+    rho = np.linspace(0.0, r_top, 2 * r_grid + 1)
+    thetas, cum = ray_table(
+        m, rho, r_top / (2 * r_grid), theta_grid,
         lambda e, fz, fzb: r0 * _stretch(e, fz, fzb), scale=r0)
     # drop the leading zero column; column k then sits at radius rho[2k+2]
     r_vals = rho[2::2]
@@ -367,8 +366,9 @@ def schwarz_radial_check(m, normalization=None, r_grid=64,
     if not fitted:
         c = checked_real("normalization", normalization, 0.0, math.inf)
     r_top = effective_boundary_radius(cfg, m.max_radius)
-    _, rho, cum = ray_table(m, r_top, 8 * r_grid, cfg.theta_grid,
-                            lambda e, fz, fzb: op_norm(fz, fzb))
+    rho = np.linspace(0.0, r_top, 8 * r_grid + 1)
+    _, cum = ray_table(m, rho, r_top / (8 * r_grid), cfg.theta_grid,
+                       lambda e, fz, fzb: op_norm(fz, fzb))
     # cum column k is the integral to rho[2k]; report every 4th column,
     # landing exactly on r_top at the last one
     pos = np.arange(4, cum.shape[1], 4)

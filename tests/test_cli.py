@@ -468,6 +468,38 @@ def test_overflowing_map_spec_exits_1(capsys, tmp_path, spec):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "poisson", "phi": "t", "kernel_tol": "abc"},
+     "poisson kernel_tol must be a number"),
+    ({"kind": "poisson", "phi": "t", "kernel_tol": [1]},
+     "poisson kernel_tol must be a number"),
+    ({"kind": "poisson", "phi": "t", "kernel_tol": True},
+     "poisson kernel_tol must be a number"),
+    ({"kind": "poisson", "phi": "t", "scale": True},
+     "poisson scale must be a number"),
+    ({"kind": "series", "analytic": [0, True]},
+     "analytic coefficient must be a number or a [re, im] pair"),
+    ({"kind": "affine", "b": [0.5, False]},
+     "b must be a number or a [re, im] pair"),
+    ({"kind": "series", "analytic": [0, 1], "sense_preserving": "false"},
+     "series sense_preserving must be true or false"),
+    ({"kind": "series", "analytic": [0, 10 ** 400]},
+     "analytic coefficient must be a number or a [re, im] pair"),
+    ({"kind": "poisson", "phi": "t", "scale": 10 ** 400},
+     "poisson scale must be a number"),
+], ids=["kernel-tol-string", "kernel-tol-list", "kernel-tol-bool",
+        "scale-bool", "coefficient-bool", "affine-bool",
+        "sense-preserving-string", "coefficient-past-float-range",
+        "scale-past-float-range"])
+def test_map_spec_of_the_wrong_type_exits_1(capsys, tmp_path, spec,
+                                            message):
+    # a JSON bool is no number, a string no bool, and an integer past
+    # float range no float: one error line
+    code, out, err = run_cli(capsys, "eval", "--spec",
+                             _spec_file(tmp_path, spec), "--z", "0.1,0")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def _run_python(*argv):
     src = os.path.dirname(os.path.dirname(harmonicdisk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -530,9 +562,9 @@ def test_negative_complex_value_in_both_forms(capsys, argv, value):
 
 
 def test_thm4_radii_past_the_shared_table_cap_run(capsys):
-    # a grid holding 0.003 and 0.6 needs 400 panels, and 8192 rays of
-    # 401 nodes pass the ray-table cap: each radius gets its own table,
-    # and the check runs (its r = 0.003 row fails, exit 2)
+    # 0.003 and 0.6 are one table of 131 nodes, within the ray-table
+    # cap at 8192 rays, and the check runs (its r = 0.003 row fails,
+    # exit 2)
     code, out, err = run_cli(capsys, "verify", "thm4", "--spec", "identity",
                              "--theta-grid", "8192", "--r-list", "0.003,0.6")
     assert (code, err) == (2, "")

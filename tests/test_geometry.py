@@ -601,35 +601,76 @@ def test_sup_radial_length_affine():
 
 
 def test_shared_ray_table_nodes():
-    nodes = geometry._shared_nodes
-    # thm4's default radii sit at nodes 12, 24, 48, 96 and 144 of 144
-    assert nodes(np.array([0.05, 0.1, 0.2, 0.4, 0.6]), 720) == (
-        144, [12, 24, 48, 96, 144])
-    # one radius keeps the 128-panel table
-    assert nodes(np.array([0.37]), 8192) == (128, [128])
-    assert nodes(np.array([0.003, 0.6]), 720) == (400, [2, 400])
-    # 8192 rays of 401 nodes pass MAX_RAY_CELLS
-    assert nodes(np.array([0.003, 0.6]), 8192) is None
-    assert nodes(np.array([0.3, 0.7]), 720) == (140, [60, 140])
-    # no node at all, or more than 2^10 panels
-    assert nodes(np.array([0.3, math.sqrt(0.5)]), 720) is None
-    assert nodes(np.array([0.001, 0.6]), 720) is None
+    nodes = geometry._radius_nodes
+    # thm4's default radii end node pairs 5, 10, 21, 42 and 63: 127 nodes
+    radii = [0.05, 0.1, 0.2, 0.4, 0.6]
+    rho, h, at = nodes(radii)
+    assert at.tolist() == [5, 10, 21, 42, 63]
+    assert (rho.size, h.size) == (127, 63)
+    assert rho[2 * at].tolist() == radii
+    # each piece is uniform with the step of its pairs, so Simpson is
+    # exact on a cubic up to every radius
+    assert np.diff(rho)[::2] == pytest.approx(h, rel=1e-12, abs=0.0)
+    assert np.diff(rho)[1::2] == pytest.approx(h, rel=1e-12, abs=0.0)
+    cum = cumulative_simpson(rho ** 3, h)
+    assert cum[at] == pytest.approx(np.array(radii) ** 4 / 4.0, rel=1e-13)
+    # no uniform grid holds 0.3 and sqrt(1/2) at nodes; this one does
+    radii = [0.3, math.sqrt(0.5)]
+    rho, h, at = nodes(radii)
+    assert at.tolist() == [27, 64]
+    assert rho[2 * at].tolist() == radii
+    # 0.003 and 0.6: one pair below 0.003 and 64 above, 131 nodes
+    rho, _, at = nodes([0.003, 0.6])
+    assert (at.tolist(), rho.size) == ([1, 65], 131)
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.37, 0.6, math.sqrt(0.5), 1.0])
+def test_one_radius_ray_table_is_the_128_panel_grid(r):
+    rho, h, at = geometry._radius_nodes([r])
+    assert rho.tobytes() == np.linspace(0.0, r, 129).tobytes()
+    assert h.tobytes() == np.full(64, r / 128).tobytes()
+    assert at.tolist() == [64]
+
+
+def test_shared_ray_table_duplicate_radii():
+    # a repeated radius adds one pair of zero width, whose Simpson term
+    # is exactly 0: the repeat reads the same lengths and zooms alike
+    rho, h, at = geometry._radius_nodes([0.3, 0.3, 0.6])
+    assert at.tolist() == [32, 33, 65]
+    assert rho[64:67].tolist() == [0.3] * 3 and h[32] == 0.0
+    m = rotate_domain(gallery_map("poly:z+0.3*zbar^2"), 0.1234)
+    once = sup_radial_length(m, [0.3, 0.6])
+    assert sup_radial_length(m, [0.3, 0.3, 0.6]) == [once[0]] + once
 
 
 @pytest.mark.parametrize("rays", [8, 720, 4096, 8192])
 def test_shared_ray_table_fits_the_cell_cap(rays):
-    rng = np.random.default_rng(rays)
-    cases = [np.array([0.003, 0.6]), np.array([0.05, 0.1, 0.2, 0.4, 0.6])]
-    cases += [np.sort(rng.integers(1, 600, 3)) / 600.0 for _ in range(50)]
-    for radii in cases:
-        got = geometry._shared_nodes(radii, rays)
-        if got is None:
-            continue
-        panels, at = got
-        assert rays * (panels + 1) <= MAX_RAY_CELLS
-        assert panels % 2 == 0 and all(j % 2 == 0 for j in at)
-        np.testing.assert_allclose(np.array(at) * radii[-1] / panels, radii,
-                                   rtol=1e-12)
+    # n evenly spaced radii, n >= 43, take one node pair each: a table
+    # of 2 n + 1 nodes, refused past MAX_RAY_CELLS before any evaluation
+    # (_RefusingMap's derivs_many raises NotImplementedError)
+    cfg = QuadratureConfig(theta_grid=rays)
+    edge = (MAX_RAY_CELLS // rays - 1) // 2
+    for n in (edge, edge + 1) if edge < 2000 else (128, 2000):
+        radii = 0.6 * np.arange(1, n + 1) / n
+        rho, _, at = geometry._radius_nodes(radii)
+        assert rho.size == 2 * n + 1
+        assert at.tolist() == list(range(1, n + 1))
+        assert rho[2 * at].tolist() == radii.tolist()
+        if rays * rho.size <= MAX_RAY_CELLS:
+            with pytest.raises(NotImplementedError):
+                sup_radial_length(_RefusingMap(), radii, cfg)
+        else:
+            with pytest.raises(ValidationError,
+                               match=f"{rays} rays x {2 * n + 1} nodes"):
+                sup_radial_length(_RefusingMap(), radii, cfg)
+
+
+def test_shared_ray_table_at_the_cell_cap_runs():
+    # 127 radii at 8192 rays: 255 nodes, the largest table that fits
+    cfg = QuadratureConfig(theta_grid=8192)
+    radii = 0.6 * np.arange(1, 128) / 127
+    pairs = sup_radial_length(gallery_map("affine:1,0.5"), radii, cfg)
+    assert [val for _, val in pairs] == pytest.approx(1.5 * radii, abs=1e-9)
 
 
 def test_sup_radial_length_of_several_radii():
@@ -644,10 +685,9 @@ def test_sup_radial_length_of_several_radii():
             sup_radial_length(m, radii)
 
 
-def _rays_one_at_a_time(m, r, panels, rays, kernel, scale=1.0):
+def _rays_one_at_a_time(m, rho, h, rays, kernel, scale=1.0):
     """The ray table's rows, one derivs_many and one cumulative_simpson
     call per ray; rays is a ray count or an array of angles."""
-    rho = np.linspace(0.0, r, panels + 1)
     if np.ndim(rays):
         thetas = np.asarray(rays)
         points = np.exp(1j * thetas)
@@ -658,8 +698,8 @@ def _rays_one_at_a_time(m, r, panels, rays, kernel, scale=1.0):
     for k in range(thetas.size):
         fz, fzb = m.derivs_many((scale * rho) * points[k])
         vals = kernel(np.exp(1j * thetas[k]), fz, fzb)
-        rows.append(cumulative_simpson(vals, r / panels))
-    return thetas, rho, np.array(rows)
+        rows.append(cumulative_simpson(vals, h))
+    return thetas, np.array(rows)
 
 
 @pytest.mark.parametrize("name", ["identity", "poly:z+0.3*zbar^2",
@@ -671,16 +711,23 @@ def test_ray_table_equals_ray_by_ray_loop(name):
                lambda e, fz, fzb: 0.5 * geometry._stretch(e, fz, fzb)]
     # 12 rays of 17 nodes fit one block; 40 rays of 513 nodes go in
     # blocks of 15, 15 and 10 rays; 33 explicit angles of 129 nodes (a
-    # zoom level of sup_radial_length) fit one block
+    # zoom level of sup_radial_length) fit one block; 33 angles on the
+    # piecewise grid of sup_radial_length at thm4's default radii
     zoom = np.linspace(-0.01, 0.02, 33)
     for panels, rays in [(16, 12), (512, 40), (128, zoom)]:
         for kernel, r, scale in zip(kernels, (0.9, 0.95, 1.0),
                                     (1.0, 1.0, 0.5)):
-            got = ray_table(m, r, panels, rays, kernel, scale=scale)
-            want = _rays_one_at_a_time(m, r, panels, rays, kernel, scale)
+            rho = np.linspace(0.0, r, panels + 1)
+            got = ray_table(m, rho, r / panels, rays, kernel, scale=scale)
+            want = _rays_one_at_a_time(m, rho, r / panels, rays, kernel,
+                                       scale)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
+    rho, h, _ = geometry._radius_nodes([0.05, 0.1, 0.2, 0.4, 0.6])
+    got = ray_table(m, rho, h, zoom, kernels[0])
+    want = _rays_one_at_a_time(m, rho, h, zoom, kernels[0])
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     step = (maps._POLAR_BLOCK_CELLS - 1) // 513
     assert (step, 40 % step) == (15, 10)
 
@@ -688,7 +735,7 @@ def test_ray_table_equals_ray_by_ray_loop(name):
 def test_ray_table_cell_cap():
     # one ray of MAX_RAY_CELLS + 1 nodes is refused before evaluation
     with pytest.raises(ValidationError, match="exceeds 2097152 cells"):
-        ray_table(_RefusingMap(), 0.5, MAX_RAY_CELLS, 1,
+        ray_table(_RefusingMap(), np.zeros(MAX_RAY_CELLS + 1), 0.0, 1,
                   geometry._stretch)
     assert MAX_RAY_CELLS == 1 << 21
 

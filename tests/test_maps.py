@@ -263,7 +263,7 @@ def test_poisson_refusal_radii():
         list(_polar_blocks(m.derivs_many, np.array([0.9981]), 8))
 
 
-def test_poisson_kinked_phase():
+def test_poisson_kinked_phase(monkeypatch):
     """A boundary phase with derivative jumps at t = 0 and pi: the
     coefficients decay only like k^-2, so near-boundary points need the
     doubling to run deep, and at the kink itself it cannot finish."""
@@ -293,8 +293,9 @@ def test_poisson_kinked_phase():
     with pytest.raises(QuadratureNonconvergence):
         m.derivs_many(np.array([0.998]))
     with pytest.raises(QuadratureNonconvergence):
-        PoissonHarmonicMap(1.0, phi, max_panels=256).derivs_many(
-            np.array([0.5]))
+        with monkeypatch.context() as patch:
+            patch.setattr(PoissonHarmonicMap, "MAX_PANELS", 256)
+            PoissonHarmonicMap(1.0, phi).derivs_many(np.array([0.5]))
 
 
 def _pointwise_converged(m, z, series):
@@ -303,7 +304,7 @@ def _pointwise_converged(m, z, series):
     must return the same bits, or refuse where this refuses."""
     n = m._START_NODES
     prev = None
-    while 2 * n <= m.max_panels:
+    while 2 * n <= m.MAX_PANELS:
         if prev is None:
             prev = series(z, m._level(n))
         out = series(z, m._level(2 * n))

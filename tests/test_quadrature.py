@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from harmonicdisk import QuadratureNonconvergence
+from harmonicdisk import QuadratureNonconvergence, quadrature
 from harmonicdisk.quadrature import (adaptive_simpson, cumulative_simpson,
                                      first_argmax, refine_grid_max)
 
@@ -53,7 +53,7 @@ def test_adaptive_simpson_rejects_reversed_interval():
         adaptive_simpson(np.sin, 1.0, 0.0)
 
 
-def test_adaptive_simpson_budget_exhaustion():
+def test_adaptive_simpson_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(7)
     jitter = rng.standard_normal(4096)
 
@@ -62,9 +62,9 @@ def test_adaptive_simpson_budget_exhaustion():
         idx = (np.abs(x) * 1e9).astype(int) % jitter.size
         return jitter[idx]
 
-    with pytest.raises(QuadratureNonconvergence):
-        adaptive_simpson(noisy, 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-12,
-                         max_subdivisions=256)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 256)
+    with pytest.raises(QuadratureNonconvergence, match="exceeded 256"):
+        adaptive_simpson(noisy, 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-12)
 
 
 def test_adaptive_simpson_deterministic():

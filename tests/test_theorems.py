@@ -248,16 +248,6 @@ def test_prop2_validation():
         prop2_bound(gallery_map("identity"), 1.0)
 
 
-def test_prop2_refuses_no_radii():
-    with pytest.raises(ValidationError, match="r_grid must be 1 to"):
-        prop2_bound(gallery_map("identity"), r_grid=0)
-
-
-def test_prop2_refuses_no_rays():
-    with pytest.raises(ValidationError, match="theta_grid must be 8 to"):
-        prop2_bound(gallery_map("identity"), theta_grid=0)
-
-
 # -- thm5 --------------------------------------------------------------------
 
 
@@ -378,10 +368,12 @@ def _sup_radius_by_radius(m, radii, cfg):
     """sup_radial_length with a 128-panel ray table and zoom per radius."""
     pairs = []
     for r in radii:
-        def lengths(rays, r=r):
-            return ray_table(m, r, 128, rays, _stretch)[2][:, -1]
+        rho = np.linspace(0.0, r, 129)
 
-        thetas, _, cum = ray_table(m, r, 128, cfg.theta_grid, _stretch)
+        def lengths(rays, r=r, rho=rho):
+            return ray_table(m, rho, r / 128, rays, _stretch)[1][:, -1]
+
+        thetas, cum = ray_table(m, rho, r / 128, cfg.theta_grid, _stretch)
         theta, _ = refine_grid_max(lengths, thetas, cum[:, -1],
                                    wrap=2.0 * math.pi)
         pairs.append((theta, radial_length(m, theta, r, cfg)[0]))
