@@ -2,9 +2,13 @@
 
 Subcommands: eval, length, area, coeffs, constants, verify, gallery.
 A map is declared either by a JSON spec file or by a gallery name
-(`harmonicdisk gallery` lists them).  Payload output is deterministic:
-identical invocations produce byte-identical CSV/JSON bodies, and run
-metadata (time, versions) lands in `<out>.meta.json` only.
+(`harmonicdisk gallery` lists them).  Every command but gallery hands
+_emit typed rows, the only payload path: it prints the --format
+rendering and, with --out BASE, writes BASE.csv, BASE.json and the
+BASE.meta.json sidecar (an extension of BASE is dropped).  Identical
+invocations produce byte-identical CSV/JSON bodies; run metadata
+(time, versions) lands in the sidecar only.  gallery prints names and
+refuses --out.
 
 `verify` runs a check of the registry `CHECKS` with only the options
 given, parsed and named as the parameters they set, so every default
@@ -35,9 +39,8 @@ from .geometry import (MAX_COEFFICIENTS, ArcSet, PolygonalCurve,
                        boundary_image_length, crosscut_length,
                        extract_coefficients, image_area, level_curve_length,
                        radial_length)
-from .reporting import (csv_table, fmt_float, reports_to_json,
-                        reports_to_rows, rows_to_json, write_meta_sidecar,
-                        write_payload, REPORT_COLUMNS)
+from .reporting import (csv_table, json_table, report_rows,
+                        write_meta_sidecar, write_payload, REPORT_COLUMNS)
 from .maps import jacobian, op_norm
 from . import theorems
 
@@ -96,23 +99,22 @@ def resolve_map(spec):
     return gallery_map(spec)
 
 
-def _write_out(ns, base, payloads):
-    """Write each (path, text) of payloads and the sidecar of base; an
-    OSError on the way is refused like any other bad --out."""
-    try:
-        for path, text in payloads:
-            write_payload(path, text)
-        write_meta_sidecar(base, ns.command, sys.argv[1:])
-    except OSError as exc:
-        raise ValidationError(f"cannot write --out {ns.out}: {exc}")
-
-
 def _emit(ns, columns, rows):
-    to_text = csv_table if ns.format == "csv" else rows_to_json
-    text = to_text(rows, columns)
-    sys.stdout.write(text)
+    """Print the payload of the rows in --format; with --out BASE also
+    write BASE.csv, BASE.json and BASE.meta.json.  Both texts are
+    rendered before anything is printed, and an OSError on the way is
+    refused like any other bad --out."""
+    texts = {"csv": csv_table(rows, columns),
+             "json": json_table(rows, columns)}
+    sys.stdout.write(texts[ns.format])
     if ns.out:
-        _write_out(ns, ns.out, [(ns.out, text)])
+        base = os.path.splitext(ns.out)[0]
+        try:
+            for fmt, text in texts.items():
+                write_payload(f"{base}.{fmt}", text)
+            write_meta_sidecar(base, ns.command, sys.argv[1:])
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {ns.out}: {exc}")
 
 
 def cmd_eval(ns, cfg):
@@ -141,17 +143,12 @@ def cmd_eval(ns, cfg):
     opn, jac = op_norm(fz, fzb), jacobian(fz, fzb)
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = np.where(afz > 0.0, afzb / afz, np.inf)
-    rows = [{
-        "z_re": fmt_float(z[k].real), "z_im": fmt_float(z[k].imag),
-        "f_re": fmt_float(f[k].real), "f_im": fmt_float(f[k].imag),
-        "fz_re": fmt_float(fz[k].real), "fz_im": fmt_float(fz[k].imag),
-        "fzb_re": fmt_float(fzb[k].real), "fzb_im": fmt_float(fzb[k].imag),
-        "op_norm": fmt_float(opn[k]),
-        "lam": fmt_float(abs(afz[k] - afzb[k])),
-        "jacobian": fmt_float(jac[k]),
-        "omega_abs": fmt_float(omega[k]),
-    } for k in range(z.size)]
-    _emit(ns, tuple(rows[0]), rows)
+    cols = {"z_re": z.real, "z_im": z.imag, "f_re": f.real, "f_im": f.imag,
+            "fz_re": fz.real, "fz_im": fz.imag,
+            "fzb_re": fzb.real, "fzb_im": fzb.imag, "op_norm": opn,
+            "lam": np.abs(afz - afzb), "jacobian": jac, "omega_abs": omega}
+    _emit(ns, tuple(cols), [dict(zip(cols, row))
+                            for row in zip(*cols.values())])
     return 0
 
 
@@ -175,53 +172,35 @@ def _arc_set(arcs=None, measure=None):
 def cmd_length(ns, cfg):
     m = resolve_map(ns.spec)
     which = ns.which
-    rows = []
+    # (r, param, (length, nodes)) of each row
     if which == "level":
-        for r in ns.r or [0.5]:
-            val, nodes = level_curve_length(m, float(r), cfg)
-            rows.append({"which": which, "r": fmt_float(r),
-                         "param": "", "length": fmt_float(val),
-                         "nodes": str(nodes)})
+        cells = [(r, None, level_curve_length(m, r, cfg))
+                 for r in ns.r or [0.5]]
     elif which == "radial":
         # the whole radius where the map's derivatives reach it
         radii = ns.r or [min(1.0, m.max_radius)]
-        for th in ns.theta or [0.0]:
-            for r in radii:
-                val, nodes = radial_length(m, float(th), float(r), cfg)
-                rows.append({"which": which, "r": fmt_float(r),
-                             "param": fmt_float(th),
-                             "length": fmt_float(val),
-                             "nodes": str(nodes)})
+        cells = [(r, th, radial_length(m, th, r, cfg))
+                 for th in ns.theta or [0.0] for r in radii]
     elif which == "boundary":
         E = _arc_set(ns.arc, ns.measure)
-        val, nodes = boundary_image_length(m, E, cfg)
-        rb = effective_boundary_radius(cfg, m.max_radius)
-        rows.append({"which": which, "r": fmt_float(rb),
-                     "param": fmt_float(E.total_measure),
-                     "length": fmt_float(val), "nodes": str(nodes)})
+        cells = [(effective_boundary_radius(cfg, m.max_radius),
+                  E.total_measure, boundary_image_length(m, E, cfg))]
     else:  # crosscut
-        zeta0 = ns.zeta0
-        for rho in ns.rho or [1.0]:
-            val, nodes = crosscut_length(m, zeta0, float(rho), cfg)
-            rows.append({"which": which, "r": fmt_float(rho),
-                         "param": fmt_float(zeta0.real),
-                         "length": fmt_float(val), "nodes": str(nodes)})
-    _emit(ns, ("which", "r", "param", "length", "nodes"), rows)
+        cells = [(rho, ns.zeta0, crosscut_length(m, ns.zeta0, rho, cfg))
+                 for rho in ns.rho or [1.0]]
+    _emit(ns, ("which", "r", "param", "length", "nodes"),
+          [{"which": which, "r": r, "param": param, "length": val,
+            "nodes": nodes} for r, param, (val, nodes) in cells])
     return 0
 
 
 def cmd_area(ns, cfg):
     m = resolve_map(ns.spec)
-    center = ns.center
     rows = []
     for r in ns.r or [1.0]:
-        val, agreement = image_area(m, float(r), cfg, center=center)
-        rows.append({
-            "r": fmt_float(r),
-            "center": "" if center is None else fmt_float(center.real),
-            "area": fmt_float(val),
-            "agreement": fmt_float(agreement),
-        })
+        val, agreement = image_area(m, r, cfg, center=ns.center)
+        rows.append({"r": r, "center": ns.center, "area": val,
+                     "agreement": agreement})
     _emit(ns, ("r", "center", "area", "agreement"), rows)
     return 0
 
@@ -231,9 +210,8 @@ def cmd_coeffs(ns, cfg):
     n_max = ns.n_max
     a, b = extract_coefficients(m, n_max, ns.rho, cfg)
     b = np.concatenate(([0.0], b))  # b_0 = 0: its mode belongs to a_0
-    rows = [{"n": str(n), "a_re": fmt_float(a[n].real),
-             "a_im": fmt_float(a[n].imag), "b_re": fmt_float(b[n].real),
-             "b_im": fmt_float(b[n].imag)} for n in range(n_max + 1)]
+    rows = [{"n": n, "a_re": a[n].real, "a_im": a[n].imag,
+             "b_re": b[n].real, "b_im": b[n].imag} for n in range(n_max + 1)]
     _emit(ns, ("n", "a_re", "a_im", "b_re", "b_im"), rows)
     return 0
 
@@ -247,10 +225,10 @@ def cmd_constants(ns, cfg):
     report = curve_constants(PolygonalCurve.from_file(ns.curve),
                              seed=ns.seed, **counts)
     row = {
-        "lavrentiev": fmt_float(report.lavrentiev_M),
-        "quasicircle": fmt_float(report.quasicircle_M),
-        "ahlfors": fmt_float(report.ahlfors_M),
-        "linear_connectivity": fmt_float(report.linear_conn_M),
+        "lavrentiev": report.lavrentiev_M,
+        "quasicircle": report.quasicircle_M,
+        "ahlfors": report.ahlfors_M,
+        "linear_connectivity": report.linear_conn_M,
         "samples": ";".join(f"{k}={v}" for k, v in
                             sorted(report.sample_counts.items())),
     }
@@ -316,17 +294,14 @@ def run_verify_check(ns, m, cfg):
 def cmd_verify(ns, cfg):
     m = resolve_map(ns.spec)
     reports = run_verify_check(ns, m, cfg)
-    texts = {"csv": csv_table(reports_to_rows(reports), REPORT_COLUMNS),
-             "json": reports_to_json(reports)}
-    sys.stdout.write(texts[ns.format])
-    if ns.out:
-        base = os.path.splitext(ns.out)[0]
-        _write_out(ns, base, [(f"{base}.{fmt}", text)
-                               for fmt, text in texts.items()])
+    _emit(ns, REPORT_COLUMNS, report_rows(reports))
     return 0 if all(rep.holds for rep in reports) else 2
 
 
 def cmd_gallery(ns, cfg):
+    if ns.out:
+        raise ValidationError("gallery writes no payload file; it does "
+                              "not take --out")
     for name in gallery_names():
         sys.stdout.write(name + "\n")
     return 0
@@ -337,7 +312,8 @@ def build_parser():
     common.add_argument("--spec", default="", metavar="PATH|NAME",
                         help="map spec file or gallery name")
     common.add_argument("--out", default="", metavar="PATH",
-                        help="write payload here (plus .meta.json sidecar)")
+                        help="write PATH.csv, PATH.json and PATH.meta.json "
+                             "(an extension of PATH is dropped)")
     common.add_argument("--format", default="csv", choices=("csv", "json"))
     common.add_argument("--seed", type=int, default=0)
     cfg = DEFAULT_CONFIG

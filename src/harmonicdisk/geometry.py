@@ -2,7 +2,8 @@
 
 Everything here is a plain function over a harmonic map or an explicit
 polygonal curve.  Curve lengths are one adaptive Simpson rule over
-|d/dt f(c(t))| = |f_z(c) c'(t) + f_zb(c) conj(c'(t))| (_path_length);
+|d/dt f(c(t))| = |f_z(c) c'(t) + f_zb(c) conj(c'(t))| (_path_length),
+and so are the Hardy means, with ||Df||^p in place of that speed;
 radial integrals over many directions share one polar ray table
 (ray_table), evaluated in blocks of rays.  The area of a full disk is
 Parseval's sum over the map's power series (m.taylor), cross-checked
@@ -350,15 +351,16 @@ def _refuse_beyond(m, radius):
             f"{m.max_radius}")
 
 
-def _path_length(m, path, a, b, cfg, radius):
+def _path_length(m, path, a, b, cfg, radius, kernel=_stretch):
     """(length, nodes) of the image of the path z(t), t in [a, b], by
-    adaptive Simpson of |f_z z' + f_zb conj(z')|; path(t) returns
-    (z(t), z'(t)).  The path stays within |z| <= radius."""
+    adaptive Simpson of kernel(z', f_z, f_zb), by default the speed
+    |f_z z' + f_zb conj(z')|; path(t) returns (z(t), z'(t)).  The path
+    stays within |z| <= radius."""
     _refuse_beyond(m, radius)
 
     def speed(t):
         z, dz = path(t)
-        return _stretch(dz, *m.derivs_many(z))
+        return kernel(dz, *m.derivs_many(z))
 
     return adaptive_simpson(speed, a, b, abs_tol=cfg.abs_tol,
                             rel_tol=cfg.rel_tol)
@@ -410,15 +412,16 @@ def radial_length(m, theta, r, cfg=DEFAULT_CONFIG):
 MAX_RAY_CELLS = 1 << 21
 
 
-def ray_table(m, rho, h, rays, kernel, scale=1.0):
+def ray_table(m, rho, h, rays, kernel):
     """(thetas, cum): cum[k, i] integrates kernel(e, f_z, f_zb) over
     [0, rho[2 i]] along the ray at thetas[k], e = e^{i thetas} as a
     column, by cumulative_simpson on the nodes rho (an odd count from
     rho[0] = 0) with step h[i] on node pair i, h a scalar for a uniform
     grid.  ``rays`` is a count n, for the grid thetas = 2 pi k / n, or
     an array of angles.  f's derivatives come from the polar grid at
-    scale * rho (_polar_blocks), so a kernel for z -> f(scale z)
-    supplies the factor scale itself.
+    rho (_polar_blocks); h may measure another variable, as for a
+    rescaled map z -> f(s z) on the nodes s t, whose kernel supplies
+    the factor s.
 
     The rays go in blocks of fewer than 2^13 cells, and only cum is
     kept: 8 bytes a ray per node pair, about 8 MiB at the cap of
@@ -436,7 +439,7 @@ def ray_table(m, rho, h, rays, kernel, scale=1.0):
             f"{MAX_RAY_CELLS} cells")
     e = np.exp(1j * thetas)[:, None]
     cum = np.empty((thetas.size, rho.size // 2 + 1))
-    for rows, (fz, fzb) in _polar_blocks(m.derivs_many, scale * rho, rays):
+    for rows, (fz, fzb) in _polar_blocks(m.derivs_many, rho, rays):
         cum[rows] = cumulative_simpson(kernel(e[rows], fz, fzb), h)
     return thetas, cum
 
@@ -450,9 +453,15 @@ def _radius_nodes(radii):
     r = np.array(radii, dtype=float)
     lo = np.concatenate(([0.0], r[:-1]))
     pairs = np.maximum(1, np.rint((r - lo) / (r[-1] / 64))).astype(int)
-    rho = np.concatenate([[0.0]] + [np.linspace(a, b, 2 * n + 1)[1:]
-                                    for a, b, n in zip(lo, r, pairs)])
-    return rho, np.repeat((r - lo) / (2 * pairs), pairs), np.cumsum(pairs)
+    step = (r - lo) / (2 * pairs)
+    at = np.cumsum(pairs)
+    # node k of piece i is k step_i + lo_i, its last the radius: the
+    # arithmetic of np.linspace(lo_i, r_i, 2 pairs_i + 1), in one pass
+    piece = np.repeat(np.arange(r.size), 2 * pairs)
+    k = np.arange(1, piece.size + 1) - 2 * (at - pairs)[piece]
+    rho = np.concatenate(([0.0], k * step[piece] + lo[piece]))
+    rho[2 * at] = r
+    return rho, np.repeat(step, pairs), at
 
 
 def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
@@ -736,15 +745,12 @@ def image_area(m, r, cfg=DEFAULT_CONFIG, center=None):
 
 def hardy_mean(m, p, r, cfg=DEFAULT_CONFIG):
     """Integral mean M_p(r, ||Df||) = [(1/2pi) int ||Df(r e^{it})||^p
-    dt]^{1/p} of the operator norm |f_z| + |f_zb|."""
+    dt]^{1/p} of the operator norm |f_z| + |f_zb|, by _path_length's
+    rule on the circle |z| = r."""
     p = checked_real("Hardy exponent", p, 0.0, math.inf)
     r = checked_real("Hardy radius", r, 0.0, 1.0)
-
-    def g(t):
-        return op_norm(*m.derivs_many(r * np.exp(1j * t))) ** p
-
-    val, _ = adaptive_simpson(g, 0.0, TWO_PI, abs_tol=cfg.abs_tol,
-                              rel_tol=cfg.rel_tol)
+    val, _ = _path_length(m, _circle(r), 0.0, TWO_PI, cfg, r,
+                          lambda dz, fz, fzb: op_norm(fz, fzb) ** p)
     return (val / TWO_PI) ** (1.0 / p)
 
 

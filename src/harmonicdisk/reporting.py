@@ -1,11 +1,15 @@
-"""Serialization of reports and tables.
+"""Serialization of payload tables.
 
-Numbers are rendered with repr-faithful precision (%.17g) so CSV/JSON
-bodies round-trip to the same float64 and rerunning a command produces
-byte-identical payload files.  Anything nondeterministic (timestamps,
-library versions) goes into a `.meta.json` sidecar, never the payload.
-Every float of a payload cell passes through fmt_float, which refuses
-a NaN or an infinity with NumericalError (exit 3 at the CLI).
+A table is a list of dict rows of typed cells: floats, ints, bools,
+strings, complex values, None for an empty cell, and a report's params
+dict.  One cell rule (_cell) renders a cell both as CSV text
+(csv_table) and as a JSON value (json_table).  Floats keep
+repr-faithful precision (%.17g in CSV, the shortest repr in JSON), so
+both bodies round-trip to the same float64 and rerunning a command
+produces byte-identical payload files.  Anything nondeterministic
+(timestamps, library versions) goes into a `.meta.json` sidecar, never
+the payload.  A NaN or an infinity in a cell is refused with
+NumericalError (exit 3 at the CLI).
 """
 
 from __future__ import annotations
@@ -34,86 +38,55 @@ def fmt_float(x):
     return "%.17g" % _finite(x)
 
 
-def _cell(value):
+def _cell(value, text):
+    """A payload cell as CSV text when text is true, else as a JSON
+    value.  A numpy scalar counts as the Python value it holds.  None
+    is "" or null; a complex is a+bj or {"re", "im"}; a dict is
+    key=value pairs joined by ";" or an object, keys sorted; a list is
+    its cells bracketed and space-separated, or an array."""
+    if hasattr(value, "item") and not hasattr(value, "__len__"):
+        value = value.item()
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return ("true" if value else "false") if text else value
     if isinstance(value, float):
-        return fmt_float(value)
+        return fmt_float(value) if text else _finite(value)
     if isinstance(value, complex):
-        return f"{fmt_float(value.real)}{_finite(value.imag):+.17g}j"
+        if text:
+            return f"{fmt_float(value.real)}{_finite(value.imag):+.17g}j"
+        return {"re": _finite(value.real), "im": _finite(value.imag)}
+    if isinstance(value, dict):
+        items = [(str(k), _cell(v, text)) for k, v in sorted(value.items())]
+        return ";".join(f"{k}={v}" for k, v in items) if text else dict(items)
     if isinstance(value, (list, tuple)):
-        return "[" + " ".join(_cell(v) for v in value) + "]"
-    return str(value)
-
-
-def _flatten_params(params):
-    return ";".join(f"{k}={_cell(v)}" for k, v in sorted(params.items()))
+        cells = [_cell(v, text) for v in value]
+        return "[" + " ".join(cells) + "]" if text else cells
+    if value is None:
+        return "" if text else None
+    return str(value) if text else value
 
 
 REPORT_COLUMNS = ("name", "lhs", "rhs", "margin", "holds", "probes",
                   "params")
 
 
-def reports_to_rows(reports):
-    rows = []
-    for rep in reports:
-        rows.append({
-            "name": rep.name,
-            "lhs": fmt_float(rep.lhs),
-            "rhs": fmt_float(rep.rhs),
-            "margin": fmt_float(rep.margin),
-            "holds": "true" if rep.holds else "false",
-            "probes": str(rep.probes),
-            "params": _flatten_params(rep.params),
-        })
-    return rows
+def report_rows(reports):
+    """The typed rows, columns REPORT_COLUMNS, of InequalityReports."""
+    return [{c: getattr(rep, c) for c in REPORT_COLUMNS} for rep in reports]
 
 
 def csv_table(rows, columns):
-    """Render dict rows to CSV text with \\n line endings."""
+    """CSV text of the rows, with \\n line endings."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns),
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c], True) for c in columns] for row in rows)
     return buf.getvalue()
 
 
-def _jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, float):
-        return float(fmt_float(value))
-    if isinstance(value, complex):
-        return {"re": float(fmt_float(value.real)),
-                "im": float(fmt_float(value.imag))}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item") and not hasattr(value, "__len__"):
-        return _jsonable(value.item())
-    return value
-
-
-def reports_to_json(reports):
-    payload = []
-    for rep in reports:
-        payload.append({
-            "name": rep.name,
-            "lhs": _jsonable(rep.lhs),
-            "rhs": _jsonable(rep.rhs),
-            "margin": _jsonable(rep.margin),
-            "holds": bool(rep.holds),
-            "probes": int(rep.probes),
-            "params": _jsonable(rep.params),
-        })
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-
-
-def rows_to_json(rows, columns):
-    payload = [{c: row[c] for c in columns} for row in rows]
+def json_table(rows, columns):
+    """JSON text of the rows: one object per row, keys in column
+    order."""
+    payload = [{c: _cell(row[c], False) for c in columns} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -246,8 +246,8 @@ def prop2_bound(m, r0=0.5, cfg=DEFAULT_CONFIG):
     r_top = min(1.0, m.max_radius / r0)
     rho = np.linspace(0.0, r_top, 2 * r_grid + 1)
     thetas, cum = ray_table(
-        m, rho, r_top / (2 * r_grid), theta_grid,
-        lambda e, fz, fzb: r0 * _stretch(e, fz, fzb), scale=r0)
+        m, r0 * rho, r_top / (2 * r_grid), theta_grid,
+        lambda e, fz, fzb: r0 * _stretch(e, fz, fzb))
     # drop the leading zero column; column k then sits at radius rho[2k+2]
     r_vals = rho[2::2]
     ratios = cum[:, 1:] / r_vals[None, :]

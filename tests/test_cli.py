@@ -18,7 +18,8 @@ from harmonicdisk.cli import CHECKS, THEOREM_NAMES, _flag, build_parser, main
 from harmonicdisk.config import (DEFAULT_CONFIG, QuadratureConfig,
                                  effective_boundary_radius)
 from harmonicdisk.gallery import gallery_map, gallery_names
-from harmonicdisk.reporting import fmt_float, reports_to_json
+from harmonicdisk.reporting import (fmt_float, json_table, report_rows,
+                                    REPORT_COLUMNS)
 
 IDENT_CROSSCUT_LEN = 2.0943927929925036  # FROZEN, rho=1 about zeta0=1
 
@@ -39,6 +40,17 @@ def test_gallery_lists_names(capsys):
     names = out.splitlines()
     assert "identity" in names
     assert len(names) == 5
+
+
+def test_gallery_refuses_out(capsys, tmp_path):
+    # gallery writes no payload, so --out is refused, not ignored
+    code, out, err = run_cli(capsys, "gallery", "--out",
+                             str(tmp_path / "g.csv"), "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: gallery writes no payload file; it does not take --out"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_identity(capsys):
@@ -724,5 +736,91 @@ def test_verify_defaults_are_the_signature_defaults(capsys, name):
     code, out, _ = run_cli(capsys, "verify", name, "--spec", "identity",
                            "--format", "json")
     assert code == 0
-    assert out == reports_to_json(LIBRARY_DEFAULTS[name](
-        gallery_map("identity")))
+    assert out == json_table(report_rows(LIBRARY_DEFAULTS[name](
+        gallery_map("identity"))), REPORT_COLUMNS)
+
+
+# one fast invocation of each payload command; {square} is a curve file
+PAYLOAD_COMMANDS = {
+    "eval": ("eval", "--spec", "identity", "--z", "0.1,0.2", "--z", "0,0"),
+    "length": ("length", "--spec", "identity", "--which", "level"),
+    "area": ("area", "--spec", "identity", "--r", "0.5"),
+    "coeffs": ("coeffs", "--spec", "identity", "--n-max", "2"),
+    "constants": ("constants", "--curve", "{square}", "--point-pairs", "4"),
+    "verify": ("verify", "schwarz", "--spec", "identity", "--r-grid", "16"),
+}
+
+
+def _payload_argv(command, tmp_path):
+    square = tmp_path / "square.txt"
+    square.write_text(_SQUARE)
+    return [arg.format(square=square) for arg in PAYLOAD_COMMANDS[command]]
+
+
+@pytest.mark.parametrize("out", ["x.txt", "x", "x.csv", "x.json"])
+@pytest.mark.parametrize("command", list(PAYLOAD_COMMANDS))
+def test_out_writes_csv_json_and_meta(capsys, tmp_path, command, out):
+    argv = _payload_argv(command, tmp_path)
+    outdir = tmp_path / "outq"
+    outdir.mkdir()
+    for fmt in ("csv", "json"):
+        code, text, _ = run_cli(capsys, *argv, "--format", fmt,
+                                "--out", str(outdir / out))
+        assert code == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "x.csv", "x.json", "x.meta.json"]
+        assert (outdir / f"x.{fmt}").read_text() == text
+        meta = json.loads((outdir / "x.meta.json").read_text())
+        assert meta["command"] == command
+    # both files hold the same rows and columns
+    rows = parse_csv((outdir / "x.csv").read_text())
+    payload = json.loads((outdir / "x.json").read_text())
+    assert [list(row) for row in rows] == [list(obj) for obj in payload]
+
+
+@pytest.mark.parametrize("command", [c for c in PAYLOAD_COMMANDS
+                                     if c != "verify"])
+def test_json_values_are_numbers(capsys, tmp_path, command):
+    argv = _payload_argv(command, tmp_path)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for obj, row in zip(json.loads(out), parse_csv(text), strict=True):
+        for key, value in obj.items():
+            if key in ("which", "samples"):
+                assert value == row[key]
+            elif value is None:  # level's param, a disk area's center
+                assert (key, row[key]) in (("param", ""), ("center", ""))
+            else:
+                assert isinstance(value, (int, float)), (key, value)
+                assert float(row[key]) == value
+
+
+def test_complex_inputs_are_printed_whole(capsys):
+    # area's center and crosscut's zeta0 keep their imaginary parts:
+    # a+bj in CSV, {"re", "im"} in JSON
+    code, out, _ = run_cli(capsys, "area", "--spec", "identity", "--r",
+                           "0.5", "--center", "0,1")
+    assert code == 0
+    assert parse_csv(out)[0]["center"] == "0+1j"
+    code, out, _ = run_cli(capsys, "area", "--spec", "identity", "--r",
+                           "0.5", "--center", "0,1", "--format", "json")
+    assert json.loads(out)[0]["center"] == {"re": 0.0, "im": 1.0}
+    params = []
+    for sign in (1, -1):
+        zeta0 = complex(math.cos(2 * math.pi / 3),
+                        sign * math.sin(2 * math.pi / 3))
+        value = f"{zeta0.real!r},{zeta0.imag!r}"
+        code, out, _ = run_cli(capsys, "length", "--spec", "identity",
+                               "--which", "crosscut", "--zeta0", value,
+                               "--rho", "0.5")
+        assert code == 0
+        params.append(parse_csv(out)[0]["param"])
+        assert complex(params[-1]) == zeta0
+        code, out, _ = run_cli(capsys, "length", "--spec", "identity",
+                               "--which", "crosscut", "--zeta0", value,
+                               "--rho", "0.5", "--format", "json")
+        assert json.loads(out)[0]["param"] == {"re": zeta0.real,
+                                               "im": zeta0.imag}
+    assert params[0] != params[1]

@@ -643,6 +643,25 @@ def test_shared_ray_table_duplicate_radii():
     assert sup_radial_length(m, [0.3, 0.3, 0.6]) == [once[0]] + once
 
 
+def test_radius_nodes_equal_per_piece_linspace():
+    # the one-pass nodes are np.linspace(r_{k-1}, r_k, 2 n_k + 1) piece
+    # by piece, bit for bit, repeated radii included
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        radii = np.sort(rng.uniform(1e-3, 1.0, rng.integers(1, 40)))
+        if rng.random() < 0.5:
+            radii = np.sort(np.concatenate((radii, rng.choice(radii, 3))))
+        rho, h, at = geometry._radius_nodes(radii)
+        lo = np.concatenate(([0.0], radii[:-1]))
+        pairs = np.diff(np.concatenate(([0], at)))
+        want = np.concatenate([[0.0]] + [np.linspace(a, b, 2 * n + 1)[1:]
+                                         for a, b, n in zip(lo, radii,
+                                                            pairs)])
+        assert rho.tobytes() == want.tobytes()
+        assert h.tobytes() == np.repeat((radii - lo) / (2 * pairs),
+                                        pairs).tobytes()
+
+
 @pytest.mark.parametrize("rays", [8, 720, 4096, 8192])
 def test_shared_ray_table_fits_the_cell_cap(rays):
     # n evenly spaced radii, n >= 43, take one node pair each: a table
@@ -685,7 +704,7 @@ def test_sup_radial_length_of_several_radii():
             sup_radial_length(m, radii)
 
 
-def _rays_one_at_a_time(m, rho, h, rays, kernel, scale=1.0):
+def _rays_one_at_a_time(m, rho, h, rays, kernel):
     """The ray table's rows, one derivs_many and one cumulative_simpson
     call per ray; rays is a ray count or an array of angles."""
     if np.ndim(rays):
@@ -696,7 +715,7 @@ def _rays_one_at_a_time(m, rho, h, rays, kernel, scale=1.0):
         points = np.exp(2j * np.pi * np.arange(rays) / rays)
     rows = []
     for k in range(thetas.size):
-        fz, fzb = m.derivs_many((scale * rho) * points[k])
+        fz, fzb = m.derivs_many(rho * points[k])
         vals = kernel(np.exp(1j * thetas[k]), fz, fzb)
         rows.append(cumulative_simpson(vals, h))
     return thetas, np.array(rows)
@@ -717,10 +736,10 @@ def test_ray_table_equals_ray_by_ray_loop(name):
     for panels, rays in [(16, 12), (512, 40), (128, zoom)]:
         for kernel, r, scale in zip(kernels, (0.9, 0.95, 1.0),
                                     (1.0, 1.0, 0.5)):
-            rho = np.linspace(0.0, r, panels + 1)
-            got = ray_table(m, rho, r / panels, rays, kernel, scale=scale)
-            want = _rays_one_at_a_time(m, rho, r / panels, rays, kernel,
-                                       scale)
+            # the nodes of z -> f(scale z), whose steps stay r / panels
+            rho = scale * np.linspace(0.0, r, panels + 1)
+            got = ray_table(m, rho, r / panels, rays, kernel)
+            want = _rays_one_at_a_time(m, rho, r / panels, rays, kernel)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
