@@ -2,17 +2,19 @@
 
 Subcommands: eval, length, area, coeffs, constants, verify, gallery.
 A map is declared either by a JSON spec file or by a gallery name
-(`harmonicdisk gallery` lists them).  Every command but gallery hands
-_emit typed rows, the only payload path: it prints the --format
-rendering and, with --out BASE, writes BASE.csv, BASE.json and the
-BASE.meta.json sidecar (an extension of BASE is dropped).  Identical
-invocations produce byte-identical CSV/JSON bodies; run metadata
-(time, versions) lands in the sidecar only.  gallery prints names and
-refuses --out.
+(`harmonicdisk gallery` lists them).  A command accepts only the
+options it reads, its own and those of the shared groups it takes
+(payload, map, quadrature), and argparse refuses any other one.  Every
+command but gallery hands _emit typed rows, the only payload path: it
+prints the --format rendering and, with --out BASE, writes BASE.csv,
+BASE.json and the BASE.meta.json sidecar (an extension of BASE is
+dropped).  Identical invocations produce byte-identical CSV/JSON
+bodies; run metadata (time, argv, versions) lands in the sidecar only.
 
-`verify` runs a check of the registry `CHECKS` with only the options
-given, parsed and named as the parameters they set, so every default
-is the one in the check's signature; other options are refused.
+`verify` has one parser per check of the registry `CHECKS`, the only
+declaration of the verify options.  A check runs with only the options
+given, named as the parameters they set, so every default is the one
+in the check's signature.
 
 Exit codes: 0 success / all inequalities hold, 1 validation or spec
 error, 2 at least one inequality violated, 3 numerical failure.
@@ -112,7 +114,7 @@ def _emit(ns, columns, rows):
         try:
             for fmt, text in texts.items():
                 write_payload(f"{base}.{fmt}", text)
-            write_meta_sidecar(base, ns.command, sys.argv[1:])
+            write_meta_sidecar(base, ns.command, ns.argv)
         except OSError as exc:
             raise ValidationError(f"cannot write --out {ns.out}: {exc}")
 
@@ -169,9 +171,22 @@ def _arc_set(arcs=None, measure=None):
     return ArcSet.single(0.0, np.pi)
 
 
+# the options each --which kind of length reads; any other is refused
+_LENGTH_OPTIONS = {"level": ("r",), "radial": ("r", "theta"),
+                   "boundary": ("arc", "measure"),
+                   "crosscut": ("zeta0", "rho")}
+_LENGTH_KEYS = dict.fromkeys(sum(_LENGTH_OPTIONS.values(), ()))
+
+
 def cmd_length(ns, cfg):
-    m = resolve_map(ns.spec)
     which = ns.which
+    foreign = [_flag(key) for key in _LENGTH_KEYS
+               if key not in _LENGTH_OPTIONS[which]
+               and getattr(ns, key) is not None]
+    if foreign:
+        raise ValidationError(f"length --which {which} does not take "
+                              f"{', '.join(foreign)}")
+    m = resolve_map(ns.spec)
     # (r, param, (length, nodes)) of each row
     if which == "level":
         cells = [(r, None, level_curve_length(m, r, cfg))
@@ -186,7 +201,8 @@ def cmd_length(ns, cfg):
         cells = [(effective_boundary_radius(cfg, m.max_radius),
                   E.total_measure, boundary_image_length(m, E, cfg))]
     else:  # crosscut
-        cells = [(rho, ns.zeta0, crosscut_length(m, ns.zeta0, rho, cfg))
+        zeta0 = 1 + 0j if ns.zeta0 is None else ns.zeta0
+        cells = [(rho, zeta0, crosscut_length(m, zeta0, rho, cfg))
                  for rho in ns.rho or [1.0]]
     _emit(ns, ("which", "r", "param", "length", "nodes"),
           [{"which": which, "r": r, "param": param, "length": val,
@@ -241,23 +257,37 @@ def _thm1(m, cfg, arc=None, measure=None):
     return theorems.thm1_bound(m, _arc_set(arc, measure), cfg)
 
 
-# check -> (function returning a report list, the verify options it
-# takes; selfmap's seed is the global --seed).  _thm1 builds thm1's arc
-# set from its options.
+_FLOAT = {"type": _parse_float}
+_RADII = {"type": _parse_float_list, "metavar": "R1,R2,..."}
+_SAMPLES = {"type": int,
+            "help": "vertices of the boundary polygon, 8 to 2^20"}
+_N_MAX = {"type": int,
+          "help": f"highest coefficient index, 1 to {MAX_COEFFICIENTS}"}
+_R_GRID = {"type": int, "help": f"grid radii, 2 to {theorems.MAX_R_GRID}"}
+_PROBES = {"type": int, "help": f"probe points, 1 to {theorems.MAX_PROBES}"}
+
+# check -> (function returning a report list, {parameter: add_argument
+# keywords of its option}); _thm1 builds thm1's arc set from its options
 CHECKS = {
-    "prop1": (theorems.check_prop1, ("K", "radii")),
-    "thm1": (_thm1, ("arc", "measure")),
+    "prop1": (theorems.check_prop1, {"K": _FLOAT, "radii": _RADII}),
+    "thm1": (_thm1, {"arc": {"action": "append", "metavar": "START:END"},
+                     "measure": _FLOAT}),
     "thm2": (theorems.thm2_bound,
-             ("zeta0", "K", "M_lav", "r_list", "boundary_samples")),
-    "thm3": (theorems.thm3_carleson, ("K",)),
-    "prop2": (theorems.prop2_bound, ("r0",)),
-    "thm5": (theorems.thm5_bound, ("K", "n_max", "rho")),
+             {"zeta0": {"type": _parse_complex, "metavar": "RE,IM"},
+              "K": _FLOAT, "M_lav": _FLOAT, "r_list": _RADII,
+              "boundary_samples": _SAMPLES}),
+    "thm3": (theorems.thm3_carleson, {"K": _FLOAT}),
+    "prop2": (theorems.prop2_bound, {"r0": _FLOAT}),
+    "thm5": (theorems.thm5_bound, {"K": _FLOAT, "n_max": _N_MAX,
+                                   "rho": _FLOAT}),
     "thm4": (theorems.thm4_ratio,
-             ("K", "r_list", "boundary_samples", "threshold")),
-    "schwarz": (theorems.schwarz_radial_check, ("normalization", "r_grid")),
-    "selfmap": (theorems.selfmap_distortion_check, ("K", "probes", "seed")),
+             {"K": _FLOAT, "r_list": _RADII, "boundary_samples": _SAMPLES,
+              "threshold": _FLOAT}),
+    "schwarz": (theorems.schwarz_radial_check,
+                {"normalization": _FLOAT, "r_grid": _R_GRID}),
+    "selfmap": (theorems.selfmap_distortion_check,
+                {"K": _FLOAT, "probes": _PROBES, "seed": {"type": int}}),
 }
-THEOREM_NAMES = tuple(CHECKS)
 
 
 def _flag(dest):
@@ -266,29 +296,14 @@ def _flag(dest):
     return "--" + name.replace("_", "-")
 
 
-# namespace keys that are not options of a check
-_GLOBAL_KEYS = {"spec", "out", "format", "seed", "abs_tol", "rel_tol",
-                "theta_grid", "rb", "command", "run", "theorem"}
-
-
 def run_verify_check(ns, m, cfg):
     """Run the check ns.theorem with the options given; returns its
     report list."""
-    theorem = ns.theorem
-    fn, options = CHECKS[theorem]
-    given = {key: value for key, value in vars(ns).items()
-             if value is not None and key not in _GLOBAL_KEYS}
-    foreign = [key for key in given if key not in options]
-    if foreign:
-        raise ValidationError(
-            f"verify {theorem} does not take "
-            f"{', '.join(map(_flag, foreign))}; its options are "
-            f"{', '.join(map(_flag, options))}")
-    if "seed" in options:
-        given["seed"] = ns.seed
+    fn, options = CHECKS[ns.theorem]
     # the module's current binding, which a profiler may have wrapped
     fn = getattr(theorems, fn.__name__, fn)
-    return fn(m, cfg=cfg, **given)
+    return fn(m, cfg=cfg, **{key: getattr(ns, key) for key in options
+                             if key in ns})
 
 
 def cmd_verify(ns, cfg):
@@ -299,71 +314,74 @@ def cmd_verify(ns, cfg):
 
 
 def cmd_gallery(ns, cfg):
-    if ns.out:
-        raise ValidationError("gallery writes no payload file; it does "
-                              "not take --out")
-    for name in gallery_names():
-        sys.stdout.write(name + "\n")
+    sys.stdout.writelines(name + "\n" for name in gallery_names())
     return 0
 
 
+def _out_path(text):
+    """--out, refused before any map is built if its directory is gone."""
+    out_dir = os.path.dirname(text)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValidationError(f"--out directory {out_dir} does not exist")
+    return text
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", default="", metavar="PATH|NAME",
-                        help="map spec file or gallery name")
-    common.add_argument("--out", default="", metavar="PATH",
-                        help="write PATH.csv, PATH.json and PATH.meta.json "
-                             "(an extension of PATH is dropped)")
-    common.add_argument("--format", default="csv", choices=("csv", "json"))
-    common.add_argument("--seed", type=int, default=0)
+    payload = argparse.ArgumentParser(add_help=False)
+    payload.add_argument("--out", type=_out_path, default="", metavar="PATH",
+                         help="write PATH.csv, PATH.json and PATH.meta.json "
+                              "(an extension of PATH is dropped)")
+    payload.add_argument("--format", default="csv", choices=("csv", "json"))
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", default="", metavar="PATH|NAME",
+                      help="map spec file or gallery name")
+    quad = argparse.ArgumentParser(add_help=False)
     cfg = DEFAULT_CONFIG
-    common.add_argument("--abs-tol", type=_parse_float, default=cfg.abs_tol)
-    common.add_argument("--rel-tol", type=_parse_float, default=cfg.rel_tol)
-    common.add_argument("--theta-grid", type=int, default=cfg.theta_grid,
-                        help=f"angular quadrature grid, 8 to {MAX_THETA_GRID}")
-    common.add_argument("--rb", type=_parse_float,
-                        default=cfg.boundary_radius,
-                        help="boundary proxy radius r_b")
+    quad.add_argument("--abs-tol", type=_parse_float, default=cfg.abs_tol)
+    quad.add_argument("--rel-tol", type=_parse_float, default=cfg.rel_tol)
+    quad.add_argument("--theta-grid", type=int, default=cfg.theta_grid,
+                      help=f"angular quadrature grid, 8 to {MAX_THETA_GRID}")
+    quad.add_argument("--rb", type=_parse_float, default=cfg.boundary_radius,
+                      help="boundary proxy radius r_b")
+    every = [payload, spec, quad]
 
     parser = _Parser(prog="harmonicdisk",
                      description="planar harmonic map toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[payload, spec],
                        help="evaluate f and its derivatives at probes")
     p.add_argument("--z", action="append", type=_parse_complex,
                    metavar="RE,IM")
     p.add_argument("--z-file", metavar="PATH")
     p.set_defaults(run=cmd_eval)
 
-    p = sub.add_parser("length", parents=[common],
+    p = sub.add_parser("length", parents=every,
                        help="curve-length functionals")
-    p.add_argument("--which", required=True,
-                   choices=("level", "radial", "boundary", "crosscut"))
+    p.add_argument("--which", required=True, choices=tuple(_LENGTH_OPTIONS))
     p.add_argument("--r", action="append", type=_parse_float)
     p.add_argument("--theta", action="append", type=_parse_float)
     p.add_argument("--arc", action="append", metavar="START:END")
     p.add_argument("--measure", type=_parse_float)
-    p.add_argument("--zeta0", type=_parse_complex, default="1",
-                   metavar="RE,IM")
+    p.add_argument("--zeta0", type=_parse_complex, metavar="RE,IM")
     p.add_argument("--rho", action="append", type=_parse_float)
     p.set_defaults(run=cmd_length)
 
-    p = sub.add_parser("area", parents=[common], help="image area")
+    p = sub.add_parser("area", parents=every, help="image area")
     p.add_argument("--r", action="append", type=_parse_float)
     p.add_argument("--center", type=_parse_complex, metavar="RE,IM")
     p.set_defaults(run=cmd_area)
 
-    p = sub.add_parser("coeffs", parents=[common],
+    p = sub.add_parser("coeffs", parents=every,
                        help="power-series coefficients")
-    p.add_argument("--n-max", type=int, default=8,
-                   help=f"highest coefficient index, 1 to {MAX_COEFFICIENTS}")
+    p.add_argument("--n-max", default=8, **_N_MAX)
     p.add_argument("--rho", type=_parse_float, default=0.5)
     p.set_defaults(run=cmd_coeffs)
 
-    p = sub.add_parser("constants", parents=[common],
+    p = sub.add_parser("constants", parents=[payload],
                        help="chord-arc constants of a polygonal curve")
     p.add_argument("--curve", default="", metavar="PATH")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int,
                    help="vertex pairs of the Lavrentiev and quasicircle "
                         "constants, 1 to 2096128 (curves of up to 1024 "
@@ -377,35 +395,18 @@ def build_parser():
                         "constant, 1 to 4096")
     p.set_defaults(run=cmd_constants)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run one inequality check")
-    p.add_argument("theorem", choices=THEOREM_NAMES)
-    p.add_argument("--K", type=_parse_float)
-    p.add_argument("--radii", type=_parse_float_list, metavar="R1,R2,...")
-    p.add_argument("--r-list", type=_parse_float_list, metavar="R1,R2,...")
-    p.add_argument("--arc", action="append", metavar="START:END")
-    p.add_argument("--measure", type=_parse_float)
-    p.add_argument("--zeta0", type=_parse_complex, metavar="RE,IM")
-    p.add_argument("--m-lav", dest="M_lav", type=_parse_float)
-    p.add_argument("--r0", type=_parse_float)
-    p.add_argument("--n-max", type=int,
-                   help=f"highest coefficient index of thm5, 1 to "
-                        f"{MAX_COEFFICIENTS}")
-    p.add_argument("--rho", type=_parse_float)
-    p.add_argument("--threshold", type=_parse_float)
-    p.add_argument("--boundary-samples", type=int,
-                   help="vertices of the boundary polygon (thm2, thm4), 8 "
-                        "to 2^20")
-    p.add_argument("--normalization", type=_parse_float)
-    p.add_argument("--r-grid", type=int,
-                   help=f"grid radii of schwarz, 2 to {theorems.MAX_R_GRID}")
-    p.add_argument("--probes", type=int,
-                   help=f"probe points of selfmap, 1 to {theorems.MAX_PROBES}")
+    p = sub.add_parser("verify", help="run one inequality check")
     p.set_defaults(run=cmd_verify)
+    checks = p.add_subparsers(dest="theorem", required=True)
+    for name, (_, options) in CHECKS.items():
+        # an option left out is not set, so the signature's default holds
+        c = checks.add_parser(name, parents=every,
+                              argument_default=argparse.SUPPRESS)
+        for dest, keywords in options.items():
+            c.add_argument(_flag(dest), dest=dest, **keywords)
 
-    p = sub.add_parser("gallery", parents=[common],
-                       help="list built-in map names")
-    p.set_defaults(run=cmd_gallery)
+    sub.add_parser("gallery", help="list built-in map names").set_defaults(
+        run=cmd_gallery)
     return parser
 
 
@@ -419,13 +420,11 @@ _PARSER = build_parser()
 def main(argv=None):
     try:
         ns = _PARSER.parse_args(argv)
-        # refused before any map is built: the payload could not be written
-        out_dir = os.path.dirname(ns.out)
-        if out_dir and not os.path.isdir(out_dir):
-            raise ValidationError(f"--out directory {out_dir} does not exist")
-        # validated here, whichever command the options reach
-        cfg = QuadratureConfig(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
-                               theta_grid=ns.theta_grid, boundary_radius=ns.rb)
+        # the command line the sidecar records
+        ns.argv = sys.argv[1:] if argv is None else argv
+        # validated before any map is built, where the command takes it
+        cfg = (QuadratureConfig(ns.abs_tol, ns.rel_tol, ns.theta_grid, ns.rb)
+               if "rb" in ns else None)
         # overflow surfaces as a numerical failure, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return ns.run(ns, cfg)

@@ -143,9 +143,10 @@ def gallery_map(name):
                 f"poly:z+c*zbar^n needs n*|c| < 1 to stay sense-preserving, "
                 f"got n*|c| = {n * abs(c)}")
         anti = np.zeros(n, dtype=complex)
-        # f = z + c zbar^n means conj(b_n) = c
+        # f = z + c zbar^n means conj(b_n) = c; |f_zb| <= n|c| < 1 = |f_z|
+        # on the closed disk, so the map is sense-preserving without probes
         anti[n - 1] = np.conj(c)
-        return SeriesHarmonicMap([0.0, 1.0], anti, sense_preserving=True)
+        return SeriesHarmonicMap([0.0, 1.0], anti)
     if name.startswith("poisson:"):
         body = name[len("poisson:"):]
         if not body.startswith("phi="):

@@ -14,7 +14,7 @@ import pytest
 
 import harmonicdisk
 from harmonicdisk import ArcSet, theorems
-from harmonicdisk.cli import CHECKS, THEOREM_NAMES, _flag, build_parser, main
+from harmonicdisk.cli import CHECKS, _flag, build_parser, main
 from harmonicdisk.config import (DEFAULT_CONFIG, QuadratureConfig,
                                  effective_boundary_radius)
 from harmonicdisk.gallery import gallery_map, gallery_names
@@ -44,12 +44,13 @@ def test_gallery_lists_names(capsys):
 
 def test_gallery_refuses_out(capsys, tmp_path):
     # gallery writes no payload, so --out is refused, not ignored
-    code, out, err = run_cli(capsys, "gallery", "--out",
-                             str(tmp_path / "g.csv"), "--format", "json")
+    out_path = str(tmp_path / "g.csv")
+    code, out, err = run_cli(capsys, "gallery", "--out", out_path,
+                             "--format", "json")
     assert code == 1
     assert out == ""
-    assert err.splitlines() == [
-        "error: gallery writes no payload file; it does not take --out"]
+    assert err.splitlines()[-1] == (
+        f"error: unrecognized arguments: --out {out_path} --format json")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -452,16 +453,17 @@ def test_out_of_range_input_exits_1_with_one_error_line(capsys, tmp_path,
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag,value", [("--theta-grid", "0"),
-                                        ("--rb", "1.5")])
-def test_quadrature_config_error_exits_1(capsys, flag, value):
-    # refused where the options enter, also by commands that ignore them
-    for argv in (("verify", "thm1", "--spec", "identity"),
-                 ("eval", "--spec", "identity", "--z", "0.1,0"),
-                 ("gallery",)):
-        code, _, err = run_cli(capsys, *argv, flag, value)
-        assert code == 1, argv
-        assert err.startswith("error:")
+@pytest.mark.parametrize("flag,value,message", [
+    ("--theta-grid", "0", "theta_grid must be 8 to 8192, got 0"),
+    ("--rb", "1.5", "boundary_radius must be in (0,1), got 1.5")],
+    ids=["--theta-grid-0", "--rb-1.5"])
+def test_quadrature_config_error_exits_1(capsys, flag, value, message):
+    # refused where the options enter, before the (unknown) map is built
+    for argv in (("verify", "thm1"), ("length", "--which", "level"),
+                 ("area",), ("coeffs",)):
+        code, out, err = run_cli(capsys, *argv, "--spec", "nosuchmap",
+                                 flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("spec", [
@@ -602,8 +604,101 @@ def test_verify_refuses_an_option_the_check_does_not_take(capsys, argv,
     code, out, err = run_cli(capsys, "verify", *argv, "--spec", "identity")
     assert code == 1
     assert out == ""
-    assert err == (f"error: verify {argv[0]} does not take {argv[1]}; "
-                   f"its options are {options}\n")
+    assert err.endswith(f"\nerror: unrecognized arguments: {argv[1]} "
+                        f"{argv[2]}\n")
+    # its --help lists the shared options, then its own
+    own = _help_options(capsys, "verify", argv[0])[1 + len(SHARED_OPTIONS):]
+    assert ", ".join(own) == options
+
+
+# a command line each command accepts, and the value given to each
+# option when it is the foreign one
+ACCEPTED = {
+    "gallery": ("gallery",),
+    "eval": ("eval", "--spec", "identity", "--z", "0.1,0"),
+    "constants": ("constants", "--curve", "{square}", "--point-pairs", "4"),
+    "length": ("length", "--spec", "identity", "--which", "level"),
+    "area": ("area", "--spec", "identity", "--r", "0.5"),
+    "coeffs": ("coeffs", "--spec", "identity", "--n-max", "2"),
+    **{check: ("verify", check, "--spec", "identity") for check in CHECKS
+       if check != "selfmap"},
+}
+VALUES = {"--out": "{out}/x", "--format": "json", "--spec": "identity",
+          "--seed": "3", "--abs-tol": "1e-9", "--rel-tol": "1e-8",
+          "--theta-grid": "64", "--rb": "0.9"}
+QUADRATURE = ["--abs-tol", "--rel-tol", "--theta-grid", "--rb"]
+FOREIGN = ([("gallery", option) for option in VALUES]
+           + [("eval", option) for option in ["--seed", *QUADRATURE]]
+           + [("constants", option) for option in ["--spec", *QUADRATURE]]
+           + [(command, "--seed") for command in ACCEPTED
+              if command not in ("gallery", "eval", "constants")])
+
+
+@pytest.mark.parametrize("command,option", FOREIGN)
+def test_an_option_a_command_does_not_read_exits_1(capsys, tmp_path,
+                                                   command, option):
+    # argparse refuses it before any work, and no payload is written
+    (tmp_path / "out").mkdir()
+    (tmp_path / "square.txt").write_text(_SQUARE)
+    paths = {"out": tmp_path / "out", "square": tmp_path / "square.txt"}
+    value = VALUES[option].format(**paths)
+    argv = [arg.format(**paths) for arg in ACCEPTED[command]]
+    if option != "--out" and command != "gallery":
+        argv += ["--out", str(tmp_path / "out" / "x")]
+    code, out, err = run_cli(capsys, *argv, option, value)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"\nerror: unrecognized arguments: {option} "
+                        f"{value}\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_each_command_takes_its_option_groups(capsys):
+    # the shared groups come first in a command's --help, then its own
+    payload = ["--out", "--format"]
+    assert _help_options(capsys, "gallery") == ["--help"]
+    assert _help_options(capsys, "eval")[:4] == ["--help", *payload,
+                                                 "--spec"]
+    assert _help_options(capsys, "constants")[:4] == ["--help", *payload,
+                                                      "--curve"]
+    for command in ("length", "area", "coeffs"):
+        assert _help_options(capsys, command)[:8] == ["--help",
+                                                      *SHARED_OPTIONS]
+    accepting_seed = [command for command in
+                      ("eval", "length", "area", "coeffs", "constants",
+                       "gallery") if "--seed" in _help_options(capsys,
+                                                              command)]
+    accepting_seed += [check for check in CHECKS
+                       if "--seed" in _help_options(capsys, "verify", check)]
+    assert accepting_seed == ["constants", "selfmap"]
+
+
+LENGTH_VALUES = {"--r": "0.5", "--theta": "0.1", "--arc": "0:1",
+                 "--measure": "1", "--zeta0": "1,0", "--rho": "0.5"}
+LENGTH_READS = {"level": {"--r"}, "radial": {"--r", "--theta"},
+                "boundary": {"--arc", "--measure"},
+                "crosscut": {"--zeta0", "--rho"}}
+
+
+@pytest.mark.parametrize("which,option", [
+    (which, option) for which, reads in LENGTH_READS.items()
+    for option in LENGTH_VALUES if option not in reads])
+def test_length_refuses_the_options_of_other_kinds(capsys, which, option):
+    code, out, err = run_cli(capsys, "length", "--spec", "nosuchmap",
+                             "--which", which, option, LENGTH_VALUES[option])
+    assert (code, out) == (1, "")
+    assert err == f"error: length --which {which} does not take {option}\n"
+
+
+def test_sidecar_records_the_argv_main_was_given(capsys, tmp_path,
+                                                 monkeypatch):
+    # an in-process caller's argv, not that of the process it runs in
+    monkeypatch.setattr(sys, "argv", ["harmonicdisk", "--host-flag"])
+    argv = ["area", "--spec", "identity", "--r", "0.5",
+            "--out", str(tmp_path / "run")]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    meta = json.loads((tmp_path / "run.meta.json").read_text())
+    assert meta["argv"] == argv
 
 
 def test_verify_thm2_takes_boundary_samples(capsys):
@@ -672,36 +767,51 @@ def test_argmax_fields_take_the_first_tied_grid_point(capsys):
                                               rel=1e-15)
 
 
-def test_check_registry_options_are_parameters(capsys):
+SHARED_OPTIONS = ["--out", "--format", "--spec", *QUADRATURE]
+
+
+def _help_options(capsys, *argv):
+    """The options a subcommand's --help lists, in order."""
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["verify", "--help"])
-    help_text = capsys.readouterr().out
-    dests = vars(build_parser().parse_args(["verify", "prop1"]))
+        build_parser().parse_args([*argv, "--help"])
+    options = capsys.readouterr().out.split("\noptions:\n")[1]
+    return re.findall(r"^  (?:-h, )?(--[\w-]+)", options, re.M)
+
+
+def test_check_registry_options_are_parameters(capsys):
+    # each check's parser holds exactly the shared groups and the options
+    # CHECKS declares for it, each named as a parameter of its function
     for name, (fn, options) in CHECKS.items():
         params = inspect.signature(fn).parameters
-        for option in options:
-            assert option in params, (name, option)
-            assert option in dests, (name, option)
-            assert _flag(option) in help_text.split(), (name, option)
+        assert set(options) <= set(params), name
+        assert _help_options(capsys, "verify", name) == [
+            "--help", *SHARED_OPTIONS, *map(_flag, options)], name
+
+
+def test_readme_lists_each_check_with_its_options():
+    # the bullet "- `name` (`function`): options; notes" of each check
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        bullets = re.findall(
+            r"^- `(\w+)` \(`\w+`\): ([^;]*?)(?=;|\n\n|\n- )", fh.read(),
+            re.M)
+    assert {name: re.findall(r"--[\w-]+", text) for name, text in bullets} \
+        == {name: list(map(_flag, options))
+            for name, (_, options) in CHECKS.items()}
 
 
 def test_successive_calls_share_no_parsed_state(capsys):
     # main reuses one parser per process: options appended by one call
     # must not reach the next, which sees the defaults (r 0.5, rho 1)
-    code, out, _ = run_cli(capsys, "length", "--spec", "identity",
-                           "--which", "level", "--r", "0.25", "--r", "0.75",
-                           "--rho", "0.5")
-    assert code == 0
-    assert [row["r"] for row in parse_csv(out)] == ["0.25", "0.75"]
-    code, out, _ = run_cli(capsys, "length", "--spec", "identity",
-                           "--which", "level")
-    assert code == 0
-    assert [row["r"] for row in parse_csv(out)] == ["0.5"]
-    code, out, _ = run_cli(capsys, "length", "--spec", "identity",
-                           "--which", "crosscut")
-    assert code == 0
-    rows = parse_csv(out)
-    assert [row["r"] for row in rows] == ["1"]
+    for which, given, rows in (("level", ("--r", "0.25", "--r", "0.75"),
+                                ["0.25", "0.75"]),
+                               ("level", (), ["0.5"]),
+                               ("crosscut", ("--rho", "0.5"), ["0.5"]),
+                               ("crosscut", (), ["1"])):
+        code, out, _ = run_cli(capsys, "length", "--spec", "identity",
+                               "--which", which, *given)
+        assert code == 0
+        assert [row["r"] for row in parse_csv(out)] == rows
 
 
 def test_handlers_are_fixed_at_import(capsys, monkeypatch):
@@ -731,7 +841,7 @@ LIBRARY_DEFAULTS = {
 }
 
 
-@pytest.mark.parametrize("name", THEOREM_NAMES)
+@pytest.mark.parametrize("name", list(CHECKS))
 def test_verify_defaults_are_the_signature_defaults(capsys, name):
     code, out, _ = run_cli(capsys, "verify", name, "--spec", "identity",
                            "--format", "json")
