@@ -156,7 +156,9 @@ def cmd_eval(ns, cfg):
 
 def _arc_set(arcs=None, measure=None):
     """The arc set of --arc START:END (repeatable) or --measure; [0, pi]
-    when neither is given."""
+    when neither is given.  Both at once are refused."""
+    if measure is not None and arcs:
+        raise ValidationError("--arc and --measure exclude each other")
     if measure is not None:
         return ArcSet.single(0.0, float(measure))
     if arcs:

@@ -30,11 +30,15 @@ so its even-odd containment is the parity of its crossings binned at
 the sorted cell abscissae.  The bisection is exact for the raster: a
 step below the larger endpoint-cell distance L fails, and one connects
 at or above the largest distance U along a straight raster path, or
-above the vertex diagonal when one label of the inside cells joins the
-endpoints.  Other steps label the cells within the step of both
-endpoints on one crop box, from the lowest bisection leaf up, and keep
-each answer as a bound that decides later steps: a step is monotone in
-D.  Convex regions need no labels.
+above the vertex diagonal when the endpoints share a component of the
+inside cells.  Other steps find the endpoints' components among the
+cells within the step of both endpoints on one crop box, from the
+lowest bisection leaf up, and keep each answer as a bound that decides
+later steps: a step is monotone in D.  Convex regions search no
+components.  Components come from a run-length kernel on numpy alone
+(_components): runs of mask cells along the axis with fewer
+transitions, joined to the runs of the next line they touch by rounds
+of hooking and pointer jumping.
 """
 
 from __future__ import annotations
@@ -397,7 +401,51 @@ def _raster_line(ra, ca, rb, cb):
             ca + ((cb - ca) * 2 * t + n) // (2 * n))
 
 
-_EIGHT = np.ones((3, 3), dtype=int)
+def _components(mask, rows, cols):
+    """The 8-connected component of each queried cell (rows[i], cols[i])
+    of the boolean mask: equal ids for cells joined through mask cells,
+    and -1 for a cell off the mask.
+
+    The mask is cut into runs of cells along the axis with fewer
+    transitions, as flat keys of the mask padded with a False column
+    either side, so that no run wraps into the next line.  Run k, cells
+    s_k .. e_k - 1, touches a run j of the next line exactly when
+    s_j <= e_k and s_k <= e_j: one range of the sorted runs.  Each round
+    hooks each root to the least of the smaller roots it touches, then
+    shortcuts every pointer to its root, until no edge joins two roots:
+    the hook-and-shortcut scheme of Shiloach and Vishkin (J. Algorithms
+    3 (1982) 57-67) on the run graph of He, Chao and Suzuki (IEEE TIP
+    17(5) (2008) 749-756).
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if (np.count_nonzero(mask[1:] != mask[:-1])
+            < np.count_nonzero(mask[:, 1:] != mask[:, :-1])):
+        mask, rows, cols = mask.T, cols, rows
+    width = mask.shape[1] + 2
+    flat = np.zeros((mask.shape[0], width), dtype=bool)
+    flat[:, 1:-1] = mask
+    flat = flat.ravel()
+    start, end = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).reshape(-1, 2).T
+    # in flat keys, the next line's cells lie width on
+    lo = np.searchsorted(end, start + width)
+    count = np.searchsorted(start, end + width, side="right") - lo
+    src = np.repeat(np.arange(start.size), count)
+    dst = np.arange(src.size) + np.repeat(lo - np.cumsum(count) + count,
+                                          count)
+    root = np.arange(start.size)
+    while src.size:
+        a, b = root[src], root[dst]
+        apart = a != b
+        src, dst = src[apart], dst[apart]
+        np.minimum.at(root, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+    key = rows * width + cols + 1
+    ids = np.full(key.shape, -1)
+    on = flat[key]
+    ids[on] = root[np.searchsorted(start, key[on], side="right") - 1]
+    return ids
 
 
 def _pair_diameters(cells, inside, cell, pts, diag):
@@ -408,16 +456,15 @@ def _pair_diameters(cells, inside, cell, pts, diag):
     w, the farther endpoint's distance on inside cells and inf outside,
     is computed on the straight path, whose ends are the endpoint cells,
     and on one crop box; numpy's complex abs gives the same bits on any
-    subset of cells.  A step is monotone in D, so labelled steps bound
-    later ones.  A path that leaves the region takes its endpoints' ids
-    from one label of the inside cells: PathNotFound if they differ,
-    else every step from diag + cell on connects.  That needs w <= diag
-    on inside cells: linear_connectivity_constant passes the vertices'
-    bounding-box diagonal, and the tests' bare 48 x 48 rasters of unit
-    cells pass 48 sqrt(2), above their cells' diagonal.  When d fails,
-    the tops of the lowest 1, 2, 4, ... leaves are probed first."""
-    # imported here: scipy.ndimage is most of the package's import time
-    from scipy import ndimage
+    subset of cells.  A step is monotone in D, so the steps that search
+    components bound later ones.  A path that leaves the region takes
+    its endpoints' ids from the components of the inside cells:
+    PathNotFound if they differ, else every step from diag + cell on
+    connects.  That needs w <= diag on inside cells:
+    linear_connectivity_constant passes the vertices' bounding-box
+    diagonal, and the tests' bare 48 x 48 rasters of unit cells pass
+    48 sqrt(2), above their cells' diagonal.  When d fails, the tops of
+    the lowest 1, 2, 4, ... leaves are probed first."""
     grid = inside.shape[0]
     ids = None
     out = []
@@ -448,16 +495,15 @@ def _pair_diameters(cells, inside, cell, pts, diag):
         lower, upper = max(path[0], path[-1]), path.max()
         if upper == np.inf:
             if ids is None:
-                # only the endpoints' ids are kept, not the label array
                 rows, cols = np.array([p[1:] for p in pts]).T
-                ids = ndimage.label(inside, structure=_EIGHT)[0][rows, cols]
+                ids = _components(inside, rows, cols)
             if ids[2 * k] != ids[2 * k + 1]:
                 raise PathNotFound(
                     f"no raster path between {za:.4f} and {zb:.4f}")
             upper = diag + cell
         # upper and fails: the smallest step known to connect and the
-        # largest known to fail.  A labelled step lies below upper and
-        # 2 diag, so its crop is a slice of the first labelled one's box
+        # largest known to fail.  A searched step lies below upper and
+        # 2 diag, so its crop is a slice of the first searched one's box
         box, fails = None, -np.inf
 
         def feasible(D):
@@ -477,11 +523,9 @@ def _pair_diameters(cells, inside, cell, pts, diag):
                 box = R0, C0, wbox
             R0, C0, wbox = box
             r0, r1, c0, c1 = crop(D)
-            labels, _ = ndimage.label(
-                wbox[r0 - R0:r1 - R0, c0 - C0:c1 - C0] <= D,
-                structure=_EIGHT)
-            la = labels[ra - r0, ca - c0]
-            if la != 0 and la == labels[rb - r0, cb - c0]:
+            la, lb = _components(wbox[r0 - R0:r1 - R0, c0 - C0:c1 - C0] <= D,
+                                 [ra - r0, rb - r0], [ca - c0, cb - c0])
+            if la >= 0 and la == lb:
                 upper = D
                 return True
             fails = D
@@ -511,8 +555,8 @@ def _pair_diameters(cells, inside, cell, pts, diag):
 
 
 # the raster holds 17 bytes per cell, and a pair whose straight path
-# leaves the region adds its crop's distances and labels: peak RSS grew
-# by 74 MiB (circle) to 122 MiB (U-shape) at the cap, on 64-bit numpy
+# leaves the region adds its crop's distances and masks: peak RSS grew
+# by 74 MiB (circle) to 118 MiB (U-shape) at the cap, on 64-bit numpy
 MAX_GRID = 2048
 MAX_POINT_PAIRS = 4096
 
@@ -533,19 +577,20 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
     on inside cells and inf outside.  A step D below L = max(w(a), w(b))
     leaves an endpoint out, and one at or above U, the max of w along a
     straight 8-connected raster path from a to b, keeps that path in.
-    Where the path leaves the region, one label of the inside cells per
-    raster gives the endpoints' components: PathNotFound if they differ,
-    else U is the vertices' diagonal plus a cell.  Only L <= D < U
-    labels the mask w <= D, cropped to a box that holds every cell
-    within D of both endpoints, so each step's answer is the one a
-    label of the whole raster gives; it is monotone in D, so each
-    answer is kept as a bound.  When d = |a - b| fails, the tops of the
-    lowest 1, 2, 4, ... bisection leaves are probed first.  Per pair, w
-    is computed on the path and on one crop box, and every step slices
-    its own crop from it.  grid is 1 to MAX_GRID and
-    point_pairs 1 to MAX_POINT_PAIRS; seed is nonnegative.  PathNotFound
-    when no sampled pair is at least 10 cells apart, as no pair was then
-    measured.
+    Where the path leaves the region, the 8-connected components of the
+    inside cells, found once per raster, give the endpoints' ids:
+    PathNotFound if they differ, else U is the vertices' diagonal plus a
+    cell.  Only L <= D < U searches the components of the mask w <= D,
+    cropped to a box that holds every cell within D of both endpoints,
+    so each step's answer is the one the whole raster gives.  The
+    components come from the run-length kernel _components, numpy
+    alone.  A step is monotone in D, so each answer is kept as a bound.
+    When d = |a - b| fails, the tops of the lowest 1, 2, 4, ...
+    bisection leaves are probed first.  Per pair, w is computed on the
+    path and on one crop box, and every step slices its own crop from
+    it.  grid is 1 to MAX_GRID and point_pairs 1 to MAX_POINT_PAIRS;
+    seed is nonnegative.  PathNotFound when no sampled pair is at least
+    10 cells apart, as no pair was then measured.
     """
     grid = checked_count("grid", grid, 1, MAX_GRID)
     point_pairs = checked_count("point_pairs", point_pairs, 1,

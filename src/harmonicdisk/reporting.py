@@ -99,7 +99,6 @@ def write_meta_sidecar(out_path, command, argv):
     """Run metadata next to the payload; the payload itself stays
     reproducible byte for byte."""
     import numpy
-    import scipy
 
     meta = {
         "command": command,
@@ -107,7 +106,6 @@ def write_meta_sidecar(out_path, command, argv):
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
     with open(str(out_path) + ".meta.json", "w") as fh:

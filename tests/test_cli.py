@@ -106,6 +106,17 @@ def test_length_crosscut_frozen_value(capsys):
                                                      abs=1e-9)
 
 
+@pytest.mark.parametrize("command", [("verify", "thm1"),
+                                     ("length", "--which", "boundary")])
+def test_arc_and_measure_together_exit_1(capsys, command):
+    argv = (*command, "--spec", "identity")
+    for alone in (("--arc", "0:1"), ("--measure", "2")):
+        assert run_cli(capsys, *argv, *alone)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--arc", "0:1", "--measure", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --arc and --measure exclude each other\n"
+
+
 def test_length_boundary_measure(capsys):
     code, out, _ = run_cli(capsys, "length", "--spec", "identity",
                            "--which", "boundary", "--measure", "1.5707963")
@@ -525,11 +536,23 @@ def _run_module(*argv):
     return _run_python("-m", "harmonicdisk.cli", *argv)
 
 
-def test_cli_import_leaves_out_scipy_ndimage():
-    # only the connectivity raster needs it; start-up should not pay
-    out = _run_python("-c", "import sys, harmonicdisk.cli; "
-                      "print('scipy.ndimage' in sys.modules)").stdout
-    assert out.strip() == "False"
+def test_cli_runs_leave_out_scipy(tmp_path):
+    # the connectivity raster runs on numpy alone and the sidecar records
+    # no scipy version: the U's constants, whose pairs detour round the
+    # notch through component ids, and a verify run with --out
+    curve = tmp_path / "u.txt"
+    curve.write_text("0 0\n3 0\n3 3\n2 3\n2 1\n1 1\n1 3\n0 3\n")
+    base = tmp_path / "run"
+    out = _run_python(
+        "-c", "import sys; from harmonicdisk.cli import main; "
+        f"main(['constants', '--curve', {str(curve)!r}]); "
+        "main(['verify', 'thm2', '--spec', 'identity', '--r-list', '0.5', "
+        f"'--out', {str(base)!r}]); "
+        "print('scipy' in sys.modules)").stdout
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("lavrentiev,quasicircle,")
+    assert lines[-1] == "False"
+    assert "scipy" not in json.loads((tmp_path / "run.meta.json").read_text())
 
 
 def test_thm4_leaves_out_scipy_spatial():

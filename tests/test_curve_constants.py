@@ -17,7 +17,8 @@ from harmonicdisk import (CurveConstantsReport, PathNotFound, ValidationError,
 from harmonicdisk.curve_constants import (MAX_CENTERS, MAX_GRID, MAX_PAIRS,
                                           MAX_POINT_PAIRS, MAX_RADII,
                                           _arc_diameters, _cell_of,
-                                          _pair_diameters, _raster,
+                                          _components, _pair_diameters,
+                                          _raster,
                                           _raster_line, _sample_interior,
                                           sample_vertex_pairs)
 from harmonicdisk.geometry import (PolygonalCurve, circle_polygon,
@@ -324,15 +325,15 @@ def _unit_raster(grid=48):
 
 
 def _count_labels(monkeypatch):
-    """The images ndimage.label is called on, in call order."""
+    """The masks _components is called on, in call order."""
     calls = []
-    label = ndimage.label
+    components = cc_module._components
 
-    def counting(image, *args, **kwargs):
-        calls.append(image)
-        return label(image, *args, **kwargs)
+    def counting(mask, *args, **kwargs):
+        calls.append(mask)
+        return components(mask, *args, **kwargs)
 
-    monkeypatch.setattr(ndimage, "label", counting)
+    monkeypatch.setattr(cc_module, "_components", counting)
     return calls
 
 
@@ -465,15 +466,92 @@ def test_raster_line_is_eight_connected():
         assert (steps == 1).all()
 
 
+def _same_partition(got, want):
+    """Whether two id arrays of the same cells, -1 off the mask, split
+    the cells alike."""
+    if not np.array_equal(got < 0, want < 0):
+        return False
+    pairs = {(int(g), int(w)) for g, w in zip(got, want) if w >= 0}
+    return (len(pairs) == len({g for g, _ in pairs})
+            == len({w for _, w in pairs}))
+
+
+def _agrees_with_ndimage(mask):
+    """_components of every cell against ndimage.label with the 3 x 3
+    structure, whose label 0 is off the mask."""
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    rows, cols = np.indices(mask.shape).reshape(2, -1)
+    return _same_partition(_components(mask, rows, cols),
+                           labels[rows, cols] - 1)
+
+
+def test_components_match_ndimage_on_random_masks():
+    rng = np.random.default_rng(0)
+    for _ in range(1200):
+        shape = rng.integers(1, 40, size=2)
+        assert _agrees_with_ndimage(rng.random(shape)
+                                    < rng.uniform(0.2, 0.8))
+
+
+def test_components_edge_cases():
+    for mask in (np.zeros((6, 5), dtype=bool), np.ones((6, 5), dtype=bool),
+                 np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool),
+                 np.array([[1, 0, 1, 1, 0, 1, 0]], dtype=bool),
+                 np.array([[1], [1], [0], [1]], dtype=bool)):
+        assert _agrees_with_ndimage(mask)
+    assert (_components(np.zeros((6, 5), dtype=bool), [0, 5], [0, 4])
+            == -1).all()
+    # cells that touch only at corners are one component
+    diagonal = np.eye(7, dtype=bool) | np.eye(7, k=3, dtype=bool)
+    assert _agrees_with_ndimage(diagonal)
+    ids = _components(diagonal, [0, 6, 0, 3, 2], [0, 6, 3, 6, 0])
+    assert ids[0] == ids[1] != ids[2] == ids[3] and ids[4] == -1
+    # a run ending at the last column above one starting at column 0
+    # lies next to it in the flat cells, not in the mask
+    wrap = np.array([[0, 0, 0, 1], [1, 0, 0, 0]], dtype=bool)
+    la, lb = _components(wrap, [0, 1], [3, 0])
+    assert la >= 0 and lb >= 0 and la != lb
+    # the same masks in both orientations: rows of runs, and columns
+    stairs = np.zeros((20, 32), dtype=bool)
+    for k in range(0, 20, 2):
+        stairs[k, k:k + 12] = True
+        stairs[k + 1, k + 12] = True
+    for mask in (stairs, stairs.T, ~stairs, ~stairs.T):
+        assert _agrees_with_ndimage(mask)
+
+
+def _spiral(n):
+    """One-cell path of an n x n square spiral, one cell between
+    turns."""
+    mask = np.zeros((n, n), dtype=bool)
+    r = c = 0
+    steps = [n - 1] + [n - 1 - 2 * (k // 2) for k in range(2 * n)]
+    for k, length in enumerate(steps):
+        if length <= 0:
+            break
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[k % 4]
+        mask[r + dr * np.arange(length + 1), c + dc * np.arange(length + 1)] \
+            = True
+        r, c = r + dr * length, c + dc * length
+    return mask
+
+
+def test_components_on_large_masks():
+    # a comb of one-cell teeth: 130,817 runs along rows, 512 along columns
+    comb = np.zeros((512, 512), dtype=bool)
+    comb[:, ::2] = True
+    comb[0] = True
+    spiral = _spiral(512)
+    percolation = np.random.default_rng(1).random((512, 512)) < 0.42
+    for mask in (comb, comb.T, spiral, spiral.T, percolation):
+        assert _agrees_with_ndimage(mask)
+    # one path, from the outer corner to the centre
+    assert np.unique(_components(spiral, *np.nonzero(spiral))).size == 1
+    assert _components(spiral, [0, 1], [0, 1]).tolist()[1] == -1
+
+
 def test_circle_connectivity_needs_few_labels(monkeypatch):
-    calls = []
-    label = ndimage.label
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return label(*args, **kwargs)
-
-    monkeypatch.setattr(ndimage, "label", counting)
+    calls = _count_labels(monkeypatch)
     got, _ = linear_connectivity_constant(circle_polygon(512), grid=512)
     assert 1.0 <= got < 1.01
     # the full-grid bisection labels ~170 times here

@@ -114,6 +114,7 @@ def test_write_payload_and_sidecar(tmp_path):
     assert meta["command"] == "verify"
     assert meta["argv"] == ["verify", "prop1"]
     assert "numpy" in meta and "written_at" in meta
+    assert "scipy" not in meta
     # sidecar never touches the payload
     assert out.read_bytes() == b"h\n1\n"
 
