@@ -1,5 +1,6 @@
-"""Geometric constants of closed curves: chord-arc ratios, Ahlfors
-three-point bounds, and linear connectivity of the enclosed region.
+"""Geometric constants of closed curves: the chord-arc (Lavrentiev) and
+three-point (quasicircle) ratios, Ahlfors regularity, and linear
+connectivity of the enclosed region.
 
 Run from the repository root:
 
@@ -13,8 +14,8 @@ from harmonicdisk.geometry import (circle_polygon, ellipse_polygon,
                                    rectangle_polygon, u_polygon)
 
 # for a circle: the worst arc/chord ratio is pi/2 (antipodal points),
-# the two-sided chord-arc constant is 1, and the three-point constant
-# approaches 2*pi
+# the three-point constant (arc diameter / chord) is 1, and the Ahlfors
+# constant (length inside D(w, r) / r) approaches 2*pi at w = 0, r = 1
 for name, curve in [("circle (512-gon)", circle_polygon(512)),
                     ("square (16/side)", rectangle_polygon(2.0, 2.0, 16)),
                     ("3:1 ellipse", ellipse_polygon(1.5, 0.5, 512)),

@@ -35,7 +35,7 @@ from .config import (DEFAULT_CONFIG, MAX_THETA_GRID, QuadratureConfig,
                      effective_boundary_radius)
 from .curve_constants import curve_constants
 from .errors import (NumericalError, PointOutsideDisk, ValidationError,
-                     checked_real)
+                     checked_real, data_lines)
 from .gallery import gallery_map, gallery_names, load_map_spec
 from .geometry import (MAX_COEFFICIENTS, ArcSet, PolygonalCurve,
                        boundary_image_length, crosscut_length,
@@ -122,17 +122,12 @@ def _emit(ns, columns, rows):
 def cmd_eval(ns, cfg):
     m = resolve_map(ns.spec)
     z_list = list(ns.z or [])
-    z_file = ns.z_file
-    if z_file:
-        try:
-            fh = open(z_file)
-        except OSError as exc:
-            raise ValidationError(f"cannot read probe file {z_file}: {exc}")
-        with fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    z_list.append(_parse_complex(line))
+    if ns.z_file:
+        for lineno, line in data_lines(ns.z_file, "probe"):
+            try:
+                z_list.append(_parse_complex(line))
+            except ValidationError as exc:
+                raise ValidationError(f"{ns.z_file}:{lineno}: {exc}") from exc
     if not z_list:
         raise ValidationError("eval needs at least one probe "
                               "(--z RE,IM or --z-file PATH)")

@@ -6,7 +6,7 @@ Two broad families matter to callers (and to the CLI exit-code contract):
 
 ``checked_real`` and ``checked_count`` are the one copy of the range
 rule: every numeric input with a stated range passes through one of
-them where it enters.
+them where it enters.  ``data_lines`` is the one reader of data files.
 """
 
 
@@ -37,6 +37,21 @@ def checked_count(name, value, lo, hi, error=ValidationError):
     if not lo <= value <= hi:
         raise error(f"{name} must be {lo} to {hi}, got {value}")
     return int(value)
+
+
+def data_lines(path, what):
+    """(line number, text) of each line of the file at path that holds
+    data, stripped: a # starts a comment and blank lines are skipped.  A
+    file that cannot be read as text is refused with ValidationError,
+    which names it as a ``what`` file."""
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}")
+    numbered = ((k, line.split("#", 1)[0].strip())
+                for k, line in enumerate(lines, 1))
+    return [(k, text) for k, text in numbered if text]
 
 
 class MapSpecError(ValidationError):

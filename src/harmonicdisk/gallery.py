@@ -20,9 +20,10 @@ JSON map specs are objects with a ``kind`` key:
 
     {"kind": "series", "analytic": [[0,0],[1,0]], "antianalytic": [[0.3,0]]}
     {"kind": "affine", "c0": [0,0], "a": [1,0], "b": [0.5,0]}
-    {"kind": "poisson", "scale": 2.0, "phi": "t + 0.2*sin(t)"}
+    {"kind": "poisson", "phi": "t+0.2*sin(t)", "scale": 2, "kernel_tol": 1e-10}
     {"kind": "gallery", "name": "poly:z+0.5*zbar^3"}
 
+Each kind reads only the keys its line shows, and refuses any other.
 Complex numbers are two-element [re, im] arrays.
 """
 
@@ -92,8 +93,8 @@ def _affine_map(c0, a, b):
     unless |b| < |a| (sense-preserving); the series constructor refuses
     non-finite and overflowing coefficients first."""
     m = SeriesHarmonicMap([c0, a], [np.conj(b)])
-    # the exact test: the series probe grid compares squares, which can
-    # round to equal
+    # the exact test: a probe's jacobian |a|^2 - |b|^2 compares squares,
+    # which can round to equal
     if not abs(b) < abs(a):
         raise NotSensePreserving(
             f"affine map needs |b| < |a|, got |a| = {abs(a)}, |b| = {abs(b)}")
@@ -182,11 +183,29 @@ def _as_complex(obj, what):
     return complex(_real(obj, error))
 
 
+# the keys each spec kind reads besides "kind"
+_SPEC_KEYS = {"series": ("analytic", "antianalytic"),
+              "affine": ("c0", "a", "b"),
+              "poisson": ("phi", "scale", "kernel_tol"),
+              "gallery": ("name",)}
+
+
 def parse_map_spec(spec):
-    """Build a map from a parsed JSON object (dict) spec."""
+    """Build a map from a parsed JSON object (dict) spec; a key its kind
+    does not read is refused."""
     if not isinstance(spec, dict):
         raise MapSpecError("map spec must be a JSON object")
     kind = spec.get("kind")
+    keys = _SPEC_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise MapSpecError(
+            f"unknown map kind {kind!r}; expected series, affine, poisson "
+            f"or gallery")
+    for key in spec:
+        if key != "kind" and key not in keys:
+            raise MapSpecError(
+                f"{kind} spec has no key {key!r}; its keys are "
+                f"{', '.join(keys)}")
     if kind == "series":
         a = [_as_complex(c, "analytic coefficient")
              for c in spec.get("analytic", [])]
@@ -194,10 +213,7 @@ def parse_map_spec(spec):
              for c in spec.get("antianalytic", [])]
         if not a:
             raise MapSpecError("series spec needs a nonempty analytic list")
-        sense_preserving = spec.get("sense_preserving", False)
-        if not isinstance(sense_preserving, bool):
-            raise MapSpecError("series sense_preserving must be true or false")
-        return SeriesHarmonicMap(a, b, sense_preserving=sense_preserving)
+        return SeriesHarmonicMap(a, b)
     if kind == "affine":
         return _affine_map(
             _as_complex(spec.get("c0", 0.0), "c0"),
@@ -213,14 +229,10 @@ def parse_map_spec(spec):
             kwargs["kernel_tol"] = _real(spec["kernel_tol"],
                                          "poisson kernel_tol must be a number")
         return PoissonHarmonicMap(scale, _compile_phase(phi), **kwargs)
-    if kind == "gallery":
-        name = spec.get("name")
-        if not isinstance(name, str):
-            raise MapSpecError("gallery spec needs a name string")
-        return gallery_map(name)
-    raise MapSpecError(
-        f"unknown map kind {kind!r}; expected series, affine, poisson "
-        f"or gallery")
+    name = spec.get("name")
+    if not isinstance(name, str):
+        raise MapSpecError("gallery spec needs a name string")
+    return gallery_map(name)
 
 
 def load_map_spec(path):

@@ -28,7 +28,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .errors import (EmptyCrosscut, QuadratureNonconvergence,
-                     ValidationError, checked_count, checked_real)
+                     ValidationError, checked_count, checked_real,
+                     data_lines)
 from .maps import (_POLAR_BLOCK_CELLS, _circle_nodes, _polar_blocks,
                    jacobian, op_norm)
 from .quadrature import (adaptive_simpson, cumulative_simpson,
@@ -87,24 +88,16 @@ class PolygonalCurve:
     def from_file(cls, path):
         """One 'x y' vertex per line; blank lines and # comments skipped."""
         pts = []
-        try:
-            fh = open(path)
-        except OSError as exc:
-            raise ValidationError(f"cannot read curve file {path}: {exc}")
-        with fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected 'x y', got {line!r}")
-                try:
-                    pts.append(complex(float(parts[0]), float(parts[1])))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: non-numeric vertex {line!r}")
+        for lineno, line in data_lines(path, "curve"):
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected 'x y', got {line!r}")
+            try:
+                pts.append(complex(float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: non-numeric vertex {line!r}")
         return cls(np.array(pts))
 
 
@@ -247,9 +240,10 @@ def point_polygon_distance(points, curve):
 
 # curve factories used by tests, demos, and the domain-constants module
 
-def circle_polygon(n, radius=1.0):
+def circle_polygon(n):
+    """The regular n-gon inscribed in the unit circle."""
     t = TWO_PI * np.arange(n) / n
-    return PolygonalCurve(radius * np.exp(1j * t))
+    return PolygonalCurve(np.exp(1j * t))
 
 
 def square_polygon():
@@ -339,7 +333,9 @@ def _stretch(t, fz, fzb):
     """|f_z t + f_zb conj(t)|: the speed of f along the tangent t, and
     so the ray-table kernel of radial lengths."""
     s = fz * t
-    s += fzb * np.conj(t)
+    # not ``fzb * np.conj(t)``: from 256 KiB numpy computes that product
+    # in place in its temporary, whose loop rounds unlike a short batch's
+    s += np.multiply(fzb, np.conj(t))
     return np.abs(s)
 
 
@@ -503,11 +499,11 @@ def _window_cos(aw, rho, R):
     return (R * R - aw * aw - rho * rho) / (2.0 * rho * aw)
 
 
-def _unimodular(zeta0, what="crosscut center"):
+def _unimodular(zeta0):
     """zeta0 as a complex, refused unless |zeta0| = 1 (NaN included)."""
     zeta0 = complex(zeta0)
     if not abs(abs(zeta0) - 1.0) <= 1e-9:
-        raise ValidationError(f"{what} must be unimodular: {zeta0}")
+        raise ValidationError(f"crosscut center must be unimodular: {zeta0}")
     return zeta0
 
 

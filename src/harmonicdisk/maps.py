@@ -141,10 +141,6 @@ class HarmonicMap:
         raise NotImplementedError
 
 
-# (radii, angles) of the polar grid probed by ``sense_preserving=True``
-_SP_PROBE_GRID = (12, 128)
-
-
 class SeriesHarmonicMap(HarmonicMap):
     """f(z) = sum a_n z^n + sum conj(b_n) zbar^n, truncated at degree N.
 
@@ -153,8 +149,7 @@ class SeriesHarmonicMap(HarmonicMap):
     convention: the raw zbar^n coefficient of f is conj(b_n).
     """
 
-    def __init__(self, analytic_coeffs, antianalytic_coeffs=(), *,
-                 sense_preserving=False):
+    def __init__(self, analytic_coeffs, antianalytic_coeffs=()):
         # copies: a later write into the caller's arrays must not
         # reach the map, whose derivative series are fixed below
         a = np.atleast_1d(np.array(analytic_coeffs, dtype=complex))
@@ -178,19 +173,6 @@ class SeriesHarmonicMap(HarmonicMap):
         self._dg = npoly.polyder(self._g) if b.size else np.zeros(1, complex)
         for c in (a, b, self._g):  # taylor hands them out
             c.flags.writeable = False
-        if sense_preserving:
-            self._check_sense_preserving()
-
-    def _check_sense_preserving(self):
-        nr, nt = _SP_PROBE_GRID
-        r = np.geomspace(0.05, 0.995, nr)
-        t = np.linspace(0.0, TWO_PI, nt, endpoint=False)
-        z = (r[:, None] * np.exp(1j * t)[None, :]).ravel()
-        jac = jacobian(*self.derivs_many(z))
-        if np.any(jac <= 0.0):
-            k = int(np.argmin(jac))
-            raise NotSensePreserving(
-                f"jacobian {jac[k]:.3e} <= 0 at probe z = {z[k]:.6f}")
 
     def eval_many(self, z):
         z = np.asarray(z, dtype=complex)

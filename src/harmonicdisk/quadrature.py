@@ -141,8 +141,9 @@ def first_argmax(values, scale=None):
     return int(np.argmax(values >= values.max() - TIE_RTOL * scale))
 
 
-def refine_grid_max(f_many, xs, values=None, *, wrap=None):
-    """Maximize ``f_many`` starting from its argmax over the grid ``xs``.
+def refine_grid_max(f_many, xs, values, *, wrap=None):
+    """Maximize ``f_many`` starting from its argmax over the grid ``xs``,
+    where it takes ``values``.
 
     ``f_many`` maps an array of abscissae to an array of values.  The
     bracket is the two grid cells adjacent to the best sample, the first
@@ -152,12 +153,10 @@ def refine_grid_max(f_many, xs, values=None, *, wrap=None):
     narrows it to the two cells about their argmax, 16-fold, until it
     is at most 1e-12 wide: 9 calls for a bracket of 2 x 2 pi / 720.
     The best point of all levels replaces the sample only if it beats
-    it by more than a relative TIE_RTOL.  ``values`` defaults
-    to ``f_many(xs)``.  Returns ``(x, f(x))``.
+    it by more than a relative TIE_RTOL.  Returns ``(x, f(x))``.
     """
     xs = np.asarray(xs, dtype=float)
-    values = np.asarray(f_many(xs) if values is None else values,
-                        dtype=float)
+    values = np.asarray(values, dtype=float)
     i = first_argmax(values)
     best = float(values[i])
     if wrap is None:

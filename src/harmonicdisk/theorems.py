@@ -182,24 +182,19 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
 
 
 DEFAULT_CARLESON_PROBES = tuple(
-    r * np.exp(2j * math.pi * k / 3)
+    complex(r * np.exp(2j * math.pi * k / 3))
     for r in (0.3, 0.5, 0.7, 0.9) for k in range(3))
 
 
-def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
-                  cfg=DEFAULT_CONFIG):
+def thm3_carleson(m, K=None, cfg=DEFAULT_CONFIG):
     """Empirical constant for the boundary-arc mean of ||D||.
 
-    For each probe z, I(z) is the boundary arc centered at arg z with
-    angular half-width pi (1 - |z|); the ratio compares the mean of
-    ||D|| over I(z) at the proxy radius with ||D(z)||.  The theorem is
-    existential, so the sup ratio itself is reported as the constant.
-    z_probes holds 1 to MAX_PROBES points.
+    For each of the 12 DEFAULT_CARLESON_PROBES z, I(z) is the boundary
+    arc centered at arg z with angular half-width pi (1 - |z|); the
+    ratio compares the mean of ||D|| over I(z) at the proxy radius with
+    ||D(z)||.  The theorem is existential, so the sup ratio itself is
+    reported as the constant.
     """
-    z_probes = [complex(z) for z in z_probes]
-    checked_count("probes", len(z_probes), 1, MAX_PROBES)
-    for z in z_probes:
-        checked_real("|probe|", abs(z), 0.0, 1.0, "[)")
     K_eff = effective_K(m, K, cfg)
     rb = effective_boundary_radius(cfg, m.max_radius)
 
@@ -207,7 +202,7 @@ def thm3_carleson(m, K=None, z_probes=DEFAULT_CARLESON_PROBES,
         return op_norm(*m.derivs_many(rb * np.exp(1j * t)))
 
     ratios = []
-    for z in z_probes:
+    for z in DEFAULT_CARLESON_PROBES:
         half = math.pi * (1.0 - abs(z))
         theta = math.atan2(z.imag, z.real)
         arc_int, _ = adaptive_simpson(g, theta - half, theta + half,

@@ -441,20 +441,25 @@ _SQUARE = "1 1\n-1 1\n-1 -1\n1 -1\n"
     ("constants", "--curve", "{square}", "--seed", "-1"),
     ("constants", "--curve", "{missing}"),
     ("constants", "--curve", "{tmp}"),
+    ("constants", "--curve", "{binary}"),
     ("eval", "--z-file", "{missing}"),
     ("eval", "--z-file", "{tmp}"),
+    ("eval", "--z-file", "{binary}"),
     ("verify", "schwarz", "--out", "{missing}/run"),
     ("eval", "--z", "0.1,0", "--out", "{missing}/x.csv"),
 ], ids=["m-lav-negative", "m-lav-below-1", "K-below-1", "thm2-no-radii",
         "thm4-no-radii", "thm4-threshold-zero", "thm4-threshold-negative",
         "selfmap-seed", "constants-seed", "curve-missing",
-        "curve-directory", "z-file-missing", "z-file-directory",
+        "curve-directory", "curve-not-text", "z-file-missing",
+        "z-file-directory", "z-file-not-text",
         "out-directory-missing", "eval-out-directory-missing"])
 def test_out_of_range_input_exits_1_with_one_error_line(capsys, tmp_path,
                                                         argv):
     (tmp_path / "square.txt").write_text(_SQUARE)
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe 1\n")
     paths = {"tmp": tmp_path, "square": tmp_path / "square.txt",
-             "missing": tmp_path / "missing.txt"}
+             "missing": tmp_path / "missing.txt",
+             "binary": tmp_path / "binary.txt"}
     argv = [arg.format(**paths) for arg in argv]
     if argv[0] != "constants":
         argv += ["--spec", "scaled:0.5"]
@@ -507,7 +512,8 @@ def test_overflowing_map_spec_exits_1(capsys, tmp_path, spec):
     ({"kind": "affine", "b": [0.5, False]},
      "b must be a number or a [re, im] pair"),
     ({"kind": "series", "analytic": [0, 1], "sense_preserving": "false"},
-     "series sense_preserving must be true or false"),
+     "series spec has no key 'sense_preserving'; its keys are analytic, "
+     "antianalytic"),
     ({"kind": "series", "analytic": [0, 10 ** 400]},
      "analytic coefficient must be a number or a [re, im] pair"),
     ({"kind": "poisson", "phi": "t", "scale": 10 ** 400},
@@ -518,11 +524,41 @@ def test_overflowing_map_spec_exits_1(capsys, tmp_path, spec):
         "scale-past-float-range"])
 def test_map_spec_of_the_wrong_type_exits_1(capsys, tmp_path, spec,
                                             message):
-    # a JSON bool is no number, a string no bool, and an integer past
-    # float range no float: one error line
+    # a JSON bool is no number and an integer past float range no float,
+    # and the retired series key is refused like any unknown one: one
+    # error line
     code, out, err = run_cli(capsys, "eval", "--spec",
                              _spec_file(tmp_path, spec), "--z", "0.1,0")
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "series", "analytic": [[0, 0], [1, 0]],
+      "anti_analytic": [[0.3, 0]]},
+     "series spec has no key 'anti_analytic'; its keys are analytic, "
+     "antianalytic"),
+    ({"kind": "affine", "a": [1, 0], "B": [0.5, 0]},
+     "affine spec has no key 'B'; its keys are c0, a, b"),
+    ({"kind": "poisson", "phi": "t+0.2*sin(t)", "scal": 3},
+     "poisson spec has no key 'scal'; its keys are phi, scale, kernel_tol"),
+    ({"kind": "gallery", "name": "identity", "phi": "t"},
+     "gallery spec has no key 'phi'; its keys are name"),
+], ids=["series", "affine", "poisson", "gallery"])
+def test_map_spec_key_its_kind_does_not_read_exits_1(capsys, tmp_path, spec,
+                                                     message):
+    # a misspelt key would otherwise build another map and exit 0
+    code, out, err = run_cli(capsys, "eval", "--spec",
+                             _spec_file(tmp_path, spec), "--z", "0.5,0")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_eval_z_file_names_the_bad_line(capsys, tmp_path):
+    zf = tmp_path / "z.txt"
+    zf.write_text("# probes\n0.1,0.2\n\nabc  # typo\n")
+    code, out, err = run_cli(capsys, "eval", "--spec", "identity",
+                             "--z-file", str(zf))
+    assert (code, out) == (1, "")
+    assert err == f"error: {zf}:4: cannot parse complex number from 'abc'\n"
 
 
 def _run_python(*argv):

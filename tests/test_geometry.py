@@ -497,9 +497,9 @@ def test_u_polygon_area_and_vertex_count():
 
 
 def test_circle_and_ellipse_polygons():
-    c = circle_polygon(4096, radius=2.0)
-    assert perimeter(c) == pytest.approx(4.0 * math.pi, rel=1e-6)
-    assert shoelace(c) == pytest.approx(4.0 * math.pi, rel=1e-6)
+    c = circle_polygon(4096)
+    assert perimeter(c) == pytest.approx(2.0 * math.pi, rel=1e-6)
+    assert shoelace(c) == pytest.approx(math.pi, rel=1e-6)
     e = ellipse_polygon(2.0, 1.0, 4)
     np.testing.assert_allclose(e.vertices, [2.0, 1.0j, -2.0, -1.0j],
                                atol=1e-15)

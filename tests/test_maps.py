@@ -12,6 +12,7 @@ from harmonicdisk import (MapSpecError, NotSensePreserving, PointOutsideDisk,
                           SeriesHarmonicMap, ValidationError, estimate_K,
                           gallery_map, sup_modulus, sup_radial_length)
 from harmonicdisk.gallery import gallery_names, parse_map_spec
+from harmonicdisk.geometry import _stretch
 from harmonicdisk.maps import (_POLAR_BLOCK_CELLS, _polar_blocks, jacobian,
                                op_norm, rotate_domain, scale_range)
 from harmonicdisk.quadrature import refine_grid_max
@@ -67,14 +68,6 @@ def test_affine_map_basics():
         gallery_map("affine:nan,nan")
     with pytest.raises(MapSpecError, match="overflows"):
         affine(0.0, 1e308, 1e308)
-
-
-def test_series_sense_preserving_probe():
-    # |f_zb| = 1.2 |z| beats |f_z| = 1 well inside the probe radii
-    with pytest.raises(NotSensePreserving):
-        SeriesHarmonicMap([0.0, 1.0], [0.0, 0.6], sense_preserving=True)
-    # same coefficients unchecked: constructs fine
-    SeriesHarmonicMap([0.0, 1.0], [0.0, 0.6])
 
 
 def test_estimate_K_affine_exact():
@@ -197,6 +190,40 @@ def test_polar_blocks_equal_the_whole_grid_bitwise(name):
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("name", ["identity", "affine:1,0.5",
+                                  "poly:z+0.3*zbar^2",
+                                  "poisson:phi=t+0.2*sin(t)"])
+def test_a_point_has_the_same_bits_in_any_batch(name):
+    # 128 probe points, each evaluated alone and at up to three offsets
+    # of batches of seeded points; from 2^14 points numpy computes a
+    # product of temporaries in place, which can round otherwise
+    m = gallery_map(name)
+    rng = np.random.default_rng(16)
+
+    def disk(n):
+        return (0.95 * np.sqrt(rng.random(n))
+                * np.exp(2j * np.pi * rng.random(n)))
+
+    def kernels(z, t):
+        fz, fzb = m.derivs_many(z)
+        return {"eval_many": m.eval_many(z), "fz": fz, "fzb": fzb,
+                "op_norm": op_norm(fz, fzb), "jacobian": jacobian(fz, fzb),
+                "_stretch": _stretch(t, fz, fzb)}
+
+    probes, tangents = disk(128), np.exp(2j * np.pi * rng.random(128))
+    alone = [kernels(probes[k:k + 1], tangents[k:k + 1]) for k in range(128)]
+    for n in (7, 1 << 13, (1 << 17) + 3):
+        at = np.unique(np.linspace(0, n - 1, min(n, 384)).astype(int))
+        which = np.arange(at.size) % 128
+        z, t = disk(n), np.exp(2j * np.pi * rng.random(n))
+        z[at], t[at] = probes[which], tangents[which]
+        batch = kernels(z, t)
+        for kernel, values in batch.items():
+            for i, k in zip(at, which):
+                assert values[i].tobytes() == alone[k][kernel].tobytes(), (
+                    kernel, n, i)
 
 
 @pytest.mark.parametrize("rays,n_r", [(720, 32), (720, 129), (512, 257),
