@@ -119,20 +119,24 @@ def _emit(ns, columns, rows):
             raise ValidationError(f"cannot write --out {ns.out}: {exc}")
 
 
+def _disk_probe(z):
+    """z, refused with PointOutsideDisk unless |z| < 1."""
+    checked_real("|z|", abs(z), 0.0, 1.0, "[)", PointOutsideDisk)
+    return z
+
+
 def cmd_eval(ns, cfg):
     m = resolve_map(ns.spec)
-    z_list = list(ns.z or [])
+    z_list = [_disk_probe(zk) for zk in ns.z or []]
     if ns.z_file:
         for lineno, line in data_lines(ns.z_file, "probe"):
             try:
-                z_list.append(_parse_complex(line))
+                z_list.append(_disk_probe(_parse_complex(line)))
             except ValidationError as exc:
                 raise ValidationError(f"{ns.z_file}:{lineno}: {exc}") from exc
     if not z_list:
         raise ValidationError("eval needs at least one probe "
                               "(--z RE,IM or --z-file PATH)")
-    for zk in z_list:
-        checked_real("|z|", abs(zk), 0.0, 1.0, "[)", PointOutsideDisk)
     z = np.array(z_list, dtype=complex)
     f = m.eval_many(z)
     fz, fzb = m.derivs_many(z)

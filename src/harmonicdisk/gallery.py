@@ -183,6 +183,14 @@ def _as_complex(obj, what):
     return complex(_real(obj, error))
 
 
+def _coefficients(spec, key):
+    """The coefficient list spec[key], empty where the key is absent."""
+    coeffs = spec.get(key, [])
+    if not isinstance(coeffs, list):
+        raise MapSpecError(f"series {key} must be a list of coefficients")
+    return [_as_complex(c, f"{key} coefficient") for c in coeffs]
+
+
 # the keys each spec kind reads besides "kind"
 _SPEC_KEYS = {"series": ("analytic", "antianalytic"),
               "affine": ("c0", "a", "b"),
@@ -207,10 +215,8 @@ def parse_map_spec(spec):
                 f"{kind} spec has no key {key!r}; its keys are "
                 f"{', '.join(keys)}")
     if kind == "series":
-        a = [_as_complex(c, "analytic coefficient")
-             for c in spec.get("analytic", [])]
-        b = [_as_complex(c, "antianalytic coefficient")
-             for c in spec.get("antianalytic", [])]
+        a = _coefficients(spec, "analytic")
+        b = _coefficients(spec, "antianalytic")
         if not a:
             raise MapSpecError("series spec needs a nonempty analytic list")
         return SeriesHarmonicMap(a, b)

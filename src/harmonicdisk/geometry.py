@@ -142,17 +142,26 @@ def points_in_polygon(points, curve):
     return out.reshape(np.shape(points))
 
 
-# consecutive segments per block of the pruned distance search
-_DIST_BLOCK = 16
-# (point, segment) cells per chunk of point_polygon_distance: its
-# candidate gathers (complex, 16 bytes a cell) then stay near the L2
-# cache, and its (point, block) arrays hold 2^12 cells, 64 KiB, below
-# glibc's default mmap threshold of 128 KiB.  At 2^17 those and the
-# gathers reached 128 KiB and were mapped and faulted in afresh per
-# chunk (about 1,000 minor faults per Poisson thm4) unless a larger
-# array freed earlier had raised the threshold; at BLOCK_CELLS the
-# gathers reached 32 MiB
-_DIST_CELLS = 1 << 16
+# children per node of point_polygon_distance's tree: node sizes are
+# powers of it, and the top size is the least one that covers the
+# segments in at most _DIST_TOP nodes (8 nodes of 256 for 2,048).
+# Fan-outs 2 and 8, and 32 top nodes, took thm4's sweep longer
+_DIST_FAN = 4
+_DIST_TOP = 16
+# (point, node) and (point, segment) pairs per step of
+# point_polygon_distance.  Its complex arrays then hold at most 124 KiB:
+# below glibc's default mmap threshold of 128 KiB, so a step's arrays
+# are not mapped and faulted in afresh unless a larger array freed
+# earlier has raised it, and below the 256 KiB at which numpy's
+# temporary elision would compute w * conj(u) of _segment_distance into
+# its conj(u) operand, which rounds differently.  Steps of 4,096 pairs
+# took thm4's sweep about 15% longer
+_DIST_CELLS = 7936
+# points per chunk of point_polygon_distance: its (point, top node)
+# arrays hold at most _DIST_POINTS * _DIST_TOP cells
+_DIST_POINTS = _DIST_CELLS // _DIST_TOP
+# segments per (point, row) pair of a step: a larger node goes in rows
+_DIST_ROW = _DIST_FAN ** 4
 # below this vertex and point size, with |u|^2 > 0, every product in the
 # segment formula is finite, so a segment value is never NaN there
 _DIST_SAFE = 1e150
@@ -166,74 +175,162 @@ def _segment_distance(w, u, uu):
     return np.abs(w - s * u)
 
 
+def _chord_levels(curve):
+    """(top, levels) of point_polygon_distance's tree: levels[1] holds
+    the segments (p, u, uu = |u|^2), padded to a whole number of top
+    nodes with copies of the last one, and levels[size], for size =
+    _DIST_FAN, _DIST_FAN^2, ..., top, the chord c0 -> c0 + cu, |cu|^2
+    and sagitta of each node of that many consecutive segments; those
+    only where the bounds can serve: every vertex below _DIST_SAFE and
+    every |u|^2 > 0."""
+    p, q = curve.segments()
+    u = q - p
+    uu = (u * np.conj(u)).real
+    top = 1
+    while -(-p.size // top) > _DIST_TOP:
+        top *= _DIST_FAN
+    pad = np.minimum(np.arange(-(-p.size // top) * top), p.size - 1)
+    levels = {1: (p[pad], u[pad], uu[pad])}
+    if not (np.abs(curve.vertices).max() < _DIST_SAFE and uu.min() > 0.0):
+        return top, levels
+    # vertex k of the padded polyline starts segment k; the padding
+    # repeats the last vertex, so each node holds its segments' ends
+    ends = np.append(p, q[-1])[np.minimum(np.arange(pad.size + 1), p.size)]
+    size = _DIST_FAN
+    while size <= top:
+        c0, c1 = ends[:-1:size], ends[size::size]
+        cu = c1 - c0
+        cuu = (cu * np.conj(cu)).real
+        # a chord of length zero (or whose square underflows) becomes
+        # the point c0, where the formula gives |x - c0|
+        flat = cuu == 0.0
+        cu[flat], cuu[flat] = 0.0, 1.0
+        vert = np.concatenate([ends[:-1].reshape(-1, size), c1[:, None]],
+                              axis=1)
+        sag = _segment_distance(vert - c0[:, None], cu[:, None],
+                                cuu[:, None]).max(axis=1)
+        levels[size] = (c0, cu, cuu, sag)
+        size *= _DIST_FAN
+    return top, levels
+
+
+def _node_segments(levels, x, best, rows, nodes, size):
+    """best[r] = min(best[r], distance from x[r] to every segment of
+    node n) for each pair (r, n) of rows and nodes of that size, in
+    steps of at most _DIST_CELLS (point, segment) pairs."""
+    width = min(size, _DIST_ROW)
+    if width < size:
+        split = size // width
+        nodes = (nodes[:, None] * split + np.arange(split)).reshape(-1)
+        rows = np.repeat(rows, split)
+    p, u, uu = levels[1]
+    span = np.arange(width)
+    step = _DIST_CELLS // width
+    for i in range(0, rows.size, step):
+        r = np.repeat(rows[i:i + step], width)
+        s = (nodes[i:i + step, None] * width + span).reshape(-1)
+        np.minimum.at(best, r, _segment_distance(x[r] - p[s], u[s], uu[s]))
+
+
+def _descend(levels, x, slack, ub, best, rows, nodes, size, tested):
+    """Walk the kept pairs (rows, nodes) of the points x, nodes of that
+    size, down the tree to the segments, writing each point's distance
+    into best; ub holds each point's least upper bound so far and
+    tested how many nodes it tested at this size."""
+    while True:
+        kept = np.bincount(rows, minlength=x.size)
+        # a point that keeps more than half the nodes it tested prunes
+        # too little to pay for the next level, and one whose children
+        # would not fit a step cannot descend: both take the segments
+        # of their kept nodes now
+        done = (kept > 0.5 * tested) | (_DIST_FAN * kept > _DIST_CELLS)
+        if done.any():
+            on = done[rows]
+            _node_segments(levels, x, best, rows[on], nodes[on], size)
+            rows, nodes = rows[~on], nodes[~on]
+            if not rows.size:
+                return
+        if size == _DIST_FAN:
+            _node_segments(levels, x, best, rows, nodes, size)
+            return
+        if _DIST_FAN * rows.size > _DIST_CELLS:
+            # halve the points until their children fit a step
+            m = x.size // 2
+            low = rows < m
+            _descend(levels, x[:m], slack[:m], ub[:m], best[:m], rows[low],
+                     nodes[low], size, tested[:m])
+            _descend(levels, x[m:], slack[m:], ub[m:], best[m:],
+                     rows[~low] - m, nodes[~low], size, tested[m:])
+            return
+        size //= _DIST_FAN
+        rows = np.repeat(rows, _DIST_FAN)
+        nodes = (nodes[:, None] * _DIST_FAN
+                 + np.arange(_DIST_FAN)).reshape(-1)
+        c0, cu, cuu, sag = levels[size]
+        dc = _segment_distance(x[rows] - c0[nodes], cu[nodes], cuu[nodes])
+        sag = sag[nodes]
+        np.minimum.at(ub, rows, dc + sag)
+        keep = ~(dc - sag > (ub + slack)[rows])
+        rows, nodes = rows[keep], nodes[keep]
+        tested = _DIST_FAN * kept
+
+
 def point_polygon_distance(points, curve):
     """Distance from each query point to the polyline (segments, not
     just vertices), in the shape of ``points``.
 
-    A block of _DIST_BLOCK segments lies within its sagitta sag (its
-    vertices' largest distance from the chord joining its ends) of that
-    chord, and the chord within sag of the block, so a chord at
-    distance dc from x puts the block between dc - sag and dc + sag
-    from x.  A block whose chord has length zero is bounded by the disk
-    about its first vertex instead.  Blocks whose lower bound exceeds,
-    beyond a rounding slack, the least upper bound are skipped; the
-    rest go through the same per-segment formula, so the minimum over a
+    The segments form a chord-sagitta tree (D. H. Ballard, "Strip
+    trees: a hierarchical representation for curves", CACM 24 (1981)
+    310-321): a node of _DIST_FAN^k consecutive segments lies within
+    its sagitta sag (its vertices' largest distance from the chord
+    joining its ends) of that chord, and the chord within sag of the
+    node, so a chord at distance dc from x puts the node between
+    dc - sag and dc + sag from x.  A node whose chord has length zero
+    is bounded by the disk about its first vertex instead.  A point
+    tests every top node, then only the children of the nodes whose
+    lower bound does not exceed, beyond a rounding slack, the least
+    upper bound found so far, level by level down to the segments; a
+    point that keeps more than half the nodes it tests at a level takes
+    the segments of its kept nodes at once.  Every kept segment goes
+    through the same per-segment formula, so the minimum over a
     superset of the argmin equals the full sweep's bit for bit.  NaN
-    points and curves beyond _DIST_SAFE keep every block.  A point with
-    an infinite and no NaN coordinate is at distance inf.  Points go in
-    chunks of _DIST_CELLS cells; each point's value does not depend on
-    its chunk.
+    points keep every node; curves beyond _DIST_SAFE, or with a segment
+    whose |u|^2 underflows, keep every segment.  A point with an
+    infinite and no NaN coordinate is at distance inf.  Points go in
+    chunks of _DIST_POINTS, and a step takes at most _DIST_CELLS (point,
+    node) or (point, segment) pairs; each point's value does not depend
+    on its chunk.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     at_inf = np.isinf(pts) & ~np.isnan(pts)
     if at_inf.any():
         # the segment formula would give them inf * 0 = NaN
         pts = np.where(at_inf, 0.0, pts)
-    p, q = curve.segments()
-    u = q - p
-    uu = (u * np.conj(u)).real
-    nb = -(-p.size // _DIST_BLOCK)
-    # pad the last block with copies of the final segment
-    pad = np.minimum(np.arange(nb * _DIST_BLOCK), p.size - 1)
-    P, U, UU = (a[pad].reshape(nb, _DIST_BLOCK) for a in (p, u, uu))
-    prune = bool(np.abs(curve.vertices).max() < _DIST_SAFE
-                 and uu.min() > 0.0)
-    if prune:
-        vert = np.concatenate(
-            [P, q[pad[_DIST_BLOCK - 1::_DIST_BLOCK], None]], axis=1)
-        c0 = vert[:, 0]
-        cu = vert[:, -1] - c0
-        cuu = (cu * np.conj(cu)).real
-        # a chord of length zero (or whose square underflows) becomes
-        # the point c0, where the formula gives |x - c0|
-        flat = cuu == 0.0
-        cu[flat], cuu[flat] = 0.0, 1.0
-        sag = _segment_distance(vert - c0[:, None], cu[:, None],
-                                cuu[:, None]).max(axis=1)
-        # the bounds' and the segment formula's roundings are a few ulps
-        # of |x - g| + R, g the vertex mean and R the farthest vertex's
-        # distance from it
-        g = curve.vertices.mean()
-        reach = np.abs(curve.vertices - g).max()
+    top, levels = _chord_levels(curve)
+    ntop = levels[1][0].size // top
+    # the bounds' and the segment formula's roundings are a few ulps of
+    # |x - g| + R, g the vertex mean and R the farthest vertex's
+    # distance from it
+    g = curve.vertices.mean()
+    reach = np.abs(curve.vertices - g).max()
     out = np.empty(pts.size)
-    step = max(1, _DIST_CELLS // (nb * _DIST_BLOCK))
-    for i0 in range(0, pts.size, step):
-        x = pts[i0:i0 + step]
-        if prune:
-            dc = _segment_distance(x[:, None] - c0, cu, cuu)
-            ub = (dc + sag).min(axis=1) + 1e-12 * (np.abs(x - g) + reach)
-            keep = ~(dc - sag > ub[:, None])
-        else:
-            keep = np.ones((x.size, nb), dtype=bool)
-        rows, blocks = np.nonzero(keep)
-        d = _segment_distance(x.take(rows)[:, None] - P.take(blocks, 0),
-                              U.take(blocks, 0), UU.take(blocks, 0))
-        # one reduction per point over its candidate rows of d; every
-        # point has one: the block giving ub, or all of them where a
-        # NaN bound compares false
-        counts = np.bincount(rows, minlength=x.size)
-        first = (np.cumsum(counts) - counts) * _DIST_BLOCK
-        out[i0:i0 + x.size] = np.minimum.reduceat(d.reshape(-1), first)
+    for i0 in range(0, pts.size, _DIST_POINTS):
+        x = pts[i0:i0 + _DIST_POINTS]
+        best = out[i0:i0 + x.size]
+        best[:] = np.inf
+        if len(levels) == 1:
+            # no chords: at most _DIST_TOP segments, or bounds that
+            # cannot serve
+            rows, nodes = np.divmod(np.arange(x.size * ntop), ntop)
+            _node_segments(levels, x, best, rows, nodes, top)
+            continue
+        slack = 1e-12 * (np.abs(x - g) + reach)
+        c0, cu, cuu, sag = levels[top]
+        dc = _segment_distance(x[:, None] - c0, cu, cuu)
+        ub = (dc + sag).min(axis=1)
+        rows, nodes = np.nonzero(~(dc - sag > (ub + slack)[:, None]))
+        _descend(levels, x, slack, ub, best, rows, nodes, top,
+                 np.full(x.size, np.inf))
     out[at_inf] = np.inf
     return out.reshape(np.shape(points))
 

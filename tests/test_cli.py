@@ -518,15 +518,20 @@ def test_overflowing_map_spec_exits_1(capsys, tmp_path, spec):
      "analytic coefficient must be a number or a [re, im] pair"),
     ({"kind": "poisson", "phi": "t", "scale": 10 ** 400},
      "poisson scale must be a number"),
+    ({"kind": "series", "analytic": 5},
+     "series analytic must be a list of coefficients"),
+    ({"kind": "series", "analytic": [[0, 0], [1, 0]], "antianalytic": 0.3},
+     "series antianalytic must be a list of coefficients"),
 ], ids=["kernel-tol-string", "kernel-tol-list", "kernel-tol-bool",
         "scale-bool", "coefficient-bool", "affine-bool",
         "sense-preserving-string", "coefficient-past-float-range",
-        "scale-past-float-range"])
+        "scale-past-float-range", "analytic-number",
+        "antianalytic-number"])
 def test_map_spec_of_the_wrong_type_exits_1(capsys, tmp_path, spec,
                                             message):
-    # a JSON bool is no number and an integer past float range no float,
-    # and the retired series key is refused like any unknown one: one
-    # error line
+    # a JSON bool is no number, an integer past float range no float and
+    # a number no coefficient list, and the retired series key is refused
+    # like any unknown one: one error line
     code, out, err = run_cli(capsys, "eval", "--spec",
                              _spec_file(tmp_path, spec), "--z", "0.1,0")
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -559,6 +564,19 @@ def test_eval_z_file_names_the_bad_line(capsys, tmp_path):
                              "--z-file", str(zf))
     assert (code, out) == (1, "")
     assert err == f"error: {zf}:4: cannot parse complex number from 'abc'\n"
+
+
+def test_eval_z_file_names_the_line_outside_the_disk(capsys, tmp_path):
+    zf = tmp_path / "z.txt"
+    zf.write_text("0.1,0.2\n1.2,0\n")
+    code, out, err = run_cli(capsys, "eval", "--spec", "identity",
+                             "--z-file", str(zf))
+    assert (code, out) == (1, "")
+    assert err == f"error: {zf}:2: |z| must be in [0,1), got 1.2\n"
+    # a --z probe has no line to name
+    code, out, err = run_cli(capsys, "eval", "--spec", "identity",
+                             "--z", "1.2,0")
+    assert (code, out, err) == (1, "", "error: |z| must be in [0,1), got 1.2\n")
 
 
 def _run_python(*argv):

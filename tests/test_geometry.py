@@ -257,8 +257,8 @@ def _arc(n):
 @pytest.mark.parametrize("curve", [
     circle_polygon(3), square_polygon(), u_polygon(),
     rectangle_polygon(6.0, 1.0, per_side=5), ellipse_polygon(3.0, 1.0, 300),
-    circle_polygon(64), circle_polygon(2048), circle_polygon(4096),
-    _arc(2), _arc(37), _arc(60),
+    circle_polygon(64), circle_polygon(1023), circle_polygon(2048),
+    circle_polygon(4096), circle_polygon(4097), _arc(2), _arc(37), _arc(60),
 ], ids=lambda c: f"{'closed' if c.closed else 'open'}{c.vertices.size}")
 def test_point_polygon_distance_equals_full_sweep(curve):
     rng = np.random.default_rng(curve.vertices.size)
@@ -273,32 +273,42 @@ def test_point_polygon_distance_equals_full_sweep(curve):
     pts = np.concatenate([
         box(3000, 1.5 * scale), v, 0.5 * (p + q), box(200, 1e3 * scale),
         # near the centre every segment is about equally far: most
-        # blocks stay candidates
+        # nodes stay candidates
         box(200, 1e-3 * scale)])
     np.testing.assert_array_equal(point_polygon_distance(pts, curve),
                                   _full_sweep_distance(pts, curve))
 
 
+def _rounding_curve(end, along, gap, up, detour, run):
+    """(x, curve): x = end + gap along is nearest to the end of a straight
+    run of `run` segments along `along` from end - 2^21 along (its last
+    segment 1 long), and `up` segments rise from a point 5e-12 farther
+    from x, joined to the run by a `detour` of segments that bend 1e3
+    aside.  The run's chord distance |x - c| rounds by up to ~ulp(2^21)
+    = 4.7e-10, so a lower bound without a rounding slack (or with one
+    relative to the distance only) can skip the node holding the
+    minimum."""
+    x = end + gap * along
+    first = x + (gap + 5e-12) * 1j * along
+    rise = first + 10j * along * np.arange(up + 1)
+    start = end - 2.0 ** 21 * along
+    corner = start + 1e3j * along
+    bend = rise[-1] + (corner - rise[-1]) * np.arange(1, detour) / (detour - 1)
+    straight = end - along * np.append(np.geomspace(2.0 ** 21, 1.0, run), 0.0)
+    return x, PolygonalCurve(np.concatenate([rise, bend, straight]),
+                             closed=False)
+
+
 def test_point_polygon_distance_bound_rounding():
-    # Two blocks of 16 segments: a 2e4-long straight run whose far end
-    # B is the nearest point to x = B + gap along the run, and a first
-    # block starting 2e-13 farther from x.  The run's bound |x - c| - rho
-    # equals gap exactly and rounds by up to ~1e-12, so a block bound
-    # without a rounding slack (or with one relative to the distance
-    # only) can skip the block holding the minimum.
+    # 80 segments make 5 top nodes of 16: the up segments fill three,
+    # the detour the fourth and the run the fifth, so its bound at the
+    # top level is the chord distance alone (sagitta ~0)
     rng = np.random.default_rng(1)
     for k in range(64):
         gap = (1.0, 1e-6)[k % 2]
         along = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         end = 3.0 * complex(rng.normal(), rng.normal())
-        start = end - 2e4 * along
-        x = end + gap * along
-        first = x + (gap + 2e-13) * 1j * along
-        turn = first + 100.0 * 1j * along
-        head = turn + (start - turn) * np.arange(15) / 15
-        run = start + (end - start) * np.arange(17) / 16
-        curve = PolygonalCurve(np.concatenate([[first], head, run]),
-                               closed=False)
+        x, curve = _rounding_curve(end, along, gap, 48, 16, 16)
         np.testing.assert_array_equal(
             point_polygon_distance(np.array([x]), curve),
             _full_sweep_distance(np.array([x]), curve))
@@ -363,7 +373,7 @@ def test_point_polygon_distance_keeps_nan_segments():
 
 
 def test_point_polygon_distance_spans_chunks():
-    # 2^16 / 512 = 128 points per chunk; 10^4 points take 79 chunks
+    # 496 points per chunk; 10^4 points take 21 chunks
     circle = circle_polygon(512)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.2, 1.2, 10_000) + 1j * rng.uniform(-1.2, 1.2, 10_000)
@@ -371,10 +381,10 @@ def test_point_polygon_distance_spans_chunks():
                                   _full_sweep_distance(pts, circle))
 
 
-@pytest.mark.parametrize("cells", [1, 1 << 21])
-def test_point_polygon_distance_chunk_budget_keeps_bits(monkeypatch, cells):
-    # a chunk of one point and a chunk of 2^21 cells give the default's
-    # bits, on the thm4 boundary polygons of the gallery and the U
+@pytest.mark.parametrize("chunk", ["one", "all"])
+def test_point_polygon_distance_chunk_budget_keeps_bits(monkeypatch, chunk):
+    # chunks of one point and of all points give the default's bits, on
+    # the thm4 boundary polygons of the gallery and the U
     rng = np.random.default_rng(3)
     curves = [geometry.boundary_polygon(gallery_map(spec), 2048)
               for spec in gallery_names()] + [u_polygon()]
@@ -389,54 +399,52 @@ def test_point_polygon_distance_chunk_budget_keeps_bits(monkeypatch, cells):
         cases.append((curve, np.concatenate([pts[:300], bad, pts[300:]])))
     with np.errstate(invalid="ignore"):
         default = [point_polygon_distance(pts, c) for c, pts in cases]
-        monkeypatch.setattr(geometry, "_DIST_CELLS", cells)
         for (curve, pts), want in zip(cases, default):
+            monkeypatch.setattr(geometry, "_DIST_POINTS",
+                                1 if chunk == "one" else pts.size)
             got = point_polygon_distance(pts, curve)
             assert got.tobytes() == want.tobytes()
 
 
 def test_point_polygon_distance_chord_bound_rounding():
-    # The nearest point to x = gap is the end 0 of a straight run of 16
-    # segments from -2^17 along the real axis (sagitta 0, exactly), and
-    # a second straight run starts 5e-12 farther from x and gives the
-    # least upper bound.  The run's chord distance |x + 2^17| - 2^17
-    # rounds by up to 1.5e-11, so a lower bound without a rounding slack
-    # (or with one relative to the distances only) can skip the block
-    # holding the minimum.
+    # The fifth top node of these 80 segments holds 12 detour segments
+    # and a 4-segment run along an axis (sagitta 0, exactly): the
+    # detour's bend keeps the top node, and the run's chord is a node
+    # one level down, whose bound is the chord distance alone
     rng = np.random.default_rng(2)
-    run = -2.0 ** 17 + 2.0 ** 13 * np.arange(17)
-    for gap in rng.uniform(0.5, 1.5, 64):
-        first = complex(gap, gap + 5e-12)
-        up = first + 10j * np.arange(17)
-        detour = up[-1] + (-2.0 ** 17 + 1e3j - up[-1]) * np.arange(1, 16) / 15
-        curve = PolygonalCurve(np.concatenate([up, detour, run]),
-                               closed=False)
-        x = np.array([gap])
-        np.testing.assert_array_equal(point_polygon_distance(x, curve),
-                                      _full_sweep_distance(x, curve))
+    for k, gap in enumerate(rng.uniform(0.5, 1.5, 64)):
+        along = 1j ** (k % 4)
+        x, curve = _rounding_curve(0.0, along, gap, 64, 12, 4)
+        np.testing.assert_array_equal(
+            point_polygon_distance(np.array([x]), curve),
+            _full_sweep_distance(np.array([x]), curve))
 
 
-def _kept_blocks(monkeypatch, pts, curve):
-    """(distances, share of the (point, block) pairs that reach the
+def _kept_segments(monkeypatch, pts, curve):
+    """(distances, share of the (point, segment) pairs that reach the
     per-segment formula)."""
-    kept = []
-    distance = geometry._segment_distance
+    pairs = []
+    segments = geometry._node_segments
 
-    def counting(w, u, uu):
-        if w.ndim == 2 and w.shape[1] == geometry._DIST_BLOCK:
-            kept.append(w.shape[0])
-        return distance(w, u, uu)
+    def counting(levels, x, best, rows, nodes, size):
+        pairs.append(rows.size * size)
+        return segments(levels, x, best, rows, nodes, size)
 
-    monkeypatch.setattr(geometry, "_segment_distance", counting)
+    monkeypatch.setattr(geometry, "_node_segments", counting)
     got = point_polygon_distance(pts, curve)
     monkeypatch.undo()
-    blocks = -(-curve.segments()[0].size // geometry._DIST_BLOCK)
-    return got, sum(kept) / (pts.size * blocks)
+    return got, sum(pairs) / (pts.size * curve.segments()[0].size)
+
+
+def _thm4_points(m):
+    """thm4's level-curve points at its default radii (r_list)."""
+    return np.concatenate([m.eval_many(r * maps._circle_nodes(720))
+                           for r in (0.05, 0.1, 0.2, 0.4, 0.6)])
 
 
 def test_point_polygon_distance_zero_chord_block(monkeypatch):
-    # block 10 of this 33-block curve is a loop of 16 segments from the
-    # ring vertex 160 back to it, a chord of length zero
+    # node 10 of 16 segments of this 528-segment curve is a loop from
+    # the ring vertex 160 back to it, a chord of length zero
     ring = np.exp(2j * np.pi * np.arange(512) / 512)
     loop = ring[160] * (1.0 - 0.05 * (1.0 - np.exp(
         2j * np.pi * np.arange(1, 16) / 16)))
@@ -445,21 +453,32 @@ def test_point_polygon_distance_zero_chord_block(monkeypatch):
     pts = np.concatenate([rng.uniform(-1.5, 1.5, 4000)
                           + 1j * rng.uniform(-1.5, 1.5, 4000),
                           curve.vertices, [0.97 * ring[160]]])
-    got, share = _kept_blocks(monkeypatch, pts, curve)
+    got, share = _kept_segments(monkeypatch, pts, curve)
     np.testing.assert_array_equal(got, _full_sweep_distance(pts, curve))
-    # the loop's block does not keep every block of every point
-    assert share < 0.1
+    # the loop's node does not keep every segment of every point
+    assert share < 0.05
 
 
 def test_point_polygon_distance_thm4_blocks_pruned(monkeypatch):
     # thm4's points against the Poisson boundary polygon: near the middle
-    # of the round image every block used to stay a candidate
+    # of the round image every segment is about equally far, and 16-
+    # segment blocks bounded at one level sent 0.03 of the (point,
+    # segment) pairs to the per-segment formula
     m = gallery_map("poisson:phi=t+0.2*sin(t)")
     poly = boundary_polygon(m, 2048)
-    pts = m.eval_many(0.05 * maps._circle_nodes(720))
-    got, share = _kept_blocks(monkeypatch, pts, poly)
+    pts = _thm4_points(m)
+    got, share = _kept_segments(monkeypatch, pts, poly)
     np.testing.assert_array_equal(got, _full_sweep_distance(pts, poly))
-    assert share < 0.1
+    assert share < 0.015
+
+
+@pytest.mark.parametrize("spec", gallery_names())
+def test_point_polygon_distance_thm4_points_equal_full_sweep(spec):
+    m = gallery_map(spec)
+    poly = boundary_polygon(m, 2048)
+    pts = _thm4_points(m)
+    np.testing.assert_array_equal(point_polygon_distance(pts, poly),
+                                  _full_sweep_distance(pts, poly))
 
 
 @pytest.mark.parametrize("kernel", [point_polygon_distance,
