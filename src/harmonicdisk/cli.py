@@ -259,7 +259,8 @@ def _thm1(m, cfg, arc=None, measure=None):
 
 
 _FLOAT = {"type": _parse_float}
-_RADII = {"type": _parse_float_list, "metavar": "R1,R2,..."}
+_RADII = {"type": _parse_float_list, "metavar": "R1,R2,...",
+          "help": f"1 to {theorems.MAX_R_GRID} radii"}
 _SAMPLES = {"type": int,
             "help": "vertices of the boundary polygon, 8 to 2^20"}
 _N_MAX = {"type": int,

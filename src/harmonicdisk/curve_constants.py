@@ -19,11 +19,11 @@ Lavrentiev and quasicircle constants are the exact maxima over the
 probe set.  Both read one sweep of the probe pairs: chunks of forward
 and backward arc lengths and chords, from slices of the doubled vertex
 and arc-prefix rings.  The Lavrentiev constant reduces each chunk as it
-comes; the quasicircle constant derives which arc is shorter.  The
-diameters come from one pass of a window recurrence: O(n * W_max) time
-and O(n) working memory for an n-gon, where W_max is the largest vertex
-count of a probed shorter arc.  The Ahlfors lengths of a center are one
-(radii, segments) array.
+comes; the quasicircle constant keeps the start and chord of each
+pair's shorter arc, by the arc's vertex count, for one pass of a window
+recurrence: O(n * W_max) time and O(n) memory for an n-gon, W_max the
+largest vertex count of a probed shorter arc.  The Ahlfors lengths of a
+center are one (radii, segments) array.
 
 The connectivity raster is built row by row: a row shares one ordinate,
 so its even-odd containment is the parity of its crossings binned at
@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import PathNotFound, ValidationError, checked_count
 from .geometry import BLOCK_CELLS, _row_crossings, points_in_polygon
+from .maps import _POLAR_BLOCK_CELLS
 
 _EXHAUSTIVE_LIMIT = 1024
 _CHORD_EPS = 1e-12
@@ -185,28 +186,42 @@ def lavrentiev_constant(curve, pairs=20000, seed=0):
     return _lavrentiev(_probe_pairs(curve, pairs, seed))[0]
 
 
-def _arc_diameters(v, base, size):
-    """Exact diameter of each polygonal window v[base], ...,
-    v[base + size - 1] (indices mod n).
+def _quasicircle(curve, chunks):
+    """The constant over the swept chunks of _probe_pairs.
 
-    Runs D(s, L) = max(D(s, L-1), D(s+1, L-1), |v_s - v_{s+L-1}|) over
-    all n starts once, from L = 2 up to the largest requested size,
-    keeping only the current row of D, and reads off each window when L
-    reaches its size.  Every D is a max over the same |v_a - v_b| values
-    as a pairwise scan of the window, so the result is bitwise the same.
+    Pairs are grouped, as starts and chords, by the vertex count L of
+    their shorter arc: lag + 1 from i forward, n - lag + 1 from i + lag
+    backward (mod n).  D(s, L) = max(D(s, L-1), D(s+1, L-1),
+    |v_s - v_{s+L-1}|), the diameter of v[s], ..., v[s+L-1], runs one row
+    at a time from L = 2 up, and each group reads its diameters at its L:
+    a pairwise scan's doubles, so the maximum is bitwise the same.
     """
+    v = curve.vertices
     n = v.size
-    out = np.empty(base.size)
-    order = np.argsort(size, kind="stable")
-    w_max = int(size[order[-1]])
-    # order[first[L]:first[L + 1]] are the windows of size L
-    first = np.searchsorted(size[order], np.arange(w_max + 2))
+    groups = {}
+    for run, arc_f, arc_b, chord in chunks:
+        fwd = arc_f <= arc_b
+        ok = chord >= _CHORD_EPS
+        at = 0
+        for lag, c in run:
+            f, o, ch = fwd[at:at + c], ok[at:at + c], chord[at:at + c]
+            for size, shift, take in ((lag + 1, 0, f & o),
+                                      (n - lag + 1, lag, ~f & o)):
+                i = np.flatnonzero(take)
+                if i.size:
+                    groups.setdefault(size, []).append(((i + shift) % n,
+                                                        ch[i]))
+            at += c
+    if not groups:
+        return 1.0
+    w_max = max(groups)
     ring = np.concatenate([v, v[:w_max]])
     # one spare slot so that D(s+1, .) for s = n-1 is a plain slice
     prev = np.zeros(n + 1)
     cur = np.empty(n + 1)
     diff = np.empty(n, dtype=complex)
     dist = np.empty(n)
+    tops = []
     for L in range(2, w_max + 1):
         np.subtract(ring[L - 1:L - 1 + n], v, out=diff)
         np.abs(diff, out=dist)
@@ -214,40 +229,20 @@ def _arc_diameters(v, base, size):
         np.maximum(cur[:n], dist, out=cur[:n])
         cur[n] = cur[0]
         prev, cur = cur, prev
-        k = order[first[L]:first[L + 1]]
-        out[k] = prev[base[k]]
-    return out
-
-
-def _quasicircle(curve, chunks):
-    """The constant over all swept chunks of _probe_pairs at once."""
-    v = curve.vertices
-    n = v.size
-    runs, arc_f, arc_b, chord = zip(*chunks)
-    chord = np.concatenate(chord)
-    ok = chord >= _CHORD_EPS
-    if not np.any(ok):
-        return 1.0
-    fwd = np.concatenate([f <= b for f, b in zip(arc_f, arc_b)])
-    lags, counts = zip(*(block for run in runs for block in run))
-    i = np.concatenate([np.arange(c) for c in counts])
-    lag = np.repeat(lags, counts)
-    # forward arcs run i .. i+lag, backward arcs j .. j+n-lag
-    base = np.where(fwd, i, (i + lag) % n)[ok]
-    size = np.where(fwd, lag + 1, n - lag + 1)[ok]
-    diam = _arc_diameters(v, base, size)
-    return max(1.0, float((diam / chord[ok]).max()))
+        tops += [(prev[base] / ch).max() for base, ch in groups.get(L, ())]
+    # a NaN ratio (inf / inf) makes np.max NaN, and the constant 1.0
+    return max(1.0, float(np.max(tops)))
 
 
 def quasicircle_constant(curve, pairs=20000, seed=0):
     """Shorter-arc diameter over chord, same probe pairs as the
     Lavrentiev constant.
 
-    The diameter of each shorter arc is exact (see _arc_diameters),
-    so the constant is the exact maximum over the probe set.  Time is
-    O(n * W_max) and working memory O(n) besides the per-pair arrays,
-    where W_max is the largest vertex count of a probed shorter arc.
-    pairs is 1 to MAX_PAIRS.
+    The diameter of each shorter arc is exact (see _quasicircle), so
+    the constant is the exact maximum over the probe set.  Time is
+    O(n * W_max) and working memory O(n) plus 16 bytes a probed pair
+    (8 MiB for an exhaustive 1024-gon), W_max the largest vertex count
+    of a probed shorter arc.  pairs is 1 to MAX_PAIRS.
     """
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
     return _quasicircle(curve, _probe_pairs(curve, pairs, seed))
@@ -515,8 +510,9 @@ def _pair_diameters(cells, inside, cell, pts, diag):
             if box is None:
                 R0, R1, C0, C1 = crop(min(upper, 2.0 * diag))
                 wbox = np.empty((R1 - R0, C1 - C0))
-                # row blocks of 4 MiB of complex differences
-                step = max(1, BLOCK_CELLS // 8 // (C1 - C0))
+                # row blocks of fewer than _POLAR_BLOCK_CELLS cells, whose
+                # complex temporaries glibc serves from the heap
+                step = max(1, (_POLAR_BLOCK_CELLS - 1) // (C1 - C0))
                 for r in range(R0, R1, step):
                     wbox[r - R0:r - R0 + step] = w(
                         slice(r, min(r + step, R1)), slice(C0, C1))

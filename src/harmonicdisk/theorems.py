@@ -21,7 +21,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
-                     NotSelfMap, ValidationError, checked_count, checked_real)
+                     NotSelfMap, checked_count, checked_real)
 from .geometry import (MAX_BOUNDARY_SAMPLES, MAX_COEFFICIENTS, _stretch,
                        _unimodular, boundary_image_length, boundary_polygon,
                        crosscut_integral, extract_coefficients, hardy_mean,
@@ -32,7 +32,7 @@ from .quadrature import adaptive_simpson, first_argmax
 
 TWO_PI = 2.0 * math.pi
 REPORT_TOL = 1e-7
-# schwarz grid radii: 8 r_grid + 1 nodes per ray of the ray table
+# schwarz grid radii (8 r_grid + 1 nodes per ray) and radius list lengths
 MAX_R_GRID = 1 << 12
 # selfmap probes: each holds a few complex arrays, ~150 MiB at the cap
 MAX_PROBES = 1 << 20
@@ -60,11 +60,12 @@ def make_report(name, lhs, rhs, sense="le", params=None, probes=0):
                             dict(params or {}), int(probes))
 
 
-def effective_K(m, user_K=None, cfg=DEFAULT_CONFIG):
+def effective_K(m, user_K=None, cfg=DEFAULT_CONFIG, K_max=math.inf):
     """max(declared K, empirical dilatation lower bound); a declared K is
-    refused unless 1 <= K < inf."""
+    refused unless 1 <= K < inf, then unless K <= K_max."""
     if user_K is not None:
         user_K = checked_real("K", user_K, 1.0, math.inf, "[)")
+        user_K = checked_real("K", user_K, 1.0, K_max, "[]")
     K_lower = estimate_K(m, r_max=min(0.99, m.max_radius),
                          grid=cfg.theta_grid).K_lower
     if user_K is None:
@@ -84,8 +85,7 @@ def check_prop1(m, K=None, radii=DEFAULT_RADII, cfg=DEFAULT_CONFIG):
     integral-mean proxy sup_r M_1(r, ||D||) and the perimeter proxy.
     """
     radii = sorted(checked_real("radii", r, 0.0, 1.0) for r in radii)
-    if not radii:
-        raise ValidationError("radii must be nonempty")
+    checked_count("radii", len(radii), 1, MAX_R_GRID)
     K_eff = effective_K(m, K, cfg)
     reports = []
     lengths = []
@@ -141,7 +141,9 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     sqrt(K pi A / 3) r^{3/2} e^{-(alpha/2)(1/r - 1/2)} and then by the
     same expression without the exponential factor,
     alpha = 4 / (K (1 + M_lav)^2).  M_lav defaults to the chord-arc
-    constant of the image boundary polygon.  params carry the
+    constant of the image boundary polygon.  A declared K above
+    DBL_MAX / 4 or M_lav above sqrt(DBL_MAX) - 1 is refused, where
+    alpha's denominator overflows with the other at 1.  params carry the
     quadrature cross-checks: lhs_node_check is the doubled Gauss-Legendre
     gap of the crosscut integral, lhs_adaptive_vs_fixed its distance to a
     composite Simpson rule on the same domain, and area_node_check the
@@ -150,14 +152,15 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     zeta0 = _unimodular(zeta0)
     r_list = [checked_real("upper radius", r, 0.0, 2.0, "(]")
               for r in r_list]
-    if not r_list:
-        raise ValidationError("r_list must be nonempty")
+    checked_count("r_list", len(r_list), 1, MAX_R_GRID)
     if M_lav is not None:
         M_lav = checked_real("M_lav", M_lav, 1.0, math.inf, "[)")
+        M_lav = checked_real("M_lav", M_lav, 1.0,
+                             math.sqrt(np.finfo(float).max) - 1.0, "[]")
     # refused even when M_lav is given and the polygon is never built
     boundary_samples = checked_count("boundary_samples", boundary_samples, 8,
                                      MAX_BOUNDARY_SAMPLES)
-    K_eff = effective_K(m, K, cfg)
+    K_eff = effective_K(m, K, cfg, np.finfo(float).max / 4)
     A, area_check = image_area(m, 1.0, cfg)
     if M_lav is None:
         M_lav = lavrentiev_constant(boundary_polygon(m, boundary_samples,
@@ -287,16 +290,16 @@ def thm4_ratio(m, K=None, r_list=(0.05, 0.1, 0.2, 0.4, 0.6),
     radii: constant-ratio maps are recorded verbatim; otherwise the
     sequence must be nonincreasing as r decreases.  below_threshold
     says whether the ratio at the smallest radius is below threshold,
-    which is in (0, inf).
+    which is in (0, inf).  A declared K above (DBL_MAX / 64)^(1/3),
+    where 32 r (1+r) K^3 can overflow, is refused.
     """
     threshold = checked_real("threshold", threshold, 0.0, math.inf)
     r_sorted = sorted(checked_real("level-curve radius", r, 0.0, 1.0)
                       for r in r_list)
-    if not r_sorted:
-        raise ValidationError("r_list must be nonempty")
+    checked_count("r_list", len(r_sorted), 1, MAX_R_GRID)
     boundary_samples = checked_count("boundary_samples", boundary_samples, 8,
                                      MAX_BOUNDARY_SAMPLES)
-    K_eff = effective_K(m, K, cfg)
+    K_eff = effective_K(m, K, cfg, (np.finfo(float).max / 64) ** (1 / 3))
     rb = effective_boundary_radius(cfg, m.max_radius)
     s = sup_modulus(m, rb)
     poly = boundary_polygon(m, boundary_samples, cfg)

@@ -627,12 +627,30 @@ def test_thm4_leaves_out_scipy_spatial():
     ("verify", "thm5", "--spec", "identity", "--n-max", "4097"),
     ("coeffs", "--spec", "identity", "--n-max", "4097"),
     ("coeffs", "--spec", "identity", "--n-max", "0"),
+    *(("verify", check, flag, ",".join(["0.5"] * 4097), "--spec", "identity")
+      for check, flag in (("prop1", "--radii"), ("thm2", "--r-list"),
+                          ("thm4", "--r-list"))),
 ])
 def test_count_caps_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert re.fullmatch(r"error: \w+ must be \d+ to \d+, got \d+\n", err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("thm2", "--m-lav", "1e308"),
+     "M_lav must be in [1,1.34078079299e+154], got 1e+308"),
+    (("thm4", "--K", "1e308"), "K must be in [1,1.41095077353e+102], "
+                               "got 1e+308"),
+    (("thm2", "--K", "1e308"), "K must be in [1,4.49423283716e+307], "
+                               "got 1e+308"),
+], ids=["thm2-m-lav", "thm4-K", "thm2-K"])
+def test_a_constant_past_its_formula_exits_1(capsys, argv, message):
+    # each once ended in an OverflowError traceback or, for thm2's K, in
+    # exit 3 on an infinite payload cell
+    code, out, err = run_cli(capsys, "verify", *argv, "--spec", "identity")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv,value", [

@@ -16,7 +16,7 @@ from harmonicdisk import (CurveConstantsReport, PathNotFound, ValidationError,
                           linear_connectivity_constant, quasicircle_constant)
 from harmonicdisk.curve_constants import (MAX_CENTERS, MAX_GRID, MAX_PAIRS,
                                           MAX_POINT_PAIRS, MAX_RADII,
-                                          _arc_diameters, _cell_of,
+                                          _cell_of,
                                           _components, _pair_diameters,
                                           _raster,
                                           _raster_line, _sample_interior,
@@ -716,10 +716,38 @@ def test_ahlfors_block_split_at_full_size():
         curve, 2, MAX_RADII)
 
 
+def _arc_diameters(v, base, size):
+    """Exact diameter of each polygonal window v[base], ...,
+    v[base + size - 1] (indices mod n), all windows at once.
+
+    Runs D(s, L) = max(D(s, L-1), D(s+1, L-1), |v_s - v_{s+L-1}|) over
+    all n starts, from L = 2 up to the largest requested size, and reads
+    off each window, found by argsort and searchsorted, when L reaches
+    its size: the all-pairs version of the recurrence that the library
+    reads one size at a time.
+    """
+    n = v.size
+    out = np.empty(base.size)
+    order = np.argsort(size, kind="stable")
+    w_max = int(size[order[-1]])
+    # order[first[L]:first[L + 1]] are the windows of size L
+    first = np.searchsorted(size[order], np.arange(w_max + 2))
+    ring = np.concatenate([v, v[:w_max]])
+    prev = np.zeros(n + 1)
+    for L in range(2, w_max + 1):
+        cur = np.maximum(prev[:n], prev[1:])
+        cur = np.maximum(cur, np.abs(ring[L - 1:L - 1 + n] - v))
+        prev = np.append(cur, cur[0])
+        k = order[first[L]:first[L + 1]]
+        out[k] = prev[base[k]]
+    return out
+
+
 def _gather_pair_constants(curve, pairs, seed):
     """Lavrentiev and quasicircle constants from per-block index
-    gathers v[j], pre[j] with j = (i + lag) % n: the rule that the
-    library reads from ring slices."""
+    gathers v[j], pre[j] with j = (i + lag) % n, the rule that the
+    library reads from ring slices, and from one array of all probe
+    pairs' windows, which the library reads one size at a time."""
     v = curve.vertices
     n = v.size
     pre = curve.arc_prefix()
@@ -756,6 +784,22 @@ def test_pair_constants_equal_gather_version(n):
 
 
 @pytest.mark.parametrize("name", ["circle512", "ellipse256", "u", "square",
+                                  "poly1025", "star"])
+def test_quasicircle_equals_the_all_pairs_recurrence(name):
+    # the four polygons of the curves benchmark, the sampled path, and a
+    # star, whose shorter arcs run backward as well as forward
+    curve = {"circle512": lambda: circle_polygon(512),
+             "ellipse256": lambda: ellipse_polygon(2, 1, 256),
+             "u": u_polygon, "square": square_polygon,
+             "poly1025": lambda: boundary_polygon(
+                 gallery_map("poly:z+0.3*zbar^2"), 1025),
+             "star": _star}[name]()
+    for seed in range(3):
+        _, want = _gather_pair_constants(curve, 20000, seed)
+        assert quasicircle_constant(curve, seed=seed) == want
+
+
+@pytest.mark.parametrize("name", ["circle512", "ellipse256", "u", "square",
                                   "poly2048"])
 def test_streamed_lavrentiev_equals_a_materialized_probe(name):
     curve = {"circle512": lambda: circle_polygon(512),
@@ -783,6 +827,36 @@ def test_lavrentiev_memory():
         tracemalloc.stop()
     assert got == 1.5707938626385576
     assert peak <= 1 << 20
+
+
+def test_quasicircle_memory():
+    # tracemalloc peak on an exhaustive 1024-gon (523,776 pairs): 41.0
+    # MiB with every probe pair's window in flat arrays, sorted by size;
+    # 8.4 MiB with a start and a chord per pair, read size by size
+    curve = boundary_polygon(gallery_map("poly:z+0.3*zbar^2"), 1024)
+    quasicircle_constant(curve)
+    tracemalloc.start()
+    try:
+        quasicircle_constant(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20
+
+
+def test_linear_connectivity_memory():
+    # tracemalloc peak on the U at grid 512: 14.3 MiB with the w box
+    # filled in row blocks of 4 MiB of complex cells, 7.1 MiB in blocks
+    # below 128 KiB
+    curve = u_polygon()
+    linear_connectivity_constant(curve, grid=512)
+    tracemalloc.start()
+    try:
+        linear_connectivity_constant(curve, grid=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 << 20
 
 
 def test_crosscut_integral_memory():

@@ -8,6 +8,7 @@ chain at tiny radii), the failure itself is asserted.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -514,6 +515,46 @@ def test_count_caps_refuse_before_evaluation():
         4096, 1 << 20, 8192, 4096)
 
 
+@pytest.mark.parametrize("check,key,name", [
+    (check_prop1, "radii", "radii"),
+    (thm2_bound, "r_list", "r_list"),
+    (thm4_ratio, "r_list", "r_list")], ids=["prop1", "thm2", "thm4"])
+def test_radius_lists_are_capped_before_evaluation(check, key, name):
+    # thm2 takes a lens integral per radius: a list past the cap is
+    # refused before the map is asked for anything, and one at the cap
+    # reaches the map
+    with pytest.raises(ValidationError,
+                       match=f"^{name} must be 1 to {MAX_R_GRID}, got "
+                             f"{MAX_R_GRID + 1}$"):
+        check(_RefusingMap(), **{key: [0.5] * (MAX_R_GRID + 1)})
+    with pytest.raises(_Evaluated):
+        check(_RefusingMap(), **{key: [0.5] * MAX_R_GRID})
+
+
+_DBL_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("check,key,top,formula", [
+    # alpha's denominator K (1 + M_lav)^2 at M_lav = 1, and K pi
+    (thm2_bound, "K", _DBL_MAX / 4.0, lambda K: K * 4.0),
+    (thm2_bound, "M_lav", math.sqrt(_DBL_MAX) - 1.0,
+     lambda M: (1.0 + M) ** 2),
+    # thm4's 32 r (1 + r) K^3 at r up to 1
+    (thm4_ratio, "K", (_DBL_MAX / 64.0) ** (1 / 3), lambda K: 64.0 * K ** 3),
+], ids=["thm2-K", "thm2-M_lav", "thm4-K"])
+def test_declared_constants_stop_where_the_formula_overflows(
+        check, key, top, formula):
+    assert math.isfinite(formula(top))
+    with pytest.raises(_Evaluated):
+        check(_RefusingMap(), **{key: top})
+    for bad in (math.nextafter(top, math.inf), 1e308):
+        with pytest.raises(ValidationError,
+                           match=f"^{key} must be in "
+                                 f"{re.escape(f'[1,{top:.12g}]')}, "
+                                 f"got {re.escape(str(bad))}$"):
+            check(_RefusingMap(), **{key: bad})
+
+
 def test_quadrature_config_refuses_infinite_tolerances():
     for key in ("abs_tol", "rel_tol"):
         with pytest.raises(ValidationError,
@@ -525,14 +566,14 @@ def test_quadrature_config_refuses_infinite_tolerances():
     (check_prop1, {"K": 0.5}, "K must be in [1,inf), got 0.5"),
     (check_prop1, {"K": math.nan}, "K must be in [1,inf), got nan"),
     (check_prop1, {"K": math.inf}, "K must be in [1,inf), got inf"),
-    (check_prop1, {"radii": ()}, "radii must be nonempty"),
+    (check_prop1, {"radii": ()}, "radii must be 1 to 4096, got 0"),
     (thm2_bound, {"M_lav": -1.0}, "M_lav must be in [1,inf), got -1.0"),
     (thm2_bound, {"M_lav": 0.5}, "M_lav must be in [1,inf), got 0.5"),
     (thm2_bound, {"M_lav": math.nan}, "M_lav must be in [1,inf), got nan"),
     (thm2_bound, {"M_lav": math.inf}, "M_lav must be in [1,inf), got inf"),
     (thm2_bound, {"K": 0.5}, "K must be in [1,inf), got 0.5"),
-    (thm2_bound, {"r_list": ()}, "r_list must be nonempty"),
-    (thm4_ratio, {"r_list": ()}, "r_list must be nonempty"),
+    (thm2_bound, {"r_list": ()}, "r_list must be 1 to 4096, got 0"),
+    (thm4_ratio, {"r_list": ()}, "r_list must be 1 to 4096, got 0"),
     (thm4_ratio, {"r_list": (0.5, 1.0)},
      "level-curve radius must be in (0,1), got 1.0"),
     (thm4_ratio, {"r_list": (math.nan,)},
