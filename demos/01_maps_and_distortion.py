@@ -37,7 +37,7 @@ for name, m in [("poly", poly), ("affine", affine), ("poisson", poisson)]:
               f"J = {abs(fz[k])**2 - abs(fzb[k])**2:.6f}")
 
 # the smallest K with |f_z|+|f_zb| <= K * (|f_z|-|f_zb|) over the disk,
-# bounded from below by a polar probe grid.  For the affine map it is
+# bounded from below by one probe circle.  For the affine map it is
 # exactly (1+|b/a|)/(1-|b/a|) = 3.
 print("\nestimated distortion")
 for name, m in [("poly", poly), ("affine", affine), ("poisson", poisson)]:

@@ -37,6 +37,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def effective_boundary_radius(cfg: QuadratureConfig, map_radius: float) -> float:
+def effective_boundary_radius(cfg: QuadratureConfig,
+                              map_radius: float) -> float:
     """Boundary proxy radius actually usable for a given map."""
     return min(cfg.boundary_radius, map_radius)

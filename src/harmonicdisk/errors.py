@@ -75,7 +75,7 @@ class QuadratureNonconvergence(NumericalError):
 
 
 class NotSensePreserving(NumericalError):
-    """Jacobian is non-positive at a probe point."""
+    """Jacobian is non-positive at a probe, or f_z winds about 0."""
 
 
 class NotSelfMap(NumericalError):

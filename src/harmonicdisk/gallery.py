@@ -122,8 +122,8 @@ def gallery_map(name):
         body = name[len("affine:"):]
         parts = body.split(",")
         if len(parts) != 2:
-            raise MapSpecError(
-                f"affine: needs two comma-separated coefficients, got {name!r}")
+            raise MapSpecError("affine: needs two comma-separated "
+                               f"coefficients, got {name!r}")
         try:
             a = complex(parts[0])
             b = complex(parts[1])

@@ -575,15 +575,14 @@ def sup_radial_length(m, r, cfg=DEFAULT_CONFIG):
         raise ValidationError(f"radii must be nonempty and ascending: {r}")
     _refuse_beyond(m, radii[-1])
     rho, h, ends = _radius_nodes(radii)
-    thetas, cum = ray_table(m, rho, h, cfg.theta_grid, _stretch)
+    _, cum = ray_table(m, rho, h, cfg.theta_grid, _stretch)
     pairs = []
     for x, at in zip(radii, ends):
         def lengths(rays, at=at):
             return ray_table(m, rho[:2 * at + 1], h[:at], rays,
                              _stretch)[1][:, -1]
 
-        theta_star, _ = refine_grid_max(lengths, thetas, cum[:, at],
-                                        wrap=TWO_PI)
+        theta_star, _ = refine_grid_max(lengths, cum[:, at])
         pairs.append((theta_star, radial_length(m, theta_star, x, cfg)[0]))
     return pairs if np.ndim(r) else pairs[0]
 

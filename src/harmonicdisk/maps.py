@@ -52,7 +52,7 @@ def jacobian(fz, fzb):
 
 @dataclass(frozen=True)
 class DilatationReport:
-    """Empirical dilatation supremum from a finite probe grid.
+    """Empirical dilatation supremum from one probe circle.
 
     omega_sup is a lower bound for sup |g'/h'| (supremum over probes),
     hence K_lower = (1 + omega_sup)/(1 - omega_sup) is a lower bound for
@@ -62,7 +62,6 @@ class DilatationReport:
     omega_sup: float
     K_lower: float
     r_max: float
-    grid_density: tuple[int, int]
 
 
 # points per block of _polyval: a block and its two work arrays (3 x
@@ -470,52 +469,63 @@ def _polar_blocks(evaluate, radii, rays):
         yield rows, evaluate(radii[None, :] * e[rows, None])
 
 
-def estimate_K(m, r_max=0.999, grid=720):
-    """Lower bound for the maximal dilatation from a polar probe grid.
-
-    32 geometrically spaced radii in (0.1, r_max] times ``grid`` angles,
-    followed by coordinate-wise refinement around the best probe:
-    refine_grid_max zooms in on omega = |f_zb| / |f_z| over arrays of
-    angles at the best probe's radius, then over arrays of radii at the
-    refined angle.  The grid goes in blocks of angles (_polar_blocks);
-    NotSensePreserving names the worst probe of the first block where
-    the jacobian is not positive.  grid is 8 to MAX_THETA_GRID.
+def _winding(m, r, fz):
+    """Turns of f_z = h' about 0 on |z| = r, from its values fz on the
+    nodes r _circle_nodes(n), n = fz.size.  L bounds |d/dtheta h'| there
+    (from h'', m.taylor), so a cell whose larger end exceeds L 2 pi / n
+    + err (the series' truncation bound) keeps h' in a disk without 0,
+    and its step of arg h' is the principal angle.  While a cell is not
+    certified, n doubles, up to MAX_THETA_GRID; then NotSensePreserving.
     """
+    h, _, err = m.taylor(r)
+    L = r * npoly.polyval(r, np.abs(npoly.polyder(h, 2)))
+    while not np.all(L * TWO_PI / fz.size + err
+                     < np.maximum(np.abs(fz), np.abs(np.roll(fz, -1)))):
+        if 2 * fz.size > MAX_THETA_GRID:
+            raise NotSensePreserving(
+                f"winding of f_z about 0 on |z| = {r} not certified on "
+                f"{fz.size} nodes: |f_z| falls to {np.abs(fz).min():.3e}")
+        fz = m.derivs_many(r * _circle_nodes(2 * fz.size))[0]
+    return round(float(np.angle(np.roll(fz, -1) / fz).sum()) / TWO_PI)
+
+
+def estimate_K(m, r_max=0.999, grid=720):
+    """Lower bound for the maximal dilatation from one probe circle.
+
+    A sense-preserving map has h' != 0 (H. Lewy, Bull. AMS 42 (1936)),
+    so omega = g'/h' is analytic and |omega| peaks on |z| = r_max, whose
+    ``grid`` nodes are probed; refine_grid_max zooms in on |f_zb| / |f_z|
+    in angle.  NotSensePreserving names the worst node where the
+    jacobian is not positive, or the zeros of h' inside when f_z winds
+    about 0 (_winding, the argument principle).  grid is 8 to
+    MAX_THETA_GRID."""
     r_max = min(checked_real("r_max", r_max, 0.0, math.inf, "(]"),
                 m.max_radius)
     grid = checked_count("grid", grid, 8, MAX_THETA_GRID)
-    n_r = 32
-    lo = min(0.1, 0.5 * r_max)
-    radii = np.geomspace(lo, r_max, n_r)
-    angles = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    om = np.empty((grid, n_r))
-    for rows, (fz, fzb) in _polar_blocks(m.derivs_many, radii, grid):
-        jac = jacobian(fz, fzb).T
-        if np.any(jac <= 0.0):
-            i_bad, j_bad = np.unravel_index(int(np.argmin(jac)), jac.shape)
-            z_bad = radii[i_bad] * np.exp(1j * angles[rows.start + j_bad])
-            raise NotSensePreserving(f"jacobian {jac[i_bad, j_bad]:.3e} <= 0 "
-                                     f"at probe z = {z_bad:.6f}")
-        om[rows] = np.abs(fzb) / np.abs(fz)
-    om = om.T
+    z = r_max * _circle_nodes(grid)
+    fz, fzb = m.derivs_many(z)
+    jac = jacobian(fz, fzb)
+    if np.any(jac <= 0.0):
+        k = int(np.argmin(jac))
+        raise NotSensePreserving(f"jacobian {jac[k]:.3e} <= 0 "
+                                 f"at probe z = {z[k]:.6f}")
+    turns = _winding(m, r_max, fz)
+    if turns:
+        raise NotSensePreserving(
+            f"f_z has winding number {turns} about 0 on |z| = {r_max}: "
+            f"h' has {turns} zero(s) inside, so J <= 0 there")
 
-    def omega(z):
-        a, b = m.derivs_many(z)
+    def omega(th):
+        a, b = m.derivs_many(r_max * _circle_nodes(th))
         return np.abs(b) / np.abs(a)
 
-    i, j = np.unravel_index(int(np.argmax(om)), om.shape)
-    # refine the angle on the wrap-around grid, then the radius; the
-    # column at angles[j] stands for the radii's values at th_star
-    th_star, _ = refine_grid_max(
-        lambda th: omega(radii[i] * _circle_nodes(th)), angles, om[i],
-        wrap=TWO_PI)
-    _, val = refine_grid_max(lambda r: omega(r * np.exp(1j * th_star)),
-                             radii, om[:, j])
+    om = np.abs(fzb) / np.abs(fz)
+    _, val = refine_grid_max(omega, om)
     omega_sup = max(float(np.max(om)), val)
     if omega_sup >= 1.0:
         raise NotSensePreserving(f"dilatation modulus {omega_sup} >= 1")
     K_lower = (1.0 + omega_sup) / (1.0 - omega_sup)
-    return DilatationReport(omega_sup, K_lower, r_max, (n_r, grid))
+    return DilatationReport(omega_sup, K_lower, r_max)
 
 
 def sup_modulus(m, r_max):
@@ -527,11 +537,9 @@ def sup_modulus(m, r_max):
     """
     r_max = checked_real("r_max", r_max, 0.0, m.max_radius, "(]",
                          PointOutsideDisk)
-    angles = np.linspace(0.0, TWO_PI, 720, endpoint=False)
     vals = np.abs(m.eval_many(r_max * _circle_nodes(720)))
     _, v = refine_grid_max(
-        lambda th: np.abs(m.eval_many(r_max * _circle_nodes(th))), angles,
-        vals, wrap=TWO_PI)
+        lambda th: np.abs(m.eval_many(r_max * _circle_nodes(th))), vals)
     return max(float(vals.max()), v)
 
 

@@ -141,32 +141,25 @@ def first_argmax(values, scale=None):
     return int(np.argmax(values >= values.max() - TIE_RTOL * scale))
 
 
-def refine_grid_max(f_many, xs, values, *, wrap=None):
-    """Maximize ``f_many`` starting from its argmax over the grid ``xs``,
-    where it takes ``values``.
+def refine_grid_max(f_many, values):
+    """Maximize ``f_many`` over angles, starting from its argmax over the
+    grid 2 pi k / n, n = values.size, where it takes ``values``.
 
-    ``f_many`` maps an array of abscissae to an array of values.  The
+    ``f_many`` maps an array of angles to an array of values.  The
     bracket is the two grid cells adjacent to the best sample, the first
-    one by ``first_argmax``; ``wrap`` gives the period for cyclic grids
-    (the neighbours then wrap around).  Each level evaluates
-    _ZOOM_POINTS equispaced points of the bracket in one call and
-    narrows it to the two cells about their argmax, 16-fold, until it
-    is at most 1e-12 wide: 9 calls for a bracket of 2 x 2 pi / 720.
+    one by ``first_argmax``; the neighbours wrap around.  Each level
+    evaluates _ZOOM_POINTS equispaced points of the bracket in one call
+    and narrows it to the two cells about their argmax, 16-fold, until
+    it is at most 1e-12 wide: 9 calls for a bracket of 2 x 2 pi / 720.
     The best point of all levels replaces the sample only if it beats
-    it by more than a relative TIE_RTOL.  Returns ``(x, f(x))``.
+    it by more than a relative TIE_RTOL.  Returns ``(angle, f(angle))``.
     """
-    xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
+    xs = np.linspace(0.0, 2.0 * math.pi, values.size, endpoint=False)
     i = first_argmax(values)
     best = float(values[i])
-    if wrap is None:
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, xs.size - 1)]
-        if hi <= lo:
-            return float(xs[i]), best
-    else:
-        lo = xs[i - 1] if i > 0 else xs[-1] - wrap
-        hi = xs[i + 1] if i + 1 < xs.size else xs[0] + wrap
+    lo = xs[i - 1] if i > 0 else xs[-1] - 2.0 * math.pi
+    hi = xs[i + 1] if i + 1 < xs.size else xs[0] + 2.0 * math.pi
     x, v = xs[i], -math.inf
     while hi - lo > 1e-12:
         pts = np.linspace(lo, hi, _ZOOM_POINTS)

@@ -6,7 +6,7 @@ that nonnegative means the inequality holds; `holds` allows a relative
 slack of 1e-7 so that exact equality cases survive roundoff.
 
 The quasiconformality constant fed into every hypothesis is
-max(user-declared K, empirical lower bound from a probe grid): the
+max(user-declared K, empirical lower bound from one probe circle): the
 harness refuses to run a check with a K below what the map's own
 derivatives already exhibit.
 """
@@ -21,7 +21,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, effective_boundary_radius
 from .curve_constants import lavrentiev_constant
 from .errors import (DegenerateE, DivisionDegenerate, NormalizationViolation,
-                     NotSelfMap, checked_count, checked_real)
+                     NotSelfMap, ValidationError, checked_count,
+                     checked_real)
 from .geometry import (MAX_BOUNDARY_SAMPLES, MAX_COEFFICIENTS, _stretch,
                        _unimodular, boundary_image_length, boundary_polygon,
                        crosscut_integral, extract_coefficients, hardy_mean,
@@ -66,8 +67,7 @@ def effective_K(m, user_K=None, cfg=DEFAULT_CONFIG, K_max=math.inf):
     if user_K is not None:
         user_K = checked_real("K", user_K, 1.0, math.inf, "[)")
         user_K = checked_real("K", user_K, 1.0, K_max, "[]")
-    K_lower = estimate_K(m, r_max=min(0.99, m.max_radius),
-                         grid=cfg.theta_grid).K_lower
+    K_lower = estimate_K(m, r_max=0.99, grid=cfg.theta_grid).K_lower
     if user_K is None:
         return K_lower
     return max(user_K, K_lower)
@@ -143,7 +143,8 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
     alpha = 4 / (K (1 + M_lav)^2).  M_lav defaults to the chord-arc
     constant of the image boundary polygon.  A declared K above
     DBL_MAX / 4 or M_lav above sqrt(DBL_MAX) - 1 is refused, where
-    alpha's denominator overflows with the other at 1.  params carry the
+    alpha's denominator overflows with the other at 1, and so is a K
+    for which K pi A overflows, once the area is known.  params carry the
     quadrature cross-checks: lhs_node_check is the doubled Gauss-Legendre
     gap of the crosscut integral, lhs_adaptive_vs_fixed its distance to a
     composite Simpson rule on the same domain, and area_node_check the
@@ -162,11 +163,16 @@ def thm2_bound(m, zeta0=1.0, K=None, M_lav=None, r_list=(0.5, 1.0, 2.0),
                                      MAX_BOUNDARY_SAMPLES)
     K_eff = effective_K(m, K, cfg, np.finfo(float).max / 4)
     A, area_check = image_area(m, 1.0, cfg)
+    # the product itself: an area that underflows to 0 divides nothing
+    KpA = K_eff * math.pi * A
+    if not math.isfinite(KpA):
+        raise ValidationError(f"K = {K_eff} overflows K pi A at the image "
+                              f"area A = {A}")
     if M_lav is None:
         M_lav = lavrentiev_constant(boundary_polygon(m, boundary_samples,
                                                      cfg))
     alpha = 4.0 / (K_eff * (1.0 + M_lav) ** 2)
-    front = math.sqrt(K_eff * math.pi * A / 3.0)
+    front = math.sqrt(KpA / 3.0)
     reports = []
     for r in r_list:
         lhs, node_check, simpson_check = crosscut_integral(m, zeta0, r, cfg)

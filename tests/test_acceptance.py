@@ -18,9 +18,10 @@ from harmonicdisk.curve_constants import (ahlfors_constant,
                                           lavrentiev_constant,
                                           quasicircle_constant)
 from harmonicdisk.gallery import gallery_map, gallery_names
-from harmonicdisk.geometry import (ArcSet, circle_polygon, extract_coefficients,
-                                   image_area, level_curve_length,
-                                   radial_length, rectangle_polygon)
+from harmonicdisk.geometry import (ArcSet, circle_polygon,
+                                   extract_coefficients, image_area,
+                                   level_curve_length, radial_length,
+                                   rectangle_polygon)
 from harmonicdisk.maps import (SeriesHarmonicMap, estimate_K, rotate_domain,
                                scale_range)
 from harmonicdisk.theorems import (check_prop1, schwarz_radial_check,

@@ -576,7 +576,8 @@ def test_eval_z_file_names_the_line_outside_the_disk(capsys, tmp_path):
     # a --z probe has no line to name
     code, out, err = run_cli(capsys, "eval", "--spec", "identity",
                              "--z", "1.2,0")
-    assert (code, out, err) == (1, "", "error: |z| must be in [0,1), got 1.2\n")
+    assert (code, out, err) == (1, "",
+                                "error: |z| must be in [0,1), got 1.2\n")
 
 
 def _run_python(*argv):
@@ -651,6 +652,30 @@ def test_a_constant_past_its_formula_exits_1(capsys, argv, message):
     # exit 3 on an infinite payload cell
     code, out, err = run_cli(capsys, "verify", *argv, "--spec", "identity")
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("K", ["3e307", "4.4e307"])
+def test_thm2_K_past_its_area_product_exits_1(capsys, K):
+    # below the map-independent cap DBL_MAX / 4, but K pi A overflows
+    # at the identity's area A = pi; once exit 3 on an infinite cell
+    code, out, err = run_cli(capsys, "verify", "thm2", "--spec", "identity",
+                             "--K", K, "--r-list", "0.5")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: K = {float(K)} overflows K pi A at the "
+                          "image area A = 3.14158")
+
+
+def test_a_zero_of_f_z_inside_the_disk_exits_3(capsys, tmp_path):
+    # f = z + z^2 has J = |1 + 2 z|^2 > 0 at every probe, but f_z winds
+    # once about 0 on |z| = 0.99: it vanishes at -1/2
+    spec = _spec_file(tmp_path, {"kind": "series",
+                                 "analytic": [[0, 0], [1, 0], [1, 0]]})
+    code, out, err = run_cli(capsys, "verify", "prop1", "--spec", spec)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "numerical failure: f_z has winding number 1 about 0 on |z| = 0.99:"
+        " h' has 1 zero(s) inside, so J <= 0 there"]
 
 
 @pytest.mark.parametrize("argv,value", [

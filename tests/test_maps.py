@@ -15,7 +15,7 @@ from harmonicdisk.gallery import gallery_names, parse_map_spec
 from harmonicdisk.geometry import _stretch
 from harmonicdisk.maps import (_POLAR_BLOCK_CELLS, _polar_blocks, jacobian,
                                op_norm, rotate_domain, scale_range)
-from harmonicdisk.quadrature import refine_grid_max
+from harmonicdisk.quadrature import TIE_RTOL, _ZOOM_POINTS, first_argmax
 
 from oracles.poisson_bessel_series import bessel_series_coeffs
 
@@ -75,7 +75,6 @@ def test_estimate_K_affine_exact():
     assert abs(rep.omega_sup - 0.5) < 1e-12
     assert abs(rep.K_lower - 3.0) < 1e-11
     assert rep.r_max == 0.999
-    assert rep.grid_density == (32, 720)
 
 
 def test_estimate_K_poly_radial_growth():
@@ -108,6 +107,38 @@ def test_estimate_K_rejects_folding_map():
     assert float(got[1]) == pytest.approx(1.0 - 2.56 * abs(z) ** 2,
                                           rel=1e-3)
     assert abs(z) > 0.625
+
+
+@pytest.mark.parametrize("h", [
+    [0, 1, 1],
+    # h' = 1 - 20 z vanishes at 0.05
+    [0, 1, -10],
+    # h' vanishes at -0.990000001, just outside the probe circle, where
+    # no node count certifies its winding
+    [0, 1, 1 / (2 * 0.990000001)],
+], ids=["z+z^2", "zero-at-0.05", "zero-just-outside"])
+def test_estimate_K_refuses_a_zero_of_f_z(h):
+    # J = |h'|^2 > 0 at every node of |z| = 0.99, but h' has a zero
+    # inside the disk or too close to the circle to tell
+    with pytest.raises(NotSensePreserving, match="winding"):
+        estimate_K(SeriesHarmonicMap(h), 0.99)
+
+
+def test_estimate_K_winding_doubles_its_nodes():
+    # 8 nodes leave cells uncertified, so f_z is sampled afresh on twice
+    # as many until they all are; the estimate is the grid-720 one
+    m = gallery_map("poisson:phi=t+0.99*sin(t)")
+    sizes, derivs = [], m.derivs_many
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return derivs(z)
+
+    m.derivs_many = counted
+    coarse = estimate_K(m, 0.99, grid=8).K_lower
+    assert sizes[:4] == [8, 16, 32, 64]
+    fine = estimate_K(m, 0.99).K_lower
+    assert abs(coarse - fine) <= 1e-12 * fine
 
 
 def test_poisson_identity_phase_reproduces_identity():
@@ -241,9 +272,38 @@ def test_polar_blocks_stay_below_the_mmap_threshold(rays, n_r):
     assert _POLAR_BLOCK_CELLS == 1 << 13
 
 
+def _refine_grid_max(f_many, xs, values, *, wrap=None):
+    """quadrature.refine_grid_max as it was, with explicit abscissae
+    ``xs`` and a period ``wrap`` for cyclic grids (None: no wrap)."""
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    i = first_argmax(values)
+    best = float(values[i])
+    if wrap is None:
+        lo = xs[max(i - 1, 0)]
+        hi = xs[min(i + 1, xs.size - 1)]
+        if hi <= lo:
+            return float(xs[i]), best
+    else:
+        lo = xs[i - 1] if i > 0 else xs[-1] - wrap
+        hi = xs[i + 1] if i + 1 < xs.size else xs[0] + wrap
+    x, v = xs[i], -math.inf
+    while hi - lo > 1e-12:
+        pts = np.linspace(lo, hi, _ZOOM_POINTS)
+        vals = f_many(pts)
+        k = int(np.argmax(vals))
+        if vals[k] > v:
+            x, v = pts[k], vals[k]
+        lo, hi = pts[max(k - 1, 0)], pts[min(k + 1, _ZOOM_POINTS - 1)]
+    if v > best + TIE_RTOL * float(np.abs(values).max()):
+        return float(x), float(v)
+    return float(xs[i]), best
+
+
 def _whole_grid_estimate_K(m, r_max=0.999, grid=720):
     """estimate_K as it was with one derivs_many call on the whole
-    (grid x 32) probe grid: the reference of the blocked version."""
+    (grid x 32) probe grid, zoomed in angle and then in radius: the
+    reference of the one-circle version."""
     r_max = min(r_max, m.max_radius)
     radii = np.geomspace(min(0.1, 0.5 * r_max), r_max, 32)
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
@@ -257,11 +317,11 @@ def _whole_grid_estimate_K(m, r_max=0.999, grid=720):
         return np.abs(b) / np.abs(a)
 
     i, j = np.unravel_index(int(np.argmax(om)), om.shape)
-    th_star, _ = refine_grid_max(
+    th_star, _ = _refine_grid_max(
         lambda th: omega(radii[i] * np.exp(1j * th)), angles, om[i],
         wrap=2.0 * math.pi)
-    _, val = refine_grid_max(lambda r: omega(r * np.exp(1j * th_star)),
-                             radii, om[:, j])
+    _, val = _refine_grid_max(lambda r: omega(r * np.exp(1j * th_star)),
+                              radii, om[:, j])
     omega_sup = max(float(np.max(om)), val)
     return omega_sup, (1.0 + omega_sup) / (1.0 - omega_sup)
 
@@ -498,7 +558,8 @@ def _coefficients(rng, n):
 
 
 HORNER_DTYPES = pytest.mark.parametrize(
-    "dtype", [np.complex128, np.clongdouble], ids=["complex128", "clongdouble"])
+    "dtype", [np.complex128, np.clongdouble],
+    ids=["complex128", "clongdouble"])
 
 
 # 4096 coefficients run at a block of 16 points, so that every block

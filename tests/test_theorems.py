@@ -367,9 +367,8 @@ def _sup_radius_by_radius(m, radii, cfg):
         def lengths(rays, r=r, rho=rho):
             return ray_table(m, rho, r / 128, rays, _stretch)[1][:, -1]
 
-        thetas, cum = ray_table(m, rho, r / 128, cfg.theta_grid, _stretch)
-        theta, _ = refine_grid_max(lengths, thetas, cum[:, -1],
-                                   wrap=2.0 * math.pi)
+        _, cum = ray_table(m, rho, r / 128, cfg.theta_grid, _stretch)
+        theta, _ = refine_grid_max(lengths, cum[:, -1])
         pairs.append((theta, radial_length(m, theta, r, cfg)[0]))
     return pairs
 
