@@ -49,10 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathNotFound, ValidationError, checked_count
-from .geometry import BLOCK_CELLS, _row_crossings, points_in_polygon
+from .geometry import (BLOCK_CELLS, PolygonalCurve, _row_crossings,
+                       points_in_polygon)
 from .maps import _POLAR_BLOCK_CELLS
 
 _EXHAUSTIVE_LIMIT = 1024
+# relative to the extent: every constant runs on _unit_scaled vertices
 _CHORD_EPS = 1e-12
 _RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25, 0.125, 0.0625, 0.85, 0.6, 0.4,
                      0.3, 0.2, 0.15, 0.1, 0.05)
@@ -72,13 +74,48 @@ class CurveConstantsReport:
     sample_counts: dict
 
 
+def _unit_scaled(curve):
+    """(the curve scaled by 2^-e, e): the power of two that brings the
+    longer side of its vertices' bounding box into [1/2, 1).
+
+    The scaling is exact and every step of the constants commutes with
+    it, so a constant keeps its bits at any scale at which the vertices
+    are exact; _CHORD_EPS and the Ahlfors slack become relative to the
+    extent.  A curve already in that range is returned as it is.
+    """
+    v = curve.vertices
+    x, y = v.real, v.imag
+    # half the extent, whose differences of halves cannot overflow
+    half = max(0.5 * x.max() - 0.5 * x.min(), 0.5 * y.max() - 0.5 * y.min())
+    e = math.frexp(half)[1] + 1
+    if e == 0:
+        return curve, 0
+    # a valid curve's vertices scaled: finite and, short of underflow
+    # below 2^-1022, distinct where they were, so not checked again
+    scaled = object.__new__(PolygonalCurve)
+    object.__setattr__(scaled, "vertices",
+                       np.ldexp(v.view(float), -e).view(complex))
+    object.__setattr__(scaled, "closed", curve.closed)
+    return scaled, e
+
+
+def _closed_unit(curve, what):
+    """The closed curve at unit scale; an open polyline is refused, as
+    a pair's backward arc would run through a segment it lacks."""
+    if not curve.closed:
+        raise ValidationError(f"{what} needs a closed curve")
+    return _unit_scaled(curve)[0]
+
+
 def _pair_lags(n, seed):
     """Lag visit order: antipodal, adjacent, then a seeded shuffle."""
     head = [n // 2, 1]
-    rest = [k for k in range(2, n // 2 + 1) if k not in head]
+    # the lags 2 .. n//2 - 1; shuffled as an array, they take the draws
+    # and the order that shuffling them as a list does
+    rest = np.arange(2, n // 2)
     rng = np.random.default_rng(checked_count("seed", seed, 0, math.inf))
     rng.shuffle(rest)
-    return [k for k in head if 1 <= k <= n // 2] + rest
+    return [k for k in head if 1 <= k <= n // 2] + rest.tolist()
 
 
 def sample_vertex_pairs(curve, pairs, seed=0):
@@ -144,9 +181,11 @@ def _probe_pairs(curve, pairs, seed):
     blocks, _ = sample_vertex_pairs(curve, pairs, seed)
     v = curve.vertices
     n = v.size
-    pre = curve.arc_prefix()
-    total = pre[-1]
     v2 = np.concatenate([v, v])
+    # curve.arc_prefix(), from the segments v2[1:n+1] - v
+    pre = np.zeros(n + 1)
+    np.cumsum(np.abs(v2[1:n + 1] - v), out=pre[1:])
+    total = pre[-1]
     pre2 = np.concatenate([pre[:n], pre[:n]])
     for run, size in _runs(blocks):
         arc_f, chord = np.empty(size), np.empty(size)
@@ -170,82 +209,110 @@ def _lavrentiev(chunks):
     best, skipped = 1.0, 0
     for _, arc_f, arc_b, chord in chunks:
         ok = chord >= _CHORD_EPS
-        skipped += int(ok.size - np.count_nonzero(ok))
-        # a degenerate pair reads 0, below the floor of 1
-        ratio = np.divide(np.minimum(arc_f, arc_b), chord,
-                          out=np.zeros(chord.size), where=ok)
+        bad = int(ok.size - np.count_nonzero(ok))
+        skipped += bad
+        ratio = np.minimum(arc_f, arc_b)
+        if bad:
+            # a degenerate pair reads 0, below the floor of 1
+            ratio = np.divide(ratio, chord, out=np.zeros(chord.size),
+                              where=ok)
+        else:
+            ratio /= chord
         best = max(best, float(ratio.max()))
     return best, skipped
 
 
 def lavrentiev_constant(curve, pairs=20000, seed=0):
-    """Shorter-arc length over chord, maximized over sampled pairs.
-    pairs is 1 to MAX_PAIRS.  The pairs are ranked and reduced one chunk
-    at a time, so working memory is O(n) plus one chunk."""
+    """Shorter-arc length over chord, maximized over sampled pairs of a
+    closed curve.  pairs is 1 to MAX_PAIRS.  The pairs are ranked and
+    reduced one chunk at a time, so working memory is O(n) plus one
+    chunk."""
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
+    curve = _closed_unit(curve, "the Lavrentiev constant")
     return _lavrentiev(_probe_pairs(curve, pairs, seed))[0]
 
 
-def _quasicircle(curve, chunks):
-    """The constant over the swept chunks of _probe_pairs.
+def _file_arcs(n, chunk, arcs):
+    """File the probed pairs of a swept chunk of _probe_pairs in arcs,
+    under the vertex count L of their shorter arc: L = lag + 1 from i
+    forward, n - lag + 1 from j = i + lag (mod n) backward.  A block's
+    entry is (shift, mask): the arcs start at i + shift for the starts
+    i = 0 .. c-1 of the block where the mask is set, a byte per pair
+    and direction.  Pairs whose chord is below _CHORD_EPS are left out,
+    and so is an entry that would hold no pair."""
+    run, arc_f, arc_b, chord = chunk
+    ok = chord >= _CHORD_EPS
+    fwd = arc_f <= arc_b
+    first = np.cumsum([0] + [c for _, c in run])
+    for take, backward in ((fwd & ok, False), (ok > fwd, True)):
+        filled = np.logical_or.reduceat(take, first[:-1]).tolist()
+        for (lag, _), a, b, full in zip(run, first, first[1:], filled):
+            if full:
+                arcs.setdefault(n - lag + 1 if backward else lag + 1,
+                                []).append((lag if backward else 0,
+                                            take[a:b]))
 
-    Pairs are grouped, as starts and chords, by the vertex count L of
-    their shorter arc: lag + 1 from i forward, n - lag + 1 from i + lag
-    backward (mod n).  D(s, L) = max(D(s, L-1), D(s+1, L-1),
-    |v_s - v_{s+L-1}|), the diameter of v[s], ..., v[s+L-1], runs one row
-    at a time from L = 2 up, and each group reads its diameters at its L:
-    a pairwise scan's doubles, so the maximum is bitwise the same.
+
+def _quasicircle(curve, arcs):
+    """The constant over the shorter arcs that _file_arcs filed.
+
+    D(s, L) = max(D(s, L-1), D(s+1, L-1), |v_s - v_{s+L-1}|), the
+    diameter of v[s], ..., v[s+L-1], runs one row at a time from L = 2
+    up, and each arc reads its diameter at its L: a pairwise scan's
+    doubles, so the maximum is bitwise the same.  The chord of an arc
+    is the row's own |v_s - v_{s+L-1}| at its start s: the sweep's
+    |v_j - v_i| of its pair, as elementwise differences and abs do not
+    depend on the batch, and abs is even.  A row's ratios are laid out
+    twice, so that a backward entry reads its starts i + lag (mod n) as
+    one slice.
     """
     v = curve.vertices
     n = v.size
-    groups = {}
-    for run, arc_f, arc_b, chord in chunks:
-        fwd = arc_f <= arc_b
-        ok = chord >= _CHORD_EPS
-        at = 0
-        for lag, c in run:
-            f, o, ch = fwd[at:at + c], ok[at:at + c], chord[at:at + c]
-            for size, shift, take in ((lag + 1, 0, f & o),
-                                      (n - lag + 1, lag, ~f & o)):
-                i = np.flatnonzero(take)
-                if i.size:
-                    groups.setdefault(size, []).append(((i + shift) % n,
-                                                        ch[i]))
-            at += c
-    if not groups:
+    if not arcs:
         return 1.0
-    w_max = max(groups)
+    w_max = max(arcs)
     ring = np.concatenate([v, v[:w_max]])
     # one spare slot so that D(s+1, .) for s = n-1 is a plain slice
     prev = np.zeros(n + 1)
     cur = np.empty(n + 1)
     diff = np.empty(n, dtype=complex)
     dist = np.empty(n)
+    ratio = np.empty(2 * n)
     tops = []
-    for L in range(2, w_max + 1):
-        np.subtract(ring[L - 1:L - 1 + n], v, out=diff)
-        np.abs(diff, out=dist)
-        np.maximum(prev[:n], prev[1:], out=cur[:n])
-        np.maximum(cur[:n], dist, out=cur[:n])
-        cur[n] = cur[0]
-        prev, cur = cur, prev
-        tops += [(prev[base] / ch).max() for base, ch in groups.get(L, ())]
+    # a start no arc of the row reads may divide by a zero distance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for L in range(2, w_max + 1):
+            np.subtract(ring[L - 1:L - 1 + n], v, out=diff)
+            np.abs(diff, out=dist)
+            np.maximum(prev[:n], prev[1:], out=cur[:n])
+            np.maximum(cur[:n], dist, out=cur[:n])
+            cur[n] = cur[0]
+            prev, cur = cur, prev
+            if L in arcs:
+                np.divide(prev[:n], dist, out=ratio[:n])
+                ratio[n:] = ratio[:n]
+                tops += [ratio[shift:shift + mask.size][mask].max()
+                         for shift, mask in arcs[L]]
     # a NaN ratio (inf / inf) makes np.max NaN, and the constant 1.0
     return max(1.0, float(np.max(tops)))
 
 
 def quasicircle_constant(curve, pairs=20000, seed=0):
     """Shorter-arc diameter over chord, same probe pairs as the
-    Lavrentiev constant.
+    Lavrentiev constant; the curve must be closed.
 
     The diameter of each shorter arc is exact (see _quasicircle), so
     the constant is the exact maximum over the probe set.  Time is
-    O(n * W_max) and working memory O(n) plus 16 bytes a probed pair
-    (8 MiB for an exhaustive 1024-gon), W_max the largest vertex count
+    O(n * W_max) and working memory O(n) plus 4 bytes a probed pair
+    (2 MiB for an exhaustive 1024-gon), W_max the largest vertex count
     of a probed shorter arc.  pairs is 1 to MAX_PAIRS.
     """
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
-    return _quasicircle(curve, _probe_pairs(curve, pairs, seed))
+    curve = _closed_unit(curve, "the quasicircle constant")
+    arcs = {}
+    for chunk in _probe_pairs(curve, pairs, seed):
+        _file_arcs(curve.vertices.size, chunk, arcs)
+    return _quasicircle(curve, arcs)
 
 
 def _ahlfors_centers(curve, count):
@@ -257,50 +324,125 @@ def _ahlfors_centers(curve, count):
     return seq[:min(count, seq.size)]
 
 
+# (center, radius, segment) cells per Ahlfors block: 256 KiB of lengths
+_AHLFORS_CELLS = 1 << 15
+# The Ahlfors classification slack, relative; a segment with |u|^2 below
+# _AHLFORS_TINY takes the formula, so that no step below underflows.
+#
+# The formula reads dp = p - w, u = q - p, a = |u|^2, b = 2 Re(dp conj u),
+# c = |dp|^2 and R = r * r as doubles, each a difference, or a sum of
+# two products, of doubles: within 3 eps of its value on the doubles dp
+# and u, eps = 2^-53, and b within 6 eps |dp| |u|.  On those, |dp + s u|^2
+# - R has the discriminant disc = b^2 - 4a(c - R), and
+#   disc - (a + |a + b|)^2 >= 4a (R - max(P, Q)),
+# P = c and Q = |dp + u|^2, which is within 6 eps max(P, Q) of the
+# double |q - w|^2.  The rounding of disc, of (a + |a + b|)^2 and of the
+# root moves each side by at most about 300 eps a max(P, Q, R), as
+# b^2 <= 4aP.  So when max(P, Q) <= R (1 - slack), the double root is at
+# least -b and at least b + 2a: s0 clips to 0, s1 to 1 and the
+# segment's term is exactly its length.  Likewise, when the segment's
+# distance d from w has d^2 - R >= slack max(P, Q), the root is negative
+# (the line's distance exceeds r), at most b when the nearest point of
+# the segment is p, or at most -b - 2a when it is q: s0 and s1 clip
+# alike and the term is +0.  The lower bound d >= (|dp| + |dq| - |u|)/2,
+# from doubles within 3 eps max(|dp|, |dq|) of their values, keeps
+# that.  The slack 2^-40 is 2^13 eps, far above both margins, and every
+# bound is relative to the differences, not to the coordinates, so it
+# holds on a curve translated far from 0.  _unit_scaled vertices keep
+# a R above 2^-920 when a >= _AHLFORS_TINY, as r >= maxdist / 20 >=
+# 1/80, so no underflow adds to these bounds.
+_AHLFORS_SLACK = 2.0 ** -40
+_AHLFORS_TINY = 2.0 ** -900
+
+
 def ahlfors_constant(curve, centers=129, radii=6):
     """Clipped curve length inside D(w, r) over r, maximized over probe
     centers and radius fractions.  centers is 1 to MAX_CENTERS (a curve
-    has 2n + 1 of them) and radii 1 to MAX_RADII.
+    has 2n + 1 of them) and radii 1 to MAX_RADII; an open polyline is
+    measured as it is.
 
-    The radii of a center form one (radii, segments) array, in blocks
-    of at most BLOCK_CELLS cells; a row sums as the segment vector of
-    its radius would.
+    The centers run in blocks of at most _AHLFORS_CELLS (center,
+    radius, segment) cells.  A segment whose two ends lie inside the
+    circle, with the slack above, contributes its length; one whose
+    distance from the center exceeds the radius contributes +0: the
+    terms the per-segment formula gives them.  Only the others take the
+    formula, so each row holds the doubles of the (radii, segments)
+    formula, and sums as it does.
     """
     centers = checked_count("centers", centers, 1, MAX_CENTERS)
     radii = checked_count("radii", radii, 1, MAX_RADII)
+    curve = _unit_scaled(curve)[0]
+    v = curve.vertices
     p, q = curve.segments()
+    m = p.size
     u = q - p
     seglen = np.abs(u)
     a = (u * np.conj(u)).real
     four_a, two_a = 4.0 * a, 2.0 * a
+    tiny = a < _AHLFORS_TINY
     cs = _ahlfors_centers(curve, centers)
     fracs = np.array(_RADIUS_FRACTIONS[:radii])
-    step = max(1, BLOCK_CELLS // p.size)
+    # one center's radii in blocks when they exceed a block, else all
+    rstep = max(1, min(radii, _AHLFORS_CELLS // m))
+    cstep = max(1, _AHLFORS_CELLS // (rstep * m))
     best = 0.0
-    for w in cs:
-        maxdist = float(np.abs(curve.vertices - w).max())
-        if maxdist < _CHORD_EPS:
-            continue
-        # per-segment quadratic |p + s u - w|^2 = r^2 in s
-        dp = p - w
-        bq = 2.0 * (dp * np.conj(u)).real
-        c0 = (dp * np.conj(dp)).real
-        bb, neg_bq = bq * bq, -bq
-        for f0 in range(0, radii, step):
-            r = fracs[f0:f0 + step] * maxdist
-            disc = bb - four_a * (c0 - (r * r)[:, None])
-            root = np.sqrt(np.maximum(disc, 0.0))
-            s0 = np.clip((neg_bq - root) / two_a, 0.0, 1.0)
-            s1 = np.clip((neg_bq + root) / two_a, 0.0, 1.0)
-            inside = np.where(disc > 0.0, (s1 - s0) * seglen, 0.0)
-            best = max([best] + (inside.sum(axis=1) / r).tolist())
+    for c0 in range(0, cs.size, cstep):
+        w = cs[c0:c0 + cstep, None]
+        dx, dy = v.real - w.real, v.imag - w.imag
+        d2 = dx * dx + dy * dy
+        # maxdist: the abs of v - w at the vertices whose squared
+        # distance lies within the slack of the largest, whose abs is
+        # the largest abs
+        rr, kk = np.nonzero(
+            d2 >= d2.max(axis=1, keepdims=True) * (1.0 - _AHLFORS_SLACK))
+        far = np.empty(rr.size, dtype=complex)
+        far.real, far.imag = dx[rr, kk], dy[rr, kk]
+        maxdist = np.zeros(w.shape)
+        np.maximum.at(maxdist[:, 0], rr, np.abs(far))
+        live = ~(maxdist[:, 0] < _CHORD_EPS)
+        # per segment: the larger squared end distance, and the lower
+        # bound of the squared distance less its slack
+        d = np.sqrt(d2)
+        if curve.closed:
+            P, Q = d2, np.roll(d2, -1, axis=1)
+            dp_, dq_ = d, np.roll(d, -1, axis=1)
+        else:
+            P, Q, dp_, dq_ = d2[:, :-1], d2[:, 1:], d[:, :-1], d[:, 1:]
+        top = np.maximum(P, Q)
+        low = np.maximum(0.5 * (dp_ + dq_ - seglen), 0.0)
+        low *= low
+        low -= _AHLFORS_SLACK * top
+        top[:, tiny] = np.inf
+        low[:, tiny] = -np.inf
+        for f0 in range(0, radii, rstep):
+            r = maxdist * fracs[f0:f0 + rstep]
+            rr2 = (r * r)[:, :, None]
+            inside = top[:, None, :] <= rr2 * (1.0 - _AHLFORS_SLACK)
+            known = low[:, None, :] >= rr2
+            known |= inside
+            rows = np.multiply(inside, seglen)
+            ci, ri, k = np.nonzero(~known)
+            if k.size:
+                # the per-segment quadratic |p + s u - w|^2 = r^2 in s
+                dp = p[k] - w[ci, 0]
+                bq = 2.0 * (dp * np.conj(u[k])).real
+                disc = bq * bq - four_a[k] * ((dp * np.conj(dp)).real
+                                              - rr2[ci, ri, 0])
+                root = np.sqrt(np.maximum(disc, 0.0))
+                s0 = np.clip((-bq - root) / two_a[k], 0.0, 1.0)
+                s1 = np.clip((-bq + root) / two_a[k], 0.0, 1.0)
+                rows[ci, ri, k] = np.where(disc > 0.0, (s1 - s0) * seglen[k],
+                                           0.0)
+            best = max([best]
+                       + (rows.sum(axis=2)[live] / r[live]).ravel().tolist())
     return best
 
 
 def _raster(curve, grid):
-    """Cell centres of a grid x grid raster over the padded bounding box
-    of the vertices, the even-odd containment of each centre, and the
-    cell width.
+    """(xs, ys, inside, cell): the abscissae and ordinates of the cell
+    centres of a grid x grid raster over the padded bounding box of the
+    vertices, the even-odd containment of each centre, and the cell
+    width.  The centre of cell (row, col) is xs[col] + 1j * ys[row].
 
     A row shares one ordinate and the column abscissae increase, so each
     crossing of a row (_row_crossings, the one even-odd crossing rule)
@@ -319,13 +461,12 @@ def _raster(curve, grid):
     span *= 1.0 + 4.0 / grid
     xs = x0 + (np.arange(grid) + 0.5) * span / grid
     ys = y0 + (np.arange(grid) + 0.5) * span / grid
-    cells = xs + 1j * ys[:, None]
-    # the cells' own coordinates, as a containment test of them reads
-    xs, ys = cells[0].real, cells[:, 0].imag
     p, q = curve.segments()
     inside = np.empty((grid, grid), dtype=bool)
-    # row blocks of at most BLOCK_CELLS straddle tests and 2 MiB of bins
-    step = max(1, min(BLOCK_CELLS // p.size, BLOCK_CELLS // 8 // (grid + 1)))
+    # row blocks of at most BLOCK_CELLS straddle tests and fewer than
+    # _POLAR_BLOCK_CELLS bins, which glibc serves from the heap
+    step = max(1, min(BLOCK_CELLS // p.size,
+                      (_POLAR_BLOCK_CELLS - 1) // (grid + 1)))
     for r0 in range(0, grid, step):
         y = ys[r0:r0 + step]
         rr, xc = _row_crossings(y, p, q)
@@ -336,7 +477,7 @@ def _raster(curve, grid):
         odd = bins.reshape(y.size, grid + 1)[:, :0:-1].astype(np.uint8)
         right = np.cumsum(odd, axis=1, dtype=np.uint8)[:, ::-1]
         inside[r0:r0 + y.size] = right & 1
-    return cells, inside, span / grid
+    return xs, ys, inside, span / grid
 
 
 def _nearest(centres, t):
@@ -348,12 +489,12 @@ def _nearest(centres, t):
                     lo, hi)
 
 
-def _cell_of(z, cells):
+def _cell_of(z, xs, ys):
     """Row and column of the raster cell nearest to each point of z."""
-    return _nearest(cells[:, 0].imag, z.imag), _nearest(cells[0].real, z.real)
+    return _nearest(ys, z.imag), _nearest(xs, z.real)
 
 
-def _sample_interior(boundary, cells, inside, point_pairs, seed):
+def _sample_interior(boundary, xs, ys, inside, point_pairs, seed):
     """2 * point_pairs seeded interior points (z, row, col), each inside
     the boundary and on an inside cell, from at most 200 * point_pairs
     uniform trials over the vertices' bounding box.
@@ -373,7 +514,7 @@ def _sample_interior(boundary, cells, inside, point_pairs, seed):
         k = min(2 * need, budget - drawn)
         drawn += k
         z = rng.uniform(low, high, size=(k, 2)).view(complex).ravel()
-        rows, cols = _cell_of(z, cells)
+        rows, cols = _cell_of(z, xs, ys)
         ok = points_in_polygon(z, boundary) & inside[rows, cols]
         pts += [(complex(z[i]), int(rows[i]), int(cols[i]))
                 for i in np.flatnonzero(ok)[:need - len(pts)]]
@@ -443,18 +584,21 @@ def _components(mask, rows, cols):
     return ids
 
 
-def _pair_diameters(cells, inside, cell, pts, diag):
+def _pair_diameters(xs, ys, inside, cell, pts, diag, e=0):
     """(d, hi) for each pair (pts[2k], pts[2k+1]) at least 10 cells
     apart: d = |za - zb| and hi the bisected smallest D for which a and
     b are 8-connected through inside cells within D of both.
 
     w, the farther endpoint's distance on inside cells and inf outside,
     is computed on the straight path, whose ends are the endpoint cells,
-    and on one crop box; numpy's complex abs gives the same bits on any
-    subset of cells.  A step is monotone in D, so the steps that search
-    components bound later ones.  A path that leaves the region takes
-    its endpoints' ids from the components of the inside cells:
-    PathNotFound if they differ, else every step from diag + cell on
+    and on one crop box.  The differences z - za of the cells z = xs[col]
+    + 1j * ys[row] are taken componentwise into one reused buffer, the
+    doubles complex subtraction gives, and numpy's complex abs gives
+    the same bits on any subset of cells.  A step is monotone in D, so
+    the steps that search components bound later ones.  A path that
+    leaves the region takes its endpoints' ids from the components of
+    the inside cells: PathNotFound if they differ (its message gives
+    the points times 2^e), else every step from diag + cell on
     connects.  That needs w <= diag on inside cells:
     linear_connectivity_constant passes the vertices' bounding-box
     diagonal, and the tests' bare 48 x 48 rasters of unit cells pass
@@ -463,17 +607,31 @@ def _pair_diameters(cells, inside, cell, pts, diag):
     grid = inside.shape[0]
     ids = None
     out = []
+    # a path has at most grid cells, and a box fills in row blocks of
+    # fewer than _POLAR_BLOCK_CELLS cells: buffers that glibc serves from
+    # the heap, reused by every pair
+    cells = np.empty(_POLAR_BLOCK_CELLS - 1, dtype=complex)
+    diff = np.empty(cells.size, dtype=complex)
+    other = np.empty(cells.size)
     for k in range(len(pts) // 2):
         (za, ra, ca), (zb, rb, cb) = pts[2 * k], pts[2 * k + 1]
         d = abs(za - zb)
         if d < 10.0 * cell:
             continue
 
-        def w(rows, cols):
-            z = cells[rows, cols]
-            wa = np.abs(z - za)
-            np.maximum(wa, np.abs(z - zb), out=wa)
-            np.copyto(wa, np.inf, where=~inside[rows, cols])
+        def w(x, y, keep, wa=None):
+            # the cells x + 1j * y, broadcast to the shape of keep, are
+            # built in a buffer and less za and zb: the doubles that a
+            # grid of them gives
+            z = cells[:keep.size].reshape(keep.shape)
+            np.copyto(z, x)
+            np.copyto(z.imag, y)
+            dz = diff[:keep.size].reshape(keep.shape)
+            wa = np.abs(np.subtract(z, za, out=dz), out=wa)
+            wb = np.abs(np.subtract(z, zb, out=dz),
+                        out=other[:keep.size].reshape(keep.shape))
+            np.maximum(wa, wb, out=wa)
+            np.copyto(wa, np.inf, where=~keep)
             return wa
 
         def crop(D):
@@ -486,13 +644,16 @@ def _pair_diameters(cells, inside, cell, pts, diag):
 
         # both endpoint cells must be in the mask; the straight path
         # connects once all of its cells are
-        path = w(*_raster_line(ra, ca, rb, cb))
+        rows, cols = _raster_line(ra, ca, rb, cb)
+        path = w(xs[cols], ys[rows], inside[rows, cols])
         lower, upper = max(path[0], path[-1]), path.max()
         if upper == np.inf:
             if ids is None:
                 rows, cols = np.array([p[1:] for p in pts]).T
                 ids = _components(inside, rows, cols)
             if ids[2 * k] != ids[2 * k + 1]:
+                za, zb = np.ldexp(np.array([za, zb]).view(float),
+                                  e).view(complex)
                 raise PathNotFound(
                     f"no raster path between {za:.4f} and {zb:.4f}")
             upper = diag + cell
@@ -510,12 +671,11 @@ def _pair_diameters(cells, inside, cell, pts, diag):
             if box is None:
                 R0, R1, C0, C1 = crop(min(upper, 2.0 * diag))
                 wbox = np.empty((R1 - R0, C1 - C0))
-                # row blocks of fewer than _POLAR_BLOCK_CELLS cells, whose
-                # complex temporaries glibc serves from the heap
-                step = max(1, (_POLAR_BLOCK_CELLS - 1) // (C1 - C0))
+                step = max(1, cells.size // (C1 - C0))
                 for r in range(R0, R1, step):
-                    wbox[r - R0:r - R0 + step] = w(
-                        slice(r, min(r + step, R1)), slice(C0, C1))
+                    r1 = min(r + step, R1)
+                    w(xs[C0:C1], ys[r:r1, None], inside[r:r1, C0:C1],
+                      wbox[r - R0:r1 - R0])
                 box = R0, C0, wbox
             R0, C0, wbox = box
             r0, r1, c0, c1 = crop(D)
@@ -594,14 +754,15 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
     seed = checked_count("seed", seed, 0, math.inf)
     if not boundary.closed:
         raise ValidationError("linear connectivity needs a closed boundary")
-    cells, inside, cell = _raster(boundary, grid)
+    boundary, e = _unit_scaled(boundary)
+    xs, ys, inside, cell = _raster(boundary, grid)
     if not np.any(inside):
         raise PathNotFound("raster grid found no interior cells")
-    pts = _sample_interior(boundary, cells, inside, point_pairs, seed)
+    pts = _sample_interior(boundary, xs, ys, inside, point_pairs, seed)
     v = boundary.vertices
     diag = math.hypot(v.real.max() - v.real.min(),
                       v.imag.max() - v.imag.min())
-    pairs = _pair_diameters(cells, inside, cell, pts, diag)
+    pairs = _pair_diameters(xs, ys, inside, cell, pts, diag, e)
     if not pairs:
         raise PathNotFound(f"no sampled pair is at least 10 cells apart "
                            f"at grid {grid}; nothing was measured")
@@ -610,30 +771,40 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
 
 def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
                     grid=512, seed=0):
-    """All four constants in one report; the two pair constants share
-    one sample of probe pairs.  The counts are refused out of range
-    before any work: pairs 1 to MAX_PAIRS, centers 1 to MAX_CENTERS,
-    radii 1 to MAX_RADII, and point_pairs and grid as for
-    linear_connectivity_constant; a negative seed is refused by the
-    first step, the pair sample."""
+    """All four constants of a closed curve in one report; the two pair
+    constants share one sweep of probe pairs.  The counts are refused
+    out of range before any work: pairs 1 to MAX_PAIRS, centers 1 to
+    MAX_CENTERS, radii 1 to MAX_RADII, and point_pairs and grid as for
+    linear_connectivity_constant; so is an open polyline.  A negative
+    seed is refused by the first step, the pair sample."""
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
     centers = checked_count("centers", centers, 1, MAX_CENTERS)
     radii = checked_count("radii", radii, 1, MAX_RADII)
     grid = checked_count("grid", grid, 1, MAX_GRID)
     point_pairs = checked_count("point_pairs", point_pairs, 1,
                                 MAX_POINT_PAIRS)
-    chunks = list(_probe_pairs(curve, pairs, seed))
-    lav, degenerate = _lavrentiev(chunks)
-    qc = _quasicircle(curve, chunks)
-    probed = sum(chunk[3].size for chunk in chunks)
-    del chunks  # freed before the connectivity raster
+    curve = _closed_unit(curve, "curve_constants")
+    n = curve.vertices.size
+    arcs, probed = {}, 0
+
+    def filed(chunks):
+        # each chunk is filed for the quasicircle constant as the
+        # Lavrentiev constant reduces it
+        nonlocal probed
+        for chunk in chunks:
+            _file_arcs(n, chunk, arcs)
+            probed += chunk[3].size
+            yield chunk
+
+    lav, degenerate = _lavrentiev(filed(_probe_pairs(curve, pairs, seed)))
+    qc = _quasicircle(curve, arcs)
+    del arcs  # freed before the connectivity raster
     ahl = ahlfors_constant(curve, centers, radii)
     conn, measured = linear_connectivity_constant(curve, point_pairs, grid,
                                                   seed)
     counts = {"pairs": probed,
               "degenerate_pairs": degenerate,
               # the centroid, the vertices and the segment midpoints
-              "centers": min(centers, 2 * curve.vertices.size + curve.closed),
+              "centers": min(centers, 2 * n + 1),
               "radii": radii, "conn_pairs": measured, "grid": grid}
     return CurveConstantsReport(lav, qc, ahl, conn, counts)
-

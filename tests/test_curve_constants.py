@@ -220,14 +220,14 @@ def _staircase(grid):
     the top-left.  Its horizontal edges lie on row ordinates and its
     vertical edges on column abscissae of its own raster, wherever four
     or more of them fall inside the square."""
-    unit = _raster(PolygonalCurve(np.array([0, 1, 1 + 1j, 1j])), grid)[0]
+    xs, ys = _raster(PolygonalCurve(np.array([0, 1, 1 + 1j, 1j])), grid)[:2]
 
     def at(t, values):
         inner = values[(values > 0) & (values < 1)]
         return inner[int(t * inner.size)] if inner.size >= 4 else t
 
-    ya, yb, yc = (at(t, unit[:, 0].imag) for t in (0.25, 0.5, 0.75))
-    xa, xb = (at(t, unit[0].real) for t in (0.25, 0.75))
+    ya, yb, yc = (at(t, ys) for t in (0.25, 0.5, 0.75))
+    xa, xb = (at(t, xs) for t in (0.25, 0.75))
     return PolygonalCurve(np.array([
         0, 1, 1 + 1j * ya, xb + 1j * ya, xb + 1j * yb, 1 + 1j * yb, 1 + 1j,
         xa + 1j, xa + 1j * yc, 1j * yc]))
@@ -239,10 +239,11 @@ def _diag(curve):
                       v.imag.max() - v.imag.min())
 
 
-def _full_grid_pair_diameters(cells, inside, cell, pts, diag):
+def _full_grid_pair_diameters(xs, ys, inside, cell, pts, diag):
     """The bisection labelling the whole raster at every step: the rule
     that _pair_diameters answers from its L/U bracket and cropped
     labels."""
+    cells = xs + 1j * ys[:, None]
     eight = np.ones((3, 3), dtype=int)
     out = []
     for k in range(len(pts) // 2):
@@ -284,9 +285,9 @@ def _bits(pairs):
 def test_pair_diameters_equal_full_grid_labelling(curve):
     for grid in (64, 120, 200):
         for seed in range(3):
-            cells, inside, cell = _raster(curve, grid)
-            pts = _sample_interior(curve, cells, inside, 8, seed)
-            args = (cells, inside, cell, pts, _diag(curve))
+            xs, ys, inside, cell = _raster(curve, grid)
+            pts = _sample_interior(curve, xs, ys, inside, 8, seed)
+            args = (xs, ys, inside, cell, pts, _diag(curve))
             got = _pair_diameters(*args)
             assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
     assert linear_connectivity_constant(curve, 8, 200, 2) == (
@@ -297,10 +298,10 @@ def test_pair_diameters_equal_full_grid_labelling_at_grid_512():
     # the benchmark's raster and pair count, where most pairs of the U
     # take the component label, the memo and the first probes
     curve = u_polygon()
-    cells, inside, cell = _raster(curve, 512)
+    xs, ys, inside, cell = _raster(curve, 512)
     for seed in range(3):
-        pts = _sample_interior(curve, cells, inside, 16, seed)
-        args = (cells, inside, cell, pts, _diag(curve))
+        pts = _sample_interior(curve, xs, ys, inside, 16, seed)
+        args = (xs, ys, inside, cell, pts, _diag(curve))
         assert _bits(_pair_diameters(*args)) == _bits(
             _full_grid_pair_diameters(*args))
 
@@ -311,17 +312,20 @@ def test_diag_bounds_w_on_every_inside_cell():
     for curve in (circle_polygon(128), ellipse_polygon(3.0, 1.0, 300),
                   square_polygon(), u_polygon(), _star()):
         for grid in (64, 200, 512):
-            cells, inside, _ = _raster(curve, grid)
-            z = cells[inside]
+            xs, ys, inside, _ = _raster(curve, grid)
+            z = (xs + 1j * ys[:, None])[inside]
             for seed in range(3):
-                pts = _sample_interior(curve, cells, inside, 8, seed)
+                pts = _sample_interior(curve, xs, ys, inside, 8, seed)
                 far = max(float(np.abs(z - p[0]).max()) for p in pts)
                 assert far <= _diag(curve)
 
 
 def _unit_raster(grid=48):
+    """(xs, ys, inside, cell) of a raster of unit cells, all inside, and
+    its cell centres."""
     xs = np.arange(float(grid))
-    return xs + 1j * xs[:, None], np.ones((grid, grid), dtype=bool), 1.0
+    return ((xs, xs, np.ones((grid, grid), dtype=bool), 1.0),
+            xs + 1j * xs[:, None])
 
 
 def _count_labels(monkeypatch):
@@ -340,9 +344,9 @@ def _count_labels(monkeypatch):
 def test_pair_diameters_step_at_the_lower_bound():
     # cell-centred endpoints on one row: d = L = U exactly, and
     # feasible(L) must hold without a label call
-    cells, inside, cell = _unit_raster()
+    (xs, ys, inside, cell), cells = _unit_raster()
     pts = [(cells[20, 5], 20, 5), (cells[20, 30], 20, 30)]
-    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    args = (xs, ys, inside, cell, pts, 48.0 * math.sqrt(2.0))
     got = _pair_diameters(*args)
     assert got == [(25.0, 25.0)]
     assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
@@ -355,7 +359,7 @@ def test_pair_diameters_crop_keeps_the_lens_edge():
     # is 34.61 cells from zb, which sits 0.4 cell left of its cell
     # centre, so it lies 35 cells from b's column: inside the crop only
     # thanks to the one-cell margin.
-    cells, inside, cell = _unit_raster()
+    (xs, ys, inside, cell), cells = _unit_raster()
     inside[:] = False
     inside[5, 10:31] = True
     inside[5, 44] = True
@@ -363,7 +367,7 @@ def test_pair_diameters_crop_keeps_the_lens_edge():
     inside[7, 10:45] = True
     inside[6, 44] = True
     pts = [(30.3 + 5j, 5, 30), (43.6 + 5j, 5, 44)]
-    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    args = (xs, ys, inside, cell, pts, 48.0 * math.sqrt(2.0))
     got = _pair_diameters(*args)
     assert _bits(got) == _bits(_full_grid_pair_diameters(*args))
     connector = abs(complex(9, 6) - pts[1][0])
@@ -390,10 +394,10 @@ def test_pair_diameters_probe_labels(monkeypatch, half, probe, labels):
     # 2, 4, ... leaves up to the probe-th, the first that connects; hi
     # lies above the probe below it.  The bisection without the memo,
     # the component label and the probes labelled 11 times in each case.
-    cells, inside, cell = _unit_raster()
+    (xs, ys, inside, cell), cells = _unit_raster()
     inside[10 - half:11 + half, 14] = False
     pts = [(cells[10, 13], 10, 13), (cells[10, 26], 10, 26)]
-    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    args = (xs, ys, inside, cell, pts, 48.0 * math.sqrt(2.0))
     calls = _count_labels(monkeypatch)
     got = _pair_diameters(*args)
     assert len(calls) == labels
@@ -411,11 +415,11 @@ def test_pair_diameters_far_corner_detour(monkeypatch):
     # answers wrongly.  The bisection without the shortcuts labels 11
     # times; the probes up to the lower half's top, then the bisection
     # of the upper half, take 17.
-    cells, inside, cell = _unit_raster()
+    (xs, ys, inside, cell), cells = _unit_raster()
     inside[:] = False
     inside[:, 0] = inside[47, :] = inside[:, 47] = inside[0, 12:] = True
     pts = [(cells[0, 0], 0, 0), (cells[0, 12], 0, 12)]
-    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    args = (xs, ys, inside, cell, pts, 48.0 * math.sqrt(2.0))
     calls = _count_labels(monkeypatch)
     got = _pair_diameters(*args)
     assert len(calls) == 17
@@ -429,10 +433,10 @@ def test_pair_diameters_one_cell_wall(monkeypatch):
     # the upper bound is inf and the detour round the wall's end counts.
     # The probes climb to the 8th, then the bisection runs in its top
     # leaves: 16 labels, where the bisection without the shortcuts took 11
-    cells, inside, cell = _unit_raster()
+    (xs, ys, inside, cell), cells = _unit_raster()
     inside[:41, 20] = False
     pts = [(cells[10, 13], 10, 13), (cells[10, 26], 10, 26)]
-    args = (cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+    args = (xs, ys, inside, cell, pts, 48.0 * math.sqrt(2.0))
     calls = _count_labels(monkeypatch)
     got = _pair_diameters(*args)
     assert len(calls) == 16
@@ -443,14 +447,14 @@ def test_pair_diameters_one_cell_wall(monkeypatch):
 def test_pair_diameters_refuses_a_cut_raster(monkeypatch):
     # a full-height wall between a and b: the component label alone
     # refuses the pair, before any crop box is built or labelled
-    cells, inside, cell = _unit_raster()
+    (xs, ys, inside, cell), cells = _unit_raster()
     inside[:, 20] = False
     pts = [(cells[10, 13], 10, 13), (cells[10, 26], 10, 26)]
     calls = _count_labels(monkeypatch)
     with pytest.raises(PathNotFound,
                        match=r"^no raster path between 13\.0000\+10\.0000j "
                              r"and 26\.0000\+10\.0000j$"):
-        _pair_diameters(cells, inside, cell, pts, 48.0 * math.sqrt(2.0))
+        _pair_diameters(xs, ys, inside, cell, pts, 48.0 * math.sqrt(2.0))
     assert len(calls) == 1 and calls[0] is inside
 
 
@@ -568,7 +572,7 @@ def test_u_connectivity_label_ceiling(monkeypatch):
     assert len(calls) <= 120
 
 
-def _scalar_sample(boundary, cells, inside, point_pairs, seed):
+def _scalar_sample(boundary, xs, ys, inside, point_pairs, seed):
     """One trial at a time: x then y, a containment call per point and
     the nearest cell by argmin."""
     v = boundary.vertices
@@ -582,8 +586,8 @@ def _scalar_sample(boundary, cells, inside, point_pairs, seed):
         z = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
         if not points_in_polygon(np.array([z]), boundary)[0]:
             continue
-        c = int(np.argmin(np.abs(cells[0].real - z.real)))
-        r = int(np.argmin(np.abs(cells[:, 0].imag - z.imag)))
+        c = int(np.argmin(np.abs(xs - z.real)))
+        r = int(np.argmin(np.abs(ys - z.imag)))
         if inside[r, c]:
             pts.append((z, r, c))
     return pts if len(pts) == 2 * point_pairs else None
@@ -596,21 +600,20 @@ def _scalar_sample(boundary, cells, inside, point_pairs, seed):
     # blocks, and at seed 2 one pair runs out of trials
     (_strip(), 64)])
 def test_sampling_equals_trial_by_trial_loop(curve, grid):
-    cells, inside, _ = _raster(curve, grid)
+    xs, ys, inside, _ = _raster(curve, grid)
     for seed in range(3):
         for pairs in (1, 5, 16):
-            want = _scalar_sample(curve, cells, inside, pairs, seed)
+            want = _scalar_sample(curve, xs, ys, inside, pairs, seed)
             if want is None:
                 with pytest.raises(PathNotFound):
-                    _sample_interior(curve, cells, inside, pairs, seed)
+                    _sample_interior(curve, xs, ys, inside, pairs, seed)
             else:
-                got = _sample_interior(curve, cells, inside, pairs, seed)
+                got = _sample_interior(curve, xs, ys, inside, pairs, seed)
                 assert got == want
 
 
 def test_cell_of_matches_argmin():
-    cells, _, _ = _raster(u_polygon(), 37)
-    xs, ys = cells[0].real, cells[:, 0].imag
+    xs, ys = _raster(u_polygon(), 37)[:2]
     rng = np.random.default_rng(2)
     # random points, cell centres, midpoints between them (ties go to
     # the lower index) and points beyond the raster
@@ -618,7 +621,7 @@ def test_cell_of_matches_argmin():
                         [-1e9, 1e9]])
     y = np.concatenate([rng.uniform(-1, 4, 300), ys, 0.5 * (ys[1:] + ys[:-1]),
                         [1e9, -1e9]])
-    rows, cols = _cell_of(x + 1j * y, cells)
+    rows, cols = _cell_of(x + 1j * y, xs, ys)
     for k in range(x.size):
         assert cols[k] == np.argmin(np.abs(xs - x[k]))
         assert rows[k] == np.argmin(np.abs(ys - y[k]))
@@ -653,15 +656,16 @@ def test_raster_rows_equal_points_in_polygon(grid):
     stairs = _staircase(grid)
     for curve in (circle_polygon(128), ellipse_polygon(3.0, 1.0, 300),
                   square_polygon(), u_polygon(), _star(), _strip(), stairs):
-        cells, inside, _ = _raster(curve, grid)
+        xs, ys, inside, _ = _raster(curve, grid)
+        cells = xs + 1j * ys[:, None]
         want = points_in_polygon(cells.ravel(), curve).reshape(cells.shape)
         assert np.array_equal(inside, want)
     if grid >= 37:
-        cells = _raster(stairs, grid)[0]
+        xs, ys = _raster(stairs, grid)[:2]
         v = stairs.vertices
         # all but the four on the square's edges
-        assert np.isin(v.imag, cells[:, 0].imag).sum() == 6
-        assert np.isin(v.real, cells[0].real).sum() == 4
+        assert np.isin(v.imag, ys).sum() == 6
+        assert np.isin(v.real, xs).sum() == 4
 
 
 def _ahlfors_per_radius(curve, centers, radii):
@@ -699,9 +703,10 @@ def test_ahlfors_blocks_equal_per_radius_loop(monkeypatch):
         want = {cr: _ahlfors_per_radius(curve, *cr) for cr in probes}
         for cr in probes:
             assert ahlfors_constant(curve, *cr) == want[cr]
-        # blocks of one, two and five radii
-        for rows in (1, 2, 5):
-            monkeypatch.setattr(cc_module, "BLOCK_CELLS",
+        # blocks of one, two and five radii of one center, and of whole
+        # centers, two or more a block
+        for rows in (1, 2, 5, 2 * MAX_RADII):
+            monkeypatch.setattr(cc_module, "_AHLFORS_CELLS",
                                 rows * curve.vertices.size)
             for cr in probes:
                 assert ahlfors_constant(curve, *cr) == want[cr]
@@ -709,11 +714,104 @@ def test_ahlfors_blocks_equal_per_radius_loop(monkeypatch):
 
 
 def test_ahlfors_block_split_at_full_size():
-    # 14 radii of this many segments exceed 2^21 cells: two blocks
-    curve = circle_polygon((1 << 21) // MAX_RADII + 1)
-    assert cc_module.BLOCK_CELLS == 1 << 21
+    # 14 radii of this many segments exceed a block: one center a
+    # block, its radii in blocks of 13 and 1
+    curve = circle_polygon(cc_module._AHLFORS_CELLS // MAX_RADII + 1)
+    assert cc_module._AHLFORS_CELLS == 1 << 15
     assert ahlfors_constant(curve, 2, MAX_RADII) == _ahlfors_per_radius(
         curve, 2, MAX_RADII)
+
+
+def _ahlfors_fuzz_cases():
+    """Seeded polylines that probe the Ahlfors classification: random
+    polygons, open and closed; vertices exactly on a probe circle and
+    sides tangent to one; collinear runs; segments of 1e-9 and 1e-140
+    of the extent (the latter below _AHLFORS_TINY); each also
+    translated by 1e6, where the coordinates dwarf the extent."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for n in (3, 4, 7, 16, 40):
+        for _ in range(3):
+            v = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            cases += [PolygonalCurve(v), PolygonalCurve(v, closed=False)]
+    # the centroid 0: (0, 1) lies on r = 0.5 maxdist, and the 8 x 6
+    # rectangle's long sides touch r = 0.6 * 5 = 3, at a vertex when the
+    # sides are split in two and four
+    cases += [PolygonalCurve(np.array([2, 1j, -2, -1j])),
+              rectangle_polygon(8.0, 6.0), rectangle_polygon(8.0, 6.0, 2),
+              rectangle_polygon(8.0, 6.0, 3), rectangle_polygon(8.0, 6.0, 4)]
+    # collinear runs: sides split at random points
+    for n in (5, 13):
+        t = np.sort(rng.uniform(0, 1, n))
+        cases.append(PolygonalCurve(np.concatenate(
+            [3 * t, 3 + 2j * t, (3 + 2j) * t[::-1]])))
+    near_zero = []
+    for tiny, into in ((1e-9, cases), (1e-140, near_zero)):
+        v = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
+        # from 0, where a step of 1e-140 is representable
+        v[4], v[5] = 0.0, tiny * (0.6 + 0.8j)
+        into += [PolygonalCurve(v), PolygonalCurve(v, closed=False)]
+    # a segment of 1e-140 does not survive the translation
+    return cases + near_zero + [
+        PolygonalCurve(c.vertices + 1e6 * (1 + 1j), c.closed) for c in cases]
+
+
+def test_ahlfors_fuzz_equals_per_radius_loop():
+    # every probe of every case takes the crossing-segment rows, which
+    # must give the per-radius loop's doubles
+    for curve in _ahlfors_fuzz_cases():
+        n = curve.vertices.size
+        for centers, radii in ((1, 1), (2 * n + 1, 8), (2 * n + 1, 14),
+                               (n, 6)):
+            assert ahlfors_constant(curve, centers, radii) == (
+                _ahlfors_per_radius(curve, centers, radii))
+
+
+def _benchmark_curves():
+    return {"circle512": circle_polygon(512),
+            "ellipse256": ellipse_polygon(2, 1, 256),
+            "u": u_polygon(), "square": square_polygon()}
+
+
+def test_constants_are_scale_invariant():
+    # the curve times 2^k is the same curve to every constant, at scales
+    # where its chords underflowed 1e-12 (k = -200), its 4th powers
+    # overflowed (k = 400) and the raster lost its cells (k = 900).  At
+    # k = -1000 the coordinates of the circle, the ellipse and the poly
+    # boundary of order 1e-16 round into subnormals; their constants
+    # still keep their bits
+    poly = boundary_polygon(gallery_map("poly:z+0.3*zbar^2"), 2048)
+    scales = (-1000, -600, -200, -40, 400, 900)
+
+    def scaled(curve, k):
+        return PolygonalCurve(np.ldexp(curve.vertices.view(float),
+                                       k).view(complex))
+
+    for curve in [*_benchmark_curves().values(), poly]:
+        pair_ahlfors = (lavrentiev_constant(curve), quasicircle_constant(
+            curve), ahlfors_constant(curve))
+        small = curve.vertices.size <= 512
+        conn = linear_connectivity_constant(curve) if small else None
+        for k in scales:
+            other = scaled(curve, k)
+            assert (lavrentiev_constant(other), quasicircle_constant(other),
+                    ahlfors_constant(other)) == pair_ahlfors, k
+            if small:
+                assert linear_connectivity_constant(other) == conn, k
+
+
+def test_pair_constants_refuse_open_polylines():
+    # the open hairpin's chord-arc ratio is 20.01 / 0.01, but the closing
+    # segment it lacks made both pair constants read 1
+    hairpin = PolygonalCurve(np.array([0, 10, 10 + 0.01j, 0.01j]),
+                             closed=False)
+    for fn, what in ((lavrentiev_constant, "the Lavrentiev constant"),
+                     (quasicircle_constant, "the quasicircle constant"),
+                     (curve_constants, "curve_constants")):
+        with pytest.raises(ValidationError,
+                           match=f"^{what} needs a closed curve$"):
+            fn(hairpin)
+    assert ahlfors_constant(hairpin) == _ahlfors_per_radius(hairpin, 129, 6)
 
 
 def _arc_diameters(v, base, size):
@@ -857,6 +955,25 @@ def test_linear_connectivity_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 9 << 20
+
+
+def test_curve_constants_memory():
+    # tracemalloc peaks of curve_constants: 20.3 MiB on the exhaustive
+    # 1024-gon with every probe chunk held, 7.0 MiB on each benchmark
+    # curve with the raster's complex cells; 1.2 MiB and at most 3.4 MiB
+    # (the U's w box) with a byte per pair and direction and the raster
+    # as two coordinate vectors
+    budgets = [(circle_polygon(1024), 4 << 20)] + [
+        (curve, 3.5 * (1 << 20)) for curve in _benchmark_curves().values()]
+    for curve, budget in budgets:
+        curve_constants(curve)
+        tracemalloc.start()
+        try:
+            curve_constants(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
 
 def test_crosscut_integral_memory():
