@@ -9,6 +9,12 @@ deterministic probe set and therefore a LOWER bound of the true value:
     linear_conn sup (min connecting diameter) / distance over interior
                 point pairs, rasterized
 
+Every constant runs on the curve scaled by a power of two to unit
+extent (_unit_scaled): the scaling is exact, so a constant reads the
+same at any scale, and its thresholds are relative to the extent.  The
+pair constants need a closed curve; the Ahlfors constant also measures
+an open polyline.
+
 Pair probes are exhaustive for small polygons; larger ones consume a
 fixed prefix sequence (antipodal lag first, then adjacent, then a
 seeded shuffle of the remaining lags), so growing the sample count
@@ -16,18 +22,22 @@ never shrinks a constant.
 
 Arc lengths and arc diameters are exact for every probed pair, so the
 Lavrentiev and quasicircle constants are the exact maxima over the
-probe set.  Both read one sweep of the probe pairs: chunks of forward
-and backward arc lengths and chords, from slices of the doubled vertex
-and arc-prefix rings.  The Lavrentiev constant reduces each chunk as it
-comes; the quasicircle constant keeps the start and chord of each
-pair's shorter arc, by the arc's vertex count, for one pass of a window
-recurrence: O(n * W_max) time and O(n) memory for an n-gon, W_max the
-largest vertex count of a probed shorter arc.  The Ahlfors lengths of a
-center are one (radii, segments) array.
+probe set.  Both read one sweep of the probe pairs, which is not kept:
+chunks of forward and backward arc lengths and chords, from slices of
+the doubled vertex and arc-prefix rings.  The Lavrentiev constant
+reduces each chunk as it comes; the quasicircle constant files each
+pair's shorter arc by its vertex count, a byte per pair and direction,
+for one pass of a window recurrence that recomputes the chords: O(n *
+W_max) time and O(n) memory for an n-gon beyond those bytes, W_max the
+largest vertex count of a probed shorter arc.  The Ahlfors lengths are
+(center, radius, segment) rows: a segment with both ends well inside
+the circle adds its length, one well outside adds +0, and only the few
+others take the per-segment formula.
 
-The connectivity raster is built row by row: a row shares one ordinate,
-so its even-odd containment is the parity of its crossings binned at
-the sorted cell abscissae.  The bisection is exact for the raster: a
+The connectivity raster is two coordinate vectors and a byte of
+containment per cell, built row by row: a row shares one ordinate, so
+its even-odd containment is the parity of its crossings binned at the
+sorted cell abscissae.  The bisection is exact for the raster: a
 step below the larger endpoint-cell distance L fails, and one connects
 at or above the largest distance U along a straight raster path, or
 above the vertex diagonal when the endpoints share a component of the
@@ -181,11 +191,9 @@ def _probe_pairs(curve, pairs, seed):
     blocks, _ = sample_vertex_pairs(curve, pairs, seed)
     v = curve.vertices
     n = v.size
-    v2 = np.concatenate([v, v])
-    # curve.arc_prefix(), from the segments v2[1:n+1] - v
-    pre = np.zeros(n + 1)
-    np.cumsum(np.abs(v2[1:n + 1] - v), out=pre[1:])
+    pre = curve.arc_prefix()
     total = pre[-1]
+    v2 = np.concatenate([v, v])
     pre2 = np.concatenate([pre[:n], pre[:n]])
     for run, size in _runs(blocks):
         arc_f, chord = np.empty(size), np.empty(size)
@@ -209,15 +217,10 @@ def _lavrentiev(chunks):
     best, skipped = 1.0, 0
     for _, arc_f, arc_b, chord in chunks:
         ok = chord >= _CHORD_EPS
-        bad = int(ok.size - np.count_nonzero(ok))
-        skipped += bad
-        ratio = np.minimum(arc_f, arc_b)
-        if bad:
-            # a degenerate pair reads 0, below the floor of 1
-            ratio = np.divide(ratio, chord, out=np.zeros(chord.size),
-                              where=ok)
-        else:
-            ratio /= chord
+        skipped += int(ok.size - np.count_nonzero(ok))
+        # a degenerate pair reads 0, below the floor of 1
+        ratio = np.divide(np.minimum(arc_f, arc_b), chord,
+                          out=np.zeros(chord.size), where=ok)
         best = max(best, float(ratio.max()))
     return best, skipped
 
@@ -303,9 +306,9 @@ def quasicircle_constant(curve, pairs=20000, seed=0):
 
     The diameter of each shorter arc is exact (see _quasicircle), so
     the constant is the exact maximum over the probe set.  Time is
-    O(n * W_max) and working memory O(n) plus 4 bytes a probed pair
-    (2 MiB for an exhaustive 1024-gon), W_max the largest vertex count
-    of a probed shorter arc.  pairs is 1 to MAX_PAIRS.
+    O(n * W_max) and working memory O(n) plus at most 2 bytes a probed
+    pair (1 MiB for an exhaustive 1024-gon), W_max the largest vertex
+    count of a probed shorter arc.  pairs is 1 to MAX_PAIRS.
     """
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
     curve = _closed_unit(curve, "the quasicircle constant")
@@ -710,9 +713,10 @@ def _pair_diameters(xs, ys, inside, cell, pts, diag, e=0):
     return out
 
 
-# the raster holds 17 bytes per cell, and a pair whose straight path
-# leaves the region adds its crop's distances and masks: peak RSS grew
-# by 74 MiB (circle) to 118 MiB (U-shape) at the cap, on 64-bit numpy
+# the raster holds a byte per cell, and a pair whose steps search
+# components adds its crop box's distances (8 bytes a cell) and masks:
+# linear_connectivity_constant grew the peak RSS by 10 MiB (512-gon
+# circle) and 54 MiB (U-shape) at the cap, on 64-bit numpy
 MAX_GRID = 2048
 MAX_POINT_PAIRS = 4096
 
@@ -744,7 +748,9 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
     When d = |a - b| fails, the tops of the lowest 1, 2, 4, ...
     bisection leaves are probed first.  Per pair, w is computed on the
     path and on one crop box, and every step slices its own crop from
-    it.  grid is 1 to MAX_GRID and point_pairs 1 to MAX_POINT_PAIRS;
+    it.  The raster itself is two coordinate vectors and a byte per
+    cell, so working memory is O(n + grid) plus a byte per cell and one
+    w box.  grid is 1 to MAX_GRID and point_pairs 1 to MAX_POINT_PAIRS;
     seed is nonnegative.  PathNotFound when no sampled pair is at least
     10 cells apart, as no pair was then measured.
     """
