@@ -94,10 +94,10 @@ def _unit_scaled(curve):
     extent.  A curve already in that range is returned as it is.
     """
     v = curve.vertices
-    x, y = v.real, v.imag
-    # half the extent, whose differences of halves cannot overflow
-    half = max(0.5 * x.max() - 0.5 * x.min(), 0.5 * y.max() - 0.5 * y.min())
-    e = math.frexp(half)[1] + 1
+    span = max(float(v.real.max()) - float(v.real.min()),
+               float(v.imag.max()) - float(v.imag.min()))
+    # a spread past DBL_MAX lies below 2^1025
+    e = math.frexp(span)[1] if span < math.inf else 1025
     if e == 0:
         return curve, 0
     # a valid curve's vertices scaled: finite and, short of underflow
@@ -348,7 +348,7 @@ _AHLFORS_CELLS = 1 << 15
 # (the line's distance exceeds r), at most b when the nearest point of
 # the segment is p, or at most -b - 2a when it is q: s0 and s1 clip
 # alike and the term is +0.  The lower bound d >= (|dp| + |dq| - |u|)/2,
-# from doubles within 3 eps max(|dp|, |dq|) of their values, keeps
+# from complex abs values, each within 4 eps of its value, keeps
 # that.  The slack 2^-40 is 2^13 eps, far above both margins, and every
 # bound is relative to the differences, not to the coordinates, so it
 # holds on a curve translated far from 0.  _unit_scaled vertices keep
@@ -383,6 +383,8 @@ def ahlfors_constant(curve, centers=129, radii=6):
     a = (u * np.conj(u)).real
     four_a, two_a = 4.0 * a, 2.0 * a
     tiny = a < _AHLFORS_TINY
+    # segment k runs from ring point k to k + 1
+    ring = np.append(v, v[0]) if curve.closed else v
     cs = _ahlfors_centers(curve, centers)
     fracs = np.array(_RADIUS_FRACTIONS[:radii])
     # one center's radii in blocks when they exceed a block, else all
@@ -391,51 +393,48 @@ def ahlfors_constant(curve, centers=129, radii=6):
     best = 0.0
     for c0 in range(0, cs.size, cstep):
         w = cs[c0:c0 + cstep, None]
-        dx, dy = v.real - w.real, v.imag - w.imag
-        d2 = dx * dx + dy * dy
-        # maxdist: the abs of v - w at the vertices whose squared
-        # distance lies within the slack of the largest, whose abs is
-        # the largest abs
-        rr, kk = np.nonzero(
-            d2 >= d2.max(axis=1, keepdims=True) * (1.0 - _AHLFORS_SLACK))
-        far = np.empty(rr.size, dtype=complex)
-        far.real, far.imag = dx[rr, kk], dy[rr, kk]
-        maxdist = np.zeros(w.shape)
-        np.maximum.at(maxdist[:, 0], rr, np.abs(far))
+        # maxdist: the largest abs of v - w, as the per-center rule
+        # takes it
+        z = ring - w
+        d = np.abs(z)
+        maxdist = d.max(axis=1, keepdims=True)
         live = ~(maxdist[:, 0] < _CHORD_EPS)
         # per segment: the larger squared end distance, and the lower
         # bound of the squared distance less its slack
-        d = np.sqrt(d2)
-        if curve.closed:
-            P, Q = d2, np.roll(d2, -1, axis=1)
-            dp_, dq_ = d, np.roll(d, -1, axis=1)
-        else:
-            P, Q, dp_, dq_ = d2[:, :-1], d2[:, 1:], d[:, :-1], d[:, 1:]
-        top = np.maximum(P, Q)
-        low = np.maximum(0.5 * (dp_ + dq_ - seglen), 0.0)
+        d2 = z.real * z.real
+        d2 += z.imag * z.imag
+        top = np.maximum(d2[:, :-1], d2[:, 1:])
+        low = np.add(d[:, :-1], d[:, 1:])
+        low -= seglen
+        low *= 0.5
+        np.maximum(low, 0.0, out=low)
         low *= low
         low -= _AHLFORS_SLACK * top
-        top[:, tiny] = np.inf
-        low[:, tiny] = -np.inf
+        if tiny.any():
+            top[:, tiny] = np.inf
+            low[:, tiny] = -np.inf
         for f0 in range(0, radii, rstep):
             r = maxdist * fracs[f0:f0 + rstep]
-            rr2 = (r * r)[:, :, None]
-            inside = top[:, None, :] <= rr2 * (1.0 - _AHLFORS_SLACK)
-            known = low[:, None, :] >= rr2
-            known |= inside
+            rr2 = r * r
+            inside = top[:, None, :] <= (rr2 * (1.0 - _AHLFORS_SLACK))[
+                :, :, None]
             rows = np.multiply(inside, seglen)
-            ci, ri, k = np.nonzero(~known)
-            if k.size:
+            # neither inside nor beyond the circle: low < r^2, not inside
+            near = low[:, None, :] < rr2[:, :, None]
+            at = np.flatnonzero(np.greater(near, inside, out=near))
+            if at.size:
+                ci, k = np.divmod(at, m)
+                ci, ri = np.divmod(ci, rr2.shape[1])
                 # the per-segment quadratic |p + s u - w|^2 = r^2 in s
                 dp = p[k] - w[ci, 0]
                 bq = 2.0 * (dp * np.conj(u[k])).real
                 disc = bq * bq - four_a[k] * ((dp * np.conj(dp)).real
-                                              - rr2[ci, ri, 0])
+                                              - rr2[ci, ri])
                 root = np.sqrt(np.maximum(disc, 0.0))
                 s0 = np.clip((-bq - root) / two_a[k], 0.0, 1.0)
                 s1 = np.clip((-bq + root) / two_a[k], 0.0, 1.0)
-                rows[ci, ri, k] = np.where(disc > 0.0, (s1 - s0) * seglen[k],
-                                           0.0)
+                rows.reshape(-1)[at] = np.where(disc > 0.0,
+                                                (s1 - s0) * seglen[k], 0.0)
             best = max([best]
                        + (rows.sum(axis=2)[live] / r[live]).ravel().tolist())
     return best
@@ -594,9 +593,9 @@ def _pair_diameters(xs, ys, inside, cell, pts, diag, e=0):
 
     w, the farther endpoint's distance on inside cells and inf outside,
     is computed on the straight path, whose ends are the endpoint cells,
-    and on one crop box.  The differences z - za of the cells z = xs[col]
-    + 1j * ys[row] are taken componentwise into one reused buffer, the
-    doubles complex subtraction gives, and numpy's complex abs gives
+    and on one crop box.  The cells z = xs[col] + 1j * ys[row] are built
+    a row block at a time in one reused buffer, so z - za holds the
+    doubles a grid of all cells gives, and numpy's complex abs gives
     the same bits on any subset of cells.  A step is monotone in D, so
     the steps that search components bound later ones.  A path that
     leaves the region takes its endpoints' ids from the components of
