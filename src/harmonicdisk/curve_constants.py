@@ -393,8 +393,8 @@ def ahlfors_constant(curve, centers=129, radii=6):
     best = 0.0
     for c0 in range(0, cs.size, cstep):
         w = cs[c0:c0 + cstep, None]
-        # maxdist: the largest abs of v - w, as the per-center rule
-        # takes it
+        # maxdist: the largest complex abs of v - w; the ring's last
+        # point repeats vertex 0 when the curve is closed
         z = ring - w
         d = np.abs(z)
         maxdist = d.max(axis=1, keepdims=True)
