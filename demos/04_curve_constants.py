@@ -20,7 +20,7 @@ for name, curve in [("circle (512-gon)", circle_polygon(512)),
                     ("square (16/side)", rectangle_polygon(2.0, 2.0, 16)),
                     ("3:1 ellipse", ellipse_polygon(1.5, 0.5, 512)),
                     ("U-shape", u_polygon())]:
-    rep = curve_constants(curve, point_pairs=12, grid=256, seed=1)
+    rep = curve_constants(curve, point_pairs=12, seed=1)
     print(f"{name}")
     print(f"  lavrentiev M   = {rep.lavrentiev_M:.6f}")
     print(f"  quasicircle M  = {rep.quasicircle_M:.6f}")

@@ -11,9 +11,7 @@ deterministic probe set and therefore a LOWER bound of the true value:
 
 Every constant runs on the curve scaled by a power of two to unit
 extent (_unit_scaled): the scaling is exact, so a constant reads the
-same at any scale, and its thresholds are relative to the extent.  The
-pair constants need a closed curve; the Ahlfors constant also measures
-an open polyline.
+same at any scale, and its thresholds are relative to the extent.
 
 Pair probes are exhaustive for small polygons; larger ones consume a
 fixed prefix sequence (antipodal lag first, then adjacent, then a
@@ -34,21 +32,22 @@ largest vertex count of a probed shorter arc.  The Ahlfors lengths are
 the circle adds its length, one well outside adds +0, and only the few
 others take the per-segment formula.
 
-The connectivity raster is two coordinate vectors and a byte of
-containment per cell, built row by row: a row shares one ordinate, so
-its even-odd containment is the parity of its crossings binned at the
-sorted cell abscissae.  The bisection is exact for the raster: a
-step below the larger endpoint-cell distance L fails, and one connects
-at or above the largest distance U along a straight raster path, or
-above the vertex diagonal when the endpoints share a component of the
-inside cells.  Other steps find the endpoints' components among the
-cells within the step of both endpoints on one crop box, from the
-lowest bisection leaf up, and keep each answer as a bound that decides
-later steps: a step is monotone in D.  Convex regions search no
-components.  Components come from a run-length kernel on numpy alone
-(_components): runs of mask cells along the axis with fewer
-transitions, joined to the runs of the next line they touch by rounds
-of hooking and pointer jumping.
+The connectivity raster, GRID x GRID cells over the padded bounding
+box, is two coordinate vectors and a byte of containment per cell,
+built row by row: a row shares one ordinate, so its even-odd
+containment is the parity of its crossings binned at the sorted cell
+abscissae.  The bisection is exact for the raster: a step below the
+larger endpoint-cell distance L fails, and one connects at or above
+the largest distance U along a straight raster path, or above the
+vertex diagonal when the endpoints share a component of the inside
+cells.  Other steps find the endpoints' components among the cells
+within the step of both endpoints on one crop box, from the lowest
+bisection leaf up, and keep each answer as a bound that decides later
+steps: a step is monotone in D.  Convex regions search no components.
+Components come from a run-length kernel on numpy alone (_components):
+runs of mask cells along the axis with fewer transitions, joined to
+the runs of the next line they touch by rounds of hooking and pointer
+jumping.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathNotFound, ValidationError, checked_count
+from .errors import PathNotFound, checked_count
 from .geometry import (BLOCK_CELLS, PolygonalCurve, _row_crossings,
                        points_in_polygon)
 from .maps import _POLAR_BLOCK_CELLS
@@ -105,16 +104,7 @@ def _unit_scaled(curve):
     scaled = object.__new__(PolygonalCurve)
     object.__setattr__(scaled, "vertices",
                        np.ldexp(v.view(float), -e).view(complex))
-    object.__setattr__(scaled, "closed", curve.closed)
     return scaled, e
-
-
-def _closed_unit(curve, what):
-    """The closed curve at unit scale; an open polyline is refused, as
-    a pair's backward arc would run through a segment it lacks."""
-    if not curve.closed:
-        raise ValidationError(f"{what} needs a closed curve")
-    return _unit_scaled(curve)[0]
 
 
 def _pair_lags(n, seed):
@@ -226,12 +216,12 @@ def _lavrentiev(chunks):
 
 
 def lavrentiev_constant(curve, pairs=20000, seed=0):
-    """Shorter-arc length over chord, maximized over sampled pairs of a
-    closed curve.  pairs is 1 to MAX_PAIRS.  The pairs are ranked and
+    """Shorter-arc length over chord, maximized over sampled vertex
+    pairs.  pairs is 1 to MAX_PAIRS.  The pairs are ranked and
     reduced one chunk at a time, so working memory is O(n) plus one
     chunk."""
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
-    curve = _closed_unit(curve, "the Lavrentiev constant")
+    curve = _unit_scaled(curve)[0]
     return _lavrentiev(_probe_pairs(curve, pairs, seed))[0]
 
 
@@ -302,7 +292,7 @@ def _quasicircle(curve, arcs):
 
 def quasicircle_constant(curve, pairs=20000, seed=0):
     """Shorter-arc diameter over chord, same probe pairs as the
-    Lavrentiev constant; the curve must be closed.
+    Lavrentiev constant.
 
     The diameter of each shorter arc is exact (see _quasicircle), so
     the constant is the exact maximum over the probe set.  Time is
@@ -311,7 +301,7 @@ def quasicircle_constant(curve, pairs=20000, seed=0):
     count of a probed shorter arc.  pairs is 1 to MAX_PAIRS.
     """
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
-    curve = _closed_unit(curve, "the quasicircle constant")
+    curve = _unit_scaled(curve)[0]
     arcs = {}
     for chunk in _probe_pairs(curve, pairs, seed):
         _file_arcs(curve.vertices.size, chunk, arcs)
@@ -329,8 +319,10 @@ def _ahlfors_centers(curve, count):
 
 # (center, radius, segment) cells per Ahlfors block: 256 KiB of lengths
 _AHLFORS_CELLS = 1 << 15
-# The Ahlfors classification slack, relative; a segment with |u|^2 below
-# _AHLFORS_TINY takes the formula, so that no step below underflows.
+# The Ahlfors classification slack, relative.  A segment with |u|^2
+# below _AHLFORS_TINY adds +0, as if beyond every circle: it is shorter
+# than 2^-450 of the extent, and the formula would divide by 2a, which
+# may underflow to 0.
 #
 # The formula reads dp = p - w, u = q - p, a = |u|^2, b = 2 Re(dp conj u),
 # c = |dp|^2 and R = r * r as doubles, each a difference, or a sum of
@@ -361,8 +353,7 @@ _AHLFORS_TINY = 2.0 ** -900
 def ahlfors_constant(curve, centers=129, radii=6):
     """Clipped curve length inside D(w, r) over r, maximized over probe
     centers and radius fractions.  centers is 1 to MAX_CENTERS (a curve
-    has 2n + 1 of them) and radii 1 to MAX_RADII; an open polyline is
-    measured as it is.
+    has 2n + 1 of them) and radii 1 to MAX_RADII.
 
     The centers run in blocks of at most _AHLFORS_CELLS (center,
     radius, segment) cells.  A segment whose two ends lie inside the
@@ -384,7 +375,7 @@ def ahlfors_constant(curve, centers=129, radii=6):
     four_a, two_a = 4.0 * a, 2.0 * a
     tiny = a < _AHLFORS_TINY
     # segment k runs from ring point k to k + 1
-    ring = np.append(v, v[0]) if curve.closed else v
+    ring = np.append(v, v[0])
     cs = _ahlfors_centers(curve, centers)
     fracs = np.array(_RADIUS_FRACTIONS[:radii])
     # one center's radii in blocks when they exceed a block, else all
@@ -394,7 +385,7 @@ def ahlfors_constant(curve, centers=129, radii=6):
     for c0 in range(0, cs.size, cstep):
         w = cs[c0:c0 + cstep, None]
         # maxdist: the largest complex abs of v - w; the ring's last
-        # point repeats vertex 0 when the curve is closed
+        # point repeats vertex 0
         z = ring - w
         d = np.abs(z)
         maxdist = d.max(axis=1, keepdims=True)
@@ -412,7 +403,7 @@ def ahlfors_constant(curve, centers=129, radii=6):
         low -= _AHLFORS_SLACK * top
         if tiny.any():
             top[:, tiny] = np.inf
-            low[:, tiny] = -np.inf
+            low[:, tiny] = np.inf
         for f0 in range(0, radii, rstep):
             r = maxdist * fracs[f0:f0 + rstep]
             rr2 = r * r
@@ -712,24 +703,22 @@ def _pair_diameters(xs, ys, inside, cell, pts, diag, e=0):
     return out
 
 
-# the raster holds a byte per cell, and a pair whose steps search
-# components adds its crop box's distances (8 bytes a cell) and masks:
-# linear_connectivity_constant grew the peak RSS by 10 MiB (512-gon
-# circle) and 54 MiB (U-shape) at the cap, on 64-bit numpy
-MAX_GRID = 2048
+# cells per side of the connectivity raster
+GRID = 512
 MAX_POINT_PAIRS = 4096
 
 
-def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
+def linear_connectivity_constant(boundary, point_pairs=16, seed=0):
     """(constant, measured pairs): the empirical linear-connectivity
     constant of the enclosed region and the number of sampled pairs it
     was measured on.
 
     For each sampled interior pair (a, b), bisects the smallest D such
-    that a and b are raster-connected inside the region through cells
-    within distance D of both endpoints.  A path of diameter D stays in
-    that set, so the bisected D underestimates the true minimal path
-    diameter and the returned constant is a lower bound.
+    that a and b are connected, on a GRID x GRID raster, inside the
+    region through cells within distance D of both endpoints.  A path
+    of diameter D stays in that set, so the bisected D underestimates
+    the true minimal path diameter and the returned constant is a lower
+    bound.
 
     The raster's containment is the even-odd parity of each row's
     crossings right of each cell.  Let w be the larger endpoint distance
@@ -748,19 +737,16 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
     bisection leaves are probed first.  Per pair, w is computed on the
     path and on one crop box, and every step slices its own crop from
     it.  The raster itself is two coordinate vectors and a byte per
-    cell, so working memory is O(n + grid) plus a byte per cell and one
-    w box.  grid is 1 to MAX_GRID and point_pairs 1 to MAX_POINT_PAIRS;
-    seed is nonnegative.  PathNotFound when no sampled pair is at least
-    10 cells apart, as no pair was then measured.
+    cell, so working memory is O(n + GRID) plus a byte per cell and one
+    w box.  point_pairs is 1 to MAX_POINT_PAIRS; seed is nonnegative.
+    PathNotFound when no sampled pair is at least 10 cells apart, as no
+    pair was then measured.
     """
-    grid = checked_count("grid", grid, 1, MAX_GRID)
     point_pairs = checked_count("point_pairs", point_pairs, 1,
                                 MAX_POINT_PAIRS)
     seed = checked_count("seed", seed, 0, math.inf)
-    if not boundary.closed:
-        raise ValidationError("linear connectivity needs a closed boundary")
     boundary, e = _unit_scaled(boundary)
-    xs, ys, inside, cell = _raster(boundary, grid)
+    xs, ys, inside, cell = _raster(boundary, GRID)
     if not np.any(inside):
         raise PathNotFound("raster grid found no interior cells")
     pts = _sample_interior(boundary, xs, ys, inside, point_pairs, seed)
@@ -770,25 +756,24 @@ def linear_connectivity_constant(boundary, point_pairs=16, grid=512, seed=0):
     pairs = _pair_diameters(xs, ys, inside, cell, pts, diag, e)
     if not pairs:
         raise PathNotFound(f"no sampled pair is at least 10 cells apart "
-                           f"at grid {grid}; nothing was measured")
+                           f"at grid {GRID}; nothing was measured")
     return max([1.0] + [hi / d for d, hi in pairs]), len(pairs)
 
 
 def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
-                    grid=512, seed=0):
-    """All four constants of a closed curve in one report; the two pair
+                    seed=0):
+    """All four constants of the curve in one report; the two pair
     constants share one sweep of probe pairs.  The counts are refused
     out of range before any work: pairs 1 to MAX_PAIRS, centers 1 to
-    MAX_CENTERS, radii 1 to MAX_RADII, and point_pairs and grid as for
-    linear_connectivity_constant; so is an open polyline.  A negative
-    seed is refused by the first step, the pair sample."""
+    MAX_CENTERS, radii 1 to MAX_RADII and point_pairs 1 to
+    MAX_POINT_PAIRS.  A negative seed is refused by the first step, the
+    pair sample."""
     pairs = checked_count("pairs", pairs, 1, MAX_PAIRS)
     centers = checked_count("centers", centers, 1, MAX_CENTERS)
     radii = checked_count("radii", radii, 1, MAX_RADII)
-    grid = checked_count("grid", grid, 1, MAX_GRID)
     point_pairs = checked_count("point_pairs", point_pairs, 1,
                                 MAX_POINT_PAIRS)
-    curve = _closed_unit(curve, "curve_constants")
+    curve = _unit_scaled(curve)[0]
     n = curve.vertices.size
     arcs, probed = {}, 0
 
@@ -805,11 +790,10 @@ def curve_constants(curve, pairs=20000, centers=129, radii=6, point_pairs=16,
     qc = _quasicircle(curve, arcs)
     del arcs  # freed before the connectivity raster
     ahl = ahlfors_constant(curve, centers, radii)
-    conn, measured = linear_connectivity_constant(curve, point_pairs, grid,
-                                                  seed)
+    conn, measured = linear_connectivity_constant(curve, point_pairs, seed)
     counts = {"pairs": probed,
               "degenerate_pairs": degenerate,
               # the centroid, the vertices and the segment midpoints
               "centers": min(centers, 2 * n + 1),
-              "radii": radii, "conn_pairs": measured, "grid": grid}
+              "radii": radii, "conn_pairs": measured, "grid": GRID}
     return CurveConstantsReport(lav, qc, ahl, conn, counts)

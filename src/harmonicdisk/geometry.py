@@ -3,7 +3,7 @@
 Everything here is a plain function over a harmonic map or an explicit
 polygonal curve.  Curve lengths are one adaptive Simpson rule over
 |d/dt f(c(t))| = |f_z(c) c'(t) + f_zb(c) conj(c'(t))| (_path_length),
-and so are the Hardy means, with ||Df||^p in place of that speed;
+and so is the Hardy mean M_1, with ||Df|| in place of that speed;
 radial integrals over many directions share one polar ray table
 (ray_table), evaluated in blocks of rays.  The area of a full disk is
 Parseval's sum over the map's power series (m.taylor), cross-checked
@@ -50,31 +50,31 @@ BLOCK_CELLS = 1 << 21
 
 @dataclass(frozen=True)
 class PolygonalCurve:
-    """Polyline through complex vertices, optionally closed."""
+    """Closed polygon through complex vertices: its last side runs from
+    the last vertex back to the first."""
 
     vertices: np.ndarray
-    closed: bool = True
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.vertices, dtype=complex).reshape(-1)
         object.__setattr__(self, "vertices", v)
-        if self.closed and v.size < 3:
+        if v.size < 3:
             raise ValidationError("closed curve needs at least 3 vertices")
-        if not self.closed and v.size < 2:
-            raise ValidationError("open polyline needs at least 2 vertices")
         if not np.all(np.isfinite(v.view(float))):
             raise ValidationError("vertices must be finite")
-        nxt = np.roll(v, -1) if self.closed else v[1:]
-        cur = v if self.closed else v[:-1]
-        if np.any(np.abs(nxt - cur) == 0.0):
+        # side k runs from vertex k to k + 1, the last one to vertex 0
+        flat = np.abs(np.roll(v, -1) - v) == 0.0
+        if flat[-1]:
+            raise ValidationError(
+                "the last vertex repeats the first: list each vertex once, "
+                "the last side returns to the first")
+        if flat.any():
             raise ValidationError("consecutive vertices must be distinct")
 
     def segments(self):
         """(start, end) arrays of every segment."""
         v = self.vertices
-        if self.closed:
-            return v, np.roll(v, -1)
-        return v[:-1], v[1:]
+        return v, np.roll(v, -1)
 
     def segment_lengths(self):
         p, q = self.segments()
@@ -128,8 +128,6 @@ def points_in_polygon(points, curve):
     a NaN coordinate are outside.  The result has the shape of
     ``points``.
     """
-    if not curve.closed:
-        raise ValidationError("containment needs a closed curve")
     pts = np.asarray(points, dtype=complex).reshape(-1)
     p, q = curve.segments()
     out = np.empty(pts.size, dtype=bool)
@@ -193,7 +191,7 @@ def _chord_levels(curve):
     levels = {1: (p[pad], u[pad], uu[pad])}
     if not (np.abs(curve.vertices).max() < _DIST_SAFE and uu.min() > 0.0):
         return top, levels
-    # vertex k of the padded polyline starts segment k; the padding
+    # vertex k of the padded ring starts segment k; the padding
     # repeats the last vertex, so each node holds its segments' ends
     ends = np.append(p, q[-1])[np.minimum(np.arange(pad.size + 1), p.size)]
     size = _DIST_FAN
@@ -276,7 +274,7 @@ def _descend(levels, x, slack, ub, best, rows, nodes, size, tested):
 
 
 def point_polygon_distance(points, curve):
-    """Distance from each query point to the polyline (segments, not
+    """Distance from each query point to the polygon (segments, not
     just vertices), in the shape of ``points``.
 
     The segments form a chord-sagitta tree (D. H. Ballard, "Strip
@@ -835,15 +833,14 @@ def image_area(m, r, cfg=DEFAULT_CONFIG, center=None):
     return _lens_integral(m, w, r, R, _jacobian_kernel, cfg)
 
 
-def hardy_mean(m, p, r, cfg=DEFAULT_CONFIG):
-    """Integral mean M_p(r, ||Df||) = [(1/2pi) int ||Df(r e^{it})||^p
-    dt]^{1/p} of the operator norm |f_z| + |f_zb|, by _path_length's
-    rule on the circle |z| = r."""
-    p = checked_real("Hardy exponent", p, 0.0, math.inf)
+def hardy_mean(m, r, cfg=DEFAULT_CONFIG):
+    """Integral mean M_1(r, ||Df||) = (1/2pi) int ||Df(r e^{it})|| dt of
+    the operator norm |f_z| + |f_zb|, by _path_length's rule on the
+    circle |z| = r."""
     r = checked_real("Hardy radius", r, 0.0, 1.0)
     val, _ = _path_length(m, _circle(r), 0.0, TWO_PI, cfg, r,
-                          lambda dz, fz, fzb: op_norm(fz, fzb) ** p)
-    return (val / TWO_PI) ** (1.0 / p)
+                          lambda dz, fz, fzb: op_norm(fz, fzb))
+    return val / TWO_PI
 
 
 _EXTRACT_NODES = 1 << 13

@@ -91,7 +91,7 @@ def check_prop1(m, K=None, radii=DEFAULT_RADII, cfg=DEFAULT_CONFIG):
     lengths = []
     h1_proxy = 0.0
     for r in radii:
-        m1 = hardy_mean(m, 1.0, r, cfg)
+        m1 = hardy_mean(m, r, cfg)
         opint = TWO_PI * m1
         ell, _ = level_curve_length(m, r, cfg)
         lengths.append(ell)

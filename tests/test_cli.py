@@ -194,6 +194,19 @@ def test_constants_square_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_constants_refuses_a_file_that_repeats_its_first_vertex(capsys,
+                                                                tmp_path):
+    # every curve closes itself, so a file that closes its ring
+    # explicitly lists the first vertex twice
+    cf = tmp_path / "square.txt"
+    cf.write_text("0 0\n1 0\n1 1\n0 1\n0 0\n")
+    code, out, err = run_cli(capsys, "constants", "--curve", str(cf))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the last vertex repeats the first: list each "
+                   "vertex once, the last side returns to the first\n")
+
+
 def test_constants_takes_its_curve_only_from_the_flag(capsys, tmp_path):
     # a positional file next to --curve was once read in place of the
     # flag's, silently

@@ -90,8 +90,6 @@ def test_curve_validation():
     with pytest.raises(ValidationError):
         PolygonalCurve(np.array([0.0, 1.0]))  # closed needs 3
     with pytest.raises(ValidationError):
-        PolygonalCurve(np.array([1.0]), closed=False)
-    with pytest.raises(ValidationError):
         PolygonalCurve(np.array([0.0, 0.0, 1.0]))  # repeated vertex
     with pytest.raises(ValidationError):
         PolygonalCurve(np.array([0.0, np.nan, 1.0]))
@@ -251,15 +249,17 @@ def _full_sweep_distance(pts, curve):
 
 
 def _arc(n):
-    return PolygonalCurve(np.exp(1j * np.linspace(0.0, 2.0, n)), closed=False)
+    # n points on an arc of 2 radians, closed by its chord: top nodes
+    # that do not fill up, and one side unlike the others
+    return PolygonalCurve(np.exp(1j * np.linspace(0.0, 2.0, n)))
 
 
 @pytest.mark.parametrize("curve", [
     circle_polygon(3), square_polygon(), u_polygon(),
     rectangle_polygon(6.0, 1.0, per_side=5), ellipse_polygon(3.0, 1.0, 300),
     circle_polygon(64), circle_polygon(1023), circle_polygon(2048),
-    circle_polygon(4096), circle_polygon(4097), _arc(2), _arc(37), _arc(60),
-], ids=lambda c: f"{'closed' if c.closed else 'open'}{c.vertices.size}")
+    circle_polygon(4096), circle_polygon(4097), _arc(37), _arc(60),
+], ids=lambda c: f"closed{c.vertices.size}")
 def test_point_polygon_distance_equals_full_sweep(curve):
     rng = np.random.default_rng(curve.vertices.size)
     v = curve.vertices
@@ -287,7 +287,14 @@ def _rounding_curve(end, along, gap, up, detour, run):
     aside.  The run's chord distance |x - c| rounds by up to ~ulp(2^21)
     = 4.7e-10, so a lower bound without a rounding slack (or with one
     relative to the distance only) can skip the node holding the
-    minimum."""
+    minimum.
+
+    The run turns back on itself for 1/2 at its end, so that both sides
+    at the end lie in the run's node: that node's chord stops 1/2 short
+    of the end, and its sagitta, 1/2, makes up the difference.  From
+    the turn the ring goes round x at distance 3 or more and closes on
+    the rising point, so no side outside the run's node comes nearer x
+    than that point."""
     x = end + gap * along
     first = x + (gap + 5e-12) * 1j * along
     rise = first + 10j * along * np.arange(up + 1)
@@ -295,20 +302,22 @@ def _rounding_curve(end, along, gap, up, detour, run):
     corner = start + 1e3j * along
     bend = rise[-1] + (corner - rise[-1]) * np.arange(1, detour) / (detour - 1)
     straight = end - along * np.append(np.geomspace(2.0 ** 21, 1.0, run), 0.0)
-    return x, PolygonalCurve(np.concatenate([rise, bend, straight]),
-                             closed=False)
+    turn = end - 0.5 * along
+    back = [turn, turn - 3j * along, x + (3 - 3j) * along, first + 3 * along]
+    return x, PolygonalCurve(np.concatenate([rise, bend, straight, back]))
 
 
 def test_point_polygon_distance_bound_rounding():
-    # 80 segments make 5 top nodes of 16: the up segments fill three,
-    # the detour the fourth and the run the fifth, so its bound at the
-    # top level is the chord distance alone (sagitta ~0)
+    # 84 segments make 6 top nodes of 16: the up segments fill three,
+    # the detour the fourth, the run and its turn the fifth, and the way
+    # round x the sixth, so the run's bound at the top level is its
+    # chord distance less the turn's sagitta
     rng = np.random.default_rng(1)
     for k in range(64):
         gap = (1.0, 1e-6)[k % 2]
         along = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         end = 3.0 * complex(rng.normal(), rng.normal())
-        x, curve = _rounding_curve(end, along, gap, 48, 16, 16)
+        x, curve = _rounding_curve(end, along, gap, 48, 16, 15)
         np.testing.assert_array_equal(
             point_polygon_distance(np.array([x]), curve),
             _full_sweep_distance(np.array([x]), curve))
@@ -351,18 +360,22 @@ def test_point_polygon_distance_infinite_points(curve):
 def test_point_polygon_distance_keeps_nan_segments():
     # Each curve's second or third block lies far from the query points
     # and gives them NaN (|u|^2 = inf over inf, or 0 over 0), which the
-    # full sweep returns; a pruned block would hide it.
+    # full sweep returns; a pruned block would hide it.  The far block
+    # of the huge curve ends with its side back from the cluster, and
+    # no side that closes a ring comes nearer a query point than the
+    # curve's other sides.
     arc = 0.5 * np.exp(1j * np.linspace(0.0, 1.0, 17))
     rng = np.random.default_rng(0)
-    cluster = 1e160 * (1 + 1j + 0.5 * (rng.uniform(-1, 1, 17)
-                                       + 1j * rng.uniform(-1, 1, 17)))
+    cluster = 1e160 * (1 + 1j + 0.5 * (rng.uniform(-1, 1, 16)
+                                       + 1j * rng.uniform(-1, 1, 16)))
     cluster[1] = cluster[0] + 1e146  # a first segment without NaN
+    # back from the cluster to 0.5 + 10j, then down to the arc's start
     huge = PolygonalCurve(np.concatenate([arc, 10.0 + np.arange(15),
-                                          cluster]), closed=False)
+                                          cluster, [0.5 + 10j]]))
     # a vertical first segment, then horizontal ones 1e-170 long
     tiny = PolygonalCurve(np.concatenate([
         5j + 0.5 * np.exp(1j * np.linspace(0.0, 1.0, 16)), [1e-160j],
-        1e-170 * np.arange(16)]), closed=False)
+        1e-170 * np.arange(16)]))
     for curve, pts in ((huge, np.array([0.0, 0.1j, -0.2])),
                        (tiny, np.array([5j]))):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -407,14 +420,15 @@ def test_point_polygon_distance_chunk_budget_keeps_bits(monkeypatch, chunk):
 
 
 def test_point_polygon_distance_chord_bound_rounding():
-    # The fifth top node of these 80 segments holds 12 detour segments
-    # and a 4-segment run along an axis (sagitta 0, exactly): the
-    # detour's bend keeps the top node, and the run's chord is a node
-    # one level down, whose bound is the chord distance alone
+    # The fifth top node of these 84 segments holds 12 detour segments,
+    # a 3-segment run along an axis and its turn (sagitta 1/2, exactly):
+    # the detour's bend keeps the top node, and the run and its turn
+    # are a node one level down, whose bound is the chord distance less
+    # the sagitta
     rng = np.random.default_rng(2)
     for k, gap in enumerate(rng.uniform(0.5, 1.5, 64)):
         along = 1j ** (k % 4)
-        x, curve = _rounding_curve(0.0, along, gap, 64, 12, 4)
+        x, curve = _rounding_curve(0.0, along, gap, 64, 12, 3)
         np.testing.assert_array_equal(
             point_polygon_distance(np.array([x]), curve),
             _full_sweep_distance(np.array([x]), curve))
@@ -1146,16 +1160,12 @@ def test_image_area_validation():
 
 def test_hardy_mean_constant_fields():
     aff = gallery_map("affine:1,0.5")
-    for p in (0.5, 1.0, 2.0):
-        assert hardy_mean(aff, p, 0.7) == pytest.approx(1.5, abs=1e-10)
+    assert hardy_mean(aff, 0.7) == pytest.approx(1.5, abs=1e-10)
     poly = gallery_map("poly:z+0.3*zbar^2")
     # |f_z| + |f_zb| = 1 + 0.6 |z|, constant on each circle
-    assert hardy_mean(poly, 2.0, 0.5) == pytest.approx(1.3, abs=1e-10)
-    for p in (0.0, math.nan, math.inf):
-        with pytest.raises(ValidationError, match="Hardy exponent"):
-            hardy_mean(aff, p, 0.5)
-    with pytest.raises(ValidationError):
-        hardy_mean(aff, 1.0, 1.0)
+    assert hardy_mean(poly, 0.5) == pytest.approx(1.3, abs=1e-10)
+    with pytest.raises(ValidationError, match="Hardy radius"):
+        hardy_mean(aff, 1.0)
 
 
 # -- coefficient extraction -------------------------------------------------
